@@ -1,14 +1,17 @@
 //! The ergonomic decision entry point: one builder covering every
 //! schedule, every exploration backend, and optional certificate emission.
 //!
-//! [`Decider`] is the user-facing half of the decision API redesign. The
-//! engine half is [`wam_core::decide`], which resolves a
-//! ([`Schedule`], [`Backend`]) pair to a concrete representation and
-//! returns a verdict plus [`DecisionStats`]. `Decider` adds what only this
-//! crate can: machine-checkable witnesses. With `.certified(true)` the
-//! decision is re-run through the certificate emitters and the returned
-//! [`Decision`] carries a [`DecisionCertificate`] that the independent
-//! checker ([`crate::verify`]) re-validates without trusting the engine.
+//! [`Decider`] is the user-facing half of the decision API. The engine
+//! half is [`wam_core::decide`], which returns a verdict plus
+//! [`DecisionStats`]. `Decider` adds what only this crate can:
+//! machine-checkable witnesses. With `.certified(true)` the decision runs
+//! through the certificate emitters and the returned [`Decision`] carries
+//! a [`DecisionCertificate`] that the independent checker
+//! ([`crate::verify`]) re-validates without trusting the engine. Both
+//! paths pick their representation through the same
+//! [`resolve_backend`], and both lasso schedules walk the same
+//! [`lasso_verdict`], so certification never changes the verdict or the
+//! resolved backend.
 //!
 //! The certificate is phrased in whatever representation the backend
 //! explored — explicit node configurations, counter vectors over the twin
@@ -45,15 +48,16 @@
 //! );
 //! ```
 
-use crate::certificate::{Certificate, LassoSchedule};
+use crate::certificate::{Certificate, LassoCertificate, LassoSchedule};
 use crate::emit::{
-    certify_exploration, certify_lasso, certify_symmetric, relabel_exclusive_path, CertifiedVerdict,
+    certify_exploration, certify_quotient, relabel_exclusive_path, CertifiedVerdict,
 };
 use crate::verify::{verify_machine, verify_system, CertError, VerifyOptions};
 use wam_core::{
-    Backend, Config, CounterConfig, CounterSystem, DecisionStats, ExclusiveSystem, Exploration,
-    ExploreError, ExploreOptions, Machine, ResolvedBackend, RingConfig, RingSystem, Schedule,
-    Selection, State, Symmetry, TransitionSystem, Verdict,
+    lasso_verdict, resolve_backend, Backend, Config, CounterConfig, CounterSystem, DecisionStats,
+    ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Machine, QuotientSystem,
+    Resolution, ResolvedBackend, RingConfig, RingSystem, Schedule, State, TransitionSystem,
+    Verdict,
 };
 use wam_graph::Graph;
 
@@ -192,163 +196,108 @@ impl<'a, S: State> Decider<'a, S> {
     ///   requested on a graph that is neither twin-compressible nor a
     ///   cycle.
     pub fn decide(self) -> Result<Decision<S>, ExploreError> {
-        if !self.certified {
-            let (verdict, stats) = wam_core::decide(
-                self.machine,
-                self.graph,
-                self.schedule,
-                self.backend,
-                self.options,
-            )?;
+        let Decider {
+            machine,
+            graph,
+            schedule,
+            backend,
+            certified,
+            options,
+        } = self;
+        if !certified {
+            let (verdict, stats) = wam_core::decide(machine, graph, schedule, backend, options)?;
             return Ok(Decision {
                 verdict,
                 certificate: None,
                 stats,
             });
         }
-        match self.schedule {
-            Schedule::RoundRobin => {
-                let n = self.graph.node_count();
-                let cv = certify_lasso(
-                    self.machine,
-                    self.graph,
-                    LassoSchedule::RoundRobin,
-                    |t| Selection::exclusive(t % n),
-                    n,
-                    self.options.limit,
-                )?;
-                Ok(lasso_decision(cv))
+        let lasso_schedule = match schedule {
+            Schedule::RoundRobin => LassoSchedule::RoundRobin,
+            Schedule::Synchronous => LassoSchedule::Synchronous,
+            Schedule::PseudoStochastic => {
+                return certified_pseudo_stochastic(machine, graph, backend, options)
             }
-            Schedule::Synchronous => {
-                let all = Selection::all(self.graph);
-                let cv = certify_lasso(
-                    self.machine,
-                    self.graph,
-                    LassoSchedule::Synchronous,
-                    |_| all.clone(),
-                    1,
-                    self.options.limit,
-                )?;
-                Ok(lasso_decision(cv))
-            }
-            Schedule::PseudoStochastic => self.decide_certified_pseudo_stochastic(),
-        }
-    }
-
-    /// Certified pseudo-stochastic decision, mirroring the backend
-    /// resolution of [`wam_core::decide`] exactly so that `certified(true)`
-    /// never changes the verdict or the resolved backend.
-    fn decide_certified_pseudo_stochastic(self) -> Result<Decision<S>, ExploreError> {
-        let Decider {
-            machine,
-            graph,
-            backend,
-            options,
-            ..
-        } = self;
-        let explicit = |options: ExploreOptions| {
-            let (cv, reduced, explored) =
-                certify_symmetric(&ExclusiveSystem::new(machine, graph), options)?;
-            debug_assert!(!reduced);
-            Ok(node_decision(cv, ResolvedBackend::Explicit, explored))
         };
-        let symmetric = |options: ExploreOptions| {
-            let (cv, reduced, explored) =
-                certify_symmetric(&ExclusiveSystem::new(machine, graph), options)?;
-            let resolved = if reduced {
-                ResolvedBackend::Quotient
-            } else {
-                ResolvedBackend::Explicit
-            };
-            Ok(node_decision(cv, resolved, explored))
-        };
-        match backend {
-            Backend::Explicit => explicit(options.symmetry(Symmetry::Off)),
-            Backend::Quotient => symmetric(options.symmetry(Symmetry::On)),
-            Backend::Counter => match CounterSystem::new(machine, graph) {
-                Ok(counter) => counter_decision(&counter, options),
-                Err(_) => match RingSystem::new(machine, graph) {
-                    Ok(ring) => ring_decision(&ring, options),
-                    Err(_) => Err(ExploreError::Unsupported {
-                        reason: format!(
-                            "the counter backend needs a twin-compressible graph or a \
-                             cycle; the {}-node graph is neither",
-                            graph.node_count()
-                        ),
-                    }),
-                },
-            },
-            Backend::Auto => {
-                if options.symmetry == Symmetry::Off {
-                    return explicit(options);
-                }
-                if let Ok(counter) = CounterSystem::new(machine, graph) {
-                    return counter_decision(&counter, options);
-                }
-                if let Ok(ring) = RingSystem::new(machine, graph) {
-                    return ring_decision(&ring, options);
-                }
-                symmetric(options)
-            }
-        }
+        let lasso = lasso_verdict(machine, graph, schedule, options.limit)?;
+        let steps = lasso.steps();
+        let certificate = Certificate::Lasso(LassoCertificate {
+            schedule: lasso_schedule,
+            verdict: lasso.verdict,
+            stem_len: lasso.stem_len,
+            cycle: lasso.cycle,
+        });
+        Ok(Decision {
+            verdict: lasso.verdict,
+            certificate: Some(DecisionCertificate::Node(certificate)),
+            stats: DecisionStats::new(ResolvedBackend::Lasso, steps),
+        })
     }
 }
 
-fn lasso_decision<S: State>(cv: CertifiedVerdict<Config<S>>) -> Decision<S> {
-    let steps = match &cv.certificate {
-        Certificate::Lasso(l) => l.stem_len + l.cycle.len(),
-        _ => unreachable!("lasso emission always yields a lasso certificate"),
+/// Certified pseudo-stochastic decision over the backend
+/// [`resolve_backend`] picks — the same one [`wam_core::decide`] explores.
+/// The explicit space takes the generic engine here (not the dense
+/// kernel): emission needs its configuration table.
+fn certified_pseudo_stochastic<S: State>(
+    machine: &Machine<S>,
+    graph: &Graph,
+    backend: Backend,
+    options: ExploreOptions,
+) -> Result<Decision<S>, ExploreError> {
+    let resolution = resolve_backend(machine, graph, backend, &options)?;
+    let resolved = resolution.backend();
+    let system = ExclusiveSystem::new(machine, graph);
+    // Exclusive steps change one node, so node-space paths are relabelled
+    // to `Node` selections that `verify_machine` replays directly.
+    let node = |mut cv: CertifiedVerdict<Config<S>>| {
+        relabel_exclusive_path(&mut cv.certificate);
+        (cv.verdict, DecisionCertificate::Node(cv.certificate))
     };
-    Decision {
-        verdict: cv.verdict,
-        certificate: Some(DecisionCertificate::Node(cv.certificate)),
-        stats: DecisionStats::new(ResolvedBackend::Lasso, steps),
-    }
-}
-
-fn node_decision<S: State>(
-    mut cv: CertifiedVerdict<Config<S>>,
-    resolved: ResolvedBackend,
-    explored: usize,
-) -> Decision<S> {
-    relabel_exclusive_path(&mut cv.certificate);
-    Decision {
-        verdict: cv.verdict,
-        certificate: Some(DecisionCertificate::Node(cv.certificate)),
-        stats: DecisionStats::new(resolved, explored),
-    }
-}
-
-fn counter_decision<S: State>(
-    counter: &CounterSystem<'_, S>,
-    options: ExploreOptions,
-) -> Result<Decision<S>, ExploreError> {
-    let e = Exploration::explore_with(counter, counter.initial_config(), options)?;
-    let cv = certify_exploration(counter, &e);
+    let ((verdict, certificate), explored, spilled) = match resolution {
+        Resolution::Explicit => {
+            let e = explore(&system, options)?;
+            let cv = certify_exploration(&system, &e);
+            (node(cv), e.len(), e.was_spilled())
+        }
+        Resolution::Quotient(group) => {
+            let quotient = QuotientSystem::new(&system, group);
+            let e = explore(&quotient, options)?;
+            let cv = certify_quotient(&system, &quotient, &e);
+            (node(cv), e.len(), e.was_spilled())
+        }
+        Resolution::Counter(counter) => {
+            let e = explore(&counter, options)?;
+            let cv = certify_exploration(&counter, &e);
+            let cert = DecisionCertificate::Counter(cv.certificate);
+            ((cv.verdict, cert), e.len(), e.was_spilled())
+        }
+        Resolution::Ring(ring) => {
+            let e = explore(&ring, options)?;
+            let cv = certify_exploration(&ring, &e);
+            let cert = DecisionCertificate::Ring(cv.certificate);
+            ((cv.verdict, cert), e.len(), e.was_spilled())
+        }
+    };
     Ok(Decision {
-        verdict: cv.verdict,
-        certificate: Some(DecisionCertificate::Counter(cv.certificate)),
-        stats: DecisionStats::new(ResolvedBackend::Counter, e.len()).with_spilled(e.was_spilled()),
+        verdict,
+        certificate: Some(certificate),
+        stats: DecisionStats::new(resolved, explored).with_spilled(spilled),
     })
 }
 
-fn ring_decision<S: State>(
-    ring: &RingSystem<'_, S>,
-    options: ExploreOptions,
-) -> Result<Decision<S>, ExploreError> {
-    let e = Exploration::explore_with(ring, ring.initial_config(), options)?;
-    let cv = certify_exploration(ring, &e);
-    Ok(Decision {
-        verdict: cv.verdict,
-        certificate: Some(DecisionCertificate::Ring(cv.certificate)),
-        stats: DecisionStats::new(ResolvedBackend::Ring, e.len()).with_spilled(e.was_spilled()),
-    })
+fn explore<T>(system: &T, options: ExploreOptions) -> Result<Exploration<T::C>, ExploreError>
+where
+    T: TransitionSystem + Sync,
+    T::C: Send + Sync,
+{
+    Exploration::explore_with(system, system.initial_config(), options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wam_core::{Machine, Output};
+    use wam_core::{Machine, Output, Symmetry};
     use wam_graph::{generators, LabelCount};
 
     fn flood() -> Machine<bool> {
@@ -414,21 +363,42 @@ mod tests {
     #[test]
     fn certified_and_uncertified_resolve_identically() {
         let m = flood();
+        let line = generators::labelled_line(&LabelCount::from_vec(vec![4, 1]));
         for g in [
             generators::labelled_clique(&LabelCount::from_vec(vec![4, 1])),
             generators::labelled_cycle(&LabelCount::from_vec(vec![5, 1])),
-            generators::labelled_line(&LabelCount::from_vec(vec![4, 1])),
+            line.clone(),
         ] {
-            for backend in [Backend::Auto, Backend::Explicit, Backend::Quotient] {
-                let plain = Decider::new(&m, &g).backend(backend).decide().unwrap();
-                let certified = Decider::new(&m, &g)
-                    .backend(backend)
-                    .certified(true)
-                    .decide()
-                    .unwrap();
-                assert_eq!(plain.verdict, certified.verdict);
-                assert_eq!(plain.stats.backend, certified.stats.backend);
-                assert_eq!(plain.stats.explored, certified.stats.explored);
+            for (backend, symmetry) in [
+                (Backend::Auto, Symmetry::Auto),
+                (Backend::Explicit, Symmetry::Auto),
+                (Backend::Quotient, Symmetry::Auto),
+                (Backend::Counter, Symmetry::Auto),
+                (Backend::Auto, Symmetry::Off),
+            ] {
+                let run = |certified| {
+                    Decider::new(&m, &g)
+                        .backend(backend)
+                        .options(ExploreOptions::default().symmetry(symmetry))
+                        .certified(certified)
+                        .decide()
+                };
+                match (run(false), run(true)) {
+                    (Ok(plain), Ok(certified)) => {
+                        assert_eq!(plain.verdict, certified.verdict);
+                        assert_eq!(plain.stats.backend, certified.stats.backend);
+                        assert_eq!(plain.stats.explored, certified.stats.explored);
+                    }
+                    (Err(plain), Err(certified)) => {
+                        // The twin-free path is the one refusal.
+                        assert!(backend == Backend::Counter && g == line, "{plain:?}");
+                        assert!(matches!(plain, ExploreError::Unsupported { .. }));
+                        assert_eq!(plain, certified);
+                    }
+                    (plain, certified) => {
+                        panic!("{backend:?}/{symmetry:?} on {g:?}: {plain:?} vs {certified:?}")
+                    }
+                }
             }
         }
     }

@@ -5,13 +5,11 @@
 //! trusted: a bug in emission produces a certificate the independent
 //! checker rejects, never a wrongly accepted one.
 //!
-//! The deprecated `decide_*_certified` functions mirror the equally
-//! deprecated plain deciders of `wam-core` — same inputs, same verdicts —
-//! but additionally return a [`Certificate`] witnessing the verdict. Both
-//! families are one-line shims today: the engine entry point is
-//! [`wam_core::decide`] and the ergonomic certificate-aware builder is
-//! [`crate::Decider`]. The reusable emitters ([`certify_exploration`] and
-//! the `pub(crate)` quotient/lasso helpers) live here.
+//! The emitters turn a completed exploration into a [`Certificate`]:
+//! [`certify_exploration`] for a full space and [`certify_quotient`] for
+//! an orbit quotient. [`crate::Decider`] drives them over the backend
+//! [`wam_core::resolve_backend`] picks; generic systems can call them on
+//! an [`Exploration`] they drive themselves.
 //!
 //! # Quotient concretisation
 //!
@@ -26,17 +24,14 @@
 //! [`SpaceTransport`]), which is what the checker replays.
 
 use crate::certificate::{
-    Certificate, Escape, InvariantTransport, LassoCertificate, LassoSchedule,
-    NoConsensusCertificate, PathStep, Perm, Polarity, ReachPath, SpaceTransport,
-    StabilityInvariant, StableCertificate, StepSelection,
+    Certificate, Escape, InvariantTransport, NoConsensusCertificate, PathStep, Perm, Polarity,
+    ReachPath, SpaceTransport, StabilityInvariant, StableCertificate, StepSelection,
 };
-use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use wam_core::{
-    Config, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Machine, NodeSymmetric,
-    PermuteNodes, QuotientSystem, Selection, State, Symmetry, TransitionSystem, Verdict,
+    Config, Exploration, NodeSymmetric, PermuteNodes, QuotientSystem, State, TransitionSystem,
+    Verdict,
 };
-use wam_graph::{automorphism_group, Graph};
 
 /// A verdict together with its machine-checkable witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -387,7 +382,12 @@ where
     }
 }
 
-pub(crate) fn certify_quotient<T>(
+/// Builds the certificate for a completed exploration of `quotient`, the
+/// orbit quotient of `system`. Reachability paths are concretised to
+/// `Choice` steps over `system`'s full space; invariant and space
+/// sections stay in orbit representatives and carry symmetry transport,
+/// which [`crate::verify_symmetric`] replays.
+pub fn certify_quotient<T>(
     system: &T,
     quotient: &QuotientSystem<'_, T>,
     e: &Exploration<T::C>,
@@ -439,92 +439,8 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Certified deciders
+// Node-space relabelling
 // ---------------------------------------------------------------------------
-
-/// Certified counterpart of the deprecated `wam_core::decide_system`:
-/// decides any [`TransitionSystem`] by full exploration and emits the
-/// witness.
-///
-/// # Errors
-///
-/// [`ExploreError::TooLarge`] if more than `limit` configurations are
-/// reachable.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `certify_exploration` on an `Exploration` you drive yourself, or \
-            `wam_certify::Decider` for machine-on-graph decisions"
-)]
-pub fn decide_system_certified<T: TransitionSystem + Sync>(
-    system: &T,
-    limit: usize,
-) -> Result<CertifiedVerdict<T::C>, ExploreError>
-where
-    T::C: Send + Sync,
-{
-    let e = Exploration::explore(system, limit)?;
-    Ok(certify_exploration(system, &e))
-}
-
-/// Certified counterpart of the deprecated `wam_core::decide_symmetric`:
-/// same reduction policy ([`Symmetry::Auto`]/`On`/`Off` via
-/// [`ExploreOptions::symmetry`]), and when the orbit quotient is active the
-/// emitted certificate carries symmetry transport.
-///
-/// # Errors
-///
-/// [`ExploreError::TooLarge`] if the explored space exceeds
-/// `options.limit`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_certify::Decider` with `Backend::Quotient` (generic systems can \
-            still be certified via `certify_exploration`)"
-)]
-pub fn decide_symmetric_certified<T>(
-    system: &T,
-    options: ExploreOptions,
-) -> Result<CertifiedVerdict<T::C>, ExploreError>
-where
-    T: NodeSymmetric + Sync,
-    T::C: PermuteNodes + Send + Sync,
-{
-    certify_symmetric(system, options).map(|(cv, _, _)| cv)
-}
-
-/// Engine half of the symmetric certified decision: returns the witness
-/// together with whether the quotient was active and how many
-/// representatives (or explicit configurations) were interned — the stats
-/// [`crate::Decider`] reports.
-pub(crate) fn certify_symmetric<T>(
-    system: &T,
-    options: ExploreOptions,
-) -> Result<(CertifiedVerdict<T::C>, bool, usize), ExploreError>
-where
-    T: NodeSymmetric + Sync,
-    T::C: PermuteNodes + Send + Sync,
-{
-    let full =
-        |options: ExploreOptions| -> Result<(CertifiedVerdict<T::C>, bool, usize), ExploreError> {
-            let e = Exploration::explore_with(system, system.initial_config(), options)?;
-            Ok((certify_exploration(system, &e), false, e.len()))
-        };
-    if options.symmetry == Symmetry::Off {
-        return full(options);
-    }
-    let group = automorphism_group(system.symmetry_graph(), options.symmetry_cap);
-    let reduce = match options.symmetry {
-        Symmetry::Off => unreachable!("handled above"),
-        Symmetry::On => true,
-        Symmetry::Auto => group.is_complete() && !group.is_trivial(),
-    };
-    if !reduce {
-        return full(options);
-    }
-    let quotient = QuotientSystem::new(system, group);
-    let e = Exploration::explore_with(&quotient, quotient.initial_config(), options)?;
-    let explored = e.len();
-    Ok((certify_quotient(system, &quotient, &e), true, explored))
-}
 
 /// Rewrites the `Choice` selections of an exclusive-selection certificate
 /// to `Node` selections by diffing consecutive configurations — exclusive
@@ -548,121 +464,4 @@ pub(crate) fn relabel_exclusive_path<S: State>(cert: &mut Certificate<Config<S>>
         }
         _ => {}
     }
-}
-
-/// Certified counterpart of the deprecated
-/// `wam_core::decide_pseudo_stochastic`: decides `machine` on `graph` under
-/// pseudo-stochastic fairness and exclusive selection (orbit-reduced when
-/// profitable, per [`Symmetry::Auto`]) and emits a certificate whose path
-/// steps are `Node` selections, verifiable by [`crate::verify_machine`].
-///
-/// # Errors
-///
-/// [`ExploreError::TooLarge`] if the explored space exceeds `limit`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_certify::Decider::new(machine, graph).certified(true).limit(n).decide()`"
-)]
-pub fn decide_pseudo_stochastic_certified<S: State>(
-    machine: &Machine<S>,
-    graph: &Graph,
-    limit: usize,
-) -> Result<CertifiedVerdict<Config<S>>, ExploreError> {
-    let system = ExclusiveSystem::new(machine, graph);
-    let (mut out, _, _) = certify_symmetric(&system, ExploreOptions::with_limit(limit))?;
-    relabel_exclusive_path(&mut out.certificate);
-    Ok(out)
-}
-
-pub(crate) fn certify_lasso<S: State>(
-    machine: &Machine<S>,
-    graph: &Graph,
-    schedule: LassoSchedule,
-    selection_at: impl Fn(usize) -> Selection,
-    period: usize,
-    limit: usize,
-) -> Result<CertifiedVerdict<Config<S>>, ExploreError> {
-    let mut seen: FxHashMap<(Config<S>, u32), usize> = FxHashMap::default();
-    let mut trace: Vec<Config<S>> = Vec::new();
-    let mut c = Config::initial(machine, graph);
-    for t in 0..limit {
-        let key = (c.clone(), (t % period) as u32);
-        if let Some(&start) = seen.get(&key) {
-            let cycle: Vec<Config<S>> = trace[start..].to_vec();
-            let verdict = if cycle.iter().all(|c| c.is_accepting(machine)) {
-                Verdict::Accepts
-            } else if cycle.iter().all(|c| c.is_rejecting(machine)) {
-                Verdict::Rejects
-            } else {
-                Verdict::NoConsensus
-            };
-            return Ok(CertifiedVerdict {
-                verdict,
-                certificate: Certificate::Lasso(LassoCertificate {
-                    schedule,
-                    verdict,
-                    stem_len: start,
-                    cycle,
-                }),
-            });
-        }
-        seen.insert(key, t);
-        trace.push(c.clone());
-        c = c.successor(machine, graph, &selection_at(t));
-    }
-    Err(ExploreError::NoLasso { limit })
-}
-
-/// Certified counterpart of the deprecated
-/// `wam_core::decide_adversarial_round_robin`: walks the deterministic
-/// round-robin run to its lasso and emits the stem + cycle witness.
-///
-/// # Errors
-///
-/// [`ExploreError::NoLasso`] if the run does not become periodic within
-/// `limit` steps.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_certify::Decider` with `Schedule::RoundRobin` and `.certified(true)`"
-)]
-pub fn decide_adversarial_round_robin_certified<S: State>(
-    machine: &Machine<S>,
-    graph: &Graph,
-    limit: usize,
-) -> Result<CertifiedVerdict<Config<S>>, ExploreError> {
-    let n = graph.node_count();
-    certify_lasso(
-        machine,
-        graph,
-        LassoSchedule::RoundRobin,
-        |t| Selection::exclusive(t % n),
-        n,
-        limit,
-    )
-}
-
-/// Certified counterpart of the deprecated `wam_core::decide_synchronous`.
-///
-/// # Errors
-///
-/// [`ExploreError::NoLasso`] if the run does not become periodic within
-/// `limit` steps.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_certify::Decider` with `Schedule::Synchronous` and `.certified(true)`"
-)]
-pub fn decide_synchronous_certified<S: State>(
-    machine: &Machine<S>,
-    graph: &Graph,
-    limit: usize,
-) -> Result<CertifiedVerdict<Config<S>>, ExploreError> {
-    let all = Selection::all(graph);
-    certify_lasso(
-        machine,
-        graph,
-        LassoSchedule::Synchronous,
-        |_| all.clone(),
-        1,
-        limit,
-    )
 }

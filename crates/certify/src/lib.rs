@@ -20,8 +20,8 @@
 //! * [`decider`] — the ergonomic entry point: [`Decider`] builds a
 //!   decision over any schedule and backend and (optionally) returns the
 //!   witness as a [`DecisionCertificate`].
-//! * [`emit`] — the engine-facing emitters behind it ([`certify_exploration`]
-//!   and the deprecated `decide_*_certified` shims).
+//! * [`emit`] — the engine-facing emitters behind it
+//!   ([`certify_exploration`] and [`certify_quotient`]).
 //! * [`json`] — serde-free JSON export/import with a pluggable
 //!   configuration codec ([`StateTable`]).
 //!
@@ -55,11 +55,6 @@ pub use certificate::{
     StabilityInvariant, StableCertificate, StepSelection,
 };
 pub use decider::{Decider, Decision, DecisionCertificate};
-pub use emit::{certify_exploration, CertifiedVerdict};
-#[allow(deprecated)]
-pub use emit::{
-    decide_adversarial_round_robin_certified, decide_pseudo_stochastic_certified,
-    decide_symmetric_certified, decide_synchronous_certified, decide_system_certified,
-};
+pub use emit::{certify_exploration, certify_quotient, CertifiedVerdict};
 pub use json::{certificate_from_json, certificate_to_json, ConfigCodec, Json, StateTable};
 pub use verify::{verify_machine, verify_symmetric, verify_system, CertError, VerifyOptions};

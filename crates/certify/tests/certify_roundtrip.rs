@@ -4,11 +4,14 @@
 //! with symmetry transport.
 
 use wam_certify::{
-    certificate_from_json, certificate_to_json, certify_exploration, verify_machine, verify_system,
-    Certificate, Decider, DecisionCertificate, StateTable, VerifyOptions,
+    certificate_from_json, certificate_to_json, certify_exploration, certify_quotient,
+    verify_machine, verify_symmetric, verify_system, Certificate, Decider, DecisionCertificate,
+    StateTable, VerifyOptions,
 };
-use wam_core::{Backend, ExclusiveSystem, Exploration, Machine, Output, State, Verdict};
-use wam_graph::{generators, Graph, Label, LabelCount};
+use wam_core::{
+    Backend, ExclusiveSystem, Exploration, Machine, Output, QuotientSystem, State, Verdict,
+};
+use wam_graph::{automorphism_group, generators, Graph, Label, LabelCount};
 
 /// "Some node carries label x1", by flag flooding.
 fn flood() -> Machine<bool> {
@@ -209,6 +212,44 @@ fn generic_system_certificates_verify_without_a_graph() {
     // Choice-selection certificates need no graph and no permutation
     // action — the fully generic entry point suffices.
     assert_eq!(verify_system(&sys, &out.certificate).unwrap(), out.verdict);
+}
+
+#[test]
+fn generic_emitters_verify_and_match_the_decider() {
+    let mixed = LabelCount::from_vec(vec![3, 1]);
+    let uniform = LabelCount::from_vec(vec![4]);
+    for m in [flood(), toggler()] {
+        for g in [
+            generators::labelled_cycle(&mixed),
+            generators::labelled_clique(&mixed),
+            generators::labelled_star(&mixed),
+            generators::labelled_line(&mixed),
+            generators::labelled_cycle(&uniform),
+        ] {
+            let decide = |backend| Decider::new(&m, &g).backend(backend).decide().unwrap();
+            let sys = ExclusiveSystem::new(&m, &g);
+            let e = Exploration::explore(&sys, 200_000).unwrap();
+            let full = certify_exploration(&sys, &e);
+            assert_eq!(full.verdict, decide(Backend::Explicit).verdict, "{g:?}");
+            assert_eq!(
+                verify_system(&sys, &full.certificate).unwrap(),
+                full.verdict
+            );
+
+            // The quotient emitter's witnesses keep their `Choice` steps
+            // and carry transport, which only the symmetric checker
+            // replays — coverage the relabelled `Decider` certificates do
+            // not exercise.
+            let quotient = QuotientSystem::new(&sys, automorphism_group(&g, 10_000));
+            let e = Exploration::explore(&quotient, 200_000).unwrap();
+            let sym = certify_quotient(&sys, &quotient, &e);
+            assert_eq!(sym.verdict, decide(Backend::Quotient).verdict, "{g:?}");
+            assert_eq!(
+                verify_symmetric(&sys, &sym.certificate, &VerifyOptions::default()).unwrap(),
+                sym.verdict
+            );
+        }
+    }
 }
 
 #[test]

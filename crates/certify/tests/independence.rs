@@ -23,9 +23,8 @@ fn verifier_never_touches_the_engine() {
         "reverse_csr",
         "DecisionMemo",
         "VerdictStore",
-        "decide_symmetric",
-        "decide_system",
-        "decide_pseudo_stochastic",
+        "resolve_backend",
+        "wam_core::decide",
         "automorphism_group",
         "QuotientSystem",
     ] {

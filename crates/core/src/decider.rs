@@ -1,24 +1,23 @@
 //! The engine-level decision dispatch: one function covering every
 //! schedule and exploration backend.
 //!
-//! Historically each (schedule, backend) pair grew its own `decide_*`
-//! wrapper — ten functions across `wam-core` and `wam-certify` before the
-//! counter backend would have made it fourteen. [`decide`] replaces them
-//! all at the engine level: callers pick a [`Schedule`] and a [`Backend`]
-//! and get a verdict plus [`DecisionStats`] describing what actually ran.
-//! The ergonomic, certificate-aware entry point is `wam_certify::Decider`,
-//! which builds on this function; the legacy wrappers survive as
-//! `#[deprecated]` one-line shims proven verdict-identical by the
-//! `decider_shims` differential test.
+//! [`decide`] is the single engine entry point: callers pick a
+//! [`Schedule`] and a [`Backend`] and get a verdict plus
+//! [`DecisionStats`] describing what actually ran. Which representation
+//! a pseudo-stochastic decision explores is chosen in exactly one place,
+//! [`resolve_backend`]; the certificate-aware builder `wam_certify::Decider`
+//! matches on the same [`Resolution`], so plain and certified decisions
+//! can never resolve differently. The lasso schedules walk one
+//! deterministic run through [`lasso_verdict`].
 
 use crate::counter::{CounterSystem, RingSystem};
 use crate::explore::{
     lasso_verdict, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Symmetry,
     TransitionSystem, Verdict,
 };
-use crate::{Machine, Selection, State};
+use crate::{Machine, QuotientSystem, State};
 use std::fmt;
-use wam_graph::Graph;
+use wam_graph::{automorphism_group, AutomorphismGroup, Graph};
 
 /// Which fairness regime / schedule to decide under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -51,7 +50,8 @@ pub enum Backend {
     /// The full explicit configuration space, no reduction.
     Explicit,
     /// The orbit quotient under the graph's automorphism group (forces
-    /// [`Symmetry::On`]).
+    /// [`Symmetry::On`]; the full space if the group outgrows
+    /// [`ExploreOptions::symmetry_cap`]).
     Quotient,
     /// The counter abstraction over the twin partition, or the ring
     /// abstraction on cycles. Errors with [`ExploreError::Unsupported`] on
@@ -122,9 +122,98 @@ impl DecisionStats {
     }
 }
 
+/// The representation a pseudo-stochastic decision explores, as chosen by
+/// [`resolve_backend`]. Callers match on it to build the matching
+/// transition system: [`decide`] explores it plainly, and
+/// `wam_certify::Decider` explores it and emits a certificate.
+#[derive(Debug)]
+pub enum Resolution<'a, S: State> {
+    /// The full explicit configuration space.
+    Explicit,
+    /// The orbit quotient under this (complete) automorphism group.
+    Quotient(AutomorphismGroup),
+    /// Count vectors over the twin partition.
+    Counter(CounterSystem<'a, S>),
+    /// Canonical necklaces on a cycle.
+    Ring(RingSystem<'a, S>),
+}
+
+impl<S: State> Resolution<'_, S> {
+    /// The backend this resolution reports in [`DecisionStats`].
+    pub fn backend(&self) -> ResolvedBackend {
+        match self {
+            Resolution::Explicit => ResolvedBackend::Explicit,
+            Resolution::Quotient(_) => ResolvedBackend::Quotient,
+            Resolution::Counter(_) => ResolvedBackend::Counter,
+            Resolution::Ring(_) => ResolvedBackend::Ring,
+        }
+    }
+}
+
+/// Chooses the representation a pseudo-stochastic decision of `machine`
+/// on `graph` explores — the one place the backend policy lives:
+///
+/// * [`Backend::Explicit`] — the full space;
+/// * [`Backend::Quotient`] — the orbit quotient, even under a trivial
+///   group, unless `Aut(G)` outgrew [`ExploreOptions::symmetry_cap`]
+///   (then the full space);
+/// * [`Backend::Counter`] — the counter abstraction if the twin partition
+///   compresses, else the ring abstraction on a cycle;
+/// * [`Backend::Auto`] — the full space under [`Symmetry::Off`] (the
+///   counter and ring backends are symmetry reductions too); otherwise the
+///   counter, then the ring abstraction, then the orbit quotient if
+///   `Aut(G)` was enumerated completely within
+///   [`ExploreOptions::symmetry_cap`] and is non-trivial (always under
+///   [`Symmetry::On`]), else the full space.
+///
+/// A [`Resolution::Quotient`] group is always complete.
+///
+/// # Errors
+///
+/// [`ExploreError::Unsupported`] when [`Backend::Counter`] was requested on
+/// a graph that is neither twin-compressible nor a cycle.
+pub fn resolve_backend<'a, S: State>(
+    machine: &'a Machine<S>,
+    graph: &'a Graph,
+    backend: Backend,
+    options: &ExploreOptions,
+) -> Result<Resolution<'a, S>, ExploreError> {
+    let counter_or_ring = || {
+        CounterSystem::new(machine, graph)
+            .map(Resolution::Counter)
+            .or_else(|_| RingSystem::new(machine, graph).map(Resolution::Ring))
+            .ok()
+    };
+    // A capped enumeration is not closed under composition, so reducing by
+    // it would be unsound: only a complete group yields a quotient.
+    let quotient = |forced: bool| {
+        let group = automorphism_group(graph, options.symmetry_cap);
+        if group.is_complete() && (forced || !group.is_trivial()) {
+            Resolution::Quotient(group)
+        } else {
+            Resolution::Explicit
+        }
+    };
+    match backend {
+        Backend::Explicit => Ok(Resolution::Explicit),
+        Backend::Quotient => Ok(quotient(true)),
+        Backend::Counter => counter_or_ring().ok_or_else(|| ExploreError::Unsupported {
+            reason: format!(
+                "the counter backend needs a twin-compressible graph or a cycle; \
+                 the {}-node graph is neither",
+                graph.node_count()
+            ),
+        }),
+        Backend::Auto if options.symmetry == Symmetry::Off => Ok(Resolution::Explicit),
+        Backend::Auto => {
+            Ok(counter_or_ring().unwrap_or_else(|| quotient(options.symmetry == Symmetry::On)))
+        }
+    }
+}
+
 /// Decides `machine` on `graph` under the given schedule and backend —
-/// the single engine entry point behind every legacy `decide_*` wrapper
-/// and behind `wam_certify::Decider`.
+/// the single engine entry point, and the one behind
+/// `wam_certify::Decider`.
 ///
 /// All backends are exact: they differ in how the reachable space is
 /// represented, never in the verdict (the counter and ring backends are
@@ -146,129 +235,46 @@ pub fn decide<S: State>(
     backend: Backend,
     options: ExploreOptions,
 ) -> Result<(Verdict, DecisionStats), ExploreError> {
-    match schedule {
-        Schedule::RoundRobin => {
-            let n = graph.node_count();
-            let (verdict, steps) = lasso_verdict(
-                machine,
-                graph,
-                |t| Selection::exclusive(t % n),
-                n,
-                options.limit,
-            )?;
-            Ok((verdict, DecisionStats::new(ResolvedBackend::Lasso, steps)))
-        }
-        Schedule::Synchronous => {
-            let all = Selection::all(graph);
-            let (verdict, steps) =
-                lasso_verdict(machine, graph, |_| all.clone(), 1, options.limit)?;
-            Ok((verdict, DecisionStats::new(ResolvedBackend::Lasso, steps)))
-        }
-        Schedule::PseudoStochastic => {
-            decide_pseudo_stochastic_backend(machine, graph, backend, options)
-        }
+    if schedule != Schedule::PseudoStochastic {
+        let lasso = lasso_verdict(machine, graph, schedule, options.limit)?;
+        return Ok((
+            lasso.verdict,
+            DecisionStats::new(ResolvedBackend::Lasso, lasso.steps()),
+        ));
     }
-}
-
-fn decide_pseudo_stochastic_backend<S: State>(
-    machine: &Machine<S>,
-    graph: &Graph,
-    backend: Backend,
-    options: ExploreOptions,
-) -> Result<(Verdict, DecisionStats), ExploreError> {
+    let resolution = resolve_backend(machine, graph, backend, &options)?;
+    let resolved = resolution.backend();
     let system = ExclusiveSystem::new(machine, graph);
-    let explicit = |options: ExploreOptions| {
+    let (verdict, explored, spilled) = match resolution {
         // The dense kernel explores the same space over packed rows with
         // memoized δ steps — observationally identical (pinned by the
         // kernel differential suite), so the stats are too. It refuses
         // machines whose reachable state set overflows `u16` ids; only
         // then fall back to the generic engine.
-        match crate::kernel::explore_kernel(machine, graph, options) {
-            Ok(e) => Ok((
-                e.verdict(),
-                DecisionStats::new(ResolvedBackend::Explicit, e.len())
-                    .with_spilled(e.was_spilled()),
-            )),
-            Err(ExploreError::Unsupported { .. }) => {
-                let e = Exploration::explore_with(&system, system.initial_config(), options)?;
-                Ok((
-                    e.verdict(),
-                    DecisionStats::new(ResolvedBackend::Explicit, e.len())
-                        .with_spilled(e.was_spilled()),
-                ))
-            }
-            Err(e) => Err(e),
-        }
-    };
-    let symmetric = |options: ExploreOptions| {
-        let (verdict, reduced, explored, spilled) =
-            crate::symmetry::decide_symmetric_stats(&system, options)?;
-        let resolved = if reduced {
-            ResolvedBackend::Quotient
-        } else {
-            ResolvedBackend::Explicit
-        };
-        Ok((
-            verdict,
-            DecisionStats::new(resolved, explored).with_spilled(spilled),
-        ))
-    };
-    match backend {
-        Backend::Explicit => explicit(options),
-        Backend::Quotient => symmetric(options.symmetry(Symmetry::On)),
-        Backend::Counter => match CounterSystem::new(machine, graph) {
-            Ok(counter) => {
-                let e = Exploration::explore_with(&counter, counter.initial_config(), options)?;
-                Ok((
-                    e.verdict(),
-                    DecisionStats::new(ResolvedBackend::Counter, e.len())
-                        .with_spilled(e.was_spilled()),
-                ))
-            }
-            Err(_) => match RingSystem::new(machine, graph) {
-                Ok(ring) => {
-                    let e = Exploration::explore_with(&ring, ring.initial_config(), options)?;
-                    Ok((
-                        e.verdict(),
-                        DecisionStats::new(ResolvedBackend::Ring, e.len())
-                            .with_spilled(e.was_spilled()),
-                    ))
-                }
-                Err(_) => Err(ExploreError::Unsupported {
-                    reason: format!(
-                        "the counter backend needs a twin-compressible graph or a \
-                         cycle; the {}-node graph is neither",
-                        graph.node_count()
-                    ),
-                }),
-            },
+        Resolution::Explicit => match crate::kernel::explore_kernel(machine, graph, options) {
+            Ok(e) => (e.verdict(), e.len(), e.was_spilled()),
+            Err(ExploreError::Unsupported { .. }) => explore(&system, options)?,
+            Err(e) => return Err(e),
         },
-        Backend::Auto => {
-            // `Symmetry::Off` is an explicit request for the unreduced
-            // space; the counter and ring backends are symmetry
-            // reductions, so honour it.
-            if options.symmetry == Symmetry::Off {
-                return explicit(options);
-            }
-            if let Ok(counter) = CounterSystem::new(machine, graph) {
-                let e = Exploration::explore_with(&counter, counter.initial_config(), options)?;
-                return Ok((
-                    e.verdict(),
-                    DecisionStats::new(ResolvedBackend::Counter, e.len())
-                        .with_spilled(e.was_spilled()),
-                ));
-            }
-            if let Ok(ring) = RingSystem::new(machine, graph) {
-                let e = Exploration::explore_with(&ring, ring.initial_config(), options)?;
-                return Ok((
-                    e.verdict(),
-                    DecisionStats::new(ResolvedBackend::Ring, e.len())
-                        .with_spilled(e.was_spilled()),
-                ));
-            }
-            symmetric(options)
-        }
-    }
+        Resolution::Quotient(group) => explore(&QuotientSystem::new(&system, group), options)?,
+        Resolution::Counter(counter) => explore(&counter, options)?,
+        Resolution::Ring(ring) => explore(&ring, options)?,
+    };
+    Ok((
+        verdict,
+        DecisionStats::new(resolved, explored).with_spilled(spilled),
+    ))
+}
+
+/// Explores `system` from its initial configuration: the verdict, the
+/// number of interned configurations, and whether edges spilled.
+fn explore<T>(system: &T, options: ExploreOptions) -> Result<(Verdict, usize, bool), ExploreError>
+where
+    T: TransitionSystem + Sync,
+    T::C: Send + Sync,
+{
+    let e = Exploration::explore_with(system, system.initial_config(), options)?;
+    Ok((e.verdict(), e.len(), e.was_spilled()))
 }
 
 #[cfg(test)]
@@ -330,6 +336,31 @@ mod tests {
         let opts = ExploreOptions::with_limit(1_000_000).symmetry(Symmetry::Off);
         let (_, stats) = decide(&m, &g, Schedule::PseudoStochastic, Backend::Auto, opts).unwrap();
         assert_eq!(stats.backend, ResolvedBackend::Explicit);
+    }
+
+    #[test]
+    fn resolver_honours_the_symmetry_policy() {
+        // A 6-node path: twin-free, not a cycle, |Aut| = 2.
+        let m = flood();
+        let g = generators::labelled_line(&LabelCount::from_vec(vec![4, 2]));
+        for (backend, symmetry, expected) in [
+            (Backend::Auto, Symmetry::Auto, ResolvedBackend::Quotient),
+            (Backend::Auto, Symmetry::On, ResolvedBackend::Quotient),
+            (Backend::Auto, Symmetry::Off, ResolvedBackend::Explicit),
+            (Backend::Quotient, Symmetry::Off, ResolvedBackend::Quotient),
+            (Backend::Explicit, Symmetry::On, ResolvedBackend::Explicit),
+        ] {
+            let opts = ExploreOptions::with_limit(100_000).symmetry(symmetry);
+            let r = resolve_backend(&m, &g, backend, &opts).unwrap();
+            assert_eq!(r.backend(), expected, "{backend:?} under {symmetry:?}");
+        }
+        // A capped enumeration is no group: every policy then explores the
+        // full space instead of reducing unsoundly.
+        let opts = ExploreOptions::with_limit(100_000).symmetry_cap(1);
+        for backend in [Backend::Auto, Backend::Quotient] {
+            let r = resolve_backend(&m, &g, backend, &opts).unwrap();
+            assert_eq!(r.backend(), ResolvedBackend::Explicit, "{backend:?}");
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! * **Adversarial fairness**: a consistent automaton gives the same verdict
 //!   on every fair run, so it suffices to evaluate one concrete fair run.
 //!   Round-robin and synchronous runs are deterministic and therefore
-//!   ultimately periodic; [`decide_adversarial_round_robin`] and
-//!   [`decide_synchronous`] detect the lasso and read the verdict off the
-//!   loop. A `NoConsensus` result on these runs witnesses that the machine
+//!   ultimately periodic; [`lasso_verdict`] detects the lasso and reads
+//!   the verdict off the loop. A `NoConsensus` result on these runs witnesses that the machine
 //!   is *not* a distributed automaton of the corresponding class for this
 //!   input (no stable consensus forms).
 //!
@@ -61,7 +60,7 @@
 use crate::bitset::BitSet;
 use crate::edges::{EdgeBuilder, EdgeStore};
 pub use crate::edges::{EdgeEncoding, SuccRow};
-use crate::{Config, Interner, Machine, Selection, State};
+use crate::{Config, Interner, Machine, Schedule, Selection, State};
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 use std::error::Error;
@@ -449,7 +448,7 @@ impl<S: State> TransitionSystem for LiberalSystem<'_, S> {
 
 /// Whether a decider should explore the orbit quotient of the
 /// configuration space under the communication graph's automorphism group
-/// (see [`decide_symmetric`](crate::decide_symmetric) and the
+/// (see [`resolve_backend`](crate::resolve_backend) and the
 /// `wam-core::symmetry` module).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Symmetry {
@@ -493,9 +492,10 @@ pub struct ExploreOptions {
     pub limit: usize,
     /// Orbit-quotient reduction policy. [`Exploration`] itself never
     /// canonicalises — the option is consumed by
-    /// [`decide_symmetric`](crate::decide_symmetric) (and through it by
-    /// [`decide_pseudo_stochastic`]), which wraps the system in a
-    /// [`QuotientSystem`](crate::QuotientSystem) before exploring.
+    /// [`resolve_backend`](crate::resolve_backend), whose
+    /// [`Resolution::Quotient`](crate::Resolution::Quotient) callers wrap
+    /// the system in a [`QuotientSystem`](crate::QuotientSystem) before
+    /// exploring.
     pub symmetry: Symmetry,
     /// Cap on the order of the enumerated automorphism group; larger groups
     /// fall back to no reduction (see
@@ -1293,70 +1293,64 @@ impl<C: Clone + Eq + Hash + fmt::Debug> Exploration<C> {
     }
 }
 
-/// Decides any [`TransitionSystem`] under pseudo-stochastic fairness by
-/// exhaustive exploration of the **full** configuration space — this entry
-/// point has no graph to take automorphisms of. Systems that expose their
-/// graph (every model family in the workspace, via
-/// [`NodeSymmetric`](crate::NodeSymmetric)) should prefer
-/// [`decide_symmetric`](crate::decide_symmetric), which explores the orbit
-/// quotient under `Aut(G)` when profitable.
+/// A deterministic run walked until it closes a lasso: the first
+/// repeated (configuration, step mod period) pair.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lasso<S: State> {
+    /// The verdict read off the loop: `Accepts` / `Rejects` if every loop
+    /// configuration is accepting / rejecting, `NoConsensus` otherwise.
+    pub verdict: Verdict,
+    /// Steps taken before the loop starts.
+    pub stem_len: usize,
+    /// The loop's configurations, in run order.
+    pub cycle: Vec<Config<S>>,
+}
+
+impl<S: State> Lasso<S> {
+    /// Steps walked before the lasso closed (stem plus one loop).
+    pub fn steps(&self) -> usize {
+        self.stem_len + self.cycle.len()
+    }
+}
+
+/// Walks the deterministic run of `machine` on `graph` under a fair
+/// adversarial schedule until it closes a lasso, and reads the verdict off
+/// the loop. For a consistent automaton of an adversarial class this is
+/// the class verdict; `NoConsensus` witnesses failure to decide.
+///
+/// * [`Schedule::RoundRobin`] — the exclusive run selecting node
+///   `t mod |V|` at step `t` (period `|V|`);
+/// * [`Schedule::Synchronous`] — every node steps each round (period 1),
+///   the unique fair schedule of synchronous selection.
 ///
 /// # Errors
 ///
-/// [`ExploreError::TooLarge`] if more than `limit` configurations are
-/// reachable.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Exploration::explore(system, limit)?.verdict()` directly, \
-            or `wam_certify::Decider` for machine-on-graph decisions"
-)]
-pub fn decide_system<T: TransitionSystem + Sync>(
-    system: &T,
-    limit: usize,
-) -> Result<Verdict, ExploreError>
-where
-    T::C: Send + Sync,
-{
-    Ok(Exploration::explore(system, limit)?.verdict())
-}
-
-/// Decides `machine` on `graph` under pseudo-stochastic fairness and
-/// exclusive selection, exactly, by exploring the configuration space —
-/// reduced to its orbit quotient under `Aut(graph)` when the group is
-/// non-trivial (the [`Symmetry::Auto`] policy; use
-/// [`decide_symmetric`](crate::decide_symmetric) with explicit
-/// [`ExploreOptions`] to control this).
-///
-/// # Errors
-///
-/// [`ExploreError::TooLarge`] if the explored space (orbit representatives
-/// under reduction) exceeds `limit` configurations.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_core::decide` or `wam_certify::Decider`"
-)]
-pub fn decide_pseudo_stochastic<S: State>(
+/// * [`ExploreError::NoLasso`] if the run does not become periodic within
+///   `limit` steps;
+/// * [`ExploreError::Unsupported`] for [`Schedule::PseudoStochastic`],
+///   which has no single run to walk.
+pub fn lasso_verdict<S: State>(
     machine: &Machine<S>,
     graph: &Graph,
+    schedule: Schedule,
     limit: usize,
-) -> Result<Verdict, ExploreError> {
-    crate::decide(
-        machine,
-        graph,
-        crate::Schedule::PseudoStochastic,
-        crate::Backend::Auto,
-        ExploreOptions::with_limit(limit),
-    )
-    .map(|(verdict, _)| verdict)
-}
-
-pub(crate) fn lasso_verdict<S: State>(
-    machine: &Machine<S>,
-    graph: &Graph,
-    selection_at: impl Fn(usize) -> Selection,
-    period: usize,
-    limit: usize,
-) -> Result<(Verdict, usize), ExploreError> {
+) -> Result<Lasso<S>, ExploreError> {
+    let n = graph.node_count();
+    let period = match schedule {
+        Schedule::RoundRobin => n,
+        Schedule::Synchronous => 1,
+        Schedule::PseudoStochastic => {
+            return Err(ExploreError::Unsupported {
+                reason: "pseudo-stochastic fairness has no single run to walk to a lasso"
+                    .to_string(),
+            })
+        }
+    };
+    let all = Selection::all(graph);
+    let selection_at = |t: usize| match schedule {
+        Schedule::RoundRobin => Selection::exclusive(t % n),
+        _ => all.clone(),
+    };
     // The run is deterministic; its state is (configuration, step mod
     // period). Configurations are interned, so the walk stores and hashes
     // dense ids instead of cloning the configuration at every step.
@@ -1369,21 +1363,22 @@ pub(crate) fn lasso_verdict<S: State>(
         let key = (id, (t % period) as u32);
         if let Some(&start) = seen.get(&key) {
             // Lasso closed: the loop is trace[start..t].
-            let loop_ids = &trace[start..];
-            let all_acc = loop_ids
+            let cycle: Vec<Config<S>> = trace[start..]
                 .iter()
-                .all(|&i| interner.get(i as usize).is_accepting(machine));
-            let all_rej = loop_ids
-                .iter()
-                .all(|&i| interner.get(i as usize).is_rejecting(machine));
-            let verdict = if all_acc {
+                .map(|&i| interner.get(i as usize).clone())
+                .collect();
+            let verdict = if cycle.iter().all(|c| c.is_accepting(machine)) {
                 Verdict::Accepts
-            } else if all_rej {
+            } else if cycle.iter().all(|c| c.is_rejecting(machine)) {
                 Verdict::Rejects
             } else {
                 Verdict::NoConsensus
             };
-            return Ok((verdict, t));
+            return Ok(Lasso {
+                verdict,
+                stem_len: start,
+                cycle,
+            });
         }
         seen.insert(key, t);
         trace.push(id);
@@ -1392,60 +1387,6 @@ pub(crate) fn lasso_verdict<S: State>(
             .successor(machine, graph, &selection_at(t));
     }
     Err(ExploreError::NoLasso { limit })
-}
-
-/// Decides `machine` on `graph` along the round-robin exclusive run — a fair
-/// adversarial schedule. For a consistent automaton of an adversarial class
-/// this is the class verdict; `NoConsensus` witnesses failure to decide.
-///
-/// # Errors
-///
-/// [`ExploreError::NoLasso`] if the deterministic run does not become
-/// periodic within `limit` steps.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_core::decide` or `wam_certify::Decider`"
-)]
-pub fn decide_adversarial_round_robin<S: State>(
-    machine: &Machine<S>,
-    graph: &Graph,
-    limit: usize,
-) -> Result<Verdict, ExploreError> {
-    crate::decide(
-        machine,
-        graph,
-        crate::Schedule::RoundRobin,
-        crate::Backend::Auto,
-        ExploreOptions::with_limit(limit),
-    )
-    .map(|(verdict, _)| verdict)
-}
-
-/// Decides `machine` on `graph` along the synchronous run (the unique fair
-/// schedule of synchronous selection; also a fair adversarial schedule of the
-/// liberal regime).
-///
-/// # Errors
-///
-/// [`ExploreError::NoLasso`] if the run does not become periodic within
-/// `limit` steps.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_core::decide` or `wam_certify::Decider`"
-)]
-pub fn decide_synchronous<S: State>(
-    machine: &Machine<S>,
-    graph: &Graph,
-    limit: usize,
-) -> Result<Verdict, ExploreError> {
-    crate::decide(
-        machine,
-        graph,
-        crate::Schedule::Synchronous,
-        crate::Backend::Auto,
-        ExploreOptions::with_limit(limit),
-    )
-    .map(|(verdict, _)| verdict)
 }
 
 #[cfg(test)]
@@ -1464,13 +1405,12 @@ mod tests {
         )
     }
 
-    // Schedule-specific shorthands over the unified dispatch, mirroring
-    // what the deprecated wrappers used to provide.
+    // Schedule-specific shorthands over the unified dispatch.
     fn ps<S: State>(m: &Machine<S>, g: &Graph, limit: usize) -> Result<Verdict, ExploreError> {
         crate::decide(
             m,
             g,
-            crate::Schedule::PseudoStochastic,
+            Schedule::PseudoStochastic,
             crate::Backend::Auto,
             ExploreOptions::with_limit(limit),
         )
@@ -1481,7 +1421,7 @@ mod tests {
         crate::decide(
             m,
             g,
-            crate::Schedule::RoundRobin,
+            Schedule::RoundRobin,
             crate::Backend::Auto,
             ExploreOptions::with_limit(limit),
         )
@@ -1492,7 +1432,7 @@ mod tests {
         crate::decide(
             m,
             g,
-            crate::Schedule::Synchronous,
+            Schedule::Synchronous,
             crate::Backend::Auto,
             ExploreOptions::with_limit(limit),
         )

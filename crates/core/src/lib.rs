@@ -69,14 +69,12 @@ mod system;
 pub use class::{Acceptance, Detection, Fairness, ModelClass, PropertyClassBound};
 pub use config::{Config, PackedConfig};
 pub use counter::{CounterConfig, CounterError, CounterSystem, RingConfig, RingSystem};
-pub use decider::{decide, Backend, DecisionStats, ResolvedBackend, Schedule};
-#[allow(deprecated)]
-pub use explore::{
-    decide_adversarial_round_robin, decide_pseudo_stochastic, decide_synchronous, decide_system,
+pub use decider::{
+    decide, resolve_backend, Backend, DecisionStats, Resolution, ResolvedBackend, Schedule,
 };
 pub use explore::{
-    EdgeEncoding, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, LevelStat,
-    LiberalSystem, SuccBuf, SuccRow, Symmetry, TransitionSystem, Verdict,
+    lasso_verdict, EdgeEncoding, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Lasso,
+    LevelStat, LiberalSystem, SuccBuf, SuccRow, Symmetry, TransitionSystem, Verdict,
 };
 pub use halting::{halting_violations, make_halting};
 pub use intern::Interner;
@@ -92,7 +90,5 @@ pub use scheduler::{
     RandomScheduler, RoundRobinScheduler, Scheduler, Selection, SelectionRegime,
     SynchronousScheduler,
 };
-#[allow(deprecated)]
-pub use symmetry::decide_symmetric;
 pub use symmetry::{NodeSymmetric, PermuteNodes, QuotientSystem};
 pub use system::{ScheduledSystem, StepOutcome};

@@ -18,7 +18,7 @@
 //! the group `Γ = Aut(G)` is exactly the orbit quotient: exploring one
 //! lexicographically least representative per orbit preserves the
 //! existence of stably accepting / stably rejecting reachable
-//! configurations, hence the [`Verdict`].
+//! configurations, hence the [`Verdict`](crate::Verdict).
 //!
 //! Two subtleties the implementation enforces:
 //!
@@ -43,12 +43,8 @@
 //! random machines over random graphs through all six model families with
 //! and without reduction and compares verdicts.
 
-use crate::explore::{ExploreError, Symmetry};
-use crate::{
-    Config, ExclusiveSystem, Exploration, ExploreOptions, LiberalSystem, State, TransitionSystem,
-    Verdict,
-};
-use wam_graph::{automorphism_group, AutomorphismGroup, Graph};
+use crate::{Config, ExclusiveSystem, LiberalSystem, State, TransitionSystem};
+use wam_graph::{AutomorphismGroup, Graph};
 
 /// Configurations a node permutation acts on.
 ///
@@ -261,80 +257,11 @@ where
     }
 }
 
-/// Decides a [`NodeSymmetric`] system under pseudo-stochastic fairness,
-/// exploring the orbit quotient of its configuration space when
-/// [`ExploreOptions::symmetry`] allows:
-///
-/// * [`Symmetry::Auto`] — compute the structural automorphism group of the
-///   communication graph (capped at [`ExploreOptions::symmetry_cap`]
-///   elements); explore the quotient if it is complete and non-trivial,
-///   the full space otherwise.
-/// * [`Symmetry::On`] — explore through the quotient wrapper even when the
-///   group is trivial (the group must still be complete; a capped
-///   enumeration falls back to the trivial group, which is complete only
-///   in the formal sense of *being* the whole group `{id}` it claims to
-///   be — `On` then degenerates to a full exploration through the
-///   wrapper).
-/// * [`Symmetry::Off`] — explore the full space directly.
-///
-/// Under reduction, `options.limit` bounds the number of orbit
-/// representatives (the quantity actually interned).
-///
-/// # Errors
-///
-/// [`ExploreError::TooLarge`] if the explored space exceeds
-/// `options.limit`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_core::decide` with `Backend::Quotient` (or `wam_certify::Decider`); \
-            generic systems can explore a `QuotientSystem` directly"
-)]
-pub fn decide_symmetric<T>(system: &T, options: ExploreOptions) -> Result<Verdict, ExploreError>
-where
-    T: NodeSymmetric + Sync,
-    T::C: PermuteNodes + Send + Sync,
-{
-    decide_symmetric_stats(system, options).map(|(verdict, _, _, _)| verdict)
-}
-
-/// [`decide_symmetric`]'s engine: additionally reports whether the orbit
-/// quotient was explored, how many configurations (or orbit
-/// representatives) were interned, and whether the edge relation spilled
-/// to disk. Consumed by `wam_core::decide`.
-pub(crate) fn decide_symmetric_stats<T>(
-    system: &T,
-    options: ExploreOptions,
-) -> Result<(Verdict, bool, usize, bool), ExploreError>
-where
-    T: NodeSymmetric + Sync,
-    T::C: PermuteNodes + Send + Sync,
-{
-    if options.symmetry == Symmetry::Off {
-        let e = Exploration::explore_with(system, system.initial_config(), options)?;
-        return Ok((e.verdict(), false, e.len(), e.was_spilled()));
-    }
-    let group = automorphism_group(system.symmetry_graph(), options.symmetry_cap);
-    let reduce = match options.symmetry {
-        Symmetry::Off => unreachable!("handled above"),
-        Symmetry::On => true,
-        Symmetry::Auto => group.is_complete() && !group.is_trivial(),
-    };
-    if !reduce {
-        let e = Exploration::explore_with(system, system.initial_config(), options)?;
-        return Ok((e.verdict(), false, e.len(), e.was_spilled()));
-    }
-    // A capped enumeration already degraded to the (complete) trivial
-    // group, so the assertion in `new` cannot fire here.
-    let quotient = QuotientSystem::new(system, group);
-    let e = Exploration::explore_with(&quotient, quotient.initial_config(), options)?;
-    Ok((e.verdict(), true, e.len(), e.was_spilled()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Machine, Output};
-    use wam_graph::{generators, LabelCount};
+    use crate::{Exploration, Machine, Output};
+    use wam_graph::{automorphism_group, generators, LabelCount};
 
     /// "Some node carries label x1", by flag flooding.
     fn flood() -> Machine<bool> {
@@ -413,22 +340,5 @@ mod tests {
                                               // from outside the crate; here we check the constructor's guard on
                                               // the honest incomplete marker.
         let _ = QuotientSystem::new(&sys, aut);
-    }
-
-    #[test]
-    fn decide_symmetric_matches_full_exploration_on_all_policies() {
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![4, 2]));
-        let m = flood();
-        let sys = ExclusiveSystem::new(&m, &g);
-        let expected = Exploration::explore(&sys, 1_000_000).unwrap().verdict();
-        for symmetry in [Symmetry::Auto, Symmetry::On, Symmetry::Off] {
-            let options = ExploreOptions::default().symmetry(symmetry);
-            let (verdict, reduced, explored, spilled) =
-                decide_symmetric_stats(&sys, options).unwrap();
-            assert_eq!(verdict, expected);
-            assert_eq!(reduced, symmetry != Symmetry::Off);
-            assert!(explored > 0);
-            assert!(!spilled, "no budget set, so nothing should spill");
-        }
     }
 }

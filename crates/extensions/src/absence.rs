@@ -9,8 +9,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use wam_core::{
-    run_until_stable, Config, Machine, NodeSymmetric, Output, RunReport, ScheduledSystem,
-    StabilityOptions, State, StepOutcome, SuccBuf, TransitionSystem,
+    Config, Machine, NodeSymmetric, Output, ScheduledSystem, State, StepOutcome, SuccBuf,
+    TransitionSystem,
 };
 use wam_graph::{Graph, Label, NodeId};
 
@@ -252,25 +252,10 @@ impl<S: State> ScheduledSystem for AbsenceSystem<'_, S> {
     }
 }
 
-/// Runs an absence machine statistically under the sampled scheduler of
-/// [`AbsenceSystem`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_core::run_until_stable` on an `AbsenceSystem`"
-)]
-pub fn run_absence_until_stable<S: State>(
-    am: &AbsenceMachine<S>,
-    graph: &Graph,
-    seed: u64,
-    opts: StabilityOptions,
-) -> RunReport<Config<S>> {
-    run_until_stable(&AbsenceSystem::new(am, graph), seed, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wam_core::{Exploration, Machine, Verdict};
+    use wam_core::{run_until_stable, Exploration, Machine, StabilityOptions, Verdict};
     use wam_graph::{generators, LabelCount};
 
     /// One-shot "is state B absent" detector: label-0 agents start in `A`
@@ -369,19 +354,5 @@ mod tests {
         let sys = AbsenceSystem::new(&am, &g);
         let r = run_until_stable(&sys, 9, StabilityOptions::new(10_000, 10));
         assert_eq!(r.verdict, Verdict::Accepts);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_agrees_with_generic_runner() {
-        let c = LabelCount::from_vec(vec![3, 1]);
-        let g = generators::labelled_cycle(&c);
-        let am = detector();
-        let opts = StabilityOptions::new(10_000, 10);
-        let shim = run_absence_until_stable(&am, &g, 2, opts);
-        let generic = run_until_stable(&AbsenceSystem::new(&am, &g), 2, opts);
-        assert_eq!(shim.verdict, generic.verdict);
-        assert_eq!(shim.steps, generic.steps);
-        assert_eq!(shim.final_config, generic.final_config);
     }
 }

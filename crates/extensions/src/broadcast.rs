@@ -7,8 +7,8 @@ use rand::RngExt;
 use std::fmt;
 use std::sync::Arc;
 use wam_core::{
-    run_until_stable, Config, Machine, NodeSymmetric, Output, RunReport, ScheduledSystem,
-    StabilityOptions, State, StepOutcome, SuccBuf, TransitionSystem,
+    Config, Machine, NodeSymmetric, Output, ScheduledSystem, State, StepOutcome, SuccBuf,
+    TransitionSystem,
 };
 use wam_graph::{Graph, Label, NodeId};
 
@@ -336,27 +336,10 @@ impl<S: State> ScheduledSystem for BroadcastSystem<'_, S> {
     }
 }
 
-/// Runs a broadcast machine statistically under the sampled scheduler of
-/// [`BroadcastSystem`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_core::run_until_stable` on a `BroadcastSystem` (with `with_broadcast_prob`)"
-)]
-pub fn run_broadcast_until_stable<S: State>(
-    bm: &BroadcastMachine<S>,
-    graph: &Graph,
-    broadcast_prob: f64,
-    seed: u64,
-    opts: StabilityOptions,
-) -> RunReport<Config<S>> {
-    let sys = BroadcastSystem::new(bm, graph).with_broadcast_prob(broadcast_prob);
-    run_until_stable(&sys, seed, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wam_core::{Exploration, Machine};
+    use wam_core::{run_until_stable, Exploration, Machine, StabilityOptions};
     use wam_graph::{generators, LabelCount};
 
     /// The Lemma C.5 threshold protocol `x ≥ k` as a broadcast machine:
@@ -436,20 +419,6 @@ mod tests {
         let sys = BroadcastSystem::new(&bm, &g);
         let r = run_until_stable(&sys, 42, StabilityOptions::new(50_000, 500));
         assert_eq!(r.verdict, wam_core::Verdict::Accepts);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_agrees_with_generic_runner() {
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![3, 2]));
-        let bm = threshold(3);
-        let opts = StabilityOptions::new(50_000, 500);
-        let shim = run_broadcast_until_stable(&bm, &g, 0.4, 7, opts);
-        let sys = BroadcastSystem::new(&bm, &g).with_broadcast_prob(0.4);
-        let generic = run_until_stable(&sys, 7, opts);
-        assert_eq!(shim.verdict, generic.verdict);
-        assert_eq!(shim.steps, generic.steps);
-        assert_eq!(shim.final_config, generic.final_config);
     }
 
     #[test]

@@ -30,9 +30,7 @@
 //! to — tests cross-validate the two. Every semantic model also implements
 //! [`ScheduledSystem`](wam_core::ScheduledSystem), so the one generic
 //! statistical driver [`run_until_stable`](wam_core::run_until_stable) (and
-//! the batch / trace / adversary machinery of `wam-sim`) serves all of them;
-//! the former per-family `run_*_until_stable` loops survive only as
-//! deprecated shims.
+//! the batch / trace / adversary machinery of `wam-sim`) serves all of them.
 
 mod absence;
 mod absence_sim;
@@ -46,22 +44,14 @@ mod strong_broadcast;
 mod strong_broadcast_sim;
 pub mod util;
 
-#[allow(deprecated)]
-pub use absence::run_absence_until_stable;
 pub use absence::{AbsenceMachine, AbsenceSystem};
 pub use absence_sim::{compile_absence, AbsencePhased, Dist};
-#[allow(deprecated)]
-pub use broadcast::run_broadcast_until_stable;
 pub use broadcast::{BroadcastMachine, BroadcastSystem, ResponseFn};
 pub use broadcast_sim::{compile_broadcasts, Phased};
 pub use phases::{check_phase_discipline, project_phase0, PhaseCounter, PhaseOf, PhaseReport};
-#[allow(deprecated)]
-pub use population::run_population_until_stable;
 pub use population::{GraphPopulationProtocol, MajorityState, PopulationSystem};
 pub use population_counter::CounterPopulationSystem;
 pub use rendezvous_sim::{compile_rendezvous, Rv};
-#[allow(deprecated)]
-pub use strong_broadcast::run_strong_broadcast_until_stable;
 pub use strong_broadcast::{threshold_protocol, StrongBroadcastProtocol, StrongBroadcastSystem};
 pub use strong_broadcast_sim::{
     compile_strong_broadcast, opinion_of, token_of, token_protocol, ResetState, StepState, Token,

@@ -6,8 +6,7 @@ use rand::RngExt;
 use std::fmt;
 use std::sync::Arc;
 use wam_core::{
-    run_until_stable, Config, NodeSymmetric, Output, RunReport, ScheduledSystem, StabilityOptions,
-    State, StepOutcome, SuccBuf, TransitionSystem,
+    Config, NodeSymmetric, Output, ScheduledSystem, State, StepOutcome, SuccBuf, TransitionSystem,
 };
 use wam_graph::{Graph, Label};
 
@@ -222,25 +221,10 @@ impl<S: State> ScheduledSystem for PopulationSystem<'_, S> {
     }
 }
 
-/// Runs a population protocol statistically under the sampled scheduler of
-/// [`PopulationSystem`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_core::run_until_stable` on a `PopulationSystem`"
-)]
-pub fn run_population_until_stable<S: State>(
-    pp: &GraphPopulationProtocol<S>,
-    graph: &Graph,
-    seed: u64,
-    opts: StabilityOptions,
-) -> RunReport<Config<S>> {
-    run_until_stable(&PopulationSystem::new(pp, graph), seed, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wam_core::{Exploration, Verdict};
+    use wam_core::{run_until_stable, Exploration, StabilityOptions, Verdict};
     use wam_graph::{generators, LabelCount};
 
     #[test]
@@ -275,20 +259,6 @@ mod tests {
         // give it 10M. Other nearby seeds converge within 2M.
         let r = run_until_stable(&sys, 123, StabilityOptions::new(10_000_000, 20_000));
         assert_eq!(r.verdict, Verdict::Accepts);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_agrees_with_generic_runner() {
-        let pp = GraphPopulationProtocol::<MajorityState>::majority();
-        let c = LabelCount::from_vec(vec![3, 1]);
-        let g = generators::labelled_cycle(&c);
-        let opts = StabilityOptions::new(100_000, 1_000);
-        let shim = run_population_until_stable(&pp, &g, 11, opts);
-        let generic = run_until_stable(&PopulationSystem::new(&pp, &g), 11, opts);
-        assert_eq!(shim.verdict, generic.verdict);
-        assert_eq!(shim.steps, generic.steps);
-        assert_eq!(shim.final_config, generic.final_config);
     }
 
     #[test]

@@ -7,8 +7,7 @@ use rand::RngExt;
 use std::fmt;
 use std::sync::Arc;
 use wam_core::{
-    run_until_stable, Config, NodeSymmetric, Output, RunReport, ScheduledSystem, StabilityOptions,
-    State, StepOutcome, SuccBuf, TransitionSystem,
+    Config, NodeSymmetric, Output, ScheduledSystem, State, StepOutcome, SuccBuf, TransitionSystem,
 };
 use wam_graph::{Graph, Label};
 
@@ -171,20 +170,6 @@ impl<S: State> ScheduledSystem for StrongBroadcastSystem<'_, S> {
     }
 }
 
-/// Runs a strong broadcast protocol statistically (uniform random speaker).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wam_core::run_until_stable` on a `StrongBroadcastSystem`"
-)]
-pub fn run_strong_broadcast_until_stable<S: State>(
-    sb: &StrongBroadcastProtocol<S>,
-    graph: &Graph,
-    seed: u64,
-    opts: StabilityOptions,
-) -> RunReport<Config<S>> {
-    run_until_stable(&StrongBroadcastSystem::new(sb, graph), seed, opts)
-}
-
 /// The Lemma C.5-style threshold protocol `#(label 0) ≥ k` as a strong
 /// broadcast protocol: levels `1..k` bump one peer per turn, level `k`
 /// floods acceptance.
@@ -217,7 +202,7 @@ pub fn threshold_protocol(k: u32) -> StrongBroadcastProtocol<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wam_core::{Exploration, Verdict};
+    use wam_core::{run_until_stable, Exploration, StabilityOptions, Verdict};
     use wam_graph::{generators, LabelCount};
 
     #[test]
@@ -245,20 +230,6 @@ mod tests {
         let sys = StrongBroadcastSystem::new(&sb, &g);
         let r = run_until_stable(&sys, 3, StabilityOptions::new(100_000, 1_000));
         assert_eq!(r.verdict, Verdict::Accepts);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_agrees_with_generic_runner() {
-        let sb = threshold_protocol(2);
-        let c = LabelCount::from_vec(vec![3, 1]);
-        let g = generators::labelled_cycle(&c);
-        let opts = StabilityOptions::new(100_000, 1_000);
-        let shim = run_strong_broadcast_until_stable(&sb, &g, 8, opts);
-        let generic = run_until_stable(&StrongBroadcastSystem::new(&sb, &g), 8, opts);
-        assert_eq!(shim.verdict, generic.verdict);
-        assert_eq!(shim.steps, generic.steps);
-        assert_eq!(shim.final_config, generic.final_config);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! * [`registry`] — named machines (the Figure-1 paper catalog by
 //!   default) erased behind decide closures that render and re-verify
-//!   certificates before anything reaches the cache.
-//! * [`chaos`] — the optional `--net` backend: the same catalog held
-//!   *un-erased* so the `chaos` op can run machines as real
-//!   communicating nodes over a simulated faulty network (`wam-net`) and
-//!   cross-validate the emergent verdict against the exact decider.
+//!   certificates before anything reaches the cache. Typed entries also
+//!   serve the optional `--net` backend: the `chaos` op runs the same
+//!   machine as real communicating nodes over a simulated faulty network
+//!   (`wam-net`) and cross-validates the emergent verdict against the
+//!   exact decider.
 //! * [`service`] — the core: cache → coalescing → admission gates, with
 //!   deadlines that degrade certified requests to cached plain verdicts
 //!   before rejecting.
@@ -26,19 +26,20 @@
 //! Everything runs on the vendored `executor` runtime; the crate has no
 //! dependencies outside the workspace.
 
-pub mod chaos;
 pub mod error;
 pub mod proto;
 pub mod registry;
 pub mod service;
 pub mod transport;
 
-pub use chaos::{ChaosCatalog, MAX_CHAOS_NODES, MAX_CHAOS_ROUNDS};
 pub use error::ServeError;
 pub use proto::{
     build_graph, build_graph_bounded, parse_request, CacheOutcome, ChaosReply, ChaosRequest,
     DecideRequest, OkReply, Reply, Request, DEFAULT_MAX_NODES, MAX_CLIQUE_NODES,
 };
-pub use registry::{CachedVerdict, CertificateBlob, MachineEntry, MachineRegistry};
+pub use registry::{
+    CachedVerdict, CertificateBlob, MachineEntry, MachineRegistry, MAX_CHAOS_NODES,
+    MAX_CHAOS_ROUNDS,
+};
 pub use service::{ServiceConfig, ServiceHandle, ServiceStats, VerdictService};
 pub use transport::serve;

@@ -72,7 +72,7 @@ pub struct DecideRequest {
 pub struct ChaosRequest {
     /// Client-chosen id echoed in the reply.
     pub id: Option<u64>,
-    /// Chaos-catalog name of the machine.
+    /// Registry name of the machine.
     pub machine: String,
     /// Graph family: `cycle`, `line`, `star`, or `clique`.
     pub family: String,

@@ -7,17 +7,42 @@
 //! closure (where `S` is still known) and re-checked by the independent
 //! verifier before they are allowed into the cache: the service never
 //! serves a certificate it has not verified.
+//!
+//! Entries registered with a typed machine also carry a chaos runner for
+//! the `--net` backend: a second closure over the same shared machine
+//! that runs it as real communicating nodes over a simulated faulty
+//! network ([`wam_net::cross_validate`]) next to the exact decider. A
+//! chaos run is a diagnostic, not a cached decision: it reruns on every
+//! request (same seed, same trace digest), never touches the verdict
+//! store, and executes synchronously on the transport's read loop.
+//! Because each node is a live actor, chaos requests are bounded far
+//! tighter than decisions: at most [`MAX_CHAOS_NODES`] nodes and
+//! [`MAX_CHAOS_ROUNDS`] activations per run.
 
 use crate::error::ServeError;
+use crate::proto::{build_graph_bounded, ChaosReply, ChaosRequest};
 use std::sync::Arc;
 use wam_analysis::system_fingerprint;
 use wam_certify::{certificate_to_json, Decider, DecisionCertificate, StateTable, VerifyOptions};
-use wam_core::{Backend, Machine, Schedule, State, Verdict};
+use wam_core::{Backend, ExploreOptions, Machine, Schedule, State, Verdict};
 use wam_extensions::{
     compile_broadcasts, compile_rendezvous, GraphPopulationProtocol, MajorityState,
 };
 use wam_graph::Graph;
+use wam_net::{ChaosOptions, CrossValidation, FaultPlan};
 use wam_protocols::{cutoff_one_machine, modulo_protocol, threshold_machine};
+
+/// Hard cap on the node count of one chaos run. Every node is a live
+/// actor exchanging correlated probe rounds; a request is untrusted
+/// input and must not be able to spawn an unbounded actor fleet.
+pub const MAX_CHAOS_NODES: u64 = 32;
+
+/// Hard cap on the activation budget a request may ask for.
+pub const MAX_CHAOS_ROUNDS: u64 = 200_000;
+
+/// Hard cap on the per-message delay bound a request may ask for (huge
+/// delays just stall the virtual clock without exploring anything new).
+pub const MAX_CHAOS_DELAY: u64 = 1_000;
 
 /// One verdict as the cache stores it: the decision outcome plus the
 /// pre-rendered certificate JSON (shared behind an [`Arc`] so cache hits
@@ -47,6 +72,19 @@ pub struct CertificateBlob {
 
 type DecideFn = Box<dyn Fn(&Graph, bool) -> Result<CachedVerdict, ServeError> + Send + Sync>;
 
+type ChaosFn = Box<
+    dyn Fn(&Graph, &FaultPlan, u64, &ChaosOptions) -> Result<CrossValidation, ServeError>
+        + Send
+        + Sync,
+>;
+
+/// A typed entry's network runner and the stabilisation budget a chaos
+/// request inherits when it does not override `max_rounds`/`window`.
+struct ChaosRunner {
+    defaults: ChaosOptions,
+    run: ChaosFn,
+}
+
 /// One named machine the service can decide.
 pub struct MachineEntry {
     name: String,
@@ -55,6 +93,9 @@ pub struct MachineEntry {
     fingerprint_plain: u64,
     fingerprint_certified: u64,
     decide: DecideFn,
+    /// `None` for [`MachineRegistry::register_with`] entries, whose
+    /// closure hides the machine the node actors would need.
+    chaos: Option<ChaosRunner>,
 }
 
 impl MachineEntry {
@@ -114,7 +155,11 @@ impl MachineRegistry {
     /// Registers `machine` under `name`, deciding through the
     /// [`Decider`] with the given schedule and exploration limit
     /// (backend [`Backend::Auto`]). Certified decisions are re-checked
-    /// by the independent verifier before they are returned.
+    /// by the independent verifier before they are returned. The entry
+    /// also serves chaos runs of the same machine; `chaos` sets the
+    /// stabilisation budget a chaos request inherits, and `limit` bounds
+    /// the exact decider it is cross-validated against.
+    #[allow(clippy::too_many_arguments)]
     pub fn register<S: State>(
         &mut self,
         name: &str,
@@ -123,7 +168,21 @@ impl MachineRegistry {
         machine: Machine<S>,
         schedule: Schedule,
         limit: usize,
+        chaos: ChaosOptions,
     ) {
+        let machine = Arc::new(machine);
+        let net_machine = Arc::clone(&machine);
+        let run: ChaosFn = Box::new(move |graph, plan, seed, opts| {
+            wam_net::cross_validate(
+                &net_machine,
+                graph,
+                plan,
+                seed,
+                opts,
+                ExploreOptions::with_limit(limit),
+            )
+            .map_err(ServeError::Explore)
+        });
         let decide: DecideFn = Box::new(move |graph, certified| {
             let d = Decider::new(&machine, graph)
                 .schedule(schedule)
@@ -157,11 +216,17 @@ impl MachineRegistry {
             })
         });
         self.register_with(name, summary, arity, decide);
+        let entry = self.entries.last_mut().expect("just registered");
+        entry.chaos = Some(ChaosRunner {
+            defaults: chaos,
+            run,
+        });
     }
 
     /// Registers a pre-erased decision closure. This is the raw hook the
     /// typed [`register`](Self::register) goes through; tests use it to
-    /// install instrumented or artificially slow deciders.
+    /// install instrumented or artificially slow deciders. Such entries
+    /// serve no chaos runs.
     pub fn register_with(&mut self, name: &str, summary: &str, arity: usize, decide: DecideFn) {
         self.entries.push(MachineEntry {
             name: name.to_string(),
@@ -170,6 +235,7 @@ impl MachineRegistry {
             fingerprint_plain: system_fingerprint(&format!("serve/{name}")),
             fingerprint_certified: system_fingerprint(&format!("serve/{name}/certified")),
             decide,
+            chaos: None,
         });
     }
 
@@ -201,9 +267,13 @@ impl MachineRegistry {
     /// * `majority` — Lemma 4.10-compiled population majority (`DAF ⊇ NL`);
     /// * `parity` — the modulo-2 witness outside Cutoff.
     ///
-    /// All four are binary-labelled (arity 2).
+    /// All four are binary-labelled (arity 2). The compiled simulation
+    /// machines (ladder, majority, parity) never quiesce state-wise and
+    /// stabilise through the long-consensus clock, so their chaos runs
+    /// get a much larger default budget than the flooding machine.
     pub fn paper_catalog() -> Self {
         let mut reg = MachineRegistry::new();
+        let compiled_budget = ChaosOptions::budget(60_000, 600);
         reg.register(
             "presence",
             "Cutoff(1) flooding: accepts iff a node labelled 1 is present",
@@ -211,6 +281,7 @@ impl MachineRegistry {
             cutoff_one_machine(2, |p| p[1]),
             Schedule::RoundRobin,
             500_000,
+            ChaosOptions::budget(6_000, 150),
         );
         reg.register(
             "ladder",
@@ -219,6 +290,7 @@ impl MachineRegistry {
             compile_broadcasts(&threshold_machine(2, 0, 2)),
             Schedule::PseudoStochastic,
             3_000_000,
+            compiled_budget.clone(),
         );
         reg.register(
             "majority",
@@ -227,6 +299,7 @@ impl MachineRegistry {
             compile_rendezvous(&GraphPopulationProtocol::<MajorityState>::majority()),
             Schedule::PseudoStochastic,
             5_000_000,
+            compiled_budget.clone(),
         );
         reg.register(
             "parity",
@@ -235,8 +308,97 @@ impl MachineRegistry {
             compile_rendezvous(&modulo_protocol(vec![1, 0], 2, 1)),
             Schedule::PseudoStochastic,
             5_000_000,
+            compiled_budget,
         );
         reg
+    }
+
+    /// Validates and executes one chaos request: builds the graph and
+    /// fault plan, runs the entry's machine as network actors next to the
+    /// exact decider, and packages the cross-validation as a reply
+    /// (`micros` is left at 0 for the caller to stamp).
+    ///
+    /// # Errors
+    ///
+    /// `UnknownMachine` for names outside the registry, `BadRequest` for
+    /// entries without a chaos runner, arity mismatches, out-of-range
+    /// fault knobs, or over-cap sizes, and `Explore` when the exact
+    /// decider exceeds its limit.
+    pub fn run_chaos(&self, req: &ChaosRequest, max_nodes: u64) -> Result<ChaosReply, ServeError> {
+        let bad = |reason: String| ServeError::BadRequest { reason };
+        let entry = self
+            .get(&req.machine)
+            .ok_or_else(|| ServeError::UnknownMachine {
+                name: req.machine.clone(),
+            })?;
+        let runner = entry.chaos.as_ref().ok_or_else(|| {
+            bad(format!(
+                "machine {:?} has no chaos runner: it was registered without a typed machine",
+                req.machine
+            ))
+        })?;
+        if req.counts.len() != entry.arity {
+            return Err(bad(format!(
+                "machine {:?} has arity {}, got {} counts",
+                req.machine,
+                entry.arity,
+                req.counts.len()
+            )));
+        }
+        let graph = build_graph_bounded(&req.family, &req.counts, max_nodes.min(MAX_CHAOS_NODES))?;
+        let (lo, hi) = req.delay;
+        if lo > hi {
+            return Err(bad(format!("empty delay range {lo}..={hi}")));
+        }
+        if hi > MAX_CHAOS_DELAY {
+            return Err(bad(format!(
+                "delay bound {hi} exceeds the {MAX_CHAOS_DELAY}-tick cap"
+            )));
+        }
+        for (knob, p) in [("drop", req.drop_p), ("dup", req.dup_p)] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(bad(format!("{knob:?} must be a probability in [0, 1]")));
+            }
+        }
+        let plan = FaultPlan::chaotic((lo.max(1), hi.max(1)), req.drop_p, req.dup_p);
+
+        let mut opts = runner.defaults.clone();
+        if let Some(rounds) = req.max_rounds {
+            if rounds == 0 || rounds > MAX_CHAOS_ROUNDS {
+                return Err(bad(format!(
+                    "max_rounds must be in 1..={MAX_CHAOS_ROUNDS}, got {rounds}"
+                )));
+            }
+            opts.max_rounds = rounds;
+        }
+        if let Some(window) = req.window {
+            if window == 0 || window > opts.max_rounds {
+                return Err(bad(format!(
+                    "window must be in 1..=max_rounds ({}), got {window}",
+                    opts.max_rounds
+                )));
+            }
+            opts.window = window;
+        }
+
+        let cv = (runner.run)(&graph, &plan, req.seed, &opts)?;
+        Ok(ChaosReply {
+            id: req.id,
+            machine: req.machine.clone(),
+            expected: cv.expected,
+            emergent: cv.outcome.verdict,
+            agreed: cv.agrees(),
+            fairness_preserved: plan.preserves_fairness(),
+            seed: req.seed,
+            digest: format!("{:016x}", cv.outcome.digest),
+            rounds: cv.outcome.stats.rounds,
+            stabilised_at: cv.outcome.stabilised_at,
+            starved: cv.outcome.stats.starved,
+            dropped: cv.outcome.stats.dropped_random + cv.outcome.stats.dropped_blocked,
+            duplicated: cv.outcome.stats.duplicated,
+            divergence: cv.divergence.map(|d| d.to_string()),
+            micros: 0,
+        })
     }
 }
 
@@ -271,7 +433,23 @@ fn render_certificate<S: State>(cert: &DecisionCertificate<S>) -> CertificateBlo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::DEFAULT_MAX_NODES;
     use wam_graph::{generators, LabelCount};
+
+    fn chaos_req(machine: &str, counts: Vec<u64>) -> ChaosRequest {
+        ChaosRequest {
+            id: Some(1),
+            machine: machine.to_string(),
+            family: "cycle".to_string(),
+            counts,
+            seed: 7,
+            drop_p: 0.1,
+            dup_p: 0.05,
+            delay: (1, 3),
+            max_rounds: None,
+            window: None,
+        }
+    }
 
     #[test]
     fn catalog_has_the_four_witnesses() {
@@ -311,5 +489,46 @@ mod tests {
             a.get("parity").unwrap().fingerprint(false),
             a.get("majority").unwrap().fingerprint(false)
         );
+    }
+
+    #[test]
+    fn presence_chaos_agrees_and_replays_by_seed() {
+        let reg = MachineRegistry::paper_catalog();
+        let req = chaos_req("presence", vec![3, 1]);
+        let a = reg.run_chaos(&req, DEFAULT_MAX_NODES).unwrap();
+        assert!(a.agreed, "fairness-preserving chaos must agree");
+        assert_eq!(a.expected, Verdict::Accepts);
+        assert!(a.fairness_preserved);
+        assert!(a.divergence.is_none());
+        let b = reg.run_chaos(&req, DEFAULT_MAX_NODES).unwrap();
+        assert_eq!(a.digest, b.digest, "same seed, same trace");
+    }
+
+    #[test]
+    fn hostile_chaos_requests_are_rejected_before_any_run() {
+        let reg = MachineRegistry::paper_catalog();
+        let run = |r: &ChaosRequest| reg.run_chaos(r, DEFAULT_MAX_NODES);
+        assert!(matches!(
+            run(&chaos_req("nonesuch", vec![3, 1])),
+            Err(ServeError::UnknownMachine { .. })
+        ));
+        assert!(matches!(
+            run(&chaos_req("presence", vec![3, 1, 1])),
+            Err(ServeError::BadRequest { .. })
+        ));
+        // Over the actor-fleet cap even though the decide path would take it.
+        assert!(matches!(
+            run(&chaos_req("presence", vec![MAX_CHAOS_NODES, 1])),
+            Err(ServeError::BadRequest { .. })
+        ));
+        let mut r = chaos_req("presence", vec![3, 1]);
+        r.drop_p = 1.5;
+        assert!(matches!(run(&r), Err(ServeError::BadRequest { .. })));
+        let mut r = chaos_req("presence", vec![3, 1]);
+        r.delay = (5, 2);
+        assert!(matches!(run(&r), Err(ServeError::BadRequest { .. })));
+        let mut r = chaos_req("presence", vec![3, 1]);
+        r.max_rounds = Some(MAX_CHAOS_ROUNDS + 1);
+        assert!(matches!(run(&r), Err(ServeError::BadRequest { .. })));
     }
 }

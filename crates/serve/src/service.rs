@@ -18,7 +18,6 @@
 //! it reject with `deadline`. The in-flight decision keeps running and
 //! populates the cache for later requests either way.
 
-use crate::chaos::ChaosCatalog;
 use crate::error::ServeError;
 use crate::proto::{
     build_graph_bounded, catalog_of, CacheOutcome, ChaosRequest, DecideRequest, OkReply, Reply,
@@ -47,7 +46,7 @@ pub struct ServiceConfig {
     /// Largest total node count a request may ask for (cliques are
     /// further bounded by [`crate::proto::MAX_CLIQUE_NODES`]).
     pub max_nodes: u64,
-    /// Enable the `--net` chaos backend: the `chaos` op runs catalog
+    /// Enable the `--net` chaos backend: the `chaos` op runs registry
     /// machines as real communicating nodes over a simulated faulty
     /// network and cross-validates the emergent verdict. Off by default —
     /// chaos runs are uncached diagnostics that block the transport's
@@ -118,8 +117,6 @@ struct Inner {
     in_flight_decisions: AtomicUsize,
     config: ServiceConfig,
     stats: Counters,
-    /// `Some` iff the `--net` backend is enabled.
-    chaos: Option<ChaosCatalog>,
 }
 
 impl Inner {
@@ -179,10 +176,6 @@ impl VerdictService {
             None => VerdictStore::with_shards(config.store_shards),
         };
         let runtime = Runtime::new(config.workers);
-        // The chaos backend holds its own un-erased copy of the paper
-        // catalog: the registry's decide closures cannot drive node
-        // actors (see the `chaos` module docs).
-        let chaos = config.net.then(ChaosCatalog::paper_catalog);
         VerdictService {
             inner: Arc::new(Inner {
                 registry,
@@ -191,7 +184,6 @@ impl VerdictService {
                 in_flight_decisions: AtomicUsize::new(0),
                 config,
                 stats: Counters::default(),
-                chaos,
             }),
             runtime,
         }
@@ -262,19 +254,22 @@ impl ServiceHandle {
         }
     }
 
-    /// Runs one chaos request to completion on the calling thread and
-    /// packages the cross-validation as a reply. Chaos runs are uncached
-    /// diagnostics — deliberately synchronous (a `(request, seed)` pair
-    /// replays bit-identically, so there is nothing to coalesce) and
-    /// rejected unless the service was built with
-    /// [`ServiceConfig::net`].
+    /// Runs one chaos request against the service's own registry to
+    /// completion on the calling thread and packages the cross-validation
+    /// as a reply. Chaos runs are uncached diagnostics — deliberately
+    /// synchronous (a `(request, seed)` pair replays bit-identically, so
+    /// there is nothing to coalesce) and rejected unless the service was
+    /// built with [`ServiceConfig::net`].
     pub fn chaos_reply(&self, req: &ChaosRequest) -> Reply {
         let start = Instant::now();
-        let result = match &self.inner.chaos {
-            None => Err(ServeError::BadRequest {
+        let result = if self.inner.config.net {
+            self.inner
+                .registry
+                .run_chaos(req, self.inner.config.max_nodes)
+        } else {
+            Err(ServeError::BadRequest {
                 reason: "the chaos op requires the service to run with --net".to_string(),
-            }),
-            Some(catalog) => catalog.run(req, self.inner.config.max_nodes),
+            })
         };
         match result {
             Ok(mut reply) => {

@@ -1,11 +1,18 @@
 //! The `--net` chaos backend end to end: the `chaos` op is parsed,
-//! gated behind [`ServiceConfig::net`], runs deterministically by seed,
-//! and flows through the line transport next to ordinary decide traffic.
+//! gated behind [`ServiceConfig::net`], runs deterministically by seed
+//! against the service's own registry, and flows through the line
+//! transport next to ordinary decide traffic.
 
 use std::io::Cursor;
 use std::sync::{Arc, Mutex};
 use wam_certify::Json;
-use wam_serve::{parse_request, serve, Reply, Request, ServiceConfig, VerdictService};
+use wam_core::{Schedule, Verdict};
+use wam_net::ChaosOptions;
+use wam_protocols::cutoff_one_machine;
+use wam_serve::{
+    parse_request, serve, CachedVerdict, ChaosRequest, MachineRegistry, Reply, Request,
+    ServiceConfig, VerdictService,
+};
 
 fn net_config() -> ServiceConfig {
     ServiceConfig {
@@ -155,4 +162,71 @@ fn chaos_flows_through_the_line_transport() {
         }
     }
     assert!(saw_chaos && saw_unknown, "{text}");
+}
+
+fn chaos_request(line: &str) -> ChaosRequest {
+    match parse_request(line).unwrap() {
+        Request::Chaos(req) => req,
+        other => panic!("parse gave a non-chaos request: {other:?}"),
+    }
+}
+
+#[test]
+fn chaos_runs_from_the_service_registry() {
+    let mut reg = MachineRegistry::new();
+    reg.register(
+        "flag",
+        "typed flooding entry",
+        2,
+        cutoff_one_machine(2, |p| p[1]),
+        Schedule::RoundRobin,
+        500_000,
+        ChaosOptions::budget(6_000, 150),
+    );
+    reg.register_with(
+        "opaque",
+        "closure-only entry",
+        2,
+        Box::new(|_graph, _certified| {
+            Ok(CachedVerdict {
+                verdict: Verdict::Accepts,
+                backend: "test".to_string(),
+                explored: 1,
+                certificate: None,
+            })
+        }),
+    );
+    let service = VerdictService::new(reg, net_config());
+    let handle = service.handle();
+
+    let typed = chaos_request(
+        r#"{"id":1,"op":"chaos","machine":"flag","family":"cycle","counts":[3,1],"seed":5,"drop":0.1}"#,
+    );
+    let Reply::Chaos(reply) = handle.chaos_reply(&typed) else {
+        panic!("the typed entry must run");
+    };
+    assert!(reply.agreed, "{reply:?}");
+    assert_eq!(reply.expected, Verdict::Accepts);
+
+    // A closure-only entry has no machine for the node actors: a
+    // structured error, not a panic.
+    let opaque = chaos_request(
+        r#"{"id":2,"op":"chaos","machine":"opaque","family":"cycle","counts":[3,1]}"#,
+    );
+    let Reply::Error { id, error } = handle.chaos_reply(&opaque) else {
+        panic!("a register_with entry cannot run chaos");
+    };
+    assert_eq!(id, Some(2));
+    assert_eq!(error.kind(), "bad-request");
+    assert!(error.to_string().contains("chaos runner"), "{error}");
+
+    // The hard-coded paper catalog is not consulted.
+    let presence = chaos_request(
+        r#"{"id":3,"op":"chaos","machine":"presence","family":"cycle","counts":[3,1]}"#,
+    );
+    let Reply::Error { error, .. } = handle.chaos_reply(&presence) else {
+        panic!("presence is not in this registry");
+    };
+    assert_eq!(error.kind(), "unknown-machine");
+    assert_eq!(service.stats().chaos_runs, 1);
 }
