@@ -427,6 +427,28 @@ mod tests {
     }
 
     #[test]
+    fn large_star_and_its_relabelling_share_a_key() {
+        // |Aut| = 60! · 39!, far past any enumeration cap: the key must
+        // come from the twin quotient, not the identity fallback.
+        let star = generators::labelled_star(&LabelCount::from_vec(vec![60, 40]));
+        let n = star.node_count();
+        assert_eq!(n, 100);
+        let mut b = wam_graph::GraphBuilder::new(star.alphabet().clone());
+        for v in (0..n).rev() {
+            b.node(star.label(v));
+        }
+        for &(u, v) in star.edges() {
+            b.add_edge(n - 1 - u, n - 1 - v);
+        }
+        let reversed = b.build().unwrap();
+        assert_ne!(star.labels(), reversed.labels());
+        let fp = system_fingerprint("flood");
+        assert_eq!(StoreKey::new(fp, &star), StoreKey::new(fp, &reversed));
+        let other = generators::labelled_star(&LabelCount::from_vec(vec![59, 41]));
+        assert_ne!(StoreKey::new(fp, &star), StoreKey::new(fp, &other));
+    }
+
+    #[test]
     fn fingerprints_separate_systems() {
         let g = generators::labelled_cycle(&LabelCount::from_vec(vec![2, 1]));
         let store: VerdictStore<Verdict> = VerdictStore::new();

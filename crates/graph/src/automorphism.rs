@@ -22,13 +22,27 @@
 //!   would not be closed under composition, and orbit reduction with a
 //!   non-group is unsound.
 //! * [`canonical_form`] — a canonical relabelling of a labelled graph
-//!   (equal for isomorphic graphs), computed by a lex-least certificate
-//!   search pruned by refined colours and by the orbits of the labelled
-//!   automorphism group. Falls back to the identity relabelling (flagged
-//!   inexact) when the search is infeasible; either form is sound as a
-//!   memoisation key, because keys coincide only on isomorphic graphs.
+//!   (equal for isomorphic graphs), computed on the graph's **twin
+//!   quotient**: one vertex per cell of the [`TwinPartition`] (nodes with
+//!   the same label and the same neighbours apart from each other),
+//!   coloured by `(label, cell size, clique cell?)` and adjacent where the
+//!   cells are. Isomorphisms map twin cells onto twin cells, so two graphs
+//!   are isomorphic exactly when their coloured quotients are; the
+//!   quotient is canonicalised by a lex-least certificate search pruned by
+//!   refined colours and by the orbits of its labelled automorphism group,
+//!   and the canonical cell order is expanded back to node positions with
+//!   each cell's members placed consecutively. A clique or star of up to
+//!   `u16::MAX` nodes collapses to one or two quotient vertices, so its
+//!   factorial `Aut(G)` is never enumerated; twin-free graphs (cycles of
+//!   length ≥ 5, lines of length ≥ 4) are their own quotient. Falls back
+//!   to the identity relabelling (flagged inexact) when the graph has more
+//!   than `u16::MAX` nodes, the quotient has more than 64 vertices, its
+//!   labelled group exceeds the cap, or the search exhausts its budget;
+//!   either form is sound as a memoisation key, because keys coincide
+//!   only on isomorphic graphs. Past 64 nodes, a graph whose first 65
+//!   nodes have no twin falls back before any partition is built.
 
-use crate::Graph;
+use crate::{Graph, TwinPartition};
 use rustc_hash::FxHashSet;
 use std::cmp::Ordering;
 
@@ -133,12 +147,41 @@ fn compose(a: &[u32], b: &[u32]) -> Vec<u32> {
     b.iter().map(|&v| a[v as usize]).collect()
 }
 
+/// The adjacency the searches below run on, borrowed in CSR form: the
+/// sorted neighbours of `v` are `adj[offsets[v]..offsets[v + 1]]`. A
+/// [`Graph`] lends its own arrays; a twin quotient, which may have fewer
+/// than the three nodes a `Graph` requires, builds a pair of its own.
+#[derive(Clone, Copy)]
+struct Adjacency<'a> {
+    offsets: &'a [usize],
+    adj: &'a [usize],
+}
+
+impl<'a> Adjacency<'a> {
+    fn of(g: &'a Graph) -> Self {
+        let (offsets, adj) = g.csr();
+        Adjacency { offsets, adj }
+    }
+
+    fn node_count(self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn neighbours(self, v: usize) -> &'a [usize] {
+        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    fn has_edge(self, u: usize, v: usize) -> bool {
+        self.neighbours(u).binary_search(&v).is_ok()
+    }
+}
+
 /// Colour refinement (1-WL): repeatedly re-colour every node by its
 /// `(colour, sorted neighbour-colour multiset)` signature until the
 /// partition stops splitting. Colour ids are ranks of the sorted signature
 /// list, so they are invariant under isomorphism — two isomorphic graphs
 /// refine to identical colour vectors up to the isomorphism.
-fn refine(g: &Graph, mut colours: Vec<u32>) -> Vec<u32> {
+fn refine(g: Adjacency<'_>, mut colours: Vec<u32>) -> Vec<u32> {
     let n = g.node_count();
     loop {
         let classes = colours.iter().collect::<FxHashSet<_>>().len();
@@ -163,23 +206,29 @@ fn refine(g: &Graph, mut colours: Vec<u32>) -> Vec<u32> {
     }
 }
 
+/// Each key's rank among the distinct keys, as a colour: invariant across
+/// isomorphic graphs, whose key multisets coincide.
+fn ranks<K: Ord + Copy>(keys: &[K]) -> Vec<u32> {
+    let mut values = keys.to_vec();
+    values.sort_unstable();
+    values.dedup();
+    keys.iter()
+        .map(|k| values.binary_search(k).expect("own key") as u32)
+        .collect()
+}
+
 /// Initial colours from node labels, ranked so that they are invariant
 /// across graphs over the same alphabet.
 fn label_colours(g: &Graph) -> Vec<u32> {
-    let mut values: Vec<u16> = g.labels().iter().map(|l| l.0).collect();
-    values.sort_unstable();
-    values.dedup();
-    g.labels()
-        .iter()
-        .map(|l| values.binary_search(&l.0).expect("own label") as u32)
-        .collect()
+    let labels: Vec<u16> = g.labels().iter().map(|l| l.0).collect();
+    ranks(&labels)
 }
 
 /// Backtracking enumeration of all colour-preserving automorphisms.
 /// Returns `None` if more than `cap` automorphisms exist or the search
 /// budget is exhausted.
 struct Enumerate<'a> {
-    g: &'a Graph,
+    g: Adjacency<'a>,
     colours: &'a [u32],
     /// BFS order from node 0: every vertex after the first is adjacent to
     /// an earlier one, so the adjacency constraint bites immediately.
@@ -229,8 +278,9 @@ impl Enumerate<'_> {
     }
 }
 
-/// BFS visit order from node 0 (graphs are connected by construction).
-fn bfs_order(g: &Graph) -> Vec<usize> {
+/// BFS visit order from node 0 (graphs are connected by construction, and
+/// so are their twin quotients).
+fn bfs_order(g: Adjacency<'_>) -> Vec<usize> {
     let mut order = Vec::with_capacity(g.node_count());
     let mut seen = vec![false; g.node_count()];
     let mut queue = std::collections::VecDeque::from([0usize]);
@@ -247,13 +297,14 @@ fn bfs_order(g: &Graph) -> Vec<usize> {
     order
 }
 
-fn group_with_colours(g: &Graph, init: Vec<u32>, cap: usize) -> AutomorphismGroup {
-    let colours = refine(g, init);
+/// The group of automorphisms preserving the (already refined) `colours`,
+/// up to `cap` elements.
+fn refined_group(g: Adjacency<'_>, colours: &[u32], cap: usize) -> AutomorphismGroup {
     let order = bfs_order(g);
     let n = g.node_count();
     let mut search = Enumerate {
         g,
-        colours: &colours,
+        colours,
         order: &order,
         img: vec![0; n],
         used: vec![false; n],
@@ -293,13 +344,15 @@ fn group_with_colours(g: &Graph, init: Vec<u32>, cap: usize) -> AutomorphismGrou
 /// assert!(aut.is_complete());
 /// ```
 pub fn automorphism_group(g: &Graph, cap: usize) -> AutomorphismGroup {
-    group_with_colours(g, vec![0; g.node_count()], cap)
+    let adj = Adjacency::of(g);
+    refined_group(adj, &refine(adj, vec![0; g.node_count()]), cap)
 }
 
 /// The label-preserving automorphism group (a subgroup of
 /// [`automorphism_group`]), up to `cap` elements.
 pub fn labelled_automorphism_group(g: &Graph, cap: usize) -> AutomorphismGroup {
-    group_with_colours(g, label_colours(g), cap)
+    let adj = Adjacency::of(g);
+    refined_group(adj, &refine(adj, label_colours(g)), cap)
 }
 
 /// A canonical relabelling of a labelled graph: isomorphic graphs have
@@ -312,19 +365,20 @@ pub struct CanonicalForm {
     /// first, sorted.
     pub edges: Vec<(u32, u32)>,
     /// `true` for a true canonical form (equal across isomorphic graphs);
-    /// `false` for the identity-relabelling fallback taken when the
-    /// labelled automorphism group exceeds the cap or the certificate
-    /// search exhausts its budget. Mixing the two in one memo is sound:
-    /// an exact form is itself a graph (a relabelled copy of the input),
-    /// so any key collision — exact/exact, exact/fallback or
-    /// fallback/fallback — exhibits an isomorphism.
+    /// `false` for the identity-relabelling fallback taken when the graph
+    /// has more than `u16::MAX` nodes, the twin quotient has more than 64
+    /// vertices, its labelled automorphism group exceeds the cap, or the
+    /// certificate search exhausts its budget. Mixing the two in one memo is sound: an exact form is
+    /// itself a graph (a relabelled copy of the input), so any key
+    /// collision — exact/exact, exact/fallback or fallback/fallback —
+    /// exhibits an isomorphism.
     pub exact: bool,
 }
 
 impl CanonicalForm {
-    /// The form as a hashable map key.
-    pub fn key(&self) -> (Vec<u16>, Vec<(u32, u32)>) {
-        (self.labels.clone(), self.edges.clone())
+    /// The form as a hashable map key, moved out of the form.
+    pub fn key(self) -> (Vec<u16>, Vec<(u32, u32)>) {
+        (self.labels, self.edges)
     }
 }
 
@@ -347,7 +401,7 @@ fn identity_form(g: &Graph) -> CanonicalForm {
 /// skipping candidates equivalent under the stabiliser (in the labelled
 /// automorphism group) of the already-placed vertices.
 struct Canonical<'a> {
-    g: &'a Graph,
+    g: Adjacency<'a>,
     colours: &'a [u32],
     group: &'a AutomorphismGroup,
     n: usize,
@@ -436,20 +490,21 @@ impl Canonical<'_> {
     }
 }
 
-/// The canonical form of a labelled graph with an explicit group cap (see
-/// [`canonical_form`]).
-pub fn canonical_form_capped(g: &Graph, cap: usize) -> CanonicalForm {
+/// The lex-least certificate order of the vertices of `g` under the
+/// initial `colours`, or `None` when the search is infeasible: more than
+/// 64 vertices (the certificate masks are `u64`), a colour-preserving
+/// group above `cap` (no orbit pruning — exactly the graphs where the
+/// search would blow up), or an exhausted budget.
+fn canonical_order(g: Adjacency<'_>, colours: Vec<u32>, cap: usize) -> Option<Vec<usize>> {
     let n = g.node_count();
     if n > 64 {
-        return identity_form(g);
+        return None;
     }
-    let group = labelled_automorphism_group(g, cap);
+    let colours = refine(g, colours);
+    let group = refined_group(g, &colours, cap);
     if !group.is_complete() {
-        // No orbit pruning available: exactly the graphs with enormous
-        // groups, where the certificate search would blow up. Fall back.
-        return identity_form(g);
+        return None;
     }
-    let colours = refine(g, label_colours(g));
     let mut search = Canonical {
         g,
         colours: &colours,
@@ -464,14 +519,74 @@ pub fn canonical_form_capped(g: &Graph, cap: usize) -> CanonicalForm {
     };
     let all: Vec<u32> = (0..group.order() as u32).collect();
     if search.dfs(&all) || search.best.is_none() {
+        return None;
+    }
+    Some(search.best_order)
+}
+
+/// Whether `v` has a twin: another node with its label and, apart from
+/// the two of them, its neighbours. A true twin is a neighbour of `v`; a
+/// false twin shares every neighbour of `v`, so it is adjacent to `v`'s
+/// first one. Graphs are connected, so that neighbour exists.
+fn has_twin(g: &Graph, v: usize) -> bool {
+    let own = g.neighbours(v);
+    let is_twin = |u: usize| {
+        u != v
+            && g.label(u) == g.label(v)
+            && g.degree(u) == g.degree(v)
+            && g.neighbours(u)
+                .iter()
+                .filter(|&&w| w != v)
+                .eq(own.iter().filter(|&&w| w != u))
+    };
+    own.iter().chain(g.neighbours(own[0])).any(|&u| is_twin(u))
+}
+
+/// The canonical form of a labelled graph with an explicit group cap (see
+/// [`canonical_form`]).
+pub fn canonical_form_capped(g: &Graph, cap: usize) -> CanonicalForm {
+    let n = g.node_count();
+    if n > usize::from(u16::MAX) {
+        return identity_form(g); // beyond the twin partition's cell ids
+    }
+    // Sixty-five twin-less nodes are sixty-five singleton cells, past the
+    // search's 64: the fallback is certain, and checking a few nodes is
+    // far cheaper than partitioning a long cycle or line.
+    if n > 64 && (0..65).all(|v| !has_twin(g, v)) {
         return identity_form(g);
     }
-    let order = search.best_order;
-    let mut pos = vec![0u32; n];
-    for (p, &v) in order.iter().enumerate() {
-        pos[v] = p as u32;
+    // The twin quotient: one vertex per cell, coloured by what an
+    // isomorphism must preserve of it, adjacent where the cells are.
+    let twins = TwinPartition::of(g);
+    let cells = twins.cells();
+    let kinds: Vec<(u16, usize, bool)> = cells
+        .iter()
+        .map(|c| (g.label(c.members[0]).0, c.members.len(), c.closed))
+        .collect();
+    let mut offsets = Vec::with_capacity(cells.len() + 1);
+    let mut adj = Vec::new();
+    offsets.push(0);
+    for cell in cells {
+        adj.extend(cell.adjacent.iter().map(|&d| usize::from(d)));
+        offsets.push(adj.len());
     }
-    let labels = order.iter().map(|&v| g.label(v).0).collect();
+    let quotient = Adjacency {
+        offsets: &offsets,
+        adj: &adj,
+    };
+    let Some(cell_order) = canonical_order(quotient, ranks(&kinds), cap) else {
+        return identity_form(g);
+    };
+    // Expand: each cell's members take consecutive positions. Twins are
+    // interchangeable, so their order within the cell is immaterial.
+    let mut pos = vec![0u32; n];
+    let mut labels = Vec::with_capacity(n);
+    for &c in &cell_order {
+        for &v in &cells[c].members {
+            pos[v] = labels.len() as u32;
+            labels.push(g.label(v).0);
+        }
+    }
     let mut edges: Vec<(u32, u32)> = g
         .edges()
         .iter()
@@ -511,7 +626,7 @@ pub fn canonical_form(g: &Graph) -> CanonicalForm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, GraphBuilder, LabelCount};
+    use crate::{generators, Alphabet, GraphBuilder, Label, LabelCount};
 
     fn is_automorphism(g: &Graph, p: &[u32]) -> bool {
         let mut seen = vec![false; g.node_count()];
@@ -614,21 +729,7 @@ mod tests {
         // The same labelled 5-cycle built with nodes in rotated order.
         let c = LabelCount::from_vec(vec![3, 2]);
         let g = generators::labelled_cycle(&c);
-        let ab = g.alphabet().clone();
-        let n = g.node_count();
-        let perm = [2usize, 4, 1, 0, 3]; // position of node v in the rebuilt graph
-        let mut builder = GraphBuilder::new(ab);
-        let mut slots = vec![g.label(0); n];
-        for v in g.nodes() {
-            slots[perm[v]] = g.label(v);
-        }
-        for l in slots {
-            builder.node(l);
-        }
-        for &(u, v) in g.edges() {
-            builder.add_edge(perm[u], perm[v]);
-        }
-        let h = builder.build().unwrap();
+        let h = relabelled(&g, &[2, 4, 1, 0, 3]);
         let (fg, fh) = (canonical_form(&g), canonical_form(&h));
         assert!(fg.exact && fh.exact);
         assert_eq!(fg, fh);
@@ -642,18 +743,119 @@ mod tests {
         assert_ne!(canonical_form(&line), canonical_form(&star));
     }
 
+    /// `g` with node `v` moved to position `perm[v]`.
+    fn relabelled(g: &Graph, perm: &[usize]) -> Graph {
+        let mut slots = vec![g.label(0); g.node_count()];
+        for v in g.nodes() {
+            slots[perm[v]] = g.label(v);
+        }
+        let mut builder = GraphBuilder::new(g.alphabet().clone());
+        for l in slots {
+            builder.node(l);
+        }
+        for &(u, v) in g.edges() {
+            builder.add_edge(perm[u], perm[v]);
+        }
+        builder.build().unwrap()
+    }
+
     #[test]
-    fn canonical_form_falls_back_on_huge_groups() {
-        let g = generators::clique(8);
+    fn canonical_form_is_exact_on_large_twin_classes() {
+        // Factorial groups (8! = 40 320, 39!, 100!) collapse to one or two
+        // quotient vertices; node count no longer bounds exactness.
+        let star = generators::labelled_star(&LabelCount::from_vec(vec![25, 15]));
+        let clique = generators::labelled_clique(&LabelCount::from_vec(vec![60, 40]));
+        for g in [generators::clique(8), generators::star(40), star, clique] {
+            let n = g.node_count();
+            let f = canonical_form(&g);
+            assert!(f.exact, "{n}-node graph");
+            let reversed: Vec<usize> = (0..n).rev().collect();
+            let rotated: Vec<usize> = (0..n).map(|v| (v + 7) % n).collect();
+            for perm in [reversed, rotated] {
+                assert_eq!(canonical_form(&relabelled(&g, &perm)), f, "{n}-node graph");
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_form_falls_back_on_huge_twin_free_groups() {
+        // An 8-leg spider with legs of length 2 is twin-free (every node's
+        // neighbourhood names its own leg), yet |Aut| = 8! = 40 320.
+        let mut builder = GraphBuilder::new(Alphabet::new(["a"]));
+        let centre = builder.node(Label(0));
+        for _ in 0..8 {
+            let middle = builder.node(Label(0));
+            let foot = builder.node(Label(0));
+            builder.add_edge(centre, middle);
+            builder.add_edge(middle, foot);
+        }
+        let g = builder.build().unwrap();
+        assert!(!TwinPartition::of(&g).is_compressing());
         let f = canonical_form(&g);
         assert!(!f.exact);
         assert_eq!(f, identity_form(&g));
     }
 
     #[test]
+    fn canonical_form_falls_back_past_twin_cell_ids() {
+        // More nodes than a twin partition can number cells for: the
+        // fallback, not a panic, even for a two-cell star.
+        let g = generators::star(usize::from(u16::MAX) + 2);
+        assert_eq!(canonical_form(&g), identity_form(&g));
+    }
+
+    #[test]
+    fn has_twin_matches_the_twin_partition() {
+        let mut graphs = vec![
+            generators::star(6),
+            generators::clique(5),
+            generators::cycle(4),
+            generators::cycle(7),
+            generators::line(3),
+            generators::line(6),
+            generators::labelled_star(&LabelCount::from_vec(vec![3, 2])),
+            generators::labelled_clique(&LabelCount::from_vec(vec![1, 3])),
+        ];
+        for seed in 0..20 {
+            let c = LabelCount::from_vec(vec![4, 3]);
+            graphs.push(generators::random_connected(&c, 0.4, seed));
+        }
+        for g in &graphs {
+            let twins = TwinPartition::of(g);
+            for v in g.nodes() {
+                let cell = &twins.cells()[usize::from(twins.cell_of(v))];
+                assert_eq!(has_twin(g, v), cell.members.len() > 1, "{g:?} node {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn long_graphs_with_large_quotients_fall_back() {
+        // Twin-free: decided by the first 65 nodes alone.
+        for g in [generators::cycle(1_000), generators::line(1_000)] {
+            assert_eq!(canonical_form(&g), identity_form(&g));
+        }
+        // Node 0 has a twin, so the quotient is built; its 99 cells are
+        // still past the search's 64.
+        let mut builder = GraphBuilder::new(Alphabet::new(["a"]));
+        for _ in 0..100 {
+            builder.node(Label(0));
+        }
+        for v in 1..98 {
+            builder.add_edge(v, v + 1); // the line 1 – … – 98
+        }
+        builder.add_edge(0, 1); // 0 and 99: pendant twins at node 1
+        builder.add_edge(99, 1);
+        let g = builder.build().unwrap();
+        assert!(has_twin(&g, 0));
+        assert_eq!(TwinPartition::of(&g).cell_count(), 99);
+        assert_eq!(canonical_form(&g), identity_form(&g));
+    }
+
+    #[test]
     fn refinement_separates_degrees() {
         let g = generators::star(4);
-        let colours = refine(&g, vec![0; 4]);
+        let colours = refine(Adjacency::of(&g), vec![0; 4]);
         assert_ne!(colours[0], colours[1], "centre vs leaf");
         assert_eq!(colours[1], colours[2]);
     }

@@ -68,6 +68,12 @@ impl Graph {
         &self.adj[self.offsets[v]..self.offsets[v + 1]]
     }
 
+    /// The CSR arrays `(offsets, adj)`: the sorted neighbours of `v` are
+    /// `adj[offsets[v]..offsets[v + 1]]`.
+    pub(crate) fn csr(&self) -> (&[usize], &[NodeId]) {
+        (&self.offsets, &self.adj)
+    }
+
     /// Degree of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
         self.offsets[v + 1] - self.offsets[v]

@@ -187,7 +187,7 @@ fn chaos_runs_from_the_service_registry() {
         "opaque",
         "closure-only entry",
         2,
-        Box::new(|_graph, _certified| {
+        Box::new(|_graph, _certified, _threads| {
             Ok(CachedVerdict {
                 verdict: Verdict::Accepts,
                 backend: "test".to_string(),
