@@ -24,9 +24,10 @@ use wam_certify::{
     StateTable, VerifyOptions,
 };
 use wam_core::{
-    explore_kernel, Backend, Config, ExclusiveSystem, Exploration, ExploreError, ExploreOptions,
-    Machine, NodeSymmetric, Output, PermuteNodes, QuotientSystem, ResolvedBackend, RingSystem,
-    Schedule, State, TransitionSystem, Verdict,
+    explore_counter_kernel, explore_kernel, explore_ring_kernel, Backend, Config, CounterSystem,
+    ExclusiveSystem, Exploration, ExploreError, ExploreOptions, KernelStats, Machine,
+    NodeSymmetric, Output, PermuteNodes, QuotientSystem, ResolvedBackend, RingSystem, Schedule,
+    State, TransitionSystem, Verdict,
 };
 use wam_extensions::{
     compile_broadcasts, compile_rendezvous, BroadcastSystem, CounterPopulationSystem,
@@ -291,13 +292,17 @@ where
 
 struct KernelTiming {
     name: String,
+    /// Which dense system the row times: `exclusive` (packed node rows vs
+    /// `ExclusiveSystem`), `counter` (counter rows vs `CounterSystem`) or
+    /// `ring` (ring rows vs `RingSystem`).
+    system: &'static str,
     nodes: u64,
     configs: usize,
     verdict: Verdict,
     generic_explore_ms: f64,
     kernel_explore_ms: f64,
-    /// Bytes held by the packed configuration arena (inline rows count
-    /// their struct size; heap rows add their word storage).
+    /// Bytes held by the row arena (inline rows count their struct size;
+    /// heap rows add their word storage).
     memory_bytes: u64,
     delta_entries: u64,
     delta_hit_rate: f64,
@@ -307,20 +312,22 @@ struct KernelTiming {
     restarts: u32,
 }
 
-/// Times the dense successor kernel against the generic engine on the
-/// same exclusive workload — explore phase only, both single-threaded,
-/// interleaved with alternating order (same drift defence as
-/// [`time_workload`]) — and asserts the two explorations agree on verdict
-/// and reachable count on every repetition.
-fn time_kernel<S: State>(
+/// Times a dense system against the generic engine on the same space —
+/// explore phase only, both single-threaded, interleaved with alternating
+/// order (same drift defence as [`time_workload`]) — and asserts the two
+/// explorations agree on verdict and reachable count on every repetition.
+fn time_dense<G, D>(
     name: &str,
-    m: &Machine<S>,
-    g: &Graph,
-    limit: usize,
+    system: &'static str,
+    nodes: usize,
     reps: usize,
-) -> KernelTiming {
-    let sys = ExclusiveSystem::new(m, g);
-    let opts = ExploreOptions::with_limit(limit).threads(1);
+    generic: G,
+    dense: D,
+) -> KernelTiming
+where
+    G: Fn() -> (Verdict, usize),
+    D: Fn() -> (Verdict, usize, KernelStats),
+{
     let mut generic_ms = f64::INFINITY;
     let mut kernel_ms = f64::INFINITY;
     let mut gv = None;
@@ -328,16 +335,16 @@ fn time_kernel<S: State>(
     let mut stats = None;
     let run_generic = |gv: &mut Option<_>, generic_ms: &mut f64| {
         let t0 = Instant::now();
-        let e = Exploration::explore_with(&sys, sys.initial_config(), opts).expect("within limit");
+        let r = generic();
         *generic_ms = generic_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        *gv = Some((e.verdict(), e.len()));
+        *gv = Some(r);
     };
     let run_kernel = |kv: &mut Option<_>, stats: &mut Option<_>, kernel_ms: &mut f64| {
         let t0 = Instant::now();
-        let e = explore_kernel(m, g, opts).expect("within limit");
+        let (v, n, s) = dense();
         *kernel_ms = kernel_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        *kv = Some((e.verdict(), e.len()));
-        *stats = Some(e.stats());
+        *kv = Some((v, n));
+        *stats = Some(s);
     };
     for rep in 0..reps {
         if rep % 2 == 0 {
@@ -347,13 +354,14 @@ fn time_kernel<S: State>(
             run_kernel(&mut kv, &mut stats, &mut kernel_ms);
             run_generic(&mut gv, &mut generic_ms);
         }
-        assert_eq!(gv, kv, "kernel and generic engine must agree on {name}");
+        assert_eq!(gv, kv, "dense and generic engine must agree on {name}");
     }
     let (verdict, configs) = gv.unwrap();
     let stats = stats.unwrap();
     KernelTiming {
         name: name.to_string(),
-        nodes: g.node_count() as u64,
+        system,
+        nodes: nodes as u64,
         configs,
         verdict,
         generic_explore_ms: generic_ms,
@@ -366,6 +374,88 @@ fn time_kernel<S: State>(
         bits: stats.bits,
         restarts: stats.restarts,
     }
+}
+
+/// The dense successor kernel (packed node rows) against the generic
+/// engine over `ExclusiveSystem`.
+fn time_kernel<S: State>(
+    name: &str,
+    m: &Machine<S>,
+    g: &Graph,
+    limit: usize,
+    reps: usize,
+) -> KernelTiming {
+    let sys = ExclusiveSystem::new(m, g);
+    let opts = ExploreOptions::with_limit(limit).threads(1);
+    time_dense(
+        name,
+        "exclusive",
+        g.node_count(),
+        reps,
+        || {
+            let e =
+                Exploration::explore_with(&sys, sys.initial_config(), opts).expect("within limit");
+            (e.verdict(), e.len())
+        },
+        || {
+            let e = explore_kernel(m, g, opts).expect("within limit");
+            (e.verdict(), e.len(), e.stats())
+        },
+    )
+}
+
+/// Dense counter rows against the generic engine over `CounterSystem`.
+fn time_counter_rows<S: State>(
+    name: &str,
+    m: &Machine<S>,
+    g: &Graph,
+    limit: usize,
+    reps: usize,
+) -> KernelTiming {
+    let sys = CounterSystem::new(m, g).expect("twin-compressible graph");
+    let opts = ExploreOptions::with_limit(limit).threads(1);
+    time_dense(
+        name,
+        "counter",
+        g.node_count(),
+        reps,
+        || {
+            let e =
+                Exploration::explore_with(&sys, sys.initial_config(), opts).expect("within limit");
+            (e.verdict(), e.len())
+        },
+        || {
+            let e = explore_counter_kernel(&sys, opts).expect("within limit");
+            (e.verdict(), e.len(), e.stats())
+        },
+    )
+}
+
+/// Dense ring rows against the generic engine over `RingSystem`.
+fn time_ring_rows<S: State>(
+    name: &str,
+    m: &Machine<S>,
+    g: &Graph,
+    limit: usize,
+    reps: usize,
+) -> KernelTiming {
+    let sys = RingSystem::new(m, g).expect("cycle graph");
+    let opts = ExploreOptions::with_limit(limit).threads(1);
+    time_dense(
+        name,
+        "ring",
+        g.node_count(),
+        reps,
+        || {
+            let e =
+                Exploration::explore_with(&sys, sys.initial_config(), opts).expect("within limit");
+            (e.verdict(), e.len())
+        },
+        || {
+            let e = explore_ring_kernel(&sys, opts).expect("within limit");
+            (e.verdict(), e.len(), e.stats())
+        },
+    )
 }
 
 struct SpillTiming {
@@ -754,8 +844,9 @@ fn write_report(
             kernel_rows.push_str(",\n");
         }
         kernel_rows.push_str(&format!(
-            "      {{\n        \"workload\": \"{}\",\n        \"nodes\": {},\n        \"configs\": {},\n        \"verdict\": \"{}\",\n        \"generic_explore_ms\": {:.3},\n        \"kernel_explore_ms\": {:.3},\n        \"speedup\": {:.2},\n        \"memory_bytes\": {},\n        \"delta_entries\": {},\n        \"delta_hit_rate\": {:.4},\n        \"states\": {},\n        \"sigs\": {},\n        \"bits\": {},\n        \"restarts\": {}\n      }}",
+            "      {{\n        \"workload\": \"{}\",\n        \"system\": \"{}\",\n        \"nodes\": {},\n        \"configs\": {},\n        \"verdict\": \"{}\",\n        \"generic_explore_ms\": {:.3},\n        \"kernel_explore_ms\": {:.3},\n        \"speedup\": {:.2},\n        \"memory_bytes\": {},\n        \"delta_entries\": {},\n        \"delta_hit_rate\": {:.4},\n        \"states\": {},\n        \"sigs\": {},\n        \"bits\": {},\n        \"restarts\": {}\n      }}",
             json_escape(&k.name),
+            k.system,
             k.nodes,
             k.configs,
             k.verdict,
@@ -851,7 +942,7 @@ fn write_report(
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"interned CSR explorer (FxHash shards, pipelined level merge, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run on the default (parallel) configuration, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense successor kernel vs the generic engine on the same exclusive workloads, explore phase only, both sequential; the kernel interns reachable states to u16 ids, memoizes δ per local view (raw u64 keys for degree ≤ 3, sorted clipped-count signatures above), stores configurations as bit-packed rows, and derives successors by patching one field; memory_bytes is the packed config arena, delta_hit_rate counts memoized-row hits over all configuration expansions\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration, both sequential; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; transported rows were emitted from an orbit-quotient run\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"interned CSR explorer (FxHash shards, pipelined level merge, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run on the default (parallel) configuration, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only, both sequential; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration, both sequential; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; transported rows were emitted from an orbit-quotient run\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
     std::fs::write(path, &json).expect("write BENCH_explore.json");
@@ -1004,7 +1095,7 @@ fn main() {
     }
     tt.print("Exploration engine: seed baseline vs interned CSR engine (explore + verdict)");
 
-    // ── Dense successor kernel: generic engine vs interned δ-table kernel ──
+    // ── Dense rows: generic engine vs the shared δ session ─────────────────
     // The three plain-machine (exclusive) workloads again, explore phase
     // only, both sides sequential: the generic engine enumerates successors
     // by cloning state rows and re-running δ per node, while the kernel
@@ -1043,8 +1134,37 @@ fn main() {
         ));
     }
 
+    // The counter and ring rows: the serve catalog's heaviest counter and
+    // ring keys, generic `CounterSystem`/`RingSystem` vs the dense rows
+    // `decide` runs for `Resolution::Counter`/`Resolution::Ring`.
+    {
+        let m = compile_rendezvous(&GraphPopulationProtocol::<MajorityState>::majority());
+        let g = generators::labelled_clique(&LabelCount::from_vec(vec![3, 4]));
+        kernel.push(time_counter_rows(
+            "majority 7-clique [3,4]",
+            &m,
+            &g,
+            10_000_000,
+            9,
+        ));
+    }
+    {
+        let m = compile_broadcasts(&threshold_machine(2, 0, 2));
+        let g = generators::labelled_star(&LabelCount::from_vec(vec![2, 2]));
+        kernel.push(time_counter_rows(
+            "ladder star [2,2]",
+            &m,
+            &g,
+            10_000_000,
+            9,
+        ));
+        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![2, 2]));
+        kernel.push(time_ring_rows("ladder cycle [2,2]", &m, &g, 10_000_000, 9));
+    }
+
     let mut kt = Table::new([
         "workload",
+        "system",
         "configs",
         "generic ms",
         "kernel ms",
@@ -1057,6 +1177,7 @@ fn main() {
     for k in &kernel {
         kt.row([
             k.name.clone(),
+            k.system.to_string(),
             k.configs.to_string(),
             format!("{:.1}", k.generic_explore_ms),
             format!("{:.1}", k.kernel_explore_ms),
@@ -1067,7 +1188,7 @@ fn main() {
             k.memory_bytes.to_string(),
         ]);
     }
-    kt.print("Dense successor kernel: generic engine vs memoized δ-table kernel (explore only)");
+    kt.print("Dense rows: generic engine vs the shared δ session (explore only)");
 
     // ── Orbit-quotient exploration: full space vs Aut(G) quotient ──────────
     // The engine-timing workloads again, plus highly symmetric graphs

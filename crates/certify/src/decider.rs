@@ -237,8 +237,12 @@ impl<'a, S: State> Decider<'a, S> {
 
 /// Certified pseudo-stochastic decision over the backend
 /// [`resolve_backend`] picks — the same one [`wam_core::decide`] explores.
-/// The explicit space takes the generic engine here (not the dense
-/// kernel): emission needs its configuration table.
+/// Every resolution takes its generic system here, not the dense rows of
+/// the shared δ session that plain decisions explore for the explicit,
+/// counter and ring cases: emission needs the generic configuration
+/// table, and a certificate's `Choice` selections index the successor
+/// order the verifier replays over `ExclusiveSystem`, `CounterSystem` or
+/// `RingSystem` — dense rows enumerate by interned state id instead.
 fn certified_pseudo_stochastic<S: State>(
     machine: &Machine<S>,
     graph: &Graph,

@@ -125,28 +125,43 @@ impl<S: State> CounterConfig<S> {
     /// to that entry. Used by the rendezvous counter backend in
     /// `wam-extensions` as well as [`CounterSystem`] itself.
     ///
+    /// The delta is aggregated per key first (so a key may repeat, and
+    /// only its net change must keep the entry non-negative), then patched
+    /// into a copy of the sorted entries by binary search: a count changes
+    /// in place, an entry reaching zero is removed, a fresh key is
+    /// inserted at its sorted position.
+    ///
     /// # Panics
     ///
     /// Panics if any entry would go negative.
     pub fn adjust<I: IntoIterator<Item = ((u16, S), i64)>>(&self, delta: I) -> Self {
-        let mut agg: BTreeMap<(u16, S), i64> = self
-            .entries
-            .iter()
-            .map(|(o, s, c)| ((*o, s.clone()), *c as i64))
-            .collect();
-        for (key, d) in delta {
-            *agg.entry(key).or_default() += d;
+        let mut moves: Vec<((u16, S), i64)> = delta.into_iter().collect();
+        moves.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut entries = self.entries.clone();
+        let mut i = 0;
+        while i < moves.len() {
+            let mut d = moves[i].1;
+            let mut j = i + 1;
+            while j < moves.len() && moves[j].0 == moves[i].0 {
+                d += moves[j].1;
+                j += 1;
+            }
+            let (cell, state) = &moves[i].0;
+            let found = entries.binary_search_by(|(o, s, _)| (o, s).cmp(&(cell, state)));
+            let current = found.map_or(0, |k| entries[k].2 as i64);
+            let next = current + d;
+            assert!(next >= 0, "count vector entry went negative");
+            match found {
+                Ok(k) if next == 0 => {
+                    entries.remove(k);
+                }
+                Ok(k) => entries[k].2 = next as u64,
+                Err(k) if next > 0 => entries.insert(k, (*cell, state.clone(), next as u64)),
+                Err(_) => {}
+            }
+            i = j;
         }
-        CounterConfig {
-            entries: agg
-                .into_iter()
-                .filter(|&(_, c)| c != 0)
-                .map(|((o, s), c)| {
-                    assert!(c > 0, "count vector entry went negative");
-                    (o, s, c as u64)
-                })
-                .collect(),
-        }
+        CounterConfig { entries }
     }
 }
 
@@ -605,6 +620,35 @@ mod tests {
         // But a genuinely different necklace stays different.
         let w4 = [0u8, 1, 0, 2];
         assert_ne!(c1, RingConfig::from_word(&w4));
+    }
+
+    #[test]
+    fn counter_config_adjust_aggregates_duplicate_keys() {
+        let c = CounterConfig::from_entries([(0u16, 'a', 3), (1, 'b', 1)]);
+        // Two moves out of (0, a) and one back in: net -1.
+        let moved = c.adjust([((0, 'a'), -1), ((0, 'a'), -1), ((0, 'a'), 1), ((1, 'c'), 1)]);
+        assert_eq!(moved.entries(), &[(0, 'a', 2), (1, 'b', 1), (1, 'c', 1)]);
+        // A key that dips below zero mid-delta is fine if its net is not.
+        let absent = c.adjust([((0, 'z'), -1), ((0, 'z'), 2)]);
+        assert_eq!(absent.count(0, &'z'), 1);
+        // Cancelling moves on an absent key leave no zero entry behind.
+        assert_eq!(c.adjust([((2, 'q'), 1), ((2, 'q'), -1)]), c);
+    }
+
+    #[test]
+    fn counter_config_adjust_removes_entries_that_drop_to_zero() {
+        let c = CounterConfig::from_entries([(0u16, 'a', 1), (0, 'b', 2), (1, 'a', 1)]);
+        let moved = c.adjust([((0, 'a'), -1), ((1, 'a'), -1), ((0, 'b'), 2)]);
+        assert_eq!(moved.entries(), &[(0, 'b', 4)]);
+        assert_eq!(moved.count(0, &'a'), 0);
+        assert_eq!(moved.total(), c.total());
+    }
+
+    #[test]
+    #[should_panic(expected = "count vector entry went negative")]
+    fn counter_config_adjust_panics_on_negative_counts() {
+        let c = CounterConfig::from_entries([(0u16, 'a', 1)]);
+        let _ = c.adjust([((0, 'a'), -2), ((0, 'b'), 2)]);
     }
 
     #[test]

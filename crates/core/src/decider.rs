@@ -9,12 +9,18 @@
 //! matches on the same [`Resolution`], so plain and certified decisions
 //! can never resolve differently. The lasso schedules walk one
 //! deterministic run through [`lasso_verdict`].
+//!
+//! Plain decisions explore the explicit, counter and ring resolutions on
+//! the dense rows of the shared δ session (`kernel`, `dense`); certified
+//! decisions and the orbit quotient run on the generic systems.
 
 use crate::counter::{CounterSystem, RingSystem};
+use crate::dense::{explore_counter_kernel, explore_ring_kernel};
 use crate::explore::{
     lasso_verdict, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Symmetry,
     TransitionSystem, Verdict,
 };
+use crate::kernel::{explore_kernel, KernelExploration, KernelRow};
 use crate::{Machine, QuotientSystem, State};
 use std::fmt;
 use wam_graph::{automorphism_group, AutomorphismGroup, Graph};
@@ -222,6 +228,18 @@ pub fn resolve_backend<'a, S: State>(
 /// configurations, orbit representatives, count vectors or necklaces — or
 /// the number of lasso steps.
 ///
+/// The explicit, counter and ring resolutions explore dense rows over one
+/// shared δ session per decision — interned `u16` state ids, memoized δ
+/// steps — through [`explore_kernel`](crate::explore_kernel),
+/// [`explore_counter_kernel`](crate::explore_counter_kernel) and
+/// [`explore_ring_kernel`](crate::explore_ring_kernel). Their rows map
+/// one-to-one onto the generic systems' configurations, so the verdict and
+/// [`DecisionStats`] are those of the generic engine; past 65 534
+/// reachable states the rows refuse and the generic system runs instead.
+/// The orbit quotient explores the generic engine. Certified decisions
+/// (`wam_certify::Decider`) explore the generic systems throughout,
+/// because their certificates index the generic successor order.
+///
 /// # Errors
 ///
 /// * [`ExploreError::TooLarge`] / [`ExploreError::NoLasso`] when
@@ -245,25 +263,42 @@ pub fn decide<S: State>(
     let resolution = resolve_backend(machine, graph, backend, &options)?;
     let resolved = resolution.backend();
     let system = ExclusiveSystem::new(machine, graph);
+    // The dense systems explore the same spaces over rows of interned
+    // state ids with memoized δ steps, one row per generic configuration
+    // (pinned by the kernel and counter differential suites), so verdicts
+    // and stats coincide. They refuse machines whose reachable state set
+    // overflows `u16` ids; only then does the generic system run.
     let (verdict, explored, spilled) = match resolution {
-        // The dense kernel explores the same space over packed rows with
-        // memoized δ steps — observationally identical (pinned by the
-        // kernel differential suite), so the stats are too. It refuses
-        // machines whose reachable state set overflows `u16` ids; only
-        // then fall back to the generic engine.
-        Resolution::Explicit => match crate::kernel::explore_kernel(machine, graph, options) {
-            Ok(e) => (e.verdict(), e.len(), e.was_spilled()),
-            Err(ExploreError::Unsupported { .. }) => explore(&system, options)?,
-            Err(e) => return Err(e),
-        },
+        Resolution::Explicit => dense_or(explore_kernel(machine, graph, options), || {
+            explore(&system, options)
+        })?,
         Resolution::Quotient(group) => explore(&QuotientSystem::new(&system, group), options)?,
-        Resolution::Counter(counter) => explore(&counter, options)?,
-        Resolution::Ring(ring) => explore(&ring, options)?,
+        Resolution::Counter(counter) => {
+            dense_or(explore_counter_kernel(&counter, options), || {
+                explore(&counter, options)
+            })?
+        }
+        Resolution::Ring(ring) => dense_or(explore_ring_kernel(&ring, options), || {
+            explore(&ring, options)
+        })?,
     };
     Ok((
         verdict,
         DecisionStats::new(resolved, explored).with_spilled(spilled),
     ))
+}
+
+/// The outcome of a dense exploration, or of `generic` if the dense
+/// system refused (its `u16` state ids ran out).
+fn dense_or<S: State, R: KernelRow<S>>(
+    dense: Result<KernelExploration<S, R>, ExploreError>,
+    generic: impl FnOnce() -> Result<(Verdict, usize, bool), ExploreError>,
+) -> Result<(Verdict, usize, bool), ExploreError> {
+    match dense {
+        Ok(e) => Ok((e.verdict(), e.len(), e.was_spilled())),
+        Err(ExploreError::Unsupported { .. }) => generic(),
+        Err(e) => Err(e),
+    }
 }
 
 /// Explores `system` from its initial configuration: the verdict, the

@@ -1,31 +1,29 @@
-//! The dense successor kernel: interned states, memoized δ-tables, and a
-//! packed configuration arena.
+//! The dense successor kernel: packed node rows over the shared δ session,
+//! and the row explorations every dense system returns.
 //!
 //! The machines of the paper only ever observe the β-clipped neighbourhood
 //! multiset, and their reachable state sets are tiny — which makes δ fully
-//! memoizable and configurations densely packable. The kernel exploits
-//! both, per (machine, graph) session:
+//! memoizable and configurations densely packable. The memo half lives in
+//! `delta`: one `DeltaSession` per decision interns states to `u16`
+//! ids, keeps their outputs lock-free, and memoizes δ per raw low-degree
+//! view and per `(state, clipped signature)`. Three dense systems run on
+//! it, each mapping one-to-one onto a generic system:
 //!
-//! * **State interning**: reachable states get dense `u16` ids in
-//!   first-sighting order; outputs (`Accept`/`Reject`/`Neutral`) are
-//!   memoized per id, so accept/reject scans are table walks over packed
-//!   fields instead of boxed-closure calls over cloned states.
-//! * **δ-table memoization**, two-level. The *raw* level handles nodes of
-//!   degree at most [`RAW_DEG`]: the whole local view — own state id plus
-//!   the neighbour ids in adjacency order — packs into one `u64` key of a
-//!   flat `u64 → u16` memo, so the steady-state cost of a node step is a
-//!   single hash lookup with no sorting or canonicalisation at all. The
-//!   *canonical* level handles the rest: a step is keyed by `(state id,
-//!   signature id)`, where a *signature* is the β-clipped count vector of
-//!   neighbour state ids (sorted, canonical for the clipped multiset), so
-//!   high-degree nodes stay compact under clipping. Either way the first
-//!   sighting of a key pays one real `Machine::step` — allocating the
-//!   sorted `Neighbourhood` and calling the boxed closure — and every
-//!   later sighting is a table lookup.
-//! * **Packed configs**: configurations are [`PackedConfig`] rows —
-//!   power-of-two bits per node in `u64` words, inline (no heap) for rows
-//!   of at most two words. Exclusive successors copy the parent row and
-//!   patch one bit-field; interner hashing and equality run word-wise.
+//! * **Packed node rows** (this module, `Resolution::Explicit`):
+//!   configurations are [`PackedConfig`] rows — power-of-two bits per node
+//!   in `u64` words, inline (no heap) for rows of at most two words.
+//!   Exclusive successors copy the parent row and patch one bit-field;
+//!   nodes of degree at most three step through the raw memo, the rest
+//!   through signatures.
+//! * **Counter rows** (`dense`, `Resolution::Counter`): sorted count
+//!   words over the twin partition, stepping through signatures.
+//! * **Ring rows** (`dense`, `Resolution::Ring`): canonical run lists on a
+//!   cycle, stepping through the raw memo.
+//!
+//! All three return a [`KernelExploration`] over their row type, which
+//! unpacks rows back into the generic configurations through
+//! [`KernelRow`]. Certified decisions never take these paths: their
+//! certificates index the generic systems' successor order.
 //!
 //! The per-node bit width must cover every state id, but states are
 //! *discovered during* exploration — so the session starts at the smallest
@@ -46,268 +44,26 @@
 //! different order by a multi-threaded run — concurrent δ misses race to
 //! the write lock — but no observable depends on the numbering.)
 
+use crate::delta::{
+    exhausted_reason, push_sig, raw_key, DeltaSession, Expand, Scratch, Steps, RAW_DEG,
+};
 use crate::explore::{
     Exploration, ExploreError, ExploreOptions, SuccBuf, TransitionSystem, Verdict,
 };
-use crate::{Config, Machine, Neighbourhood, Output, PackedConfig, State};
-use rustc_hash::FxHashMap;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::RwLock;
+use crate::{Config, Machine, PackedConfig, State};
+use std::fmt;
+use std::hash::Hash;
+use std::sync::atomic::{AtomicBool, Ordering};
 use wam_graph::Graph;
-
-/// Sentinel for a δ-table entry that has not been computed yet.
-const UNKNOWN: u16 = u16::MAX;
-
-/// Hard cap on interned states: ids must stay below the [`UNKNOWN`]
-/// sentinel. Machines in this workspace have dozens of reachable states;
-/// the cap exists so the kernel degrades into a clean refusal (and the
-/// decider falls back to the generic engine) instead of a wrong answer.
-const MAX_STATES: usize = UNKNOWN as usize;
-
-/// Degree bound of the raw fast path: a local view of at most `1 +
-/// RAW_DEG` state ids packs into one `u64` key (four 16-bit lanes).
-const RAW_DEG: usize = 3;
-
-/// Open-addressing `u64 → u16` table behind the raw δ memo: linear
-/// probing over `(key, value)` pairs, one multiplicative spread and
-/// typically one cache line per steady-state lookup — measurably cheaper
-/// than a general hash map on the kernel's hottest path. The all-ones
-/// key is free to serve as the vacant marker: a real raw key always
-/// carries a state id below `0xFFFF` in its low lane.
-#[derive(Debug)]
-struct RawMap {
-    entries: Vec<(u64, u16)>,
-    live: usize,
-    bits: u32,
-}
-
-/// Vacant-slot marker in [`RawMap`]; never a valid raw key.
-const RAW_EMPTY: u64 = u64::MAX;
-
-impl RawMap {
-    fn new() -> Self {
-        const INITIAL_BITS: u32 = 6;
-        RawMap {
-            entries: vec![(RAW_EMPTY, 0); 1 << INITIAL_BITS],
-            live: 0,
-            bits: INITIAL_BITS,
-        }
-    }
-
-    #[inline]
-    fn slot(key: u64, bits: u32) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
-    }
-
-    #[inline]
-    fn get(&self, key: u64) -> Option<u16> {
-        let mask = self.entries.len() - 1;
-        let mut idx = Self::slot(key, self.bits) & mask;
-        loop {
-            let (k, v) = self.entries[idx];
-            if k == key {
-                return Some(v);
-            }
-            if k == RAW_EMPTY {
-                return None;
-            }
-            idx = (idx + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, key: u64, value: u16) {
-        if (self.live + 1) * 8 > self.entries.len() * 7 {
-            let bits = self.bits + 1;
-            let mut next = vec![(RAW_EMPTY, 0u16); 1 << bits];
-            let mask = next.len() - 1;
-            for &(k, v) in &self.entries {
-                if k == RAW_EMPTY {
-                    continue;
-                }
-                let mut idx = Self::slot(k, bits) & mask;
-                while next[idx].0 != RAW_EMPTY {
-                    idx = (idx + 1) & mask;
-                }
-                next[idx] = (k, v);
-            }
-            self.entries = next;
-            self.bits = bits;
-        }
-        let mask = self.entries.len() - 1;
-        let mut idx = Self::slot(key, self.bits) & mask;
-        while self.entries[idx].0 != RAW_EMPTY {
-            if self.entries[idx].0 == key {
-                self.entries[idx].1 = value;
-                return;
-            }
-            idx = (idx + 1) & mask;
-        }
-        self.entries[idx] = (key, value);
-        self.live += 1;
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-}
-
-/// The memo tables of one kernel session: state interner, per-state
-/// outputs, the raw low-degree δ memo, signature interner, and the
-/// canonical δ table.
-#[derive(Debug)]
-struct Tables<S> {
-    /// States by dense id, in first-sighting order.
-    states: Vec<S>,
-    ids: FxHashMap<S, u16>,
-    /// Raw δ memo for nodes of degree ≤ [`RAW_DEG`]: the key packs the
-    /// node's own state id with its neighbour ids in adjacency order
-    /// (unused lanes filled with `0xFFFF`, which is never a real id);
-    /// the value is the stepped state id. Finer-grained than the
-    /// canonical signature — order and unclipped repeats distinguish
-    /// keys — so it stays trivially sound while skipping sorting and
-    /// clipping entirely on the hot path.
-    raw: RawMap,
-    /// Signature interner: the canonical key of a β-clipped neighbour
-    /// multiset is its sorted `(sid << 16) | clipped_count` vector.
-    sigs: FxHashMap<Box<[u32]>, u32>,
-    /// `delta[sig][sid]` memoizes the stepped state id ([`UNKNOWN`] =
-    /// never computed). Rows grow lazily as states are discovered.
-    delta: Vec<Vec<u16>>,
-}
-
-impl<S: State> Tables<S> {
-    fn new() -> Self {
-        Tables {
-            states: Vec::new(),
-            ids: FxHashMap::default(),
-            raw: RawMap::new(),
-            sigs: FxHashMap::default(),
-            delta: Vec::new(),
-        }
-    }
-
-    /// Interns a state, memoizing its output into the session's lock-free
-    /// output table; `None` when the `u16` id space is exhausted.
-    fn intern_state(&mut self, machine: &Machine<S>, s: S, outputs: &[AtomicU8]) -> Option<u16> {
-        if let Some(&id) = self.ids.get(&s) {
-            return Some(id);
-        }
-        if self.states.len() >= MAX_STATES {
-            return None;
-        }
-        let id = self.states.len() as u16;
-        outputs[id as usize].store(encode_output(machine.output(&s)), Ordering::Release);
-        self.ids.insert(s.clone(), id);
-        self.states.push(s);
-        Some(id)
-    }
-
-    /// Number of filled δ-memo entries across both levels (raw keys plus
-    /// non-sentinel canonical entries).
-    fn delta_entries(&self) -> u64 {
-        self.raw.len() as u64
-            + self
-                .delta
-                .iter()
-                .map(|row| row.iter().filter(|&&e| e != UNKNOWN).count() as u64)
-                .sum::<u64>()
-    }
-}
-
-/// Shared, thread-safe session state: the memo tables behind a read/write
-/// lock (reads are the steady state; a write is one δ or signature miss),
-/// the lock-free per-id output table, and lock-free hit/miss counters for
-/// the bench's hit-rate column.
-#[derive(Debug)]
-struct SessionState<S> {
-    tables: RwLock<Tables<S>>,
-    /// `outputs[sid]` is the encoded output of state `sid`, written once
-    /// under the write lock at intern time and read lock-free by the
-    /// accept/reject scans (the engine calls them once per interned
-    /// configuration — taking the read lock there would double the
-    /// per-configuration lock traffic). Pre-sized to the whole `u16` id
-    /// space (64 KiB), so a slot exists before any id can reach a reader.
-    outputs: Box<[AtomicU8]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Lock-free encoding of [`Output`] for the session output table.
-const OUT_NEUTRAL: u8 = 0;
-const OUT_ACCEPT: u8 = 1;
-const OUT_REJECT: u8 = 2;
-
-#[inline]
-fn encode_output(o: Output) -> u8 {
-    match o {
-        Output::Neutral => OUT_NEUTRAL,
-        Output::Accept => OUT_ACCEPT,
-        Output::Reject => OUT_REJECT,
-    }
-}
-
-thread_local! {
-    /// Per-thread scratch: the configuration unpacked to per-node ids (one
-    /// packed extraction per node per call — raw keys and signature keys
-    /// alike then read plain array slots), the sorted neighbour list and
-    /// the RLE signature key. Reused across every `successors_into` call
-    /// on the thread, so steady-state successor generation allocates
-    /// nothing.
-    static SIG_SCRATCH: RefCell<(Vec<u16>, Vec<u16>, Vec<u32>)> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-}
-
-/// Builds the canonical signature key of a node's β-clipped neighbour
-/// multiset into `key`: neighbour state ids, sorted, run-length encoded as
-/// `(sid << 16) | count` with counts clipped at β.
-#[inline]
-fn build_sig_key(ids: &[u16], nbrs: &[usize], beta: u32, nbr: &mut Vec<u16>, key: &mut Vec<u32>) {
-    nbr.clear();
-    for &u in nbrs {
-        nbr.push(ids[u]);
-    }
-    nbr.sort_unstable();
-    key.clear();
-    for &sid in nbr.iter() {
-        match key.last_mut() {
-            Some(e) if (*e >> 16) as u16 == sid => {
-                let count = (*e & 0xFFFF).min(beta - 1) + 1; // clip at β
-                *e = (u32::from(sid) << 16) | count;
-            }
-            _ => key.push((u32::from(sid) << 16) | 1),
-        }
-    }
-}
-
-/// Packs node `v`'s raw local view — its own state id plus its neighbour
-/// ids in adjacency order — into the `u64` key of the raw δ memo. The
-/// caller guarantees degree ≤ [`RAW_DEG`]; unused lanes are filled with
-/// `0xFFFF` ([`UNKNOWN`], never a real id), so views of different degrees
-/// can never collide.
-#[inline]
-fn raw_key(ids: &[u16], nbrs: &[usize], v: usize) -> u64 {
-    let mut k = u64::from(ids[v]);
-    let mut shift = 16;
-    for &u in nbrs {
-        k |= u64::from(ids[u]) << shift;
-        shift += 16;
-    }
-    while shift < 64 {
-        k |= u64::from(u16::MAX) << shift;
-        shift += 16;
-    }
-    k
-}
 
 /// A [`TransitionSystem`] over [`PackedConfig`]s that replays the
 /// exclusive-selection semantics through the session's memo tables. One
-/// instance per width attempt; the tables outlive it across restarts.
+/// instance per width attempt; the session outlives it across restarts.
 #[derive(Debug)]
 struct KernelSystem<'a, S: State> {
     machine: &'a Machine<S>,
     graph: &'a Graph,
-    session: &'a SessionState<S>,
+    session: &'a DeltaSession<S>,
     nodes: usize,
     /// Per-node field width of this attempt (power of two, ≤ 16).
     bits: u32,
@@ -319,166 +75,64 @@ struct KernelSystem<'a, S: State> {
     exhausted: AtomicBool,
 }
 
+impl<S: State> Expand<S> for KernelSystem<'_, S> {
+    type C = PackedConfig;
+
+    /// Nodes of degree at most [`RAW_DEG`] go through the raw memo keyed
+    /// by their exact local view; the rest through sorted clipped
+    /// signatures. On a state-width overflow the overflow flag is set and
+    /// the expansion ends with an empty buffer — the drain behaviour.
+    fn expand(
+        &self,
+        steps: &mut Steps<'_, S>,
+        c: &PackedConfig,
+        out: &mut SuccBuf<PackedConfig>,
+        scratch: &mut Scratch,
+    ) -> Option<()> {
+        let Scratch { ids, nbr, key, .. } = scratch;
+        let bits = self.bits;
+        let beta = self.machine.beta();
+        ids.clear();
+        c.unpack_into(self.nodes, bits, ids);
+        for v in 0..self.nodes {
+            let sid = ids[v];
+            let nbrs = self.graph.neighbours(v);
+            let nid = if nbrs.len() <= RAW_DEG {
+                steps.raw(raw_key(sid, nbrs.iter().map(|&u| ids[u])))?
+            } else {
+                nbr.clear();
+                nbr.extend(nbrs.iter().map(|&u| ids[u]));
+                nbr.sort_unstable();
+                key.clear();
+                for &n in nbr.iter() {
+                    push_sig(key, n, 1, beta);
+                }
+                steps.canonical(sid, key)?
+            };
+            if nid == sid {
+                continue; // silent
+            }
+            if u32::from(nid) >> bits != 0 {
+                self.overflow.store(true, Ordering::Relaxed);
+                out.clear();
+                return Some(());
+            }
+            out.push(c.with_patched(v, nid, bits));
+        }
+        Some(())
+    }
+}
+
 impl<S: State> KernelSystem<'_, S> {
-    /// Fast path: resolve every node step against the memo tables under
-    /// the read lock. Returns the number of δ hits, or `None` on the
-    /// first signature or δ miss (the caller retries under the write
-    /// lock). On a state-width overflow the overflow flag is set and the
-    /// call reports success with an empty buffer — the drain behaviour.
-    fn try_successors(
-        &self,
-        t: &Tables<S>,
-        c: &PackedConfig,
-        ids: &[u16],
-        out: &mut SuccBuf<PackedConfig>,
-        nbr: &mut Vec<u16>,
-        key: &mut Vec<u32>,
-    ) -> Option<u64> {
-        let bits = self.bits;
-        let beta = self.machine.beta();
-        let mut hits = 0u64;
-        for v in 0..self.nodes {
-            let sid = ids[v];
-            let nbrs = self.graph.neighbours(v);
-            let nid = if nbrs.len() <= RAW_DEG {
-                t.raw.get(raw_key(ids, nbrs, v))?
-            } else {
-                build_sig_key(ids, nbrs, beta, nbr, key);
-                let &sig = t.sigs.get(key.as_slice())?;
-                let nid = *t.delta[sig as usize].get(sid as usize)?;
-                if nid == UNKNOWN {
-                    return None;
-                }
-                nid
-            };
-            hits += 1;
-            if nid == sid {
-                continue; // silent
-            }
-            if u32::from(nid) >> bits != 0 {
-                self.overflow.store(true, Ordering::Relaxed);
-                out.clear();
-                return Some(hits);
-            }
-            out.push(c.with_patched(v, nid, bits));
-        }
-        Some(hits)
-    }
-
-    /// Slow path: recompute the call under the write lock, interning
-    /// missing signatures and δ entries (each miss reconstructs the real
-    /// state and [`Neighbourhood`] and pays one `Machine::step`).
-    fn fill_successors(
-        &self,
-        t: &mut Tables<S>,
-        c: &PackedConfig,
-        ids: &[u16],
-        out: &mut SuccBuf<PackedConfig>,
-        nbr: &mut Vec<u16>,
-        key: &mut Vec<u32>,
-    ) {
-        let bits = self.bits;
-        let beta = self.machine.beta();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for v in 0..self.nodes {
-            let sid = ids[v];
-            let nbrs = self.graph.neighbours(v);
-            let nid = if nbrs.len() <= RAW_DEG {
-                // Raw level: memoize the exact low-degree local view,
-                // reconstructing the neighbourhood straight from the
-                // neighbour ids on the first sighting.
-                let rk = raw_key(ids, nbrs, v);
-                match t.raw.get(rk) {
-                    Some(nid) => {
-                        hits += 1;
-                        nid
-                    }
-                    None => {
-                        misses += 1;
-                        let s = t.states[sid as usize].clone();
-                        let view = Neighbourhood::from_states(
-                            nbrs.iter()
-                                .map(|&u| t.states[ids[u] as usize].clone())
-                                .collect::<Vec<_>>(),
-                            beta,
-                        );
-                        let next = self.machine.step(&s, &view);
-                        let Some(nid) = t.intern_state(self.machine, next, &self.session.outputs)
-                        else {
-                            self.exhausted.store(true, Ordering::Relaxed);
-                            out.clear();
-                            return;
-                        };
-                        t.raw.insert(rk, nid);
-                        nid
-                    }
-                }
-            } else {
-                build_sig_key(ids, nbrs, beta, nbr, key);
-                let sig = match t.sigs.get(key.as_slice()) {
-                    Some(&sig) => sig,
-                    None => {
-                        let sig = t.delta.len() as u32;
-                        t.sigs.insert(key.as_slice().into(), sig);
-                        t.delta.push(vec![UNKNOWN; t.states.len()]);
-                        sig
-                    }
-                };
-                if t.delta[sig as usize].len() <= sid as usize {
-                    let n = t.states.len().max(sid as usize + 1);
-                    t.delta[sig as usize].resize(n, UNKNOWN);
-                }
-                let mut nid = t.delta[sig as usize][sid as usize];
-                if nid == UNKNOWN {
-                    misses += 1;
-                    // Reconstruct the clip-exact neighbourhood from the
-                    // signature and pay the one real δ call for this key.
-                    let s = t.states[sid as usize].clone();
-                    let view = Neighbourhood::from_counts(
-                        key.iter().map(|&e| {
-                            (t.states[(e >> 16) as usize].clone(), u64::from(e & 0xFFFF))
-                        }),
-                        beta,
-                    );
-                    let next = self.machine.step(&s, &view);
-                    match t.intern_state(self.machine, next, &self.session.outputs) {
-                        Some(id) => nid = id,
-                        None => {
-                            self.exhausted.store(true, Ordering::Relaxed);
-                            out.clear();
-                            return;
-                        }
-                    }
-                    t.delta[sig as usize][sid as usize] = nid;
-                } else {
-                    hits += 1;
-                }
-                nid
-            };
-            if nid == sid {
-                continue; // silent
-            }
-            if u32::from(nid) >> bits != 0 {
-                self.overflow.store(true, Ordering::Relaxed);
-                out.clear();
-                break;
-            }
-            out.push(c.with_patched(v, nid, bits));
-        }
-        self.session.hits.fetch_add(hits, Ordering::Relaxed);
-        self.session.misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
     /// Packs the initial configuration, interning the initial states.
     /// `None` when the state-id space is exhausted.
     fn pack_initial(&self) -> Option<PackedConfig> {
-        let mut t = self.session.tables.write().expect("kernel tables poisoned");
-        let mut ids = Vec::with_capacity(self.nodes);
-        for v in self.graph.nodes() {
-            let s = self.machine.initial(self.graph.label(v));
-            ids.push(t.intern_state(self.machine, s, &self.session.outputs)?);
-        }
+        let ids = self.session.intern_all(
+            self.machine,
+            self.graph
+                .nodes()
+                .map(|v| self.machine.initial(self.graph.label(v))),
+        )?;
         if ids.iter().any(|&id| u32::from(id) >> self.bits != 0) {
             self.overflow.store(true, Ordering::Relaxed);
         }
@@ -504,37 +158,21 @@ impl<S: State> TransitionSystem for KernelSystem<'_, S> {
         if self.overflow.load(Ordering::Relaxed) || self.exhausted.load(Ordering::Relaxed) {
             return; // drain: the attempt's result will be discarded
         }
-        SIG_SCRATCH.with(|scratch| {
-            let (ids, nbr, key) = &mut *scratch.borrow_mut();
-            ids.clear();
-            c.unpack_into(self.nodes, self.bits, ids);
-            let done = {
-                let t = self.session.tables.read().expect("kernel tables poisoned");
-                self.try_successors(&t, c, ids, out, nbr, key)
-            };
-            match done {
-                Some(hits) => {
-                    self.session.hits.fetch_add(hits, Ordering::Relaxed);
-                }
-                None => {
-                    out.clear();
-                    let mut t = self.session.tables.write().expect("kernel tables poisoned");
-                    self.fill_successors(&mut t, c, ids, out, nbr, key);
-                }
-            }
-        });
+        if !self.session.successors_into(self.machine, self, c, out) {
+            self.exhausted.store(true, Ordering::Relaxed);
+        }
     }
 
     fn is_accepting(&self, c: &PackedConfig) -> bool {
-        let o = &self.session.outputs;
-        (0..self.nodes)
-            .all(|v| o[c.get(v, self.bits) as usize].load(Ordering::Acquire) == OUT_ACCEPT)
+        self.session
+            .outputs()
+            .all_accept((0..self.nodes).map(|v| c.get(v, self.bits)))
     }
 
     fn is_rejecting(&self, c: &PackedConfig) -> bool {
-        let o = &self.session.outputs;
-        (0..self.nodes)
-            .all(|v| o[c.get(v, self.bits) as usize].load(Ordering::Acquire) == OUT_REJECT)
+        self.session
+            .outputs()
+            .all_reject((0..self.nodes).map(|v| c.get(v, self.bits)))
     }
 }
 
@@ -547,19 +185,21 @@ pub struct KernelStats {
     pub states: usize,
     /// Distinct neighbourhood signatures interned.
     pub sigs: usize,
-    /// Filled `(state, signature)` δ-table entries — each one real
-    /// `Machine::step` call, ever.
+    /// Filled δ-memo entries (raw keys plus `(state, signature)` entries)
+    /// — each one real `Machine::step` call, ever.
     pub delta_entries: u64,
     /// Node steps resolved by a memoized δ entry.
     pub delta_hits: u64,
     /// Node steps that computed (and memoized) a fresh δ entry.
     pub delta_misses: u64,
-    /// Final per-node field width in bits (power of two).
+    /// Final per-node field width in bits (power of two) of packed node
+    /// rows; counter and ring rows store state ids in 16-bit lanes.
     pub bits: u32,
-    /// Width-overflow restarts the session performed (0 almost always).
+    /// Width-overflow restarts the session performed (0 almost always;
+    /// always 0 for counter and ring rows).
     pub restarts: u32,
-    /// Bytes held by the packed configuration arena (inline words plus
-    /// heap spill-over of every interned row).
+    /// Bytes held by the row arena (inline words plus heap spill-over of
+    /// every interned row).
     pub arena_bytes: u64,
 }
 
@@ -574,25 +214,74 @@ impl KernelStats {
     }
 }
 
-/// A finished kernel exploration: the packed configuration graph plus the
-/// session tables needed to unpack rows back into [`Config`]s.
+/// A row type of a dense exploration: it unpacks, through the session's
+/// state table, into the configuration of the generic system it mirrors
+/// one-to-one. Implemented by [`PackedConfig`] (explicit node space),
+/// [`CounterRow`](crate::CounterRow) and [`RingRow`](crate::RingRow).
+pub trait KernelRow<S: State>: Clone + Eq + Hash + fmt::Debug + Send + Sync {
+    /// The generic configuration this row stands for.
+    type Config;
+
+    /// Unpacks the row; `states` is the session's state table by id, and
+    /// `nodes`/`bits` the packed layout (read by node rows only).
+    fn unpack(&self, states: &[S], nodes: usize, bits: u32) -> Self::Config;
+
+    /// Heap bytes owned by the row (0 for inline rows).
+    fn heap_bytes(&self) -> usize;
+}
+
+impl<S: State> KernelRow<S> for PackedConfig {
+    type Config = Config<S>;
+
+    fn unpack(&self, states: &[S], nodes: usize, bits: u32) -> Config<S> {
+        Config::from_states(
+            (0..nodes)
+                .map(|v| states[self.get(v, bits) as usize].clone())
+                .collect(),
+        )
+    }
+
+    fn heap_bytes(&self) -> usize {
+        PackedConfig::heap_bytes(self)
+    }
+}
+
+/// A finished dense exploration: the row graph plus the session tables
+/// needed to unpack rows back into the generic configurations.
 #[derive(Debug)]
-pub struct KernelExploration<S: State> {
-    exploration: Exploration<PackedConfig>,
-    session: SessionState<S>,
+pub struct KernelExploration<S: State, R = PackedConfig> {
+    exploration: Exploration<R>,
+    session: DeltaSession<S>,
     nodes: usize,
     bits: u32,
     restarts: u32,
 }
 
-impl<S: State> KernelExploration<S> {
+impl<S: State, R: KernelRow<S>> KernelExploration<S, R> {
+    /// Wraps a finished exploration with its session.
+    pub(crate) fn new(
+        exploration: Exploration<R>,
+        session: DeltaSession<S>,
+        nodes: usize,
+        bits: u32,
+        restarts: u32,
+    ) -> Self {
+        KernelExploration {
+            exploration,
+            session,
+            nodes,
+            bits,
+            restarts,
+        }
+    }
+
     /// The verdict under pseudo-stochastic fairness.
     pub fn verdict(&self) -> Verdict {
         self.exploration.verdict()
     }
 
-    /// Number of reachable configurations (identical to the generic
-    /// engine's count: packing is injective).
+    /// Number of reachable rows (identical to the generic engine's count:
+    /// rows map one-to-one onto its configurations).
     pub fn len(&self) -> usize {
         self.exploration.len()
     }
@@ -607,43 +296,43 @@ impl<S: State> KernelExploration<S> {
         self.exploration.was_spilled()
     }
 
-    /// The underlying packed exploration (edges, fixpoints, level stats).
-    pub fn exploration(&self) -> &Exploration<PackedConfig> {
+    /// The underlying row exploration (edges, fixpoints, level stats).
+    pub fn exploration(&self) -> &Exploration<R> {
         &self.exploration
     }
 
-    /// Unpacks configuration `i` back into per-node states.
-    pub fn config(&self, i: usize) -> Config<S> {
-        let t = self.session.tables.read().expect("kernel tables poisoned");
-        let packed = &self.exploration.configs()[i];
-        Config::from_states(
-            (0..self.nodes)
-                .map(|v| t.states[packed.get(v, self.bits) as usize].clone())
-                .collect(),
-        )
+    /// Unpacks row `i` into the generic system's configuration.
+    pub fn config(&self, i: usize) -> R::Config {
+        let t = self.session.read();
+        self.exploration.configs()[i].unpack(t.states(), self.nodes, self.bits)
     }
 
-    /// Unpacks every configuration, dense by id — the differential suites
-    /// compare this against the generic engine's `configs()`.
-    pub fn configs_unpacked(&self) -> Vec<Config<S>> {
-        (0..self.len()).map(|i| self.config(i)).collect()
+    /// Unpacks every row, dense by id — the differential suites compare
+    /// this against the generic engine's `configs()`.
+    pub fn configs_unpacked(&self) -> Vec<R::Config> {
+        let t = self.session.read();
+        self.exploration
+            .configs()
+            .iter()
+            .map(|row| row.unpack(t.states(), self.nodes, self.bits))
+            .collect()
     }
 
     /// Session statistics: table sizes, δ hit counters, arena footprint.
     pub fn stats(&self) -> KernelStats {
-        let t = self.session.tables.read().expect("kernel tables poisoned");
+        let s = self.session.stats();
         let arena_bytes = self
             .exploration
             .configs()
             .iter()
-            .map(|c| (std::mem::size_of::<PackedConfig>() + c.heap_bytes()) as u64)
+            .map(|c| (std::mem::size_of::<R>() + c.heap_bytes()) as u64)
             .sum();
         KernelStats {
-            states: t.states.len(),
-            sigs: t.sigs.len(),
-            delta_entries: t.delta_entries(),
-            delta_hits: self.session.hits.load(Ordering::Relaxed),
-            delta_misses: self.session.misses.load(Ordering::Relaxed),
+            states: s.states,
+            sigs: s.sigs,
+            delta_entries: s.delta_entries,
+            delta_hits: s.hits,
+            delta_misses: s.misses,
             bits: self.bits,
             restarts: self.restarts,
             arena_bytes,
@@ -697,24 +386,11 @@ pub fn explore_kernel<S: State>(
     graph: &Graph,
     options: ExploreOptions,
 ) -> Result<KernelExploration<S>, ExploreError> {
-    let session = SessionState {
-        tables: RwLock::new(Tables::new()),
-        outputs: std::iter::repeat_with(|| AtomicU8::new(OUT_NEUTRAL))
-            .take(1 << 16)
-            .collect(),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    };
+    let session = DeltaSession::new();
     let nodes = graph.node_count();
     let mut restarts = 0u32;
     loop {
-        let states = session
-            .tables
-            .read()
-            .expect("kernel tables poisoned")
-            .states
-            .len();
-        let bits = start_width(states, nodes);
+        let bits = start_width(session.read().states().len(), nodes);
         let system = KernelSystem {
             machine,
             graph,
@@ -724,45 +400,36 @@ pub fn explore_kernel<S: State>(
             overflow: AtomicBool::new(false),
             exhausted: AtomicBool::new(false),
         };
-        let start = system
-            .pack_initial()
-            .ok_or_else(|| ExploreError::Unsupported {
-                reason: format!(
-                    "the dense kernel interns states to u16 ids; this machine \
-                 exceeded {MAX_STATES} distinct reachable states"
-                ),
-            })?;
+        let exhausted = || ExploreError::Unsupported {
+            reason: exhausted_reason(),
+        };
+        let start = system.pack_initial().ok_or_else(exhausted)?;
         let exploration = Exploration::explore_with(&system, start, options)?;
         if system.exhausted.load(Ordering::Relaxed) {
-            return Err(ExploreError::Unsupported {
-                reason: format!(
-                    "the dense kernel interns states to u16 ids; this machine \
-                     exceeded {MAX_STATES} distinct reachable states"
-                ),
-            });
+            return Err(exhausted());
         }
         if system.overflow.load(Ordering::Relaxed) {
             // A fresh state overflowed the field width: discard the drained
-            // attempt and re-explore wider. The tables persist, so the
+            // attempt and re-explore wider. The session persists, so the
             // re-run replays memoized δ lookups.
             restarts += 1;
             debug_assert!(restarts <= PackedConfig::WIDTHS.len() as u32);
             continue;
         }
-        return Ok(KernelExploration {
+        return Ok(KernelExploration::new(
             exploration,
             session,
             nodes,
             bits,
             restarts,
-        });
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExclusiveSystem, Machine};
+    use crate::{ExclusiveSystem, Machine, Output};
     use wam_graph::{generators, LabelCount};
 
     fn flood() -> Machine<bool> {

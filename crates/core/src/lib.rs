@@ -53,6 +53,8 @@ mod class;
 mod config;
 pub mod counter;
 mod decider;
+mod delta;
+mod dense;
 mod edges;
 mod explore;
 mod halting;
@@ -72,13 +74,14 @@ pub use counter::{CounterConfig, CounterError, CounterSystem, RingConfig, RingSy
 pub use decider::{
     decide, resolve_backend, Backend, DecisionStats, Resolution, ResolvedBackend, Schedule,
 };
+pub use dense::{explore_counter_kernel, explore_ring_kernel, CounterRow, RingRow};
 pub use explore::{
     lasso_verdict, EdgeEncoding, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Lasso,
     LevelStat, LiberalSystem, SuccBuf, SuccRow, Symmetry, TransitionSystem, Verdict,
 };
 pub use halting::{halting_violations, make_halting};
 pub use intern::Interner;
-pub use kernel::{explore_kernel, KernelExploration, KernelStats};
+pub use kernel::{explore_kernel, KernelExploration, KernelRow, KernelStats};
 pub use machine::{Machine, Output, State};
 pub use neighbourhood::Neighbourhood;
 pub use product::{negate, product, Combine};

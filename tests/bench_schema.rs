@@ -292,17 +292,20 @@ fn bench_explore_json_matches_schema() {
         );
     }
 
-    // §3a.7: the dense successor kernel. Every row compares the memoized
-    // δ-table kernel against the generic engine on the same workload, both
+    // §3a.7: the dense rows. Every row compares a dense system of the
+    // shared δ session against the generic engine on the same space, both
     // sequential, explore phase only — the bench asserts verdict and
     // reachable-count equality on every repetition before writing a row.
-    // A no-regression floor holds on all rows; the flagship Lemma-4.10
-    // majority workload must hold the tentpole's 2x.
+    // Packed node rows (`exclusive`) keep their no-regression floor and
+    // the flagship Lemma-4.10 majority workload the tentpole's 2x; the
+    // counter and ring rows `decide` runs must never lose to the generic
+    // `CounterSystem`/`RingSystem`, and both must be present.
     let kernel = doc.get("kernel");
     kernel.get("note").str();
     let kernel_workloads = kernel.get("workloads").arr();
     assert!(!kernel_workloads.is_empty(), "kernel section is empty");
     let mut majority_speedup = None;
+    let (mut counter_rows, mut ring_rows) = (0, 0);
     for w in kernel_workloads {
         assert!(!w.get("workload").str().is_empty());
         for key in [
@@ -325,24 +328,43 @@ fn bench_explore_json_matches_schema() {
             w.get("verdict").str(),
             "accepts" | "rejects" | "no consensus" | "inconsistent"
         ));
-        // Interned ids are u16: the packed rows could not hold more.
+        // Interned ids are u16: the rows could not hold more.
         assert!(w.get("states").num() <= 65535.0);
         let hit_rate = w.get("delta_hit_rate").num();
         assert!(
             (0.0..=1.0).contains(&hit_rate),
             "delta_hit_rate must be a fraction, got {hit_rate}"
         );
-        // Memoization is the mechanism: on these reachable spaces almost
-        // every configuration expansion replays an already-computed row.
-        assert!(hit_rate >= 0.5, "delta hit rate {hit_rate:.3} below 0.5");
         let s = w.get("speedup").num();
-        assert!(
-            s >= 0.85,
-            "kernel slower than the generic engine ({s:.2}x) on {:?}",
-            w.get("workload").str()
-        );
-        if w.get("workload").str() == "majority via Lemma 4.10 cycle" {
-            majority_speedup = Some(s);
+        let name = w.get("workload").str();
+        match w.get("system").str() {
+            "exclusive" => {
+                // Memoization is the mechanism: on these reachable spaces
+                // almost every configuration expansion replays an
+                // already-computed row.
+                assert!(hit_rate >= 0.5, "delta hit rate {hit_rate:.3} below 0.5");
+                assert!(
+                    s >= 0.85,
+                    "kernel slower than the generic engine ({s:.2}x) on {name:?}"
+                );
+                if name == "majority via Lemma 4.10 cycle" {
+                    majority_speedup = Some(s);
+                }
+            }
+            system @ ("counter" | "ring") => {
+                if system == "counter" {
+                    counter_rows += 1;
+                } else {
+                    ring_rows += 1;
+                }
+                // The rows share the session's 16-bit state-id lanes.
+                assert_eq!(w.get("bits").num(), 16.0, "{name:?}");
+                assert!(
+                    s >= 1.0,
+                    "dense {system} rows slower than the generic system ({s:.2}x) on {name:?}"
+                );
+            }
+            other => panic!("unknown kernel system {other:?} on {name:?}"),
         }
     }
     let majority_speedup =
@@ -351,6 +373,8 @@ fn bench_explore_json_matches_schema() {
         majority_speedup >= 2.0,
         "flagship kernel speedup fell below 2x: {majority_speedup:.2}"
     );
+    assert!(counter_rows >= 1, "the kernel section needs a counter row");
+    assert!(ring_rows >= 1, "the kernel section needs a ring row");
 
     let symmetry = doc.get("symmetry");
     assert!(symmetry.get("group_cap").num() >= 1.0);

@@ -6,6 +6,14 @@
 //! abstraction must do the same. This is the empirical half of the
 //! soundness argument in `wam-core::counter`.
 //!
+//! The dense rows behind `decide` (`explore_counter_kernel`,
+//! `explore_ring_kernel`: interned state ids, memoized δ) must reproduce
+//! the generic `CounterSystem`/`RingSystem` explorations exactly: the same
+//! verdict, the same explored count, and the same reachable set once each
+//! row is unpacked to a `CounterConfig`/`RingConfig`. A machine with more
+//! than 65 534 reachable states overflows their `u16` ids; `decide` must
+//! then fall back to the generic system instead of failing.
+//!
 //! A separate regression pins the counter abstraction against an
 //! independent implementation of the same idea: on uniform-label stars the
 //! reachable counter space must reproduce the configuration count of
@@ -13,10 +21,12 @@
 //! just verdict-wise.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use weak_async_models::analysis::StarSystem;
 use weak_async_models::core::{
-    Backend, CounterSystem, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Machine,
-    Output, ResolvedBackend, RingSystem, Schedule,
+    explore_counter_kernel, explore_ring_kernel, Backend, CounterSystem, ExclusiveSystem,
+    Exploration, ExploreError, ExploreOptions, Machine, Output, ResolvedBackend, RingSystem,
+    Schedule, TransitionSystem,
 };
 use weak_async_models::graph::{generators, trees, Graph, Label, LabelCount};
 
@@ -44,6 +54,65 @@ fn table_machine(init: [u8; 2], table: Vec<u8>, outs: [u8; STATES as usize]) -> 
             _ => Output::Neutral,
         },
     )
+}
+
+/// A counting variant (β = 2): δ reads the base-3 digit vector of clipped
+/// neighbour counts, so the dense rows' signatures must carry counts, not
+/// just presence.
+fn counting_machine(init: [u8; 2], table: Vec<u8>, outs: [u8; STATES as usize]) -> Machine<u8> {
+    assert_eq!(table.len(), (STATES as usize) * 27);
+    Machine::new(
+        2,
+        move |l: Label| init[l.0 as usize % 2] % STATES,
+        move |&s: &u8, n| {
+            let idx: usize = (0..STATES)
+                .map(|q| (n.count(&q) as usize) * 3usize.pow(u32::from(q)))
+                .sum();
+            table[(s as usize) * 27 + idx] % STATES
+        },
+        move |&s| match outs[s as usize % STATES as usize] % 3 {
+            0 => Output::Reject,
+            1 => Output::Accept,
+            _ => Output::Neutral,
+        },
+    )
+}
+
+/// The dense counter rows against the generic counter system: verdict,
+/// explored count and the unpacked reachable set.
+fn dense_counter_matches(counter: &CounterSystem<'_, u8>) {
+    let opts = ExploreOptions::with_limit(LIMIT);
+    let generic = Exploration::explore_with(counter, counter.initial_config(), opts).unwrap();
+    let dense = explore_counter_kernel(counter, opts).unwrap();
+    prop_assert_eq!(dense.verdict(), generic.verdict(), "dense counter verdict");
+    prop_assert_eq!(dense.len(), generic.len(), "dense counter explored count");
+    let reached: HashSet<_> = dense.configs_unpacked().into_iter().collect();
+    let expected: HashSet<_> = generic.configs().iter().cloned().collect();
+    prop_assert_eq!(reached, expected, "dense counter reachable set");
+}
+
+/// The dense ring rows against the generic ring system, likewise.
+fn dense_ring_matches(ring: &RingSystem<'_, u8>) {
+    let opts = ExploreOptions::with_limit(LIMIT);
+    let generic = Exploration::explore_with(ring, ring.initial_config(), opts).unwrap();
+    let dense = explore_ring_kernel(ring, opts).unwrap();
+    prop_assert_eq!(dense.verdict(), generic.verdict(), "dense ring verdict");
+    prop_assert_eq!(dense.len(), generic.len(), "dense ring explored count");
+    let reached: HashSet<_> = dense.configs_unpacked().into_iter().collect();
+    let expected: HashSet<_> = generic.configs().iter().cloned().collect();
+    prop_assert_eq!(reached, expected, "dense ring reachable set");
+}
+
+/// Checks every dense representation that applies to `g` against its
+/// generic system: counter rows on twin-compressible graphs, ring rows on
+/// cycles.
+fn dense_matches_generic(m: &Machine<u8>, g: &Graph) {
+    if let Ok(counter) = CounterSystem::new(m, g) {
+        dense_counter_matches(&counter);
+    }
+    if let Ok(ring) = RingSystem::new(m, g) {
+        dense_ring_matches(&ring);
+    }
 }
 
 fn explicit_verdict(m: &Machine<u8>, g: &Graph) -> weak_async_models::core::Verdict {
@@ -80,6 +149,7 @@ proptest! {
                 Ok(counter) => {
                     let v = Exploration::explore(&counter, LIMIT).unwrap().verdict();
                     prop_assert_eq!(v, expected, "counter vs explicit on {:?}", g);
+                    dense_counter_matches(&counter);
                     let (dv, stats) = weak_async_models::core::decide(
                         &m,
                         &g,
@@ -132,6 +202,7 @@ proptest! {
         let ring = RingSystem::new(&m, &g).expect("a labelled cycle is a cycle");
         let v = Exploration::explore(&ring, LIMIT).unwrap().verdict();
         prop_assert_eq!(v, expected, "ring vs explicit on C_{}", a + b);
+        dense_ring_matches(&ring);
         let (dv, stats) = weak_async_models::core::decide(
             &m,
             &g,
@@ -146,6 +217,30 @@ proptest! {
             "Backend::Counter on a cycle must resolve to an abstraction, got {:?}",
             stats.backend
         );
+    }
+
+    /// The dense rows on the four families under a counting machine
+    /// (β = 2): clique, star and K_{a,b} through counter rows, cycles
+    /// through ring rows (and counter rows where C_3/C_4 have twins).
+    #[test]
+    fn dense_rows_match_generic_systems_under_counting(
+        init in (0u8..STATES, 0u8..STATES),
+        table in prop::collection::vec(0u8..STATES, (STATES as usize) * 27..(STATES as usize) * 27 + 1),
+        outs in (0u8..3, 0u8..3, 0u8..3),
+        a in 1u64..4,
+        b in 1u64..4,
+    ) {
+        prop_assume!(a + b >= 3);
+        let m = counting_machine([init.0, init.1], table, [outs.0, outs.1, outs.2]);
+        let c = LabelCount::from_vec(vec![a, b]);
+        for g in [
+            generators::labelled_clique(&c),
+            generators::labelled_star(&c),
+            trees::labelled_complete_bipartite(&c, a as usize),
+            generators::labelled_cycle(&c),
+        ] {
+            dense_matches_generic(&m, &g);
+        }
     }
 
     /// Independent-implementation cross-check: on a uniform-label star the
@@ -179,4 +274,44 @@ proptest! {
         prop_assert_eq!(ce.verdict(), se.verdict());
         prop_assert_eq!(ce.verdict(), explicit_verdict(&m, &g));
     }
+}
+
+/// A machine with a deliberately huge state space: label-1 nodes walk
+/// `1..=cap` one step at a time while label-0 nodes stay at 0, so the
+/// reachable states number `cap + 1`.
+fn ladder(cap: u32) -> Machine<u32> {
+    Machine::new(
+        2,
+        |l: Label| u32::from(l.0),
+        move |&s, _| if s == 0 { 0 } else { (s + 1).min(cap) },
+        move |&s| {
+            if s >= cap {
+                Output::Accept
+            } else {
+                Output::Neutral
+            }
+        },
+    )
+}
+
+/// More than 65 534 reachable states overflow the dense rows' `u16` state
+/// ids: the dense exploration refuses, and `decide` falls back to the
+/// generic counter system with the same verdict and explored count.
+#[test]
+fn counter_backend_falls_back_past_the_u16_state_space() {
+    let m = ladder(66_000);
+    // Centre and two leaves at label 0 (the leaves are twins), one
+    // label-1 leaf climbing the ladder.
+    let g = generators::labelled_star(&LabelCount::from_vec(vec![3, 1]));
+    let counter = CounterSystem::new(&m, &g).expect("the label-0 leaves are twins");
+    let opts = ExploreOptions::with_limit(1_000_000);
+    let err = explore_counter_kernel(&counter, opts).unwrap_err();
+    assert!(matches!(err, ExploreError::Unsupported { .. }), "{err:?}");
+    let generic = Exploration::explore_with(&counter, counter.initial_config(), opts).unwrap();
+    let (verdict, stats) =
+        weak_async_models::core::decide(&m, &g, Schedule::PseudoStochastic, Backend::Counter, opts)
+            .expect("decide falls back to the generic counter system");
+    assert_eq!(stats.backend, ResolvedBackend::Counter);
+    assert_eq!(verdict, generic.verdict());
+    assert_eq!(stats.explored, generic.len());
 }
