@@ -51,7 +51,7 @@ fn registry() -> MachineRegistry {
         "slow",
         "synthetic fixed-cost decision for the burst phases",
         2,
-        Box::new(|_g, _certified, _threads| {
+        Box::new(|_g, _certified| {
             std::thread::sleep(Duration::from_millis(SLOW_MS));
             Ok(CachedVerdict {
                 verdict: Verdict::Accepts,

@@ -5,8 +5,7 @@
 //! confined to small graphs and the paper's characterisations matter.
 //!
 //! The second half benchmarks the exploration engine itself: the
-//! interned/CSR engine (sequential and frontier-parallel) against a
-//! faithful replica of the original `HashMap`-per-config explorer, on the
+//! interned/CSR engine against a faithful replica of the original `HashMap`-per-config explorer, on the
 //! largest workloads of the growth table; a third section compares full
 //! exploration against the orbit-quotient (`wam-core::symmetry`) on the
 //! same workloads plus highly symmetric graphs (stars, cliques), recording
@@ -143,8 +142,7 @@ mod baseline {
     }
 }
 
-/// Per-phase wall times of one full decision on the default (parallel)
-/// engine configuration: exploration, reverse-CSR transpose, the two
+/// Per-phase wall times of one full decision: exploration, reverse-CSR transpose, the two
 /// stable-set fixpoints, and the `verdict()` call (which re-runs the
 /// fixpoints on the by-then-cached reverse CSR — its time is the
 /// incremental cost of asking for the verdict after the stable sets).
@@ -163,7 +161,6 @@ struct Timing {
     verdict: Verdict,
     baseline_ms: f64,
     sequential_ms: f64,
-    parallel_ms: f64,
     phases: Phases,
 }
 
@@ -180,78 +177,32 @@ fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.unwrap())
 }
 
-fn time_workload<T>(name: &str, nodes: u64, sys: &T, limit: usize, reps: usize) -> Timing
-where
-    T: TransitionSystem + Sync,
-    T::C: Clone + Send + Sync,
-{
+fn time_workload<T: TransitionSystem>(
+    name: &str,
+    nodes: u64,
+    sys: &T,
+    limit: usize,
+    reps: usize,
+) -> Timing {
     let (baseline_ms, bv) = time_ms(reps, || {
         let e = baseline::BaselineExploration::explore(sys, limit).expect("baseline within limit");
         (e.verdict(), e.configs.len())
     });
-    // The sequential and parallel engine runs are interleaved, and their
-    // order alternates between repetitions, so drift on a shared machine
-    // (frequency scaling, noisy neighbours, per-pair throttling) lands on
-    // both columns equally instead of biasing whichever column runs last.
-    let mut sequential_ms = f64::INFINITY;
-    let mut parallel_ms = f64::INFINITY;
-    let mut sv = None;
-    let mut pv = None;
-    let run_seq = |sv: &mut Option<_>, sequential_ms: &mut f64| {
-        let t0 = Instant::now();
-        let e = Exploration::explore_with(
-            sys,
-            sys.initial_config(),
-            ExploreOptions::with_limit(limit).threads(1),
-        )
-        .expect("within limit");
-        *sequential_ms = sequential_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        *sv = Some((
-            e.verdict(),
-            e.len(),
-            (0..e.len()).map(|i| e.successors(i).len()).sum::<usize>(),
-        ));
-    };
-    let run_par = |pv: &mut Option<_>, parallel_ms: &mut f64| {
-        let t0 = Instant::now();
-        let e =
-            Exploration::explore_with(sys, sys.initial_config(), ExploreOptions::with_limit(limit))
-                .expect("within limit");
-        *parallel_ms = parallel_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        *pv = Some(e.verdict());
-    };
-    for rep in 0..reps {
-        if rep % 2 == 0 {
-            run_seq(&mut sv, &mut sequential_ms);
-            run_par(&mut pv, &mut parallel_ms);
-        } else {
-            run_par(&mut pv, &mut parallel_ms);
-            run_seq(&mut sv, &mut sequential_ms);
-        }
-    }
-    // Tie-breaker: when the two configurations resolve to the same code
-    // path (threads = 0 resolves to 1 worker on a 1-core machine), any
-    // residual gap between the two minima is unsampled noise — medians of
-    // the two columns cross run to run while minima disagree by a few
-    // percent. Give the trailing column extra samples (its number stays an
-    // honest wall time of a real run) until it reaches the leading
-    // column's floor or a bounded budget runs out.
-    let mut extra = 0;
-    while parallel_ms > sequential_ms && extra < 4 * reps {
-        run_par(&mut pv, &mut parallel_ms);
-        extra += 1;
-    }
-    let (sv, pv) = (sv.unwrap(), pv.unwrap());
+    let (sequential_ms, e) = time_ms(reps, || {
+        Exploration::explore(sys, limit).expect("within limit")
+    });
+    let sv = (
+        e.verdict(),
+        e.len(),
+        (0..e.len()).map(|i| e.successors(i).len()).sum::<usize>(),
+    );
     assert_eq!(bv.0, sv.0, "baseline and engine verdicts must agree");
-    assert_eq!(sv.0, pv, "sequential and parallel verdicts must agree");
     assert_eq!(bv.1, sv.1, "reachable counts must agree");
-    // One instrumented decision on the default configuration, phase by
-    // phase: `build_reverse` isolates the transpose, the stable-set pair
+    // One instrumented decision, phase by phase: `build_reverse` isolates the transpose, the stable-set pair
     // isolates the fixpoints, and the final `verdict()` shows the cost of
     // re-deriving the verdict once the reverse CSR is cached.
     let t0 = Instant::now();
-    let e = Exploration::explore_with(sys, sys.initial_config(), ExploreOptions::with_limit(limit))
-        .expect("within limit");
+    let e = Exploration::explore(sys, limit).expect("within limit");
     let explore_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
     e.build_reverse();
@@ -280,7 +231,6 @@ where
         verdict: sv.0,
         baseline_ms,
         sequential_ms,
-        parallel_ms,
         phases: Phases {
             explore_ms,
             reverse_csr_ms,
@@ -313,8 +263,8 @@ struct KernelTiming {
 }
 
 /// Times a dense system against the generic engine on the same space —
-/// explore phase only, both single-threaded, interleaved with alternating
-/// order (same drift defence as [`time_workload`]) — and asserts the two
+/// explore phase only, interleaved with alternating order so drift on a
+/// shared machine lands on both columns equally — and asserts the two
 /// explorations agree on verdict and reachable count on every repetition.
 fn time_dense<G, D>(
     name: &str,
@@ -386,7 +336,7 @@ fn time_kernel<S: State>(
     reps: usize,
 ) -> KernelTiming {
     let sys = ExclusiveSystem::new(m, g);
-    let opts = ExploreOptions::with_limit(limit).threads(1);
+    let opts = ExploreOptions::with_limit(limit);
     time_dense(
         name,
         "exclusive",
@@ -413,7 +363,7 @@ fn time_counter_rows<S: State>(
     reps: usize,
 ) -> KernelTiming {
     let sys = CounterSystem::new(m, g).expect("twin-compressible graph");
-    let opts = ExploreOptions::with_limit(limit).threads(1);
+    let opts = ExploreOptions::with_limit(limit);
     time_dense(
         name,
         "counter",
@@ -440,7 +390,7 @@ fn time_ring_rows<S: State>(
     reps: usize,
 ) -> KernelTiming {
     let sys = RingSystem::new(m, g).expect("cycle graph");
-    let opts = ExploreOptions::with_limit(limit).threads(1);
+    let opts = ExploreOptions::with_limit(limit);
     time_dense(
         name,
         "ring",
@@ -548,19 +498,16 @@ struct SymTiming {
     quotient_ms: f64,
 }
 
-/// Times full exploration against orbit-quotient exploration (both
-/// sequential, so the comparison isolates the reduction itself), asserting
+/// Times full exploration against orbit-quotient exploration, asserting
 /// verdict equality. The quotient timing includes computing `Aut(G)` and
 /// building the [`QuotientSystem`] — the real cost a caller pays.
 fn time_symmetry<T>(name: &str, nodes: u64, sys: &T, limit: usize, reps: usize) -> SymTiming
 where
-    T: NodeSymmetric + Sync,
-    T::C: PermuteNodes + Send + Sync,
+    T: NodeSymmetric,
+    T::C: PermuteNodes,
 {
-    let seq = |limit: usize| ExploreOptions::with_limit(limit).threads(1);
     let (full_ms, (fv, configs_full)) = time_ms(reps, || {
-        let e = Exploration::explore_with(sys, sys.initial_config(), seq(limit))
-            .expect("full space within limit");
+        let e = Exploration::explore(sys, limit).expect("full space within limit");
         (e.verdict(), e.len())
     });
     let (quotient_ms, (qv, configs_quotient, aut_order)) = time_ms(reps, || {
@@ -568,8 +515,7 @@ where
         assert!(group.is_complete(), "bench graphs are small");
         let order = group.order();
         let q = QuotientSystem::new(sys, group);
-        let e = Exploration::explore_with(&q, q.initial_config(), seq(limit))
-            .expect("quotient within limit");
+        let e = Exploration::explore(&q, limit).expect("quotient within limit");
         (e.verdict(), e.len(), order)
     });
     assert_eq!(fv, qv, "orbit quotient changed the verdict on {name}");
@@ -820,7 +766,7 @@ fn write_report(
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
-            "    {{\n      \"workload\": \"{}\",\n      \"nodes\": {},\n      \"configs\": {},\n      \"edges\": {},\n      \"verdict\": \"{}\",\n      \"baseline_ms\": {:.3},\n      \"sequential_ms\": {:.3},\n      \"parallel_ms\": {:.3},\n      \"speedup_sequential_vs_baseline\": {:.2},\n      \"speedup_parallel_vs_baseline\": {:.2},\n      \"speedup_parallel_vs_sequential\": {:.2},\n      \"phases\": {{\n        \"explore_ms\": {:.3},\n        \"reverse_csr_ms\": {:.3},\n        \"fixpoint_ms\": {:.3},\n        \"verdict_ms\": {:.3}\n      }}\n    }}",
+            "    {{\n      \"workload\": \"{}\",\n      \"nodes\": {},\n      \"configs\": {},\n      \"edges\": {},\n      \"verdict\": \"{}\",\n      \"baseline_ms\": {:.3},\n      \"sequential_ms\": {:.3},\n      \"speedup_sequential_vs_baseline\": {:.2},\n      \"phases\": {{\n        \"explore_ms\": {:.3},\n        \"reverse_csr_ms\": {:.3},\n        \"fixpoint_ms\": {:.3},\n        \"verdict_ms\": {:.3}\n      }}\n    }}",
             json_escape(&t.name),
             t.nodes,
             t.configs,
@@ -828,10 +774,7 @@ fn write_report(
             t.verdict,
             t.baseline_ms,
             t.sequential_ms,
-            t.parallel_ms,
             t.baseline_ms / t.sequential_ms,
-            t.baseline_ms / t.parallel_ms,
-            t.sequential_ms / t.parallel_ms,
             t.phases.explore_ms,
             t.phases.reverse_csr_ms,
             t.phases.fixpoint_ms,
@@ -942,7 +885,7 @@ fn write_report(
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"interned CSR explorer (FxHash shards, pipelined level merge, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run on the default (parallel) configuration, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only, both sequential; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration, both sequential; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; transported rows were emitted from an orbit-quotient run\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; transported rows were emitted from an orbit-quotient run\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
     std::fs::write(path, &json).expect("write BENCH_explore.json");
@@ -1010,8 +953,8 @@ fn main() {
         let g = generators::labelled_cycle(&c);
         let m = flood();
         let sys = ExclusiveSystem::new(&m, &g);
-        // Sub-millisecond workload: more repetitions so the sequential and
-        // parallel columns are not dominated by scheduling noise.
+        // Sub-millisecond workload: more repetitions so the columns are not
+        // dominated by scheduling noise.
         timings.push(time_workload("flood cycle", 14, &sys, 10_000_000, 25));
     }
     {
@@ -1073,31 +1016,21 @@ fn main() {
         ));
     }
 
-    let mut tt = Table::new([
-        "workload",
-        "configs",
-        "baseline ms",
-        "sequential ms",
-        "parallel ms",
-        "seq speedup",
-        "par speedup",
-    ]);
+    let mut tt = Table::new(["workload", "configs", "baseline ms", "engine ms", "speedup"]);
     for t in &timings {
         tt.row([
             t.name.clone(),
             t.configs.to_string(),
             format!("{:.1}", t.baseline_ms),
             format!("{:.1}", t.sequential_ms),
-            format!("{:.1}", t.parallel_ms),
             format!("{:.2}x", t.baseline_ms / t.sequential_ms),
-            format!("{:.2}x", t.baseline_ms / t.parallel_ms),
         ]);
     }
     tt.print("Exploration engine: seed baseline vs interned CSR engine (explore + verdict)");
 
     // ── Dense rows: generic engine vs the shared δ session ─────────────────
     // The three plain-machine (exclusive) workloads again, explore phase
-    // only, both sides sequential: the generic engine enumerates successors
+    // only: the generic engine enumerates successors
     // by cloning state rows and re-running δ per node, while the kernel
     // interns states to u16 ids, memoizes δ per local view, and patches
     // packed configuration rows in place.
@@ -1192,8 +1125,7 @@ fn main() {
 
     // ── Orbit-quotient exploration: full space vs Aut(G) quotient ──────────
     // The engine-timing workloads again, plus highly symmetric graphs
-    // (star, clique) where `|Aut(G)|` is in the thousands. Both sides run
-    // sequentially so the comparison isolates the symmetry reduction.
+    // (star, clique) where `|Aut(G)|` is in the thousands.
     let mut symmetry = Vec::new();
 
     {
@@ -1313,7 +1245,7 @@ fn main() {
             format!("{:.2}x", s.full_ms / s.quotient_ms),
         ]);
     }
-    st.print("Orbit-quotient exploration: full space vs Aut(G) quotient (sequential)");
+    st.print("Orbit-quotient exploration: full space vs Aut(G) quotient");
 
     // ── Certified verdicts: emission overhead, size, verification time ─────
     let mut certificates = Vec::new();

@@ -179,8 +179,8 @@ impl<'a, S: State> Decider<'a, S> {
         self
     }
 
-    /// Replaces the full exploration options (threads, symmetry policy,
-    /// limit, …).
+    /// Replaces the full exploration options (limit, symmetry policy,
+    /// edge encoding, …).
     pub fn options(mut self, options: ExploreOptions) -> Self {
         self.options = options;
         self
@@ -292,8 +292,7 @@ fn certified_pseudo_stochastic<S: State>(
 
 fn explore<T>(system: &T, options: ExploreOptions) -> Result<Exploration<T::C>, ExploreError>
 where
-    T: TransitionSystem + Sync,
-    T::C: Send + Sync,
+    T: TransitionSystem,
 {
     Exploration::explore_with(system, system.initial_config(), options)
 }

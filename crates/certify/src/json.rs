@@ -55,11 +55,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`CertError::Json`] on malformed input (including trailing garbage).
+    /// [`CertError::Json`] on malformed input (including trailing garbage)
+    /// and on arrays or objects nested more than 64 levels deep.
     pub fn parse(text: &str) -> Result<Json, CertError> {
         let mut p = Parser {
+            text,
             s: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.ws();
@@ -178,9 +181,20 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, so the cap bounds its stack use; the
+/// deepest document the workspace emits (a certificate) nests well under
+/// ten levels.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    /// The input, for slicing out string runs (always valid UTF-8).
+    text: &'a str,
+    /// The same input as bytes, for scanning.
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -216,14 +230,32 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, CertError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.lit("true", Json::Bool(true)),
             b'f' => self.lit("false", Json::Bool(false)),
             b'n' => self.lit("null", Json::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, CertError>,
+    ) -> Result<Json, CertError> {
+        if self.depth == MAX_DEPTH {
+            return Err(err(&format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, CertError> {
@@ -310,14 +342,14 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    let rest =
-                        std::str::from_utf8(&self.s[self.i..]).map_err(|_| err("invalid UTF-8"))?;
-                    let ch = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| err("empty string tail"))?;
-                    out.push(ch);
-                    self.i += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // slice: both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) input.
+                    let start = self.i;
+                    while self.i < self.s.len() && !matches!(self.s[self.i], b'"' | b'\\') {
+                        self.i += 1;
+                    }
+                    out.push_str(&self.text[start..self.i]);
                 }
             }
         }
@@ -871,4 +903,49 @@ pub fn certificate_from_json<C>(
         return Err(err("document verdict disagrees with certificate body"));
     }
     Ok(cert)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nesting_is_capped() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            Json::parse(&deep(MAX_DEPTH + 1)),
+            Err(CertError::Json(_))
+        ));
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(matches!(Json::parse(&objects), Err(CertError::Json(_))));
+        // An unterminated line of brackets far past any stack is refused
+        // at the cap, not by overflowing.
+        assert!(matches!(
+            Json::parse(&"[".repeat(200_000)),
+            Err(CertError::Json(_))
+        ));
+    }
+
+    #[test]
+    fn a_megabyte_string_round_trips() {
+        let value = "ab\u{e9}\"\\x".repeat(1 << 18);
+        assert!(value.len() >= 1 << 20);
+        let doc = Json::Arr(vec![Json::Str(value)]);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+    }
+
+    #[test]
+    fn strings_keep_escapes_and_multibyte_characters() {
+        let v = Json::parse(r#"["a\"b\\c\u00e9 \u2603 é☃"]"#).unwrap();
+        assert_eq!(
+            v,
+            Json::Arr(vec![Json::Str("a\"b\\c\u{e9} \u{2603} é☃".into())])
+        );
+        assert!(Json::parse(r#""unterminated"#).is_err());
+    }
 }

@@ -1,7 +1,7 @@
 //! Verdict certificates and an independent proof-checking subsystem.
 //!
 //! Every classification claim of the reproduction (the Figure 1 / E1 grid
-//! verdicts) is produced by a three-layer engine: parallel interned BFS,
+//! verdicts) is produced by a three-layer engine: interned BFS,
 //! orbit-quotient reduction, decision memoisation. Those layers validate
 //! each other differentially, but no artefact lets anyone check a verdict
 //! without re-trusting the engine. Since the general verification problem

@@ -94,31 +94,6 @@ impl BitSet {
         (0..self.len).map(|i| self.contains(i)).collect()
     }
 
-    /// Unions `other` into `self` word-by-word; returns whether any bit
-    /// changed. Both sets must have the same length.
-    ///
-    /// This is the merge primitive of the frontier-parallel `Pre*`
-    /// fixpoint: per-thread discovery sets are combined with word-wide ORs
-    /// instead of bit-by-bit inserts.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        debug_assert_eq!(self.len, other.len);
-        let mut changed = 0u64;
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            changed |= o & !*w;
-            *w |= o;
-        }
-        changed != 0
-    }
-
-    /// Clears every bit of `other` from `self` (`self &= !other`). Both
-    /// sets must have the same length.
-    pub fn subtract(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.len, other.len);
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w &= !o;
-        }
-    }
-
     /// Flips every bit in place.
     pub fn negate(&mut self) {
         for w in &mut self.words {

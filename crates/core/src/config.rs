@@ -148,7 +148,7 @@ impl<S: State> Config<S> {
 ///
 /// This is the dense successor kernel's configuration representation (see
 /// `wam_core::kernel`): equality and hashing run word-wise over the packed
-/// row — no per-node comparison, and [`Interner`](crate::Interner) shard
+/// row — no per-node comparison, and [`Interner`](crate::Interner)
 /// collision checks touch one or two words for typical graphs. Rows of at
 /// most two words (e.g. 16 nodes at 8 bits per node) are stored **inline**,
 /// so cloning a configuration and patching one node's field — the exclusive

@@ -305,8 +305,7 @@ fn dense_or<S: State, R: KernelRow<S>>(
 /// number of interned configurations, and whether edges spilled.
 fn explore<T>(system: &T, options: ExploreOptions) -> Result<(Verdict, usize, bool), ExploreError>
 where
-    T: TransitionSystem + Sync,
-    T::C: Send + Sync,
+    T: TransitionSystem,
 {
     let e = Exploration::explore_with(system, system.initial_config(), options)?;
     Ok((e.verdict(), e.len(), e.was_spilled()))

@@ -27,7 +27,7 @@
 //! session type: the packed node rows of `kernel`, and the counter and
 //! ring rows of `dense`. Each expands a configuration through [`Steps`],
 //! which looks steps up under the read lock and trades it for the write
-//! lock only to compute a miss, so parallel BFS levels share one memo.
+//! lock only to compute a miss, so one memo can be shared across threads.
 
 use crate::explore::SuccBuf;
 use crate::{Machine, Neighbourhood, Output, State};

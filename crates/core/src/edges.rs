@@ -344,33 +344,6 @@ impl EdgeStore {
         }
     }
 
-    /// Streams the rows of `rows` in ascending order with a caller-provided
-    /// decode scratch — the per-chunk worker of the parallel reverse
-    /// transpose. Not available on spilled stores (those never build a
-    /// reverse CSR; fixpoints stream forward passes instead).
-    pub(crate) fn for_each_row_in(
-        &self,
-        rows: Range<usize>,
-        scratch: &mut Vec<u32>,
-        mut f: impl FnMut(u32, &[u32]),
-    ) {
-        match &self.rep {
-            Rep::Plain { off, ids } => {
-                for i in rows {
-                    f(i as u32, &ids[off[i] as usize..off[i + 1] as usize]);
-                }
-            }
-            Rep::Compact { boff, bytes } => {
-                for i in rows {
-                    scratch.clear();
-                    decode_row(&bytes[boff[i] as usize..boff[i + 1] as usize], scratch);
-                    f(i as u32, scratch);
-                }
-            }
-            Rep::Spilled { .. } => unreachable!("spilled stores are streamed, not transposed"),
-        }
-    }
-
     /// Row ranges of at most [`STREAM_CHUNK_BYTES`] encoded bytes each
     /// (every range holds at least one row), covering all rows ascending.
     pub(crate) fn chunks(&self) -> Vec<Range<usize>> {
@@ -513,11 +486,6 @@ impl EdgeBuilder {
             file_len: 0,
             edges: 0,
         }
-    }
-
-    /// Total edges pushed so far (the work-gate's degree statistics).
-    pub(crate) fn edge_count(&self) -> u64 {
-        self.edges
     }
 
     /// Appends the sorted, deduplicated successor row of the next

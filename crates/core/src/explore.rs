@@ -23,24 +23,15 @@
 //!
 //! # Engine architecture
 //!
-//! The explorer is a level-synchronous BFS over hash-consed configurations:
+//! The explorer is a sequential, level-by-level BFS over hash-consed
+//! configurations:
 //!
 //! * every configuration is interned exactly once into a dense `u32` id by
-//!   a sharded FxHash [`Interner`](crate::Interner) — BFS, lasso detection
-//!   and all `Pre*` machinery pass ids, never configuration values;
-//! * when a frontier is at least [`ExploreOptions::frontier_threshold`]
-//!   wide **and** its estimated work (width × observed average out-degree)
-//!   clears a multiple of that threshold (and more than one thread is
-//!   available), successor generation — chunked per thread, hashed at the
-//!   source, flat buffers instead of per-row vectors — and per-shard
-//!   deduplication run in parallel under `rayon`; below the gate,
-//!   successors are interned item-by-item with no bucketing or thread
-//!   overhead, and explorations whose levels never clear it skip thread-
-//!   pool construction entirely. The parallel merge assigns ids in arrival
-//!   order by construction, so ids, edges and verdicts are bit-identical
-//!   either way. Above the gate the merge is additionally *pipelined*: a
-//!   generator thread hashes the next batch of successors while the main
-//!   thread deduplicates the previous one against the sharded interner;
+//!   an FxHash [`Interner`](crate::Interner) — BFS, lasso detection and all
+//!   `Pre*` machinery pass ids, never configuration values. Successors are
+//!   generated into one reusable buffer and interned item by item, so ids
+//!   arrive in first-occurrence order and the whole exploration is a pure
+//!   function of the transition system and its start;
 //! * the step relation is stored as a CSR (offsets + `u32` targets); past
 //!   [`ExploreOptions::edge_encoding`]'s auto threshold the target lists
 //!   switch to a delta/varint encoding behind [`Exploration::successors`],
@@ -48,12 +39,10 @@
 //!   temp file so footprint-refused spaces become *slower* instead of
 //!   `TooLarge`;
 //! * [`Exploration::pre_star`] and the stable-consensus queries run bitset
-//!   fixpoints over a lazily built, cached reverse CSR, so
-//!   [`Exploration::verdict`] transposes the edge list once, not twice;
-//!   both the transpose (chunked counting sort) and wide fixpoint frontiers
-//!   (per-chunk local sets merged by word-level union) parallelise under
-//!   the same work gate, and spilled explorations replace the reverse CSR
-//!   with repeated streaming forward passes over the on-disk relation;
+//!   fixpoints over a lazily built, cached reverse CSR (a counting sort),
+//!   so [`Exploration::verdict`] transposes the edge list once, not twice;
+//!   spilled explorations replace the reverse CSR with repeated streaming
+//!   forward passes over the on-disk relation;
 //! * successor id lists are deduplicated by sort + dedup instead of the
 //!   quadratic membership scans of the original implementation.
 
@@ -61,7 +50,6 @@ use crate::bitset::BitSet;
 use crate::edges::{EdgeBuilder, EdgeStore};
 pub use crate::edges::{EdgeEncoding, SuccRow};
 use crate::{Config, Interner, Machine, Schedule, Selection, State};
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 use std::error::Error;
 use std::fmt;
@@ -217,8 +205,8 @@ pub trait TransitionSystem {
     ///
     /// The default forwards to [`successors`]; the model families in this
     /// workspace override it natively (and implement `successors` on top),
-    /// so steady-state exploration reuses one buffer per worker and
-    /// performs no per-configuration `Vec` allocation.
+    /// so steady-state exploration reuses one buffer and performs no
+    /// per-configuration `Vec` allocation.
     ///
     /// Implementations must only push — the engine clears or drains the
     /// buffer between calls and relies on its retained capacity.
@@ -237,8 +225,8 @@ pub trait TransitionSystem {
 
 /// A reusable successor buffer for [`TransitionSystem::successors_into`]:
 /// a growable list whose capacity survives across frontier rows, so the
-/// BFS level loops allocate successor storage once per worker instead of
-/// once per configuration.
+/// BFS allocates successor storage once per exploration instead of once
+/// per configuration.
 #[derive(Debug, Clone)]
 pub struct SuccBuf<C> {
     items: Vec<C>,
@@ -471,21 +459,12 @@ pub enum Symmetry {
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`ExploreOptions::default`] / [`ExploreOptions::with_limit`] and refine
-/// through the builder methods ([`threads`](ExploreOptions::threads),
-/// [`limit`](ExploreOptions::limit), …), so future backend knobs (counter
-/// bounds, spill budgets) can be added without breaking downstream code.
+/// through the builder methods ([`limit`](ExploreOptions::limit),
+/// [`symmetry`](ExploreOptions::symmetry), …), so future backend knobs
+/// can be added without breaking downstream code.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreOptions {
-    /// Worker threads for frontier-parallel BFS. `0` uses the rayon
-    /// default (the machine's available parallelism, or the
-    /// `RAYON_NUM_THREADS` environment variable); `1` forces the
-    /// sequential path.
-    pub threads: usize,
-    /// Minimum frontier width before a BFS level is processed in
-    /// parallel; narrower levels take the sequential path, so small
-    /// explorations never pay thread overhead.
-    pub frontier_threshold: usize,
     /// Maximum number of reachable configurations before
     /// [`ExploreError::TooLarge`]. Under symmetry reduction this bounds the
     /// number of *orbit representatives*, which is what is interned.
@@ -520,8 +499,6 @@ pub struct ExploreOptions {
 impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
-            threads: 0,
-            frontier_threshold: 128,
             limit: 1_000_000,
             symmetry: Symmetry::default(),
             symmetry_cap: wam_graph::DEFAULT_GROUP_CAP,
@@ -538,18 +515,6 @@ impl ExploreOptions {
             limit,
             ..ExploreOptions::default()
         }
-    }
-
-    /// Sets the worker thread count (`0` = rayon default, `1` = sequential).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the minimum frontier width for parallel BFS levels.
-    pub fn frontier_threshold(mut self, frontier_threshold: usize) -> Self {
-        self.frontier_threshold = frontier_threshold;
-        self
     }
 
     /// Sets the configuration-count limit.
@@ -584,43 +549,6 @@ impl ExploreOptions {
     }
 }
 
-/// Width and edge count of one completed BFS level — recorded during
-/// exploration, consumed by the parallel work-gate (each level's decision
-/// uses the *previous* level's observed out-degree) and surfaced through
-/// [`Exploration::level_stats`] for benchmarking and gate tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelStat {
-    /// Number of frontier configurations expanded on this level.
-    pub width: usize,
-    /// Number of (deduplicated) successor edges the level emitted.
-    pub edges: u64,
-}
-
-/// Whether a BFS level should take the parallel path: the frontier must be
-/// at least `frontier_threshold` wide **and** its estimated work — width ×
-/// the *previous level's* average out-degree (+1 for the row itself) —
-/// must clear `WORK_FACTOR ×` the threshold, so low-branching systems with
-/// wide-but-cheap levels stay on the sequential path.
-///
-/// The previous level's degree is the right estimator: an earlier version
-/// divided the cumulative edge count by the cumulative row count, so many
-/// cheap early levels masked a branchy late level and mis-gated it onto
-/// the sequential path (see `work_gate_uses_previous_level_degree`).
-pub(crate) fn parallel_level_gate(
-    threads: usize,
-    width: usize,
-    prev_width: usize,
-    prev_edges: u64,
-    frontier_threshold: usize,
-) -> bool {
-    const WORK_FACTOR: usize = 8;
-    if threads <= 1 || width < frontier_threshold.max(2) {
-        return false;
-    }
-    let avg_out = 1 + (prev_edges / prev_width.max(1) as u64) as usize;
-    width.saturating_mul(avg_out) >= WORK_FACTOR * frontier_threshold
-}
-
 /// The explored configuration graph of a [`TransitionSystem`]: every
 /// configuration reachable from the initial one (hash-consed to dense
 /// `u32` ids), the non-silent step relation behind a CSR-row API (plain,
@@ -637,92 +565,16 @@ pub struct Exploration<C> {
     /// Reverse CSR (predecessors), built on first `Pre*` query and shared
     /// by every subsequent one. Never built for spilled edge stores.
     rev: OnceLock<(Vec<u32>, Vec<u32>)>,
-    /// The resolved worker-thread count the exploration ran with; fixpoint
-    /// queries reuse it to decide their own parallel gates.
-    threads: usize,
-    /// The exploration's frontier threshold, reused as the minimum
-    /// frontier width for parallel fixpoint rounds.
-    fixpoint_threshold: usize,
-    /// Per-level width/edge statistics, in BFS order.
-    levels: Vec<LevelStat>,
 }
 
-/// Per-worker output of one parallel BFS level: the per-frontier-row
-/// successor counts plus the flat `(hash, configuration)` buffer the
-/// sharded merge consumes.
-type LevelPart<C> = (Vec<u32>, Vec<(u64, C)>);
-
-/// A `&mut [u32]` shared across scatter workers that write **disjoint**
-/// slots (the parallel reverse-transpose hands each (chunk, target) pair
-/// its own cursor range, so no two workers ever touch the same index).
-struct SharedSliceU32 {
-    ptr: *mut u32,
-    len: usize,
-}
-
-// SAFETY: all concurrent access goes through `write` on disjoint indices.
-unsafe impl Sync for SharedSliceU32 {}
-
-impl SharedSliceU32 {
-    fn new(slice: &mut [u32]) -> Self {
-        SharedSliceU32 {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Callers must guarantee no other worker writes index `idx`.
-    #[inline]
-    unsafe fn write(&self, idx: usize, value: u32) {
-        debug_assert!(idx < self.len);
-        unsafe { *self.ptr.add(idx) = value };
-    }
-}
-
-/// Generates and hashes the successors of `frontier`, chunked across up to
-/// `threads` workers (one contiguous chunk per worker, flat buffers, no
-/// per-row allocation). Part order is frontier order, so concatenating the
-/// parts reproduces the sequential generation order exactly.
-fn generate_parts<C, T>(system: &T, frontier: &[C], threads: usize) -> Vec<LevelPart<C>>
-where
-    C: Clone + Eq + Hash + fmt::Debug + Send + Sync,
-    T: TransitionSystem<C = C> + Sync,
-{
-    let n = frontier.len();
-    let nchunks = threads.min(n).max(1);
-    let chunk = n.div_ceil(nchunks);
-    (0..nchunks)
-        .into_par_iter()
-        .map(|k| {
-            let begin = (k * chunk).min(n);
-            let end = (begin + chunk).min(n);
-            let mut lens: Vec<u32> = Vec::with_capacity(end - begin);
-            let mut flat: Vec<(u64, C)> = Vec::new();
-            // One successor buffer per worker, reused across the chunk's
-            // rows — generation itself allocates nothing per configuration
-            // for systems with a native `successors_into`.
-            let mut buf: SuccBuf<C> = SuccBuf::new();
-            for c in &frontier[begin..end] {
-                buf.clear();
-                system.successors_into(c, &mut buf);
-                lens.push(buf.len() as u32);
-                flat.extend(buf.drain().map(|s| (crate::intern::fx_hash(&s), s)));
-            }
-            (lens, flat)
-        })
-        .collect()
-}
-
-impl<C: Clone + Eq + Hash + fmt::Debug + Send + Sync> Exploration<C> {
+impl<C: Clone + Eq + Hash + fmt::Debug> Exploration<C> {
     /// Explores `system` from its initial configuration.
     ///
     /// # Errors
     ///
     /// [`ExploreError::TooLarge`] if more than `limit` configurations are
     /// reachable.
-    pub fn explore<T: TransitionSystem<C = C> + Sync>(
+    pub fn explore<T: TransitionSystem<C = C>>(
         system: &T,
         limit: usize,
     ) -> Result<Self, ExploreError> {
@@ -739,7 +591,7 @@ impl<C: Clone + Eq + Hash + fmt::Debug + Send + Sync> Exploration<C> {
     ///
     /// [`ExploreError::TooLarge`] if more than `limit` configurations are
     /// reachable.
-    pub fn explore_from<T: TransitionSystem<C = C> + Sync>(
+    pub fn explore_from<T: TransitionSystem<C = C>>(
         system: &T,
         start: C,
         limit: usize,
@@ -750,45 +602,18 @@ impl<C: Clone + Eq + Hash + fmt::Debug + Send + Sync> Exploration<C> {
     /// Explores `system` from `start` under explicit [`ExploreOptions`].
     ///
     /// The result — ids, edges, flags, verdicts — is a pure function of
-    /// the transition system and `start`: it does not depend on `threads`
-    /// or `frontier_threshold`, which only steer how the work is executed.
+    /// the transition system and `start`; the edge encoding and memory
+    /// budget only change how the edges are stored.
     ///
     /// # Errors
     ///
     /// [`ExploreError::TooLarge`] if more than `options.limit`
-    /// configurations are reachable.
-    pub fn explore_with<T: TransitionSystem<C = C> + Sync>(
+    /// configurations are reachable; [`ExploreError::Spill`] if the spill
+    /// file fails.
+    pub fn explore_with<T: TransitionSystem<C = C>>(
         system: &T,
         start: C,
         options: ExploreOptions,
-    ) -> Result<Self, ExploreError> {
-        match options.threads {
-            1 => Self::explore_impl(system, start, options, 1),
-            // The rayon default needs no dedicated pool: asking for the
-            // global thread count up front avoids paying pool construction
-            // on explorations whose levels never clear the parallel gate
-            // (the "flood cycle" regression: thread-pool setup cost on a
-            // 92-configuration space).
-            0 => {
-                let threads = rayon::current_num_threads();
-                Self::explore_impl(system, start, options, threads)
-            }
-            t => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(t)
-                    .build()
-                    .expect("thread pool");
-                let threads = pool.current_num_threads();
-                pool.install(|| Self::explore_impl(system, start, options, threads))
-            }
-        }
-    }
-
-    fn explore_impl<T: TransitionSystem<C = C> + Sync>(
-        system: &T,
-        start: C,
-        options: ExploreOptions,
-        threads: usize,
     ) -> Result<Self, ExploreError> {
         let spill_err = |e: std::io::Error| ExploreError::Spill {
             message: e.to_string(),
@@ -799,58 +624,26 @@ impl<C: Clone + Eq + Hash + fmt::Debug + Send + Sync> Exploration<C> {
         let mut builder = EdgeBuilder::new(options.edge_encoding, options.memory_budget);
         let mut acc_flags: Vec<bool> = Vec::new();
         let mut rej_flags: Vec<bool> = Vec::new();
-        let mut levels: Vec<LevelStat> = Vec::new();
         let mut lo = 0usize;
         let mut depth = 0usize;
         let mut row_scratch: Vec<u32> = Vec::new();
         let mut succ_scratch: SuccBuf<C> = SuccBuf::new();
         while lo < interner.len() {
             let hi = interner.len();
-            let width = hi - lo;
-            let (prev_width, prev_edges) = levels
-                .last()
-                .map_or((0, 0), |l: &LevelStat| (l.width, l.edges));
-            let parallel = parallel_level_gate(
-                threads,
-                width,
-                prev_width,
-                prev_edges,
-                options.frontier_threshold,
-            );
-            let edges_before = builder.edge_count();
-
-            if parallel {
-                Self::parallel_level(
-                    system,
-                    &mut interner,
-                    &mut builder,
-                    lo,
-                    hi,
-                    threads,
-                    &mut row_scratch,
-                )
-                .map_err(spill_err)?;
-            } else {
-                // Sequential: generate into the reusable buffer (the borrow
-                // of the interner ends with the `successors_into` call),
-                // then intern each successor — no level materialisation, no
-                // bucketing, one scratch row, one successor buffer.
-                for i in lo..hi {
-                    succ_scratch.clear();
-                    system.successors_into(interner.get(i), &mut succ_scratch);
-                    row_scratch.clear();
-                    for s in succ_scratch.drain() {
-                        row_scratch.push(interner.intern(s).0);
-                    }
-                    row_scratch.sort_unstable();
-                    row_scratch.dedup();
-                    builder.push_row(&row_scratch).map_err(spill_err)?;
+            // Generate into the reusable buffer (the borrow of the interner
+            // ends with the `successors_into` call), then intern each
+            // successor: one scratch row, one successor buffer.
+            for i in lo..hi {
+                succ_scratch.clear();
+                system.successors_into(interner.get(i), &mut succ_scratch);
+                row_scratch.clear();
+                for s in succ_scratch.drain() {
+                    row_scratch.push(interner.intern(s).0);
                 }
+                row_scratch.sort_unstable();
+                row_scratch.dedup();
+                builder.push_row(&row_scratch).map_err(spill_err)?;
             }
-            levels.push(LevelStat {
-                width,
-                edges: builder.edge_count() - edges_before,
-            });
             depth += 1;
             if interner.len() > options.limit {
                 return Err(ExploreError::TooLarge {
@@ -862,21 +655,9 @@ impl<C: Clone + Eq + Hash + fmt::Debug + Send + Sync> Exploration<C> {
 
             // Acceptance flags for the configurations discovered this level
             // (and, on the first level, the start configuration).
-            let fresh = &interner.configs()[acc_flags.len()..];
-            if parallel {
-                let flags: Vec<(bool, bool)> = fresh
-                    .par_iter()
-                    .map(|c| (system.is_accepting(c), system.is_rejecting(c)))
-                    .collect();
-                for (a, r) in flags {
-                    acc_flags.push(a);
-                    rej_flags.push(r);
-                }
-            } else {
-                for c in fresh {
-                    acc_flags.push(system.is_accepting(c));
-                    rej_flags.push(system.is_rejecting(c));
-                }
+            for c in &interner.configs()[acc_flags.len()..] {
+                acc_flags.push(system.is_accepting(c));
+                rej_flags.push(system.is_rejecting(c));
             }
             lo = hi;
         }
@@ -886,104 +667,9 @@ impl<C: Clone + Eq + Hash + fmt::Debug + Send + Sync> Exploration<C> {
             accepting: BitSet::from_bools(&acc_flags),
             rejecting: BitSet::from_bools(&rej_flags),
             rev: OnceLock::new(),
-            threads,
-            fixpoint_threshold: options.frontier_threshold,
-            levels,
         })
     }
 
-    /// Expands one BFS level in parallel, **pipelined**: the frontier is
-    /// cut into batches; a generator thread produces each batch's hashed
-    /// successors (itself chunk-parallel across the workers) while the
-    /// main thread routes and deduplicates the previous batch through the
-    /// interner's incremental [`LevelSession`](crate::intern) — so shard
-    /// dedup overlaps successor generation instead of serialising after
-    /// it. Dense ids are assigned once per level, in first-occurrence
-    /// order across all batches: exactly the ids the sequential path (or
-    /// an unpipelined merge) would produce.
-    #[allow(clippy::too_many_arguments)]
-    fn parallel_level<T: TransitionSystem<C = C> + Sync>(
-        system: &T,
-        interner: &mut Interner<C>,
-        builder: &mut EdgeBuilder,
-        lo: usize,
-        hi: usize,
-        threads: usize,
-        row_scratch: &mut Vec<u32>,
-    ) -> std::io::Result<()> {
-        /// Target number of pipeline batches per level; a level narrower
-        /// than `threads × PIPELINE_MIN_ROWS` runs as a single batch (the
-        /// overlap would be all overhead).
-        const PIPELINE_BATCHES: usize = 4;
-        const PIPELINE_MIN_ROWS: usize = 64;
-
-        let width = hi - lo;
-        let mut lens: Vec<u32> = Vec::with_capacity(width);
-        let (flat_ids, fresh) = {
-            let (mut session, configs) = interner.level_session();
-            let frontier = &configs[lo..hi];
-            let batch = width
-                .div_ceil(PIPELINE_BATCHES)
-                .max(threads * PIPELINE_MIN_ROWS)
-                .min(width);
-            let nbatches = width.div_ceil(batch);
-            if nbatches <= 1 {
-                let parts = generate_parts(system, frontier, threads);
-                let mut flats: Vec<Vec<(u64, C)>> = Vec::with_capacity(parts.len());
-                for (l, f) in parts {
-                    lens.extend_from_slice(&l);
-                    flats.push(f);
-                }
-                session.push_parts(flats, true);
-            } else {
-                std::thread::scope(|scope| {
-                    let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<LevelPart<C>>>(1);
-                    scope.spawn(move || {
-                        // The thread-count override is thread-local, so
-                        // re-install the exploration's bound on the
-                        // generator thread.
-                        let pool = rayon::ThreadPoolBuilder::new()
-                            .num_threads(threads)
-                            .build()
-                            .expect("thread pool");
-                        pool.install(|| {
-                            for b in 0..nbatches {
-                                let begin = b * batch;
-                                let end = ((b + 1) * batch).min(width);
-                                let parts = generate_parts(system, &frontier[begin..end], threads);
-                                if tx.send(parts).is_err() {
-                                    return; // merge side abandoned the level
-                                }
-                            }
-                        });
-                    });
-                    for parts in rx {
-                        let mut flats: Vec<Vec<(u64, C)>> = Vec::with_capacity(parts.len());
-                        for (l, f) in parts {
-                            lens.extend_from_slice(&l);
-                            flats.push(f);
-                        }
-                        session.push_parts(flats, true);
-                    }
-                });
-            }
-            session.finish()
-        };
-        interner.append_fresh(fresh);
-        let mut cursor = 0usize;
-        for &len in &lens {
-            row_scratch.clear();
-            row_scratch.extend_from_slice(&flat_ids[cursor..cursor + len as usize]);
-            cursor += len as usize;
-            row_scratch.sort_unstable();
-            row_scratch.dedup();
-            builder.push_row(row_scratch)?;
-        }
-        Ok(())
-    }
-}
-
-impl<C: Clone + Eq + Hash + fmt::Debug> Exploration<C> {
     /// All reachable configurations (index 0 is the start).
     pub fn configs(&self) -> &[C] {
         self.interner.configs()
@@ -1037,11 +723,6 @@ impl<C: Clone + Eq + Hash + fmt::Debug> Exploration<C> {
         self.edges.spilled_bytes()
     }
 
-    /// Width and edge count of every completed BFS level, in order.
-    pub fn level_stats(&self) -> &[LevelStat] {
-        &self.levels
-    }
-
     /// Forces construction of the cached reverse CSR now (a no-op for
     /// spilled edge stores, whose fixpoints stream the forward relation
     /// instead). Lets benchmarks time the transpose separately from the
@@ -1052,171 +733,55 @@ impl<C: Clone + Eq + Hash + fmt::Debug> Exploration<C> {
         }
     }
 
-    /// The reverse step relation in CSR form, built once and cached — in
-    /// parallel (chunked counting sort over per-worker histogram partials)
-    /// when the exploration ran multi-threaded and the edge set is big
-    /// enough to amortise the histograms.
+    /// The reverse step relation in CSR form (a counting sort over the
+    /// forward rows), built once and cached.
     fn reverse_csr(&self) -> &(Vec<u32>, Vec<u32>) {
-        /// Work multiplier over the fixpoint threshold below which the
-        /// transpose stays sequential.
-        const PAR_REVERSE_FACTOR: u64 = 16;
         self.rev.get_or_init(|| {
             let n = self.len();
-            let nedges = self.edges.edge_count() as usize;
-            let parallel = self.threads > 1
-                && !self.edges.is_spilled()
-                && nedges as u64 >= PAR_REVERSE_FACTOR * self.fixpoint_threshold.max(1) as u64;
-            if !parallel {
-                let mut off = vec![0u32; n + 1];
-                self.edges.for_each_row(|_, row| {
-                    for &t in row {
-                        off[t as usize + 1] += 1;
-                    }
-                });
-                for i in 0..n {
-                    off[i + 1] += off[i];
-                }
-                let mut cursor: Vec<u32> = off[..n].to_vec();
-                let mut tgt = vec![0u32; nedges];
-                self.edges.for_each_row(|i, row| {
-                    for &t in row {
-                        let c = &mut cursor[t as usize];
-                        tgt[*c as usize] = i;
-                        *c += 1;
-                    }
-                });
-                return (off, tgt);
-            }
-
-            // Parallel counting sort. Chunks are contiguous ascending row
-            // ranges and each target's slots are handed out in chunk order,
-            // so the output is bit-identical to the sequential transpose.
-            // Worker closures borrow the edge store alone, not `self`, so
-            // `C` needs no `Sync` bound.
-            let edges = &self.edges;
-            let nchunks = self.threads.min(n).max(1);
-            let chunk = n.div_ceil(nchunks);
-            let bounds = |k: usize| {
-                let begin = (k * chunk).min(n);
-                (begin, (begin + chunk).min(n))
-            };
-            // 1. Per-chunk target histograms (entry `n` stashes the chunk
-            // index, which `par_iter_mut` in step 3 cannot otherwise see).
-            let mut hists: Vec<Vec<u32>> = (0..nchunks)
-                .into_par_iter()
-                .map(|k| {
-                    let (begin, end) = bounds(k);
-                    let mut h = vec![0u32; n + 1];
-                    h[n] = k as u32;
-                    let mut scratch = Vec::new();
-                    edges.for_each_row_in(begin..end, &mut scratch, |_, row| {
-                        for &t in row {
-                            h[t as usize] += 1;
-                        }
-                    });
-                    h
-                })
-                .collect();
-            // 2. Global offsets, then per-(chunk, target) start cursors.
             let mut off = vec![0u32; n + 1];
-            for h in &hists {
-                for t in 0..n {
-                    off[t + 1] += h[t];
+            self.edges.for_each_row(|_, row| {
+                for &t in row {
+                    off[t as usize + 1] += 1;
                 }
-            }
+            });
             for i in 0..n {
                 off[i + 1] += off[i];
             }
             let mut cursor: Vec<u32> = off[..n].to_vec();
-            for h in &mut hists {
-                for (slot, cur) in h[..n].iter_mut().zip(cursor.iter_mut()) {
-                    let count = *slot;
-                    *slot = *cur;
-                    *cur += count;
+            let mut tgt = vec![0u32; self.edges.edge_count() as usize];
+            self.edges.for_each_row(|i, row| {
+                for &t in row {
+                    let c = &mut cursor[t as usize];
+                    tgt[*c as usize] = i;
+                    *c += 1;
                 }
-            }
-            // 3. Parallel scatter into disjoint slots.
-            let mut tgt = vec![0u32; nedges];
-            {
-                let shared = SharedSliceU32::new(&mut tgt);
-                hists.par_iter_mut().for_each(|h| {
-                    let k = h[n] as usize;
-                    let (begin, end) = bounds(k);
-                    let mut scratch = Vec::new();
-                    edges.for_each_row_in(begin..end, &mut scratch, |i, row| {
-                        for &t in row {
-                            let slot = &mut h[t as usize];
-                            // SAFETY: per-(chunk, target) slot ranges are
-                            // disjoint by construction of the cursors.
-                            unsafe { shared.write(*slot as usize, i) };
-                            *slot += 1;
-                        }
-                    });
-                });
-            }
+            });
             (off, tgt)
         })
     }
 
-    /// `Pre*` as a bitset fixpoint: a level-synchronous backward BFS over
-    /// the cached reverse CSR, with wide frontiers expanded in parallel
-    /// (per-worker discovery bitsets merged by word-wide ORs — the least
-    /// fixpoint is independent of expansion order, and the bitset output
-    /// makes parallel and sequential rounds bit-identical). Spilled edge
-    /// stores take [`Self::pre_star_streaming`] instead.
+    /// `Pre*` as a bitset fixpoint: a level-by-level backward BFS over the
+    /// cached reverse CSR. Spilled edge stores take
+    /// [`Self::pre_star_streaming`] instead.
     fn pre_star_bits(&self, targets: &BitSet) -> BitSet {
         if self.edges.is_spilled() {
             return self.pre_star_streaming(targets);
         }
-        let n = self.len();
         let (off, tgt) = self.reverse_csr();
         let preds = |j: u32| &tgt[off[j as usize] as usize..off[j as usize + 1] as usize];
         let mut in_set = targets.clone();
         let mut frontier: Vec<u32> = targets.iter_ones().map(|i| i as u32).collect();
-        let par_min = self.fixpoint_threshold.max(2);
+        let mut next: Vec<u32> = Vec::new();
         while !frontier.is_empty() {
-            if self.threads > 1 && frontier.len() >= par_min {
-                let nchunks = self.threads.min(frontier.len());
-                let chunk = frontier.len().div_ceil(nchunks);
-                let in_ref = &in_set;
-                let frontier_ref = &frontier;
-                let locals: Vec<BitSet> = (0..nchunks)
-                    .into_par_iter()
-                    .map(|k| {
-                        let begin = (k * chunk).min(frontier_ref.len());
-                        let end = (begin + chunk).min(frontier_ref.len());
-                        let mut local = BitSet::new(n);
-                        for &j in &frontier_ref[begin..end] {
-                            for &i in preds(j) {
-                                if !in_ref.contains(i as usize) {
-                                    local.insert(i as usize);
-                                }
-                            }
-                        }
-                        local
-                    })
-                    .collect();
-                let mut discovered = BitSet::new(n);
-                for local in &locals {
-                    discovered.union_with(local);
-                }
-                // Workers race only against the frozen `in_set`, so two
-                // chunks can discover the same configuration; the subtract
-                // keeps already-settled bits out of the next frontier.
-                discovered.subtract(&in_set);
-                in_set.union_with(&discovered);
-                frontier = discovered.iter_ones().map(|i| i as u32).collect();
-            } else {
-                let mut next: Vec<u32> = Vec::new();
-                for &j in &frontier {
-                    for &i in preds(j) {
-                        if in_set.insert(i as usize) {
-                            next.push(i);
-                        }
+            for &j in &frontier {
+                for &i in preds(j) {
+                    if in_set.insert(i as usize) {
+                        next.push(i);
                     }
                 }
-                frontier = next;
             }
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
         }
         in_set
     }
@@ -1439,10 +1004,7 @@ mod tests {
         .map(|(v, _)| v)
     }
 
-    fn dsys<T: TransitionSystem + Sync>(system: &T, limit: usize) -> Result<Verdict, ExploreError>
-    where
-        T::C: Send + Sync,
-    {
+    fn dsys<T: TransitionSystem>(system: &T, limit: usize) -> Result<Verdict, ExploreError> {
         Ok(Exploration::explore(system, limit)?.verdict())
     }
 
@@ -1637,143 +1199,5 @@ mod tests {
                 assert!((j as usize) < e.len());
             }
         }
-    }
-
-    #[test]
-    fn parallel_options_give_identical_exploration() {
-        // Same ids, edges, flags and verdict regardless of thread count or
-        // frontier threshold — the engine is deterministic by construction.
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![3, 2]));
-        let m = flood();
-        let sys = ExclusiveSystem::new(&m, &g);
-        let seq = Exploration::explore_with(
-            &sys,
-            sys.initial_config(),
-            ExploreOptions {
-                threads: 1,
-                ..ExploreOptions::with_limit(100_000)
-            },
-        )
-        .unwrap();
-        let par = Exploration::explore_with(
-            &sys,
-            sys.initial_config(),
-            ExploreOptions {
-                threads: 4,
-                frontier_threshold: 1,
-                ..ExploreOptions::with_limit(100_000)
-            },
-        )
-        .unwrap();
-        assert_eq!(seq.configs(), par.configs());
-        assert_eq!(seq.len(), par.len());
-        for i in 0..seq.len() {
-            assert_eq!(seq.successors(i), par.successors(i));
-            assert_eq!(seq.is_accepting(i), par.is_accepting(i));
-            assert_eq!(seq.is_rejecting(i), par.is_rejecting(i));
-        }
-        assert_eq!(seq.verdict(), par.verdict());
-    }
-
-    #[test]
-    fn work_gate_uses_previous_level_degree() {
-        // Regression for the estimator bug: the gate once divided the
-        // *cumulative* edge count by the cumulative row count, so a long
-        // cheap prefix diluted the degree of a branchy level and mis-gated
-        // it sequential. The gate must use the previous level alone.
-        let ft = 16;
-        // Hard prerequisites first: single-threaded or sub-threshold
-        // frontiers never parallelise, whatever the degree says.
-        assert!(!parallel_level_gate(1, 1_000_000, 1, 1_000_000, ft));
-        assert!(!parallel_level_gate(8, ft - 1, 1, 1_000_000, ft));
-        // A wide level after a branchy one clears the work bar…
-        assert!(parallel_level_gate(2, 32, 1, 32, ft));
-        // …and a wide-but-cheap level after a chain-like one does not.
-        assert!(!parallel_level_gate(2, 32, 32, 32, ft));
-        // The first level has no predecessor stats; avg_out degrades to 1
-        // and only raw width can clear the bar.
-        assert!(!parallel_level_gate(2, 8 * ft - 1, 0, 0, ft));
-        assert!(parallel_level_gate(2, 8 * ft, 0, 0, ft));
-    }
-
-    /// A two-phase system: a 200-step chain (width 1, degree 1) that fans
-    /// out into 32 terminal configurations at the end.
-    struct TwoPhase;
-    const CHAIN: u32 = 200;
-    const FAN: u32 = 32;
-
-    impl TransitionSystem for TwoPhase {
-        type C = u32;
-        fn initial_config(&self) -> u32 {
-            0
-        }
-        fn successors(&self, &c: &u32) -> Vec<u32> {
-            match c.cmp(&CHAIN) {
-                std::cmp::Ordering::Less => vec![c + 1],
-                std::cmp::Ordering::Equal => (CHAIN + 1..=CHAIN + FAN).collect(),
-                std::cmp::Ordering::Greater => vec![],
-            }
-        }
-        fn is_accepting(&self, &c: &u32) -> bool {
-            c > CHAIN
-        }
-        fn is_rejecting(&self, _: &u32) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn two_phase_level_stats_expose_the_gate_fix() {
-        let e = Exploration::explore_with(
-            &TwoPhase,
-            0,
-            ExploreOptions {
-                threads: 2,
-                frontier_threshold: 16,
-                ..ExploreOptions::with_limit(10_000)
-            },
-        )
-        .unwrap();
-        assert_eq!(e.len(), (CHAIN + FAN + 1) as usize);
-        assert_eq!(e.verdict(), Verdict::Accepts);
-        let stats = e.level_stats();
-        // Chain levels: width 1, one edge each; the last chain level fans
-        // out; the final level is terminal.
-        assert_eq!(stats.len(), (CHAIN + 2) as usize);
-        assert_eq!(stats[0], LevelStat { width: 1, edges: 1 });
-        assert_eq!(
-            stats[CHAIN as usize],
-            LevelStat {
-                width: 1,
-                edges: FAN as u64
-            }
-        );
-        assert_eq!(
-            stats[(CHAIN + 1) as usize],
-            LevelStat {
-                width: FAN as usize,
-                edges: 0
-            }
-        );
-        // The fan level's gate decision under the fixed estimator (the
-        // previous level's degree is FAN)…
-        let prev = stats[CHAIN as usize];
-        assert!(parallel_level_gate(
-            2,
-            FAN as usize,
-            prev.width,
-            prev.edges,
-            16
-        ));
-        // …whereas the old cumulative estimator would have diluted that
-        // degree across the 200-step chain and kept the level sequential.
-        let cum_width: usize = stats[..=CHAIN as usize].iter().map(|l| l.width).sum();
-        let cum_edges: u64 = stats[..=CHAIN as usize].iter().map(|l| l.edges).sum();
-        let cum_avg = 1 + (cum_edges / cum_width.max(1) as u64) as usize;
-        assert!(
-            (FAN as usize) * cum_avg < 8 * 16,
-            "cumulative estimate must fail the bar for this regression test \
-             to be meaningful (got {cum_avg})"
-        );
     }
 }

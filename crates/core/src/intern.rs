@@ -2,49 +2,32 @@
 //!
 //! The exploration engine never passes configurations around by value:
 //! every configuration is interned exactly once into a dense id, and BFS,
-//! lasso detection and the `Pre*` machinery work on ids. The interner is
-//! **sharded** — a configuration's FxHash picks one of [`SHARDS`]
-//! open-addressing tables — so a whole BFS level can be deduplicated in
-//! parallel, one thread per shard, while ids stay dense and deterministic:
-//! the parallel level merge assigns ids in first-occurrence arrival order,
-//! exactly as item-by-item [`Interner::intern`] calls would, so parallel
-//! and sequential exploration produce bit-identical results.
+//! lasso detection and the `Pre*` machinery work on ids. Ids are assigned
+//! in first-occurrence order, so an exploration's ids are a pure function
+//! of the order its successors arrive in.
 //!
 //! Memory layout: each configuration is owned once, in the dense
-//! `configs` vector; the shard tables store only `(hash, id)` pairs and
-//! resolve collisions by comparing against `configs[id]`. This is roughly
-//! half the footprint of the classic `HashMap<Config, usize>` + `Vec<Config>`
-//! pair (which clones every configuration into the map key), and the
-//! tables stay cache-friendly.
+//! `configs` vector; one open-addressing table stores only `(hash, id)`
+//! pairs and resolves collisions by comparing against `configs[id]`. This
+//! is roughly half the footprint of the classic `HashMap<Config, usize>` +
+//! `Vec<Config>` pair (which clones every configuration into the map key),
+//! and the table stays cache-friendly.
 
-use rayon::prelude::*;
 use std::hash::{Hash, Hasher};
 
-/// Number of shards (must be a power of two).
-const SHARDS: usize = 32;
-const SHARD_BITS: u32 = SHARDS.trailing_zeros();
-
-/// Tag bit marking a provisional id local to an in-progress level merge.
-const FRESH_BIT: u32 = 1 << 31;
-
-/// Vacant-slot marker in the shard tables.
+/// Vacant-slot marker in the table.
 const EMPTY: u32 = u32::MAX;
 
 /// The FxHash of a value (the workspace's standard fast hash).
 #[inline]
-pub(crate) fn fx_hash<C: Hash>(c: &C) -> u64 {
+fn fx_hash<C: Hash>(c: &C) -> u64 {
     let mut hasher = rustc_hash::FxHasher::default();
     c.hash(&mut hasher);
     hasher.finish()
 }
 
-#[inline]
-fn shard_of(hash: u64) -> usize {
-    (hash >> (64 - SHARD_BITS)) as usize
-}
-
-/// Maps a hash to a table slot: a multiplicative remix so that the probe
-/// position is independent of the bits used for shard selection.
+/// Maps a hash to a table slot: a multiplicative remix, so the probe
+/// position draws on every bit of the hash.
 #[inline]
 fn spread(hash: u64, bits: u32) -> usize {
     (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
@@ -55,7 +38,7 @@ enum Probe {
     Inserted,
 }
 
-/// One shard: an open-addressing `(hash, id)` table with linear probing.
+/// An open-addressing `(hash, id)` table with linear probing.
 /// Configurations themselves live in the interner's dense vector; `eq`
 /// closures resolve ids back to configurations for collision checks.
 #[derive(Debug, Clone)]
@@ -111,15 +94,6 @@ impl RawTable {
         }
     }
 
-    /// Rewrites every provisional (`FRESH_BIT`-tagged) id through `f`.
-    fn fixup_fresh(&mut self, f: impl Fn(u32) -> u32) {
-        for (_, id) in &mut self.entries {
-            if *id != EMPTY && *id & FRESH_BIT != 0 {
-                *id = f(*id & !FRESH_BIT);
-            }
-        }
-    }
-
     /// Doubles the table when the load factor would exceed 7/8.
     fn maybe_grow(&mut self) {
         if (self.live + 1) * 8 <= self.entries.len() * 7 {
@@ -143,79 +117,10 @@ impl RawTable {
     }
 }
 
-/// A candidate successor flowing through a level merge: its flat position
-/// in the level, its hash, the configuration itself (dropped as soon as it
-/// turns out to be a duplicate), and the resolved id.
-struct Candidate<C> {
-    pos: u32,
-    hash: u64,
-    cfg: Option<C>,
-    id: u32,
-}
-
-/// Per-shard working state for one level merge.
-struct ShardWork<'a, C> {
-    table: &'a mut RawTable,
-    configs: &'a [C],
-    bucket: Vec<Candidate<C>>,
-    /// Bucket positions of this shard's fresh configurations, in
-    /// first-occurrence order; a fresh candidate's provisional id is its
-    /// index in this list, tagged with `FRESH_BIT`.
-    fresh: Vec<u32>,
-    /// Bucket prefix already deduplicated by earlier [`ShardWork::run`]
-    /// calls — the cursor that makes the merge *incremental*, so a level
-    /// can be deduplicated batch by batch while later batches are still
-    /// being generated (the pipelined merge).
-    done: usize,
-}
-
-impl<C: Eq> ShardWork<'_, C> {
-    /// Deduplicates the shard's bucket (the part arrived since the last
-    /// call) against the global table and against itself, assigning
-    /// provisional ids to fresh configurations.
-    fn run(&mut self) {
-        let ShardWork {
-            table,
-            configs,
-            bucket,
-            fresh,
-            done,
-        } = self;
-        for i in *done..bucket.len() {
-            let hash = bucket[i].hash;
-            let tag = FRESH_BIT | fresh.len() as u32;
-            let probe = {
-                let bucket = &*bucket;
-                let fresh = &*fresh;
-                table.find_or_insert(hash, tag, |id| {
-                    let candidate = bucket[i].cfg.as_ref().expect("candidate still owned");
-                    if id & FRESH_BIT != 0 {
-                        let pos = fresh[(id & !FRESH_BIT) as usize] as usize;
-                        bucket[pos].cfg.as_ref().expect("fresh config owned") == candidate
-                    } else {
-                        &configs[id as usize] == candidate
-                    }
-                })
-            };
-            match probe {
-                Probe::Found(id) => {
-                    bucket[i].id = id;
-                    bucket[i].cfg = None;
-                }
-                Probe::Inserted => {
-                    bucket[i].id = tag;
-                    fresh.push(i as u32);
-                }
-            }
-        }
-        *done = bucket.len();
-    }
-}
-
-/// A sharded hash-consing interner: configurations in, dense `u32` ids out.
+/// A hash-consing interner: configurations in, dense `u32` ids out.
 #[derive(Debug)]
 pub struct Interner<C> {
-    tables: Vec<RawTable>,
+    table: RawTable,
     configs: Vec<C>,
 }
 
@@ -229,7 +134,7 @@ impl<C: Eq + Hash> Interner<C> {
     /// An empty interner.
     pub fn new() -> Self {
         Interner {
-            tables: (0..SHARDS).map(|_| RawTable::new()).collect(),
+            table: RawTable::new(),
             configs: Vec::new(),
         }
     }
@@ -256,207 +161,29 @@ impl<C: Eq + Hash> Interner<C> {
 
     /// The dense id of `c`, if it has been interned.
     pub fn index_of(&self, c: &C) -> Option<usize> {
-        let hash = fx_hash(c);
-        self.tables[shard_of(hash)]
-            .find(hash, |id| &self.configs[id as usize] == c)
+        self.table
+            .find(fx_hash(c), |id| &self.configs[id as usize] == c)
             .map(|id| id as usize)
     }
 
     /// Interns `c`, returning its dense id and whether it was new.
     pub fn intern(&mut self, c: C) -> (u32, bool) {
-        let hash = fx_hash(&c);
         let new_id = self.configs.len() as u32;
         assert!(
-            new_id < FRESH_BIT,
-            "interner overflow: > 2^31 configurations"
+            new_id < EMPTY,
+            "interner overflow: > 2^32 - 1 configurations"
         );
-        let table = &mut self.tables[shard_of(hash)];
         let configs = &self.configs;
-        match table.find_or_insert(hash, new_id, |id| configs[id as usize] == c) {
+        match self
+            .table
+            .find_or_insert(fx_hash(&c), new_id, |id| configs[id as usize] == c)
+        {
             Probe::Found(id) => (id, false),
             Probe::Inserted => {
                 self.configs.push(c);
                 (new_id, true)
             }
         }
-    }
-
-    /// Interns one BFS level: `level[k]` is the successor list of the
-    /// `k`-th frontier configuration. Returns the id lists aligned with
-    /// `level`; fresh configurations are appended to the dense store.
-    ///
-    /// A convenience wrapper over [`Self::intern_hashed_level`]: hashes
-    /// every configuration, merges the flat level, and splits the flat id
-    /// vector back into rows.
-    pub fn intern_level(&mut self, level: Vec<Vec<C>>, parallel: bool) -> Vec<Vec<u32>>
-    where
-        C: Send + Sync,
-    {
-        let lens: Vec<usize> = level.iter().map(Vec::len).collect();
-        let flat: Vec<(u64, C)> = level
-            .into_iter()
-            .flatten()
-            .map(|cfg| (fx_hash(&cfg), cfg))
-            .collect();
-        let ids = self.intern_hashed_level(vec![flat], parallel);
-        let mut cursor = 0usize;
-        lens.iter()
-            .map(|&len| {
-                let row = ids[cursor..cursor + len].to_vec();
-                cursor += len;
-                row
-            })
-            .collect()
-    }
-
-    /// Interns one BFS level whose candidates arrive **pre-hashed** in flat
-    /// per-chunk buffers (the exploration engine hashes successors on the
-    /// worker threads that generate them, so the single-threaded routing
-    /// pass below does no hashing and touches no per-row allocations).
-    /// Returns the dense ids of the concatenation of `parts`, in input
-    /// order.
-    ///
-    /// Candidates are routed to their shard and deduplicated per shard —
-    /// in parallel when `parallel` is set — then fresh configurations
-    /// receive dense ids in first-occurrence order: **exactly the ids
-    /// item-by-item [`intern`](Self::intern) calls would assign**. The
-    /// parallel exploration engine relies on this equivalence — its
-    /// sequential path interns successors directly, with none of the
-    /// bucketing machinery, and still produces bit-identical results.
-    pub fn intern_hashed_level(&mut self, parts: Vec<Vec<(u64, C)>>, parallel: bool) -> Vec<u32>
-    where
-        C: Send + Sync,
-    {
-        let (out, fresh) = {
-            let (mut session, _) = self.level_session();
-            session.push_parts(parts, parallel);
-            session.finish()
-        };
-        self.append_fresh(fresh);
-        out
-    }
-
-    /// Opens an **incremental** level merge: candidates can be pushed in
-    /// several batches ([`LevelSession::push_parts`]), each deduplicated as
-    /// it arrives, and [`LevelSession::finish`] assigns dense ids to the
-    /// whole level at once — in first-occurrence flat order across all
-    /// batches, exactly as one big [`intern_hashed_level`] call (or an
-    /// item-by-item [`intern`](Self::intern) walk) would.
-    ///
-    /// The second return value is the dense configuration store, readable
-    /// while the session is live (the exploration engine's generator
-    /// threads read frontier configurations from it while the main thread
-    /// merges earlier batches — the pipelined level merge). Fresh
-    /// configurations discovered by the session are returned by `finish`
-    /// and must be handed back via [`Self::append_fresh`].
-    pub(crate) fn level_session(&mut self) -> (LevelSession<'_, C>, &[C]) {
-        let Interner { tables, configs } = self;
-        let configs: &[C] = configs;
-        let works = tables
-            .iter_mut()
-            .map(|table| ShardWork {
-                table,
-                configs,
-                bucket: Vec::new(),
-                fresh: Vec::new(),
-                done: 0,
-            })
-            .collect();
-        (LevelSession { works, total: 0 }, configs)
-    }
-
-    /// Appends the fresh configurations a [`LevelSession`] discovered (they
-    /// arrive in dense-id order from [`LevelSession::finish`]).
-    pub(crate) fn append_fresh(&mut self, mut fresh: Vec<C>) {
-        self.configs.append(&mut fresh);
-    }
-}
-
-/// An in-progress incremental level merge (see
-/// [`Interner::level_session`]).
-pub(crate) struct LevelSession<'a, C> {
-    works: Vec<ShardWork<'a, C>>,
-    /// Candidates routed so far (the next candidate's flat position).
-    total: usize,
-}
-
-impl<C: Eq + Hash + Send + Sync> LevelSession<'_, C> {
-    /// Routes one batch of pre-hashed candidates to their shards and
-    /// deduplicates the new arrivals — in parallel across shards when
-    /// `parallel` is set. Flat positions continue across batches.
-    pub(crate) fn push_parts(&mut self, parts: Vec<Vec<(u64, C)>>, parallel: bool) {
-        let mut pos = self.total as u32;
-        for part in parts {
-            for (hash, cfg) in part {
-                debug_assert_eq!(hash, fx_hash(&cfg), "candidate arrived mis-hashed");
-                self.works[shard_of(hash)].bucket.push(Candidate {
-                    pos,
-                    hash,
-                    cfg: Some(cfg),
-                    id: 0,
-                });
-                pos += 1;
-            }
-        }
-        self.total = pos as usize;
-        if parallel {
-            self.works.par_iter_mut().for_each(|work| work.run());
-        } else {
-            for work in &mut self.works {
-                work.run();
-            }
-        }
-    }
-
-    /// Assigns dense ids in first-occurrence flat order — the arrival
-    /// order of an item-by-item intern() walk — and resolves every
-    /// candidate. Returns the ids of all pushed candidates (flat, in push
-    /// order) and the fresh configurations in dense-id order; the caller
-    /// must pass the latter to [`Interner::append_fresh`].
-    pub(crate) fn finish(mut self) -> (Vec<u32>, Vec<C>) {
-        let mut out: Vec<u32> = vec![0; self.total];
-        // Each fresh candidate has a unique position, so the sort is a
-        // total order.
-        let base = self.works[0].configs.len() as u32;
-        let mut fresh_all: Vec<(u32, u32, u32)> = Vec::new();
-        for (shard, work) in self.works.iter().enumerate() {
-            for (local, &bucket_pos) in work.fresh.iter().enumerate() {
-                let cand = &work.bucket[bucket_pos as usize];
-                fresh_all.push((cand.pos, shard as u32, local as u32));
-            }
-        }
-        fresh_all.sort_unstable();
-        assert!(
-            base as usize + fresh_all.len() < FRESH_BIT as usize,
-            "interner overflow: > 2^31 configurations"
-        );
-
-        // Resolve each shard's provisional ids to final dense ids, and move
-        // fresh configurations out of the buckets in id order.
-        let mut final_ids: Vec<Vec<u32>> =
-            self.works.iter().map(|w| vec![0; w.fresh.len()]).collect();
-        let mut fresh_cfgs: Vec<C> = Vec::with_capacity(fresh_all.len());
-        for (k, &(_, shard, local)) in fresh_all.iter().enumerate() {
-            final_ids[shard as usize][local as usize] = base + k as u32;
-            let bucket_pos = self.works[shard as usize].fresh[local as usize] as usize;
-            let cfg = self.works[shard as usize].bucket[bucket_pos]
-                .cfg
-                .take()
-                .expect("fresh config owned");
-            fresh_cfgs.push(cfg);
-        }
-        for (work, ids) in self.works.iter_mut().zip(&final_ids) {
-            work.table.fixup_fresh(|local| ids[local as usize]);
-            for cand in &work.bucket {
-                let id = if cand.id & FRESH_BIT != 0 {
-                    ids[(cand.id & !FRESH_BIT) as usize]
-                } else {
-                    cand.id
-                };
-                out[cand.pos as usize] = id;
-            }
-        }
-        (out, fresh_cfgs)
     }
 }
 
@@ -492,104 +219,5 @@ mod tests {
             let (_, fresh) = interner.intern(i);
             assert!(!fresh);
         }
-    }
-
-    #[test]
-    fn level_merge_matches_item_interning() {
-        // A level merge must assign exactly the ids an item-by-item
-        // intern() walk assigns — including for duplicates.
-        let level: Vec<Vec<u64>> = vec![vec![5, 6, 5], vec![6, 7], vec![8, 5]];
-        let mut by_level: Interner<u64> = Interner::new();
-        let ids = by_level.intern_level(level.clone(), false);
-        let mut by_item: Interner<u64> = Interner::new();
-        let item_ids: Vec<Vec<u32>> = level
-            .iter()
-            .map(|row| row.iter().map(|&c| by_item.intern(c).0).collect())
-            .collect();
-        assert_eq!(ids, item_ids);
-        assert_eq!(by_level.configs(), by_item.configs());
-        assert_eq!(ids[0][0], ids[0][2], "dup within a row");
-        assert_eq!(ids[0][1], ids[1][0], "dup across rows");
-        assert_eq!(by_level.len(), 4);
-        for (row, id_row) in level.iter().zip(&ids) {
-            for (c, &id) in row.iter().zip(id_row) {
-                assert_eq!(by_level.get(id as usize), c);
-            }
-        }
-    }
-
-    #[test]
-    fn hashed_level_matches_item_interning_across_parts() {
-        // Chunked pre-hashed input must behave exactly like one flat
-        // item-by-item intern() walk over the concatenation.
-        let parts: Vec<Vec<u64>> = vec![vec![5, 6, 5], vec![6, 7, 8, 5], vec![], vec![9, 9]];
-        let mut by_level: Interner<u64> = Interner::new();
-        let hashed: Vec<Vec<(u64, u64)>> = parts
-            .iter()
-            .map(|p| p.iter().map(|&c| (fx_hash(&c), c)).collect())
-            .collect();
-        let ids = by_level.intern_hashed_level(hashed, false);
-        let mut by_item: Interner<u64> = Interner::new();
-        let item_ids: Vec<u32> = parts
-            .iter()
-            .flatten()
-            .map(|&c| by_item.intern(c).0)
-            .collect();
-        assert_eq!(ids, item_ids);
-        assert_eq!(by_level.configs(), by_item.configs());
-    }
-
-    #[test]
-    fn batched_session_matches_single_level_call() {
-        // The pipelined level merge feeds a `LevelSession` batch by batch;
-        // the ids and fresh configurations must match one
-        // `intern_hashed_level` call over the whole level, for any batch
-        // split and in both the sequential and parallel dedup modes.
-        let items: Vec<u64> = (0..200).map(|k| (k * 37) % 61).collect();
-        let hash = |c: &u64| fx_hash(c);
-        for parallel in [false, true] {
-            for split in [1usize, 3, 7, 50] {
-                let mut whole: Interner<u64> = Interner::new();
-                whole.intern(999); // pre-seeded entries must survive
-                let all: Vec<Vec<(u64, u64)>> = vec![items.iter().map(|c| (hash(c), *c)).collect()];
-                let expect = whole.intern_hashed_level(all, parallel);
-
-                let mut batched: Interner<u64> = Interner::new();
-                batched.intern(999);
-                let out = {
-                    let (mut session, _) = batched.level_session();
-                    for batch in items.chunks(items.len().div_ceil(split)) {
-                        let parts: Vec<Vec<(u64, u64)>> =
-                            vec![batch.iter().map(|c| (hash(c), *c)).collect()];
-                        session.push_parts(parts, parallel);
-                    }
-                    let (out, fresh) = session.finish();
-                    batched.append_fresh(fresh);
-                    out
-                };
-                assert_eq!(out, expect, "parallel={parallel} split={split}");
-                assert_eq!(batched.configs(), whole.configs());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_and_sequential_merges_agree() {
-        let level: Vec<Vec<u32>> = (0..50)
-            .map(|k| (0..20).map(|j| (k * 7 + j * 13) % 97).collect())
-            .collect();
-        let mut seq: Interner<u32> = Interner::new();
-        let mut par: Interner<u32> = Interner::new();
-        let mut item: Interner<u32> = Interner::new();
-        let ids_seq = seq.intern_level(level.clone(), false);
-        let ids_par = par.intern_level(level.clone(), true);
-        let ids_item: Vec<Vec<u32>> = level
-            .iter()
-            .map(|row| row.iter().map(|&c| item.intern(c).0).collect())
-            .collect();
-        assert_eq!(ids_seq, ids_par);
-        assert_eq!(ids_seq, ids_item);
-        assert_eq!(seq.configs(), par.configs());
-        assert_eq!(seq.configs(), item.configs());
     }
 }

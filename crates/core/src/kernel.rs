@@ -40,9 +40,7 @@
 //! enumerated in the same node order with the same silent-step skipping,
 //! and packing is injective, so interned ids arrive in the same order and
 //! verdicts, id order and explored counts all coincide — pinned by the
-//! `kernel_differential` suite. (State ids themselves may be assigned in a
-//! different order by a multi-threaded run — concurrent δ misses race to
-//! the write lock — but no observable depends on the numbering.)
+//! `kernel_differential` suite.
 
 use crate::delta::{
     exhausted_reason, push_sig, raw_key, DeltaSession, Expand, Scratch, Steps, RAW_DEG,
@@ -51,9 +49,9 @@ use crate::explore::{
     Exploration, ExploreError, ExploreOptions, SuccBuf, TransitionSystem, Verdict,
 };
 use crate::{Config, Machine, PackedConfig, State};
+use std::cell::Cell;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, Ordering};
 use wam_graph::Graph;
 
 /// A [`TransitionSystem`] over [`PackedConfig`]s that replays the
@@ -69,10 +67,10 @@ struct KernelSystem<'a, S: State> {
     bits: u32,
     /// Flips when a fresh state id no longer fits `bits`; successor
     /// generation then drains so the doomed exploration finishes fast.
-    overflow: AtomicBool,
+    overflow: Cell<bool>,
     /// Flips when the `u16` state-id space is exhausted (the session must
     /// refuse rather than restart).
-    exhausted: AtomicBool,
+    exhausted: Cell<bool>,
 }
 
 impl<S: State> Expand<S> for KernelSystem<'_, S> {
@@ -113,7 +111,7 @@ impl<S: State> Expand<S> for KernelSystem<'_, S> {
                 continue; // silent
             }
             if u32::from(nid) >> bits != 0 {
-                self.overflow.store(true, Ordering::Relaxed);
+                self.overflow.set(true);
                 out.clear();
                 return Some(());
             }
@@ -134,7 +132,7 @@ impl<S: State> KernelSystem<'_, S> {
                 .map(|v| self.machine.initial(self.graph.label(v))),
         )?;
         if ids.iter().any(|&id| u32::from(id) >> self.bits != 0) {
-            self.overflow.store(true, Ordering::Relaxed);
+            self.overflow.set(true);
         }
         Some(PackedConfig::pack(ids, self.nodes, self.bits))
     }
@@ -155,11 +153,11 @@ impl<S: State> TransitionSystem for KernelSystem<'_, S> {
     }
 
     fn successors_into(&self, c: &PackedConfig, out: &mut SuccBuf<PackedConfig>) {
-        if self.overflow.load(Ordering::Relaxed) || self.exhausted.load(Ordering::Relaxed) {
+        if self.overflow.get() || self.exhausted.get() {
             return; // drain: the attempt's result will be discarded
         }
         if !self.session.successors_into(self.machine, self, c, out) {
-            self.exhausted.store(true, Ordering::Relaxed);
+            self.exhausted.set(true);
         }
     }
 
@@ -218,7 +216,7 @@ impl KernelStats {
 /// state table, into the configuration of the generic system it mirrors
 /// one-to-one. Implemented by [`PackedConfig`] (explicit node space),
 /// [`CounterRow`](crate::CounterRow) and [`RingRow`](crate::RingRow).
-pub trait KernelRow<S: State>: Clone + Eq + Hash + fmt::Debug + Send + Sync {
+pub trait KernelRow<S: State>: Clone + Eq + Hash + fmt::Debug {
     /// The generic configuration this row stands for.
     type Config;
 
@@ -397,18 +395,18 @@ pub fn explore_kernel<S: State>(
             session: &session,
             nodes,
             bits,
-            overflow: AtomicBool::new(false),
-            exhausted: AtomicBool::new(false),
+            overflow: Cell::new(false),
+            exhausted: Cell::new(false),
         };
         let exhausted = || ExploreError::Unsupported {
             reason: exhausted_reason(),
         };
         let start = system.pack_initial().ok_or_else(exhausted)?;
         let exploration = Exploration::explore_with(&system, start, options)?;
-        if system.exhausted.load(Ordering::Relaxed) {
+        if system.exhausted.get() {
             return Err(exhausted());
         }
-        if system.overflow.load(Ordering::Relaxed) {
+        if system.overflow.get() {
             // A fresh state overflowed the field width: discard the drained
             // attempt and re-explore wider. The session persists, so the
             // re-run replays memoized δ lookups.
@@ -542,23 +540,5 @@ mod tests {
             matches!(err, ExploreError::TooLarge { limit: 2, .. }),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn kernel_parallel_paths_match_sequential() {
-        let m = flood();
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![5, 2]));
-        let seq = explore_kernel(&m, &g, ExploreOptions::with_limit(1_000_000).threads(1)).unwrap();
-        let par = explore_kernel(
-            &m,
-            &g,
-            ExploreOptions::with_limit(1_000_000)
-                .threads(4)
-                .frontier_threshold(1),
-        )
-        .unwrap();
-        assert_eq!(seq.len(), par.len());
-        assert_eq!(seq.verdict(), par.verdict());
-        assert_eq!(seq.configs_unpacked(), par.configs_unpacked());
     }
 }

@@ -77,7 +77,7 @@ pub use decider::{
 pub use dense::{explore_counter_kernel, explore_ring_kernel, CounterRow, RingRow};
 pub use explore::{
     lasso_verdict, EdgeEncoding, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Lasso,
-    LevelStat, LiberalSystem, SuccBuf, SuccRow, Symmetry, TransitionSystem, Verdict,
+    LiberalSystem, SuccBuf, SuccRow, Symmetry, TransitionSystem, Verdict,
 };
 pub use halting::{halting_violations, make_halting};
 pub use intern::Interner;

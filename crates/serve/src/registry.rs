@@ -1,13 +1,12 @@
 //! The machine registry: named decision procedures the service exposes.
 //!
-//! Each entry erases a concrete `Machine<S>` behind a
-//! `Fn(&Graph, bool, usize)` closure (graph, certified, exploration
-//! threads) returning a [`CachedVerdict`] — the state type stays private
-//! to the closure, so one registry can hold the whole heterogeneous
-//! Figure-1 catalog. Certificates are rendered to JSON *inside* the
-//! closure (where `S` is still known) and re-checked by the independent
-//! verifier before they are allowed into the cache: the service never
-//! serves a certificate it has not verified.
+//! Each entry erases a concrete `Machine<S>` behind a `Fn(&Graph, bool)`
+//! closure (graph, certified) returning a [`CachedVerdict`] — the state
+//! type stays private to the closure, so one registry can hold the whole
+//! heterogeneous Figure-1 catalog. Certificates are rendered to JSON
+//! *inside* the closure (where `S` is still known) and re-checked by the
+//! independent verifier before they are allowed into the cache: the
+//! service never serves a certificate it has not verified.
 //!
 //! Entries registered with a typed machine also carry a chaos runner for
 //! the `--net` backend: a second closure over the same shared machine
@@ -71,8 +70,8 @@ pub struct CertificateBlob {
     pub json: String,
 }
 
-/// A decision closure: `(graph, certified, exploration threads)`.
-type DecideFn = Box<dyn Fn(&Graph, bool, usize) -> Result<CachedVerdict, ServeError> + Send + Sync>;
+/// A decision closure: `(graph, certified)`.
+type DecideFn = Box<dyn Fn(&Graph, bool) -> Result<CachedVerdict, ServeError> + Send + Sync>;
 
 type ChaosFn = Box<
     dyn Fn(&Graph, &FaultPlan, u64, &ChaosOptions) -> Result<CrossValidation, ServeError>
@@ -126,15 +125,9 @@ impl MachineEntry {
         }
     }
 
-    /// Runs the decision (uncached — the service layers the store on top)
-    /// on at most `threads` exploration threads.
-    pub fn decide(
-        &self,
-        graph: &Graph,
-        certified: bool,
-        threads: usize,
-    ) -> Result<CachedVerdict, ServeError> {
-        (self.decide)(graph, certified, threads)
+    /// Runs the decision (uncached — the service layers the store on top).
+    pub fn decide(&self, graph: &Graph, certified: bool) -> Result<CachedVerdict, ServeError> {
+        (self.decide)(graph, certified)
     }
 }
 
@@ -162,13 +155,11 @@ impl MachineRegistry {
 
     /// Registers `machine` under `name`, deciding through the
     /// [`Decider`] with the given schedule and exploration limit
-    /// (backend [`Backend::Auto`]) on the exploration threads the caller
-    /// grants each decision (the service grants
-    /// [`decision_threads`](crate::service::decision_threads)). Certified
-    /// decisions are re-checked by the independent verifier before they
-    /// are returned. The entry also serves chaos runs of the same machine;
-    /// `chaos` sets the stabilisation budget a chaos request inherits, and
-    /// `limit` bounds the exact decider it is cross-validated against.
+    /// (backend [`Backend::Auto`]). Certified decisions are re-checked by
+    /// the independent verifier before they are returned. The entry also
+    /// serves chaos runs of the same machine; `chaos` sets the
+    /// stabilisation budget a chaos request inherits, and `limit` bounds
+    /// the exact decider it is cross-validated against.
     #[allow(clippy::too_many_arguments)]
     pub fn register<S: State>(
         &mut self,
@@ -193,12 +184,12 @@ impl MachineRegistry {
             )
             .map_err(ServeError::Explore)
         });
-        let decide: DecideFn = Box::new(move |graph, certified, threads| {
+        let decide: DecideFn = Box::new(move |graph, certified| {
             let d = Decider::new(&machine, graph)
                 .schedule(schedule)
                 .backend(Backend::Auto)
                 .certified(certified)
-                .options(ExploreOptions::with_limit(limit).threads(threads))
+                .limit(limit)
                 .decide()
                 .map_err(ServeError::Explore)?;
             let certificate = match &d.certificate {
@@ -478,10 +469,10 @@ mod tests {
         let reg = MachineRegistry::paper_catalog();
         let e = reg.get("presence").unwrap();
         let g = generators::labelled_cycle(&LabelCount::from_vec(vec![2, 1]));
-        let plain = e.decide(&g, false, 1).unwrap();
+        let plain = e.decide(&g, false).unwrap();
         assert_eq!(plain.verdict, Verdict::Accepts);
         assert!(plain.certificate.is_none());
-        let certified = e.decide(&g, true, 1).unwrap();
+        let certified = e.decide(&g, true).unwrap();
         assert_eq!(certified.verdict, Verdict::Accepts);
         let blob = certified.certificate.expect("certified run carries a blob");
         assert!(!blob.json.is_empty());

@@ -115,8 +115,6 @@ struct Inner {
     store: VerdictStore<CachedVerdict>,
     inflight: Mutex<FxHashMap<StoreKey, Waiters>>,
     in_flight_decisions: AtomicUsize,
-    /// [`decision_threads`] for the configured worker count.
-    decision_threads: usize,
     config: ServiceConfig,
     stats: Counters,
 }
@@ -159,18 +157,6 @@ impl Inner {
     }
 }
 
-/// Exploration threads one decision may use under `workers` executor
-/// workers: the cores each worker gets when all of them decide at once,
-/// and at least one. The executor already runs decisions concurrently,
-/// and every wide BFS level or `Pre*` round of a parallel exploration
-/// spawns OS threads on top of its worker, so granting more than this
-/// share oversubscribes the cores once the workers are busy; granting
-/// less leaves cores idle when workers are fewer than cores.
-pub fn decision_threads(workers: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    (cores / workers.max(1)).max(1)
-}
-
 /// The certified-verdict service: a [`MachineRegistry`] behind a shared
 /// [`VerdictStore`] on a vendored async [`Runtime`].
 ///
@@ -196,7 +182,6 @@ impl VerdictService {
                 store,
                 inflight: Mutex::new(FxHashMap::default()),
                 in_flight_decisions: AtomicUsize::new(0),
-                decision_threads: decision_threads(config.workers),
                 config,
                 stats: Counters::default(),
             }),
@@ -477,9 +462,9 @@ impl ServiceHandle {
                 // guarantee even against callers that bypass the service
                 // and hammer the store directly. An Err caches nothing
                 // and leaves the key decidable.
-                inner.store.try_get_or_insert_with(&key, || {
-                    entry.decide(&graph, certified, inner.decision_threads)
-                })
+                inner
+                    .store
+                    .try_get_or_insert_with(&key, || entry.decide(&graph, certified))
             }))
             .unwrap_or_else(|panic| {
                 let reason = panic

@@ -7,16 +7,24 @@
 //! thread. Replies therefore come back in *completion* order; clients
 //! match them up by `id`. Parse failures and the synchronous ops
 //! (`stats`, `catalog`) are answered inline, in order of arrival.
+//!
+//! Lines are read as raw bytes: a line that is not UTF-8, or longer than
+//! [`MAX_LINE_BYTES`], gets a `bad-request` reply and the loop moves on to
+//! the next line. An overlong line is skipped without being buffered.
 
+use crate::error::ServeError;
 use crate::proto::{parse_request, Reply, Request};
 use crate::service::{ServiceStats, VerdictService};
 use executor::{block_on, mpsc};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::thread;
 
 /// How many rendered replies may queue for the writer before dispatch
 /// backpressures the read loop.
 const REPLY_QUEUE: usize = 1024;
+
+/// The longest request line the transport reads, newline excluded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Serves requests from `input` until EOF, writing one reply line each,
 /// then returns the final counter snapshot.
@@ -24,7 +32,11 @@ const REPLY_QUEUE: usize = 1024;
 /// # Errors
 ///
 /// Propagates I/O errors from reading `input` or writing `output`.
-pub fn serve<R, W>(service: &VerdictService, input: R, output: W) -> std::io::Result<ServiceStats>
+pub fn serve<R, W>(
+    service: &VerdictService,
+    mut input: R,
+    output: W,
+) -> std::io::Result<ServiceStats>
 where
     R: BufRead,
     W: Write + Send + 'static,
@@ -45,12 +57,37 @@ where
         })
         .expect("spawn serve writer thread");
 
-    for line in input.lines() {
-        let line = line?;
+    let bad_line = |reason: String| {
+        let error = ServeError::BadRequest { reason };
+        let _ = block_on(tx.send(Reply::Error { id: None, error }.render()));
+    };
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        let n = (&mut input)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut raw)?;
+        if n == 0 {
+            break;
+        }
+        if raw.last() == Some(&b'\n') {
+            raw.pop();
+            if raw.last() == Some(&b'\r') {
+                raw.pop();
+            }
+        } else if raw.len() > MAX_LINE_BYTES {
+            input.skip_until(b'\n')?;
+            bad_line(format!("request line longer than {MAX_LINE_BYTES} bytes"));
+            continue;
+        }
+        let Ok(line) = std::str::from_utf8(&raw) else {
+            bad_line("request line is not valid UTF-8".to_string());
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(line) {
             Err(error) => {
                 let reply = Reply::Error { id: None, error };
                 let _ = block_on(tx.send(reply.render()));
@@ -207,5 +244,68 @@ mod tests {
                 (3, "ok".to_string()),
             ]
         );
+    }
+
+    /// Serves raw `input` bytes and returns each reply's `(status, kind)`,
+    /// in reply order (`kind` is empty on non-error replies).
+    fn serve_raw(input: Vec<u8>) -> Vec<(String, String)> {
+        let service = VerdictService::with_paper_catalog(ServiceConfig::default());
+        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+        serve(&service, Cursor::new(input), buf.clone()).unwrap();
+        let raw = buf.0.lock().unwrap();
+        String::from_utf8(raw.clone())
+            .unwrap()
+            .lines()
+            .map(|line| {
+                let v = Json::parse(line).unwrap();
+                let field = |key| match v.get(key) {
+                    Some(Json::Str(s)) => s.clone(),
+                    _ => String::new(),
+                };
+                (field("status"), field("kind"))
+            })
+            .collect()
+    }
+
+    /// `hostile` followed by a valid request gets a `bad-request` reply,
+    /// and the valid request is still answered.
+    fn assert_refused_then_served(hostile: &[u8]) {
+        let mut input = hostile.to_vec();
+        input.push(b'\n');
+        input
+            .extend_from_slice(br#"{"id":1,"machine":"presence","family":"cycle","counts":[2,1]}"#);
+        let replies = serve_raw(input);
+        assert_eq!(
+            replies,
+            vec![
+                ("error".to_string(), "bad-request".to_string()),
+                ("ok".to_string(), String::new()),
+            ]
+        );
+    }
+
+    #[test]
+    fn deeply_nested_line_is_refused_and_serving_continues() {
+        assert_refused_then_served(&[b'['; 200_000]);
+    }
+
+    #[test]
+    fn non_utf8_line_is_refused_and_serving_continues() {
+        assert_refused_then_served(b"{\"id\":7,\"op\":\"stats\xff\xfe\"}");
+    }
+
+    #[test]
+    fn overlong_line_is_refused_and_serving_continues() {
+        let mut line = br#"{"id":7,"op":"stats","pad":""#.to_vec();
+        line.resize(MAX_LINE_BYTES + 1, b'x');
+        line.extend_from_slice(br#""}"#);
+        assert_refused_then_served(&line);
+        // A line exactly at the cap is read and parsed, not refused.
+        let mut at_cap = br#"{"id":7,"op":"stats","pad":""#.to_vec();
+        at_cap.resize(MAX_LINE_BYTES - 2, b'x');
+        at_cap.extend_from_slice(br#""}"#);
+        assert_eq!(at_cap.len(), MAX_LINE_BYTES);
+        let replies = serve_raw(at_cap);
+        assert_eq!(replies, vec![("stats".to_string(), String::new())]);
     }
 }

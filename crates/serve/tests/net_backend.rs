@@ -187,7 +187,7 @@ fn chaos_runs_from_the_service_registry() {
         "opaque",
         "closure-only entry",
         2,
-        Box::new(|_graph, _certified, _threads| {
+        Box::new(|_graph, _certified| {
             Ok(CachedVerdict {
                 verdict: Verdict::Accepts,
                 backend: "test".to_string(),

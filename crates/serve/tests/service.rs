@@ -28,7 +28,7 @@ fn instrumented(
         name,
         "instrumented test entry",
         2,
-        Box::new(move |_graph, certified, _threads| {
+        Box::new(move |_graph, certified| {
             counter.fetch_add(1, Ordering::SeqCst);
             let ms = if certified {
                 slow_certified_ms
@@ -244,7 +244,7 @@ fn decision_errors_fan_out_to_every_coalesced_waiter() {
         "failing",
         "always errors after a delay",
         2,
-        Box::new(|_g, _c, _t| {
+        Box::new(|_g, _c| {
             std::thread::sleep(Duration::from_millis(100));
             Err(ServeError::Internal {
                 reason: "synthetic failure".to_string(),

@@ -1,9 +1,6 @@
 //! Parallel seed sweeps over statistical runs of any [`ScheduledSystem`].
 
-use rayon::prelude::*;
-use rayon::ThreadPool;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use wam_core::{
     run_until_stable, ExclusiveSystem, Machine, ScheduledSystem, StabilityOptions, State, Verdict,
 };
@@ -18,7 +15,8 @@ pub struct BatchConfig {
     pub base_seed: u64,
     /// Stability options for each run.
     pub stability: StabilityOptions,
-    /// Worker threads (0 = rayon's current thread count, capped at `runs`).
+    /// Worker threads (0 = the machine's available parallelism), capped at
+    /// `runs`.
     pub threads: usize,
 }
 
@@ -66,27 +64,6 @@ impl BatchSummary {
     }
 }
 
-/// Lazily-initialised shared thread pools, one per requested thread count.
-/// Batch sweeps are called in hot loops (Figure-1 tables run thousands of
-/// them), so pools are built once and reused instead of constructed per
-/// call. The set of distinct thread counts is small and bounded by the
-/// machine, so the leak is bounded too.
-fn shared_pool(threads: usize) -> &'static ThreadPool {
-    static POOLS: OnceLock<Mutex<HashMap<usize, &'static ThreadPool>>> = OnceLock::new();
-    let mut pools = POOLS
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("batch pool registry");
-    pools.entry(threads).or_insert_with(|| {
-        Box::leak(Box::new(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("batch thread pool"),
-        ))
-    })
-}
-
 /// Runs any [`ScheduledSystem`] under independent seeded sampled schedules in
 /// parallel and aggregates the outcomes. Each run `i` derives its own seed
 /// (`base_seed + i`), so the summary is independent of scheduling order and
@@ -97,7 +74,7 @@ where
     Y: ScheduledSystem + Sync + ?Sized,
 {
     let threads = if config.threads == 0 {
-        rayon::current_num_threads()
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         config.threads
     }
@@ -109,7 +86,32 @@ where
     let results: Vec<(Verdict, usize)> = if threads <= 1 {
         (0..config.runs).map(one).collect()
     } else {
-        shared_pool(threads).install(|| (0..config.runs).into_par_iter().map(one).collect())
+        // Workers claim run indices from a shared counter and tag each
+        // result with its index, so the collected order (and with it the
+        // summary) does not depend on which worker ran what.
+        let next = AtomicUsize::new(0);
+        let mut tagged: Vec<(usize, (Verdict, usize))> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= config.runs {
+                                return done;
+                            }
+                            done.push((i, one(i)));
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        tagged.sort_unstable_by_key(|&(i, _)| i);
+        tagged.into_iter().map(|(_, r)| r).collect()
     };
     let mut accepts = 0;
     let mut rejects = 0;

@@ -7,9 +7,9 @@
 //! population protocols and strong broadcasts — through one API: stress
 //! [`Scheduler`](wam_core::Scheduler)s (starvation, sweeps, unfairness for
 //! failure injection), a model-generic [`Adversary`] trait with
-//! [`run_adversarial_until_stable`], a rayon-parallel [`run_batch`] for seed
-//! sweeps with per-run seed derivation over a lazily-initialised shared
-//! thread pool, and [`Trace`] recording for run inspection.
+//! [`run_adversarial_until_stable`], a multi-threaded [`run_batch`] for
+//! seed sweeps with per-run seed derivation on scoped worker threads, and
+//! [`Trace`] recording for run inspection.
 
 mod adversary;
 mod batch;

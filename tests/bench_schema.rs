@@ -236,7 +236,6 @@ fn bench_explore_json_matches_schema() {
     doc.get("timing").str();
     assert!(doc.get("cores").num() >= 1.0);
 
-    let cores = doc.get("cores").num();
     let workloads = doc.get("workloads").arr();
     assert!(!workloads.is_empty(), "engine-timing section is empty");
     for w in workloads {
@@ -247,10 +246,7 @@ fn bench_explore_json_matches_schema() {
             "edges",
             "baseline_ms",
             "sequential_ms",
-            "parallel_ms",
             "speedup_sequential_vs_baseline",
-            "speedup_parallel_vs_baseline",
-            "speedup_parallel_vs_sequential",
         ] {
             assert!(w.get(key).num() > 0.0, "{key} must be positive");
         }
@@ -274,24 +270,6 @@ fn bench_explore_json_matches_schema() {
             "accepts" | "rejects" | "no consensus" | "inconsistent"
         ));
     }
-    // The parallel-vs-sequential pin is core-gated: on a multi-core runner
-    // the two largest workloads must show real speedup; on a single core
-    // the same threshold would be physically impossible (the "parallel"
-    // configuration resolves to one worker plus gating overhead), so the
-    // pin degrades to a no-regression floor.
-    let mut by_configs: Vec<&Json> = workloads.iter().collect();
-    by_configs.sort_by(|a, b| b.get("configs").num().total_cmp(&a.get("configs").num()));
-    let floor = if cores >= 2.0 { 1.2 } else { 0.85 };
-    for w in by_configs.iter().take(2) {
-        let s = w.get("speedup_parallel_vs_sequential").num();
-        assert!(
-            s >= floor,
-            "parallel speedup {s:.2} below the {floor} floor ({} cores) on {:?}",
-            cores,
-            w.get("workload").str()
-        );
-    }
-
     // §3a.7: the dense rows. Every row compares a dense system of the
     // shared δ session against the generic engine on the same space, both
     // sequential, explore phase only — the bench asserts verdict and

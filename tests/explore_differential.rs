@@ -1,9 +1,10 @@
-//! Differential tests for the parallel exploration engine: on random
-//! machines and random graphs, the parallel engine must produce *exactly*
-//! the exploration the sequential engine does — same dense ids, same CSR
-//! edges, same flags, same verdicts, same `Pre*` fixpoints. The engine is
-//! deterministic by construction (shard-major first-occurrence id
-//! assignment), so these are equality checks, not just agreement checks.
+//! Differential tests for the exploration engine: on random machines and
+//! random graphs, `index_of` inverts the id order, `Pre*` matches a naive
+//! forward-sweep fixpoint, and the compact and spilled edge encodings give
+//! *exactly* the exploration the plain CSR does — same dense ids, same
+//! edges, same fixpoints, same verdicts. Ids are assigned in
+//! first-occurrence order, so these are equality checks, not just
+//! agreement checks.
 
 use proptest::prelude::*;
 use weak_async_models::core::{
@@ -48,147 +49,54 @@ fn random_graph(shape: u8, a: u64, b: u64, seed: u64) -> Graph {
     }
 }
 
-fn explore_pair(
-    sys: &ExclusiveSystem<'_, u8>,
-) -> (
-    Exploration<weak_async_models::core::Config<u8>>,
-    Exploration<weak_async_models::core::Config<u8>>,
-) {
-    let seq = Exploration::explore_with(
-        sys,
-        sys.initial_config(),
-        ExploreOptions::with_limit(200_000).threads(1),
-    )
-    .expect("sequential exploration");
-    let par = Exploration::explore_with(
-        sys,
-        sys.initial_config(),
-        // frontier_threshold 1 forces the parallel path on every level
-        ExploreOptions::with_limit(200_000)
-            .threads(4)
-            .frontier_threshold(1),
-    )
-    .expect("parallel exploration");
-    (seq, par)
+/// `Pre*(targets)` by the definition: sweep until no configuration with a
+/// successor in the set is left outside it.
+fn naive_pre_star<C: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+    e: &Exploration<C>,
+    targets: &[bool],
+) -> Vec<bool> {
+    let mut in_set = targets.to_vec();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in 0..e.len() {
+            if !in_set[i] && e.successors(i).iter().any(|&j| in_set[j as usize]) {
+                in_set[i] = true;
+                changed = true;
+            }
+        }
+    }
+    in_set
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Parallel and sequential exploration of a random machine on a random
-    /// graph agree on everything observable: reachable set (as an ordered
-    /// id-indexed sequence), successor CSR, acceptance flags, stable sets,
-    /// and the verdict.
-    #[test]
-    fn parallel_matches_sequential(
-        init in (0u8..STATES, 0u8..STATES),
-        table in prop::collection::vec(0u8..STATES, (STATES as usize) << STATES..((STATES as usize) << STATES) + 1),
-        outs in (0u8..3, 0u8..3, 0u8..3),
-        shape in 0u8..3,
-        a in 1u64..5,
-        b in 1u64..5,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(a + b >= 3);
-        let m = table_machine([init.0, init.1], table, [outs.0, outs.1, outs.2]);
-        let g = random_graph(shape, a, b, seed);
-        let sys = ExclusiveSystem::new(&m, &g);
-        let (seq, par) = explore_pair(&sys);
-
-        prop_assert_eq!(seq.len(), par.len());
-        prop_assert_eq!(seq.configs(), par.configs());
-        for i in 0..seq.len() {
-            prop_assert_eq!(seq.successors(i), par.successors(i));
-            prop_assert_eq!(seq.is_accepting(i), par.is_accepting(i));
-            prop_assert_eq!(seq.is_rejecting(i), par.is_rejecting(i));
-        }
-        let (sa, pa) = (seq.stably_accepting(), par.stably_accepting());
-        let (sr, pr) = (seq.stably_rejecting(), par.stably_rejecting());
-        prop_assert_eq!(sa.iter().filter(|&&x| x).count(), pa.iter().filter(|&&x| x).count());
-        prop_assert_eq!(sr.iter().filter(|&&x| x).count(), pr.iter().filter(|&&x| x).count());
-        prop_assert_eq!(sa, pa);
-        prop_assert_eq!(sr, pr);
-        prop_assert_eq!(seq.verdict(), par.verdict());
-    }
-
-    /// Two parallel explorations are bit-identical: the engine's id
-    /// assignment is a pure function of the transition system, independent
-    /// of thread scheduling.
-    #[test]
-    fn parallel_runs_are_deterministic(
-        init in (0u8..STATES, 0u8..STATES),
-        table in prop::collection::vec(0u8..STATES, (STATES as usize) << STATES..((STATES as usize) << STATES) + 1),
-        shape in 0u8..3,
-        a in 1u64..5,
-        b in 1u64..5,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(a + b >= 3);
-        let m = table_machine([init.0, init.1], table, [0, 1, 2]);
-        let g = random_graph(shape, a, b, seed);
-        let sys = ExclusiveSystem::new(&m, &g);
-        let opts = ExploreOptions::with_limit(200_000).threads(4).frontier_threshold(1);
-        let e1 = Exploration::explore_with(&sys, sys.initial_config(), opts).unwrap();
-        let e2 = Exploration::explore_with(&sys, sys.initial_config(), opts).unwrap();
-        prop_assert_eq!(e1.configs(), e2.configs());
-        for i in 0..e1.len() {
-            prop_assert_eq!(e1.successors(i), e2.successors(i));
-        }
-        prop_assert_eq!(e1.verdict(), e2.verdict());
-    }
-
-    /// `index_of` inverts `configs()` on both engines, and `pre_star` from
-    /// the same target flags is identical.
+    /// `index_of` inverts `configs()`, and `Pre*` — from the accepting set
+    /// and from a pseudo-random target set — equals the naive fixpoint.
     #[test]
     fn index_and_pre_star_agree(
         init in (0u8..STATES, 0u8..STATES),
         table in prop::collection::vec(0u8..STATES, (STATES as usize) << STATES..((STATES as usize) << STATES) + 1),
         a in 1u64..4,
         b in 1u64..4,
+        target_seed in 0u64..1_000_000,
     ) {
         prop_assume!(a + b >= 3);
         let m = table_machine([init.0, init.1], table, [1, 0, 2]);
         let g = generators::labelled_cycle(&LabelCount::from_vec(vec![a, b]));
         let sys = ExclusiveSystem::new(&m, &g);
-        let (seq, par) = explore_pair(&sys);
-        for (i, c) in seq.configs().iter().enumerate() {
-            prop_assert_eq!(seq.index_of(c), Some(i));
-            prop_assert_eq!(par.index_of(c), Some(i));
+        let e = Exploration::explore(&sys, 200_000).expect("exploration");
+        for (i, c) in e.configs().iter().enumerate() {
+            prop_assert_eq!(e.index_of(c), Some(i));
         }
-        // Pre* of the accepting set, computed on both explorations.
-        let targets: Vec<bool> = (0..seq.len()).map(|i| seq.is_accepting(i)).collect();
-        prop_assert_eq!(seq.pre_star(&targets), par.pre_star(&targets));
-    }
-
-    /// The parallel fixpoint rounds (frontier-chunked backward BFS with
-    /// merged per-worker bitsets) compute the same least fixpoints as the
-    /// scalar worklist — checked on `pre_star` from *random* target sets,
-    /// the stable sets, and the verdict.
-    #[test]
-    fn parallel_fixpoints_match_sequential(
-        init in (0u8..STATES, 0u8..STATES),
-        table in prop::collection::vec(0u8..STATES, (STATES as usize) << STATES..((STATES as usize) << STATES) + 1),
-        outs in (0u8..3, 0u8..3, 0u8..3),
-        shape in 0u8..3,
-        a in 1u64..5,
-        b in 1u64..5,
-        seed in 0u64..1000,
-        target_seed in 0u64..1_000_000,
-    ) {
-        prop_assume!(a + b >= 3);
-        let m = table_machine([init.0, init.1], table, [outs.0, outs.1, outs.2]);
-        let g = random_graph(shape, a, b, seed);
-        let sys = ExclusiveSystem::new(&m, &g);
-        let (seq, par) = explore_pair(&sys);
-        // A pseudo-random target set, identical on both sides.
-        let targets: Vec<bool> = (0..seq.len())
+        let accepting: Vec<bool> = (0..e.len()).map(|i| e.is_accepting(i)).collect();
+        prop_assert_eq!(e.pre_star(&accepting), naive_pre_star(&e, &accepting));
+        let random: Vec<bool> = (0..e.len())
             .map(|i| (target_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64)
                       .wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 32) & 1 == 1)
             .collect();
-        prop_assert_eq!(seq.pre_star(&targets), par.pre_star(&targets));
-        prop_assert_eq!(seq.stably_accepting(), par.stably_accepting());
-        prop_assert_eq!(seq.stably_rejecting(), par.stably_rejecting());
-        prop_assert_eq!(seq.verdict(), par.verdict());
+        prop_assert_eq!(e.pre_star(&random), naive_pre_star(&e, &random));
     }
 
     /// The compact and spilled edge representations are observationally
@@ -279,10 +187,9 @@ fn spilled_exploration_matches_in_memory() {
 }
 
 /// Smoke check outside proptest: on a machine with a known verdict the
-/// parallel engine returns it (guards against a trivially-agreeing bug in
-/// both paths).
+/// engine returns it (guards against a bug that every encoding shares).
 #[test]
-fn parallel_engine_gets_known_verdict_right() {
+fn engine_gets_known_verdict_right() {
     let m = Machine::new(
         1,
         |l: Label| l.0 == 1,
@@ -291,13 +198,6 @@ fn parallel_engine_gets_known_verdict_right() {
     );
     let g = generators::labelled_cycle(&LabelCount::from_vec(vec![6, 2]));
     let sys = ExclusiveSystem::new(&m, &g);
-    let e = Exploration::explore_with(
-        &sys,
-        sys.initial_config(),
-        ExploreOptions::with_limit(1_000_000)
-            .threads(4)
-            .frontier_threshold(1),
-    )
-    .unwrap();
+    let e = Exploration::explore(&sys, 1_000_000).unwrap();
     assert_eq!(e.verdict(), Verdict::Accepts);
 }

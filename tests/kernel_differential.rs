@@ -116,10 +116,7 @@ fn assert_kernel_matches_naive(m: &Machine<u8>, g: &Graph) {
 /// Asserts `successors_into` emits exactly `successors`, in order, for
 /// every configuration reachable in `sys` (the buffer API is part of the
 /// observable contract — ids are assigned in arrival order).
-fn assert_buffer_api_matches<T: TransitionSystem + Sync>(sys: &T, limit: usize)
-where
-    T::C: Send + Sync,
-{
+fn assert_buffer_api_matches<T: TransitionSystem>(sys: &T, limit: usize) {
     let e = Exploration::explore(sys, limit).expect("exploration");
     let mut buf: SuccBuf<T::C> = SuccBuf::new();
     for c in e.configs() {

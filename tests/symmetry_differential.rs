@@ -88,8 +88,8 @@ fn absence_detector() -> AbsenceMachine<u8> {
 /// `(full, quotient)` configuration counts.
 fn assert_quotient_agrees<T>(sys: &T, limit: usize) -> (usize, usize)
 where
-    T: NodeSymmetric + Sync,
-    T::C: PermuteNodes + Send + Sync,
+    T: NodeSymmetric,
+    T::C: PermuteNodes,
 {
     let full = Exploration::explore_from(sys, sys.initial_config(), limit).expect("full space");
     let group = automorphism_group(sys.symmetry_graph(), 10_000);
