@@ -19,11 +19,10 @@
 use std::time::Instant;
 use wam_bench::Table;
 use wam_certify::{
-    certificate_to_json, verify_machine, CertifiedVerdict, Decider, DecisionCertificate,
-    StateTable, VerifyOptions,
+    certificate_to_json, Certificate, Decider, DecisionCertificate, StateTable, VerifyOptions,
 };
 use wam_core::{
-    explore_counter_kernel, explore_kernel, explore_ring_kernel, Backend, Config, CounterSystem,
+    explore_counter_kernel, explore_kernel, explore_ring_kernel, Backend, CounterSystem,
     ExclusiveSystem, Exploration, ExploreError, ExploreOptions, KernelStats, Machine,
     NodeSymmetric, Output, PermuteNodes, QuotientSystem, ResolvedBackend, RingSystem, Schedule,
     State, TransitionSystem, Verdict,
@@ -537,6 +536,7 @@ where
 struct CertTiming {
     name: String,
     nodes: u64,
+    backend: ResolvedBackend,
     verdict: Verdict,
     kind: &'static str,
     transported: bool,
@@ -547,79 +547,76 @@ struct CertTiming {
     verify_ms: f64,
 }
 
-/// The plain half of a certified-vs-plain timing pair: same schedule, same
-/// forced quotient backend, no certificate.
-fn plain_verdict<S: State>(
-    m: &Machine<S>,
-    g: &wam_graph::Graph,
-    schedule: Schedule,
-    limit: usize,
-) -> Verdict {
-    Decider::new(m, g)
-        .schedule(schedule)
-        .backend(Backend::Quotient)
-        .limit(limit)
-        .decide()
-        .expect("space within limit")
-        .verdict
-}
-
-/// The certified half: the quotient backend always emits a node-space
-/// certificate, which is what `verify_machine` and the JSON size column
-/// measure.
-fn certified_node<S: State>(
-    m: &Machine<S>,
-    g: &wam_graph::Graph,
-    schedule: Schedule,
-    limit: usize,
-) -> CertifiedVerdict<Config<S>> {
-    let d = Decider::new(m, g)
-        .schedule(schedule)
-        .backend(Backend::Quotient)
-        .certified(true)
-        .limit(limit)
-        .decide()
-        .expect("space within limit");
-    match d.certificate.unwrap() {
-        DecisionCertificate::Node(certificate) => CertifiedVerdict {
-            verdict: d.verdict,
-            certificate,
-        },
-        other => panic!("quotient backend must emit a node certificate, got {other:?}"),
-    }
+/// The certificate's kind, transport flag, configuration count and
+/// serialised size.
+fn cert_facts<C>(
+    c: &Certificate<C>,
+    json: impl FnOnce(&Certificate<C>) -> String,
+) -> (&'static str, bool, usize, usize) {
+    (c.kind(), c.has_transport(), c.config_count(), json(c).len())
 }
 
 /// Times a plain decider against its certificate-emitting counterpart and
 /// the independent verifier on the emitted certificate: the three numbers
 /// the "certified verdicts" subsystem trades on — emission overhead on top
-/// of the plain decision, certificate size, and the (much cheaper)
-/// re-validation by direct step semantics.
+/// of the plain decision, certificate size, and the re-validation by
+/// direct step semantics. Both deciders run the same
+/// schedule and backend, so they resolve to the same representation.
 fn time_certified<S: State>(
     name: &str,
     nodes: u64,
     machine: &Machine<S>,
     graph: &wam_graph::Graph,
     reps: usize,
-    plain: impl Fn() -> Verdict,
-    certified: impl Fn() -> CertifiedVerdict<Config<S>>,
+    schedule: Schedule,
+    backend: Backend,
 ) -> CertTiming {
-    let (plain_ms, pv) = time_ms(reps, &plain);
-    let (certified_ms, out) = time_ms(reps, &certified);
-    assert_eq!(pv, out.verdict, "certified decider changed the verdict");
+    let decider = || {
+        Decider::new(machine, graph)
+            .schedule(schedule)
+            .backend(backend)
+            .limit(10_000_000)
+    };
+    let (plain_ms, plain) = time_ms(reps, || decider().decide().expect("space within limit"));
+    let (certified_ms, out) = time_ms(reps, || {
+        decider()
+            .certified(true)
+            .decide()
+            .expect("space within limit")
+    });
+    assert_eq!(
+        plain.verdict, out.verdict,
+        "certified decider changed the verdict"
+    );
+    assert_eq!(
+        plain.stats, out.stats,
+        "certified decider changed the backend"
+    );
+    let cert = out.certificate.expect("certified run");
     let (verify_ms, vv) = time_ms(reps, || {
-        verify_machine(machine, graph, &out.certificate, &VerifyOptions::default())
+        cert.verify(machine, graph, &VerifyOptions::default())
             .expect("emitted certificate must verify")
     });
     assert_eq!(vv, out.verdict, "verifier disagreed with the decider");
-    let table = StateTable::from_certificate(&out.certificate);
-    let json_bytes = certificate_to_json(&out.certificate, &table).len();
+    let (kind, transported, cert_configs, json_bytes) = match &cert {
+        DecisionCertificate::Node(c) => cert_facts(c, |c| {
+            certificate_to_json(c, &StateTable::from_certificate(c))
+        }),
+        DecisionCertificate::Counter(c) => cert_facts(c, |c| {
+            certificate_to_json(c, &StateTable::from_counter_certificate(c))
+        }),
+        DecisionCertificate::Ring(c) => cert_facts(c, |c| {
+            certificate_to_json(c, &StateTable::from_ring_certificate(c))
+        }),
+    };
     CertTiming {
         name: name.to_string(),
         nodes,
+        backend: out.stats.backend,
         verdict: out.verdict,
-        kind: out.certificate.kind(),
-        transported: out.certificate.has_transport(),
-        cert_configs: out.certificate.config_count(),
+        kind,
+        transported,
+        cert_configs,
         json_bytes,
         plain_ms,
         certified_ms,
@@ -829,9 +826,10 @@ fn write_report(
             cert_rows.push_str(",\n");
         }
         cert_rows.push_str(&format!(
-            "      {{\n        \"workload\": \"{}\",\n        \"nodes\": {},\n        \"verdict\": \"{}\",\n        \"kind\": \"{}\",\n        \"transported\": {},\n        \"cert_configs\": {},\n        \"json_bytes\": {},\n        \"plain_ms\": {:.3},\n        \"certified_ms\": {:.3},\n        \"verify_ms\": {:.3},\n        \"emission_overhead\": {:.2}\n      }}",
+            "      {{\n        \"workload\": \"{}\",\n        \"nodes\": {},\n        \"backend\": \"{}\",\n        \"verdict\": \"{}\",\n        \"kind\": \"{}\",\n        \"transported\": {},\n        \"cert_configs\": {},\n        \"json_bytes\": {},\n        \"plain_ms\": {:.3},\n        \"certified_ms\": {:.3},\n        \"verify_ms\": {:.3},\n        \"emission_overhead\": {:.2}\n      }}",
             json_escape(&c.name),
             c.nodes,
+            c.backend,
             c.verdict,
             c.kind,
             c.transported,
@@ -885,7 +883,7 @@ fn write_report(
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; transported rows were emitted from an orbit-quotient run\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; transported rows were emitted from an orbit-quotient run; backend is the resolved representation, and the explicit, counter and ring rows emit from the dense δ-session rows the plain decision explores\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
     std::fs::write(path, &json).expect("write BENCH_explore.json");
@@ -1259,8 +1257,8 @@ fn main() {
             &m,
             &g,
             9,
-            || plain_verdict(&m, &g, Schedule::PseudoStochastic, 10_000_000),
-            || certified_node(&m, &g, Schedule::PseudoStochastic, 10_000_000),
+            Schedule::PseudoStochastic,
+            Backend::Quotient,
         ));
     }
     {
@@ -1274,8 +1272,8 @@ fn main() {
             &m,
             &g,
             9,
-            || plain_verdict(&m, &g, Schedule::PseudoStochastic, 10_000_000),
-            || certified_node(&m, &g, Schedule::PseudoStochastic, 10_000_000),
+            Schedule::PseudoStochastic,
+            Backend::Quotient,
         ));
     }
     {
@@ -1287,8 +1285,8 @@ fn main() {
             &m,
             &g,
             3,
-            || plain_verdict(&m, &g, Schedule::PseudoStochastic, 10_000_000),
-            || certified_node(&m, &g, Schedule::PseudoStochastic, 10_000_000),
+            Schedule::PseudoStochastic,
+            Backend::Quotient,
         ));
     }
     {
@@ -1303,8 +1301,40 @@ fn main() {
             &m,
             &g,
             9,
-            || plain_verdict(&m, &g, Schedule::RoundRobin, 10_000_000),
-            || certified_node(&m, &g, Schedule::RoundRobin, 10_000_000),
+            Schedule::RoundRobin,
+            Backend::Quotient,
+        ));
+    }
+    // The dense rows: certified decisions emit from the same δ-session
+    // exploration as plain ones. `Backend::Auto` resolves a rigid graph
+    // (6 nodes, 7 edges, |Aut| = 1) to packed node rows, a clique to
+    // counter rows and a cycle to ring rows.
+    for (name, k, g) in [
+        (
+            "x₀ ≥ 2 via Lemma 4.7, rigid graph (explicit rows)",
+            2,
+            generators::random_degree_bounded(&LabelCount::from_vec(vec![5, 1]), 3, 2, 4),
+        ),
+        (
+            "x₀ ≥ 3 via Lemma 4.7 clique (counter rows)",
+            3,
+            generators::labelled_clique(&LabelCount::from_vec(vec![3, 2])),
+        ),
+        (
+            "x₀ ≥ 3 via Lemma 4.7 cycle (ring rows)",
+            3,
+            generators::labelled_cycle(&LabelCount::from_vec(vec![4, 1])),
+        ),
+    ] {
+        let m = compile_broadcasts(&threshold_machine(2, 0, k));
+        certificates.push(time_certified(
+            name,
+            g.node_count() as u64,
+            &m,
+            &g,
+            3,
+            Schedule::PseudoStochastic,
+            Backend::Auto,
         ));
     }
 

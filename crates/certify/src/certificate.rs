@@ -284,8 +284,8 @@ impl<C> Certificate<C> {
 
     /// Calls `f` on every configuration stored in the certificate (used by
     /// codecs to build a state table).
-    pub fn for_each_config(&self, mut f: impl FnMut(&C)) {
-        let stable = |s: &StableCertificate<C>, f: &mut dyn FnMut(&C)| {
+    pub fn for_each_config<'a>(&'a self, mut f: impl FnMut(&'a C)) {
+        let stable = |s: &'a StableCertificate<C>, f: &mut dyn FnMut(&'a C)| {
             f(&s.path.start);
             for step in &s.path.steps {
                 f(&step.to);

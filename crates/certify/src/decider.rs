@@ -49,15 +49,13 @@
 //! ```
 
 use crate::certificate::{Certificate, LassoCertificate, LassoSchedule};
-use crate::emit::{
-    certify_exploration, certify_quotient, relabel_exclusive_path, CertifiedVerdict,
-};
+use crate::emit::{certify_exploration, certify_quotient, relabel_exclusive_path, Explored};
 use crate::verify::{verify_machine, verify_system, CertError, VerifyOptions};
 use wam_core::{
-    lasso_verdict, resolve_backend, Backend, Config, CounterConfig, CounterSystem, DecisionStats,
-    ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Machine, QuotientSystem,
-    Resolution, ResolvedBackend, RingConfig, RingSystem, Schedule, State, TransitionSystem,
-    Verdict,
+    dense_or, explore_counter_kernel, explore_kernel, explore_ring_kernel, lasso_verdict,
+    resolve_backend, Backend, Config, CounterConfig, CounterSystem, DecisionStats, ExclusiveSystem,
+    Exploration, ExploreError, ExploreOptions, Machine, QuotientSystem, Resolution,
+    ResolvedBackend, RingConfig, RingSystem, Schedule, State, TransitionSystem, Verdict,
 };
 use wam_graph::Graph;
 
@@ -236,13 +234,14 @@ impl<'a, S: State> Decider<'a, S> {
 }
 
 /// Certified pseudo-stochastic decision over the backend
-/// [`resolve_backend`] picks — the same one [`wam_core::decide`] explores.
-/// Every resolution takes its generic system here, not the dense rows of
-/// the shared δ session that plain decisions explore for the explicit,
-/// counter and ring cases: emission needs the generic configuration
-/// table, and a certificate's `Choice` selections index the successor
-/// order the verifier replays over `ExclusiveSystem`, `CounterSystem` or
-/// `RingSystem` — dense rows enumerate by interned state id instead.
+/// [`resolve_backend`] picks, explored the way [`wam_core::decide`]
+/// explores it: the explicit, counter and ring resolutions run on the
+/// dense rows of the shared δ session, falling back to the generic system
+/// through the same [`dense_or`] past 65 534 reachable states, and the
+/// orbit quotient runs on the generic engine. The emitters unpack only the
+/// rows a certificate holds; rows map one-to-one onto the generic
+/// configurations, so each `Choice` selection is still the index of the
+/// next configuration among the generic successors the verifier replays.
 fn certified_pseudo_stochastic<S: State>(
     machine: &Machine<S>,
     graph: &Graph,
@@ -252,42 +251,54 @@ fn certified_pseudo_stochastic<S: State>(
     let resolution = resolve_backend(machine, graph, backend, &options)?;
     let resolved = resolution.backend();
     let system = ExclusiveSystem::new(machine, graph);
-    // Exclusive steps change one node, so node-space paths are relabelled
-    // to `Node` selections that `verify_machine` replays directly.
-    let node = |mut cv: CertifiedVerdict<Config<S>>| {
-        relabel_exclusive_path(&mut cv.certificate);
-        (cv.verdict, DecisionCertificate::Node(cv.certificate))
-    };
-    let ((verdict, certificate), explored, spilled) = match resolution {
-        Resolution::Explicit => {
-            let e = explore(&system, options)?;
-            let cv = certify_exploration(&system, &e);
-            (node(cv), e.len(), e.was_spilled())
-        }
+    let (verdict, certificate, explored, spilled) = match resolution {
+        Resolution::Explicit => dense_or(
+            explore_kernel(machine, graph, options),
+            |e| emit(&system, &e, node),
+            || explore(&system, options).map(|e| emit(&system, &e, node)),
+        )?,
         Resolution::Quotient(group) => {
             let quotient = QuotientSystem::new(&system, group);
             let e = explore(&quotient, options)?;
             let cv = certify_quotient(&system, &quotient, &e);
-            (node(cv), e.len(), e.was_spilled())
+            (cv.verdict, node(cv.certificate), e.len(), e.was_spilled())
         }
-        Resolution::Counter(counter) => {
-            let e = explore(&counter, options)?;
-            let cv = certify_exploration(&counter, &e);
-            let cert = DecisionCertificate::Counter(cv.certificate);
-            ((cv.verdict, cert), e.len(), e.was_spilled())
-        }
-        Resolution::Ring(ring) => {
-            let e = explore(&ring, options)?;
-            let cv = certify_exploration(&ring, &e);
-            let cert = DecisionCertificate::Ring(cv.certificate);
-            ((cv.verdict, cert), e.len(), e.was_spilled())
-        }
+        Resolution::Counter(counter) => dense_or(
+            explore_counter_kernel(&counter, options),
+            |e| emit(&counter, &e, DecisionCertificate::Counter),
+            || explore(&counter, options).map(|e| emit(&counter, &e, DecisionCertificate::Counter)),
+        )?,
+        Resolution::Ring(ring) => dense_or(
+            explore_ring_kernel(&ring, options),
+            |e| emit(&ring, &e, DecisionCertificate::Ring),
+            || explore(&ring, options).map(|e| emit(&ring, &e, DecisionCertificate::Ring)),
+        )?,
     };
     Ok(Decision {
         verdict,
         certificate: Some(certificate),
         stats: DecisionStats::new(resolved, explored).with_spilled(spilled),
     })
+}
+
+/// Emits the certificate of a finished full-space exploration of `system`:
+/// the verdict, the wrapped witness, the explored count and whether edges
+/// spilled.
+fn emit<S: State, T: TransitionSystem, E: Explored<C = T::C>>(
+    system: &T,
+    e: &E,
+    wrap: impl FnOnce(Certificate<T::C>) -> DecisionCertificate<S>,
+) -> (Verdict, DecisionCertificate<S>, usize, bool) {
+    let cv = certify_exploration(system, e);
+    let x = e.exploration();
+    (cv.verdict, wrap(cv.certificate), x.len(), x.was_spilled())
+}
+
+/// Exclusive steps change one node, so node-space paths are relabelled to
+/// `Node` selections that `verify_machine` replays directly.
+fn node<S: State>(mut certificate: Certificate<Config<S>>) -> DecisionCertificate<S> {
+    relabel_exclusive_path(&mut certificate);
+    DecisionCertificate::Node(certificate)
 }
 
 fn explore<T>(system: &T, options: ExploreOptions) -> Result<Exploration<T::C>, ExploreError>

@@ -6,10 +6,12 @@
 //! checker rejects, never a wrongly accepted one.
 //!
 //! The emitters turn a completed exploration into a [`Certificate`]:
-//! [`certify_exploration`] for a full space and [`certify_quotient`] for
-//! an orbit quotient. [`crate::Decider`] drives them over the backend
-//! [`wam_core::resolve_backend`] picks; generic systems can call them on
-//! an [`Exploration`] they drive themselves.
+//! [`certify_exploration`] for a full space — the generic [`Exploration`]
+//! or the dense rows of a [`KernelExploration`], through [`Explored`] —
+//! and [`certify_quotient`] for an orbit quotient. [`crate::Decider`]
+//! drives them over the backend [`wam_core::resolve_backend`] picks;
+//! generic systems can call them on an [`Exploration`] they drive
+//! themselves.
 //!
 //! # Quotient concretisation
 //!
@@ -28,9 +30,11 @@ use crate::certificate::{
     ReachPath, SpaceTransport, StabilityInvariant, StableCertificate, StepSelection,
 };
 use std::collections::VecDeque;
+use std::fmt::Debug;
+use std::hash::Hash;
 use wam_core::{
-    Config, Exploration, NodeSymmetric, PermuteNodes, QuotientSystem, State, TransitionSystem,
-    Verdict,
+    Config, Exploration, KernelExploration, KernelRow, NodeSymmetric, PermuteNodes, QuotientSystem,
+    State, TransitionSystem, Verdict,
 };
 
 /// A verdict together with its machine-checkable witness.
@@ -91,10 +95,7 @@ fn min_perm<C: PermuteNodes>(c: &C, elements: &[Vec<u32>]) -> (C, Perm) {
 /// BFS over the explored CSR from id 0 to the nearest id flagged in
 /// `targets`; returns the id path (inclusive). Panics if no target is
 /// reachable — emission only calls this when the verdict guarantees one.
-fn path_ids<C: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
-    e: &Exploration<C>,
-    targets: &[bool],
-) -> Vec<u32> {
+fn path_ids<C: Clone + Eq + Hash + Debug>(e: &Exploration<C>, targets: &[bool]) -> Vec<u32> {
     if targets[0] {
         return vec![0];
     }
@@ -124,10 +125,7 @@ fn path_ids<C: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
 }
 
 /// Ids forward-reachable from `start` (inclusive), ascending.
-fn reach_ids<C: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
-    e: &Exploration<C>,
-    start: u32,
-) -> Vec<u32> {
+fn reach_ids<C: Clone + Eq + Hash + Debug>(e: &Exploration<C>, start: u32) -> Vec<u32> {
     let mut seen = vec![false; e.len()];
     seen[start as usize] = true;
     let mut stack = vec![start];
@@ -146,7 +144,7 @@ fn reach_ids<C: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
 /// a successor resolved in an earlier relaxation round (so chains are
 /// acyclic by construction). Panics if some id cannot escape — emission
 /// only calls this when no stably-good configuration exists.
-fn escape_pointers<C: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+fn escape_pointers<C: Clone + Eq + Hash + Debug>(
     e: &Exploration<C>,
     bad: impl Fn(usize) -> bool,
 ) -> Vec<Escape> {
@@ -175,7 +173,7 @@ fn escape_pointers<C: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
 }
 
 /// The `Choice` index of `next` among `successors(cur)`.
-fn choice_of<C: PartialEq + std::fmt::Debug>(succs: &[C], next: &C) -> u32 {
+fn choice_of<C: PartialEq + Debug>(succs: &[C], next: &C) -> u32 {
     succs
         .iter()
         .position(|s| s == next)
@@ -186,30 +184,79 @@ fn choice_of<C: PartialEq + std::fmt::Debug>(succs: &[C], next: &C) -> u32 {
 // Full-space emission
 // ---------------------------------------------------------------------------
 
-fn stable_full<T: TransitionSystem>(
+/// A finished full-space exploration the emitters can read: the id graph,
+/// and the configurations behind its ids. Implemented by the generic
+/// [`Exploration`] and by the dense [`KernelExploration`], whose rows
+/// unpack one-to-one into the generic system's configurations — so one
+/// set of emitters serves both, unpacking only the rows a certificate
+/// holds.
+pub trait Explored {
+    /// The configuration type certificates are phrased in.
+    type C;
+    /// The row type of the id graph.
+    type Row: Clone + Eq + Hash + Debug;
+
+    /// The explored id graph: edges, consensus flags and fixpoints.
+    fn exploration(&self) -> &Exploration<Self::Row>;
+
+    /// The configurations of `ids`, in order.
+    fn configs_of(&self, ids: impl IntoIterator<Item = u32>) -> Vec<Self::C>;
+}
+
+impl<C: Clone + Eq + Hash + Debug> Explored for Exploration<C> {
+    type C = C;
+    type Row = C;
+
+    fn exploration(&self) -> &Exploration<C> {
+        self
+    }
+
+    fn configs_of(&self, ids: impl IntoIterator<Item = u32>) -> Vec<C> {
+        let configs = self.configs();
+        ids.into_iter()
+            .map(|i| configs[i as usize].clone())
+            .collect()
+    }
+}
+
+impl<S: State, R: KernelRow<S>> Explored for KernelExploration<S, R> {
+    type C = R::Config;
+    type Row = R;
+
+    fn exploration(&self) -> &Exploration<R> {
+        KernelExploration::exploration(self)
+    }
+
+    fn configs_of(&self, ids: impl IntoIterator<Item = u32>) -> Vec<R::Config> {
+        KernelExploration::configs_of(self, ids)
+    }
+}
+
+/// `Choice` selections index `system`'s successor order, enumerated over
+/// the unpacked path configurations.
+fn stable_full<T: TransitionSystem, E: Explored<C = T::C>>(
     system: &T,
-    e: &Exploration<T::C>,
+    e: &E,
     polarity: Polarity,
     stably: &[bool],
 ) -> StableCertificate<T::C> {
-    let ids = path_ids(e, stably);
-    let configs = e.configs();
-    let mut steps = Vec::with_capacity(ids.len() - 1);
-    for w in ids.windows(2) {
-        let succs = system.successors(&configs[w[0] as usize]);
-        let to = configs[w[1] as usize].clone();
-        let selection = StepSelection::Choice(choice_of(&succs, &to));
-        steps.push(PathStep { to, selection });
-    }
+    let x = e.exploration();
+    let ids = path_ids(x, stably);
     let endpoint = *ids.last().expect("path is never empty");
-    let members = reach_ids(e, endpoint)
-        .into_iter()
-        .map(|i| configs[i as usize].clone())
+    let member_ids = reach_ids(x, endpoint);
+    let mut path = e.configs_of(ids.iter().chain(&member_ids).copied());
+    let members = path.split_off(ids.len());
+    let steps = path
+        .windows(2)
+        .map(|w| PathStep {
+            to: w[1].clone(),
+            selection: StepSelection::Choice(choice_of(&system.successors(&w[0]), &w[1])),
+        })
         .collect();
     StableCertificate {
         polarity,
         path: ReachPath {
-            start: configs[0].clone(),
+            start: path.swap_remove(0),
             steps,
         },
         invariant: StabilityInvariant {
@@ -219,54 +266,42 @@ fn stable_full<T: TransitionSystem>(
     }
 }
 
-fn no_consensus_full<T: TransitionSystem>(
-    _system: &T,
-    e: &Exploration<T::C>,
-) -> NoConsensusCertificate<T::C> {
+fn no_consensus_full<E: Explored>(e: &E) -> NoConsensusCertificate<E::C> {
+    let x = e.exploration();
     NoConsensusCertificate {
-        space: e.configs().to_vec(),
+        space: e.configs_of(0..x.len() as u32),
         transport: None,
-        escape_accepting: escape_pointers(e, |i| !e.is_accepting(i)),
-        escape_rejecting: escape_pointers(e, |i| !e.is_rejecting(i)),
+        escape_accepting: escape_pointers(x, |i| !x.is_accepting(i)),
+        escape_rejecting: escape_pointers(x, |i| !x.is_rejecting(i)),
     }
 }
 
-/// Builds the certificate for a completed full-space exploration. The
-/// verdict is read with [`Exploration::verdict`]; the certificate is
-/// assembled so that the independent checker re-derives the same verdict.
-pub fn certify_exploration<T: TransitionSystem>(
+/// Builds the certificate for a completed full-space exploration of
+/// `system` — the generic [`Exploration`] or the dense rows of a
+/// [`KernelExploration`] mirroring it. The verdict is read with
+/// [`Exploration::verdict`]; the certificate is assembled so that the
+/// independent checker re-derives the same verdict.
+pub fn certify_exploration<T: TransitionSystem, E: Explored<C = T::C>>(
     system: &T,
-    e: &Exploration<T::C>,
+    e: &E,
 ) -> CertifiedVerdict<T::C> {
-    let verdict = e.verdict();
+    let x = e.exploration();
+    let stable = |polarity| {
+        let stably = match polarity {
+            Polarity::Accepting => x.stably_accepting(),
+            Polarity::Rejecting => x.stably_rejecting(),
+        };
+        stable_full(system, e, polarity, &stably)
+    };
+    let verdict = x.verdict();
     let certificate = match verdict {
-        Verdict::Accepts => Certificate::Stable(stable_full(
-            system,
-            e,
-            Polarity::Accepting,
-            &e.stably_accepting(),
-        )),
-        Verdict::Rejects => Certificate::Stable(stable_full(
-            system,
-            e,
-            Polarity::Rejecting,
-            &e.stably_rejecting(),
-        )),
+        Verdict::Accepts => Certificate::Stable(stable(Polarity::Accepting)),
+        Verdict::Rejects => Certificate::Stable(stable(Polarity::Rejecting)),
         Verdict::Inconsistent => Certificate::Inconsistent(
-            Box::new(stable_full(
-                system,
-                e,
-                Polarity::Accepting,
-                &e.stably_accepting(),
-            )),
-            Box::new(stable_full(
-                system,
-                e,
-                Polarity::Rejecting,
-                &e.stably_rejecting(),
-            )),
+            Box::new(stable(Polarity::Accepting)),
+            Box::new(stable(Polarity::Rejecting)),
         ),
-        Verdict::NoConsensus => Certificate::NoConsensus(no_consensus_full(system, e)),
+        Verdict::NoConsensus => Certificate::NoConsensus(no_consensus_full(e)),
     };
     CertifiedVerdict {
         verdict,
@@ -446,7 +481,7 @@ where
 /// to `Node` selections by diffing consecutive configurations — exclusive
 /// steps change exactly one node, and `Node` steps are replayable by
 /// [`Config::successor`](wam_core::Config::successor) alone.
-pub(crate) fn relabel_exclusive_path<S: State>(cert: &mut Certificate<Config<S>>) {
+pub fn relabel_exclusive_path<S: State>(cert: &mut Certificate<Config<S>>) {
     let relabel = |s: &mut StableCertificate<Config<S>>| {
         let mut prev = s.path.start.clone();
         for step in &mut s.path.steps {

@@ -27,6 +27,7 @@ use crate::certificate::{
     StabilityInvariant, StableCertificate, StepSelection,
 };
 use crate::verify::CertError;
+use rustc_hash::FxHashSet;
 use std::fmt::Write as _;
 use wam_core::{Config, CounterConfig, RingConfig, State, Verdict};
 
@@ -414,32 +415,33 @@ pub struct StateTable<S> {
 impl<S: State> StateTable<S> {
     /// Builds the table of distinct states stored in `cert`.
     pub fn from_certificate(cert: &Certificate<Config<S>>) -> Self {
-        let mut states: Vec<S> = Vec::new();
-        cert.for_each_config(|c| states.extend(c.states().iter().cloned()));
-        Self::from_state_list(states)
+        let mut seen = FxHashSet::default();
+        cert.for_each_config(|c| seen.extend(c.states()));
+        Self::from_distinct(seen)
     }
 
     /// Builds the table of distinct states stored in a counter-abstracted
     /// certificate (count vectors over a twin partition).
     pub fn from_counter_certificate(cert: &Certificate<CounterConfig<S>>) -> Self {
-        let mut states: Vec<S> = Vec::new();
-        cert.for_each_config(|c| {
-            states.extend(c.entries().iter().map(|(_, s, _)| s.clone()));
-        });
-        Self::from_state_list(states)
+        let mut seen = FxHashSet::default();
+        cert.for_each_config(|c| seen.extend(c.entries().iter().map(|(_, s, _)| s)));
+        Self::from_distinct(seen)
     }
 
     /// Builds the table of distinct states stored in a ring-abstracted
     /// certificate (canonical necklaces).
     pub fn from_ring_certificate(cert: &Certificate<RingConfig<S>>) -> Self {
-        let mut states: Vec<S> = Vec::new();
-        cert.for_each_config(|c| states.extend(c.runs().iter().map(|(s, _)| s.clone())));
-        Self::from_state_list(states)
+        let mut seen = FxHashSet::default();
+        cert.for_each_config(|c| seen.extend(c.runs().iter().map(|(s, _)| s)));
+        Self::from_distinct(seen)
     }
 
-    fn from_state_list(mut states: Vec<S>) -> Self {
-        states.sort();
-        states.dedup();
+    /// Sorts the distinct states once: a certificate repeats each state
+    /// across many configurations, so deduplicating by hash first keeps
+    /// the clone and the sort to the table's own size.
+    fn from_distinct(seen: FxHashSet<&S>) -> Self {
+        let mut states: Vec<S> = seen.into_iter().cloned().collect();
+        states.sort_unstable();
         StateTable { states }
     }
 

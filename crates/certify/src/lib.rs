@@ -55,6 +55,8 @@ pub use certificate::{
     StabilityInvariant, StableCertificate, StepSelection,
 };
 pub use decider::{Decider, Decision, DecisionCertificate};
-pub use emit::{certify_exploration, certify_quotient, CertifiedVerdict};
+pub use emit::{
+    certify_exploration, certify_quotient, relabel_exclusive_path, CertifiedVerdict, Explored,
+};
 pub use json::{certificate_from_json, certificate_to_json, ConfigCodec, Json, StateTable};
 pub use verify::{verify_machine, verify_symmetric, verify_system, CertError, VerifyOptions};

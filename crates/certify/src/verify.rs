@@ -590,7 +590,7 @@ impl EquivarianceBudget {
 /// check consumes as the validated adjacency.
 fn check_closure_row<K: Checker>(
     ck: &K,
-    member_index: &FxHashMap<K::C, u32>,
+    member_index: &FxHashMap<&K::C, u32>,
     member: &K::C,
     i: usize,
     maps: Option<&[Vec<u32>]>,
@@ -666,11 +666,11 @@ fn check_stable<K: Checker>(
     if inv.members.is_empty() {
         return Err(CertError::EmptyInvariant);
     }
-    let member_index: FxHashMap<K::C, u32> = inv
+    let member_index: FxHashMap<&K::C, u32> = inv
         .members
         .iter()
         .enumerate()
-        .map(|(i, m)| (m.clone(), i as u32))
+        .map(|(i, m)| (m, i as u32))
         .collect();
 
     // Endpoint membership, through the endpoint transport when present.
@@ -770,11 +770,11 @@ fn check_no_consensus<K: Checker>(
     if cert.space.is_empty() {
         return Err(CertError::EmptySpace);
     }
-    let member_index: FxHashMap<K::C, u32> = cert
+    let member_index: FxHashMap<&K::C, u32> = cert
         .space
         .iter()
         .enumerate()
-        .map(|(i, m)| (m.clone(), i as u32))
+        .map(|(i, m)| (m, i as u32))
         .collect();
 
     let initial = ck.initial();

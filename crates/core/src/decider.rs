@@ -10,9 +10,10 @@
 //! can never resolve differently. The lasso schedules walk one
 //! deterministic run through [`lasso_verdict`].
 //!
-//! Plain decisions explore the explicit, counter and ring resolutions on
-//! the dense rows of the shared δ session (`kernel`, `dense`); certified
-//! decisions and the orbit quotient run on the generic systems.
+//! Plain and certified decisions explore the explicit, counter and ring
+//! resolutions on the dense rows of the shared δ session (`kernel`,
+//! `dense`), falling back to the generic systems through the one
+//! [`dense_or`]; the orbit quotient runs on the generic engine.
 
 use crate::counter::{CounterSystem, RingSystem};
 use crate::dense::{explore_counter_kernel, explore_ring_kernel};
@@ -23,6 +24,7 @@ use crate::explore::{
 use crate::kernel::{explore_kernel, KernelExploration, KernelRow};
 use crate::{Machine, QuotientSystem, State};
 use std::fmt;
+use std::hash::Hash;
 use wam_graph::{automorphism_group, AutomorphismGroup, Graph};
 
 /// Which fairness regime / schedule to decide under.
@@ -235,10 +237,10 @@ pub fn resolve_backend<'a, S: State>(
 /// [`explore_ring_kernel`](crate::explore_ring_kernel). Their rows map
 /// one-to-one onto the generic systems' configurations, so the verdict and
 /// [`DecisionStats`] are those of the generic engine; past 65 534
-/// reachable states the rows refuse and the generic system runs instead.
-/// The orbit quotient explores the generic engine. Certified decisions
-/// (`wam_certify::Decider`) explore the generic systems throughout,
-/// because their certificates index the generic successor order.
+/// reachable states the rows refuse and the generic system runs instead
+/// ([`dense_or`]). The orbit quotient explores the generic engine.
+/// Certified decisions (`wam_certify::Decider`) explore the same rows and
+/// emit their certificates from them.
 ///
 /// # Errors
 ///
@@ -269,18 +271,24 @@ pub fn decide<S: State>(
     // and stats coincide. They refuse machines whose reachable state set
     // overflows `u16` ids; only then does the generic system run.
     let (verdict, explored, spilled) = match resolution {
-        Resolution::Explicit => dense_or(explore_kernel(machine, graph, options), || {
-            explore(&system, options)
-        })?,
-        Resolution::Quotient(group) => explore(&QuotientSystem::new(&system, group), options)?,
-        Resolution::Counter(counter) => {
-            dense_or(explore_counter_kernel(&counter, options), || {
-                explore(&counter, options)
-            })?
+        Resolution::Explicit => dense_or(
+            explore_kernel(machine, graph, options),
+            |e| summary(e.exploration()),
+            || explore(&system, options).map(|e| summary(&e)),
+        )?,
+        Resolution::Quotient(group) => {
+            summary(&explore(&QuotientSystem::new(&system, group), options)?)
         }
-        Resolution::Ring(ring) => dense_or(explore_ring_kernel(&ring, options), || {
-            explore(&ring, options)
-        })?,
+        Resolution::Counter(counter) => dense_or(
+            explore_counter_kernel(&counter, options),
+            |e| summary(e.exploration()),
+            || explore(&counter, options).map(|e| summary(&e)),
+        )?,
+        Resolution::Ring(ring) => dense_or(
+            explore_ring_kernel(&ring, options),
+            |e| summary(e.exploration()),
+            || explore(&ring, options).map(|e| summary(&e)),
+        )?,
     };
     Ok((
         verdict,
@@ -288,27 +296,39 @@ pub fn decide<S: State>(
     ))
 }
 
-/// The outcome of a dense exploration, or of `generic` if the dense
-/// system refused (its `u16` state ids ran out).
-fn dense_or<S: State, R: KernelRow<S>>(
+/// `on_dense` over a finished dense exploration, or `generic` if the dense
+/// system refused (its `u16` state ids ran out) — the one fallback from
+/// the dense rows to the generic systems, shared by [`decide`] and
+/// `wam_certify::Decider`.
+///
+/// # Errors
+///
+/// Any error of `dense` other than [`ExploreError::Unsupported`], or of
+/// `generic`.
+pub fn dense_or<S: State, R: KernelRow<S>, T>(
     dense: Result<KernelExploration<S, R>, ExploreError>,
-    generic: impl FnOnce() -> Result<(Verdict, usize, bool), ExploreError>,
-) -> Result<(Verdict, usize, bool), ExploreError> {
+    on_dense: impl FnOnce(KernelExploration<S, R>) -> T,
+    generic: impl FnOnce() -> Result<T, ExploreError>,
+) -> Result<T, ExploreError> {
     match dense {
-        Ok(e) => Ok((e.verdict(), e.len(), e.was_spilled())),
+        Ok(e) => Ok(on_dense(e)),
         Err(ExploreError::Unsupported { .. }) => generic(),
         Err(e) => Err(e),
     }
 }
 
-/// Explores `system` from its initial configuration: the verdict, the
-/// number of interned configurations, and whether edges spilled.
-fn explore<T>(system: &T, options: ExploreOptions) -> Result<(Verdict, usize, bool), ExploreError>
+/// The verdict, the number of interned configurations, and whether edges
+/// spilled.
+fn summary<C: Clone + Eq + Hash + fmt::Debug>(e: &Exploration<C>) -> (Verdict, usize, bool) {
+    (e.verdict(), e.len(), e.was_spilled())
+}
+
+/// Explores `system` from its initial configuration.
+fn explore<T>(system: &T, options: ExploreOptions) -> Result<Exploration<T::C>, ExploreError>
 where
     T: TransitionSystem,
 {
-    let e = Exploration::explore_with(system, system.initial_config(), options)?;
-    Ok((e.verdict(), e.len(), e.was_spilled()))
+    Exploration::explore_with(system, system.initial_config(), options)
 }
 
 #[cfg(test)]

@@ -22,8 +22,10 @@
 //!
 //! All three return a [`KernelExploration`] over their row type, which
 //! unpacks rows back into the generic configurations through
-//! [`KernelRow`]. Certified decisions never take these paths: their
-//! certificates index the generic systems' successor order.
+//! [`KernelRow`]. Plain and certified decisions both explore these rows;
+//! certificate emission unpacks only the rows a witness holds
+//! ([`KernelExploration::configs_of`]) and indexes its `Choice` steps by
+//! the generic successors of the unpacked configurations.
 //!
 //! The per-node bit width must cover every state id, but states are
 //! *discovered during* exploration — so the session starts at the smallest
@@ -308,11 +310,16 @@ impl<S: State, R: KernelRow<S>> KernelExploration<S, R> {
     /// Unpacks every row, dense by id — the differential suites compare
     /// this against the generic engine's `configs()`.
     pub fn configs_unpacked(&self) -> Vec<R::Config> {
+        self.configs_of(0..self.len() as u32)
+    }
+
+    /// Unpacks the rows `ids`, in order, under one session read — how
+    /// certificate emission reads only the rows a witness holds.
+    pub fn configs_of(&self, ids: impl IntoIterator<Item = u32>) -> Vec<R::Config> {
         let t = self.session.read();
-        self.exploration
-            .configs()
-            .iter()
-            .map(|row| row.unpack(t.states(), self.nodes, self.bits))
+        let rows = self.exploration.configs();
+        ids.into_iter()
+            .map(|i| rows[i as usize].unpack(t.states(), self.nodes, self.bits))
             .collect()
     }
 

@@ -72,7 +72,8 @@ pub use class::{Acceptance, Detection, Fairness, ModelClass, PropertyClassBound}
 pub use config::{Config, PackedConfig};
 pub use counter::{CounterConfig, CounterError, CounterSystem, RingConfig, RingSystem};
 pub use decider::{
-    decide, resolve_backend, Backend, DecisionStats, Resolution, ResolvedBackend, Schedule,
+    decide, dense_or, resolve_backend, Backend, DecisionStats, Resolution, ResolvedBackend,
+    Schedule,
 };
 pub use dense::{explore_counter_kernel, explore_ring_kernel, CounterRow, RingRow};
 pub use explore::{

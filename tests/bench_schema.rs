@@ -392,8 +392,18 @@ fn bench_explore_json_matches_schema() {
     let cert_workloads = certificates.get("workloads").arr();
     assert!(!cert_workloads.is_empty(), "certificates section is empty");
     let mut any_transported = false;
+    let mut backends = Vec::new();
     for w in cert_workloads {
         assert!(!w.get("workload").str().is_empty());
+        let backend = w.get("backend").str();
+        assert!(
+            matches!(
+                backend,
+                "explicit" | "quotient" | "counter" | "ring" | "lasso"
+            ),
+            "unknown certificate backend {backend}"
+        );
+        backends.push(backend);
         assert!(matches!(
             w.get("verdict").str(),
             "accepts" | "rejects" | "no consensus" | "inconsistent"
@@ -420,6 +430,14 @@ fn bench_explore_json_matches_schema() {
         any_transported,
         "the report must include a quotient-emitted (transported) certificate"
     );
+    // Certified decisions ride the dense rows: each row type must have a
+    // certificate row of its own.
+    for dense in ["explicit", "counter", "ring"] {
+        assert!(
+            backends.contains(&dense),
+            "the report must include a certificate emitted from {dense} rows"
+        );
+    }
 
     // E18: the counter-abstracted backend section. Every row must carry
     // its small-instance cross-validation, the three graph families must

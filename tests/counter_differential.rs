@@ -10,9 +10,13 @@
 //! `explore_ring_kernel`: interned state ids, memoized δ) must reproduce
 //! the generic `CounterSystem`/`RingSystem` explorations exactly: the same
 //! verdict, the same explored count, and the same reachable set once each
-//! row is unpacked to a `CounterConfig`/`RingConfig`. A machine with more
-//! than 65 534 reachable states overflows their `u16` ids; `decide` must
-//! then fall back to the generic system instead of failing.
+//! row is unpacked to a `CounterConfig`/`RingConfig`. Certificates emitted
+//! from those rows must verify and agree with the generic emission on
+//! verdict and certificate kind (member order may differ: dense ids arrive
+//! in another order), and two runs must serialise to the same bytes. A
+//! machine with more than 65 534 reachable states overflows their `u16`
+//! ids; plain and certified decisions must then fall back to the generic
+//! system instead of failing.
 //!
 //! A separate regression pins the counter abstraction against an
 //! independent implementation of the same idea: on uniform-label stars the
@@ -23,10 +27,14 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use weak_async_models::analysis::StarSystem;
+use weak_async_models::certify::{
+    certificate_to_json, certify_exploration, verify_system, Certificate, Decider,
+    DecisionCertificate, StateTable, VerifyOptions,
+};
 use weak_async_models::core::{
     explore_counter_kernel, explore_ring_kernel, Backend, CounterSystem, ExclusiveSystem,
-    Exploration, ExploreError, ExploreOptions, Machine, Output, ResolvedBackend, RingSystem,
-    Schedule, TransitionSystem,
+    Exploration, ExploreError, ExploreOptions, KernelExploration, KernelRow, Machine, Output,
+    ResolvedBackend, RingSystem, Schedule, TransitionSystem,
 };
 use weak_async_models::graph::{generators, trees, Graph, Label, LabelCount};
 
@@ -78,8 +86,30 @@ fn counting_machine(init: [u8; 2], table: Vec<u8>, outs: [u8; STATES as usize]) 
     )
 }
 
+/// Certificates emitted from the dense rows against the generic system's
+/// own emission: the row certificate verifies, and verdict and kind agree;
+/// `rerun`, a second dense exploration, serialises to the same bytes.
+fn rows_certify_like_generic<T, R>(
+    system: &T,
+    generic: &Exploration<T::C>,
+    dense: &KernelExploration<u8, R>,
+    rerun: &KernelExploration<u8, R>,
+    json: impl Fn(&Certificate<T::C>) -> String,
+) where
+    T: TransitionSystem,
+    R: KernelRow<u8, Config = T::C>,
+{
+    let want = certify_exploration(system, generic);
+    let got = certify_exploration(system, dense);
+    prop_assert_eq!(got.verdict, want.verdict, "row certificate verdict");
+    prop_assert_eq!(got.certificate.kind(), want.certificate.kind());
+    prop_assert_eq!(verify_system(system, &got.certificate), Ok(got.verdict));
+    let again = certify_exploration(system, rerun).certificate;
+    prop_assert_eq!(json(&got.certificate), json(&again), "row certificate JSON");
+}
+
 /// The dense counter rows against the generic counter system: verdict,
-/// explored count and the unpacked reachable set.
+/// explored count, the unpacked reachable set and the emitted certificate.
 fn dense_counter_matches(counter: &CounterSystem<'_, u8>) {
     let opts = ExploreOptions::with_limit(LIMIT);
     let generic = Exploration::explore_with(counter, counter.initial_config(), opts).unwrap();
@@ -89,6 +119,10 @@ fn dense_counter_matches(counter: &CounterSystem<'_, u8>) {
     let reached: HashSet<_> = dense.configs_unpacked().into_iter().collect();
     let expected: HashSet<_> = generic.configs().iter().cloned().collect();
     prop_assert_eq!(reached, expected, "dense counter reachable set");
+    let rerun = explore_counter_kernel(counter, opts).unwrap();
+    rows_certify_like_generic(counter, &generic, &dense, &rerun, |c| {
+        certificate_to_json(c, &StateTable::from_counter_certificate(c))
+    });
 }
 
 /// The dense ring rows against the generic ring system, likewise.
@@ -101,6 +135,10 @@ fn dense_ring_matches(ring: &RingSystem<'_, u8>) {
     let reached: HashSet<_> = dense.configs_unpacked().into_iter().collect();
     let expected: HashSet<_> = generic.configs().iter().cloned().collect();
     prop_assert_eq!(reached, expected, "dense ring reachable set");
+    let rerun = explore_ring_kernel(ring, opts).unwrap();
+    rows_certify_like_generic(ring, &generic, &dense, &rerun, |c| {
+        certificate_to_json(c, &StateTable::from_ring_certificate(c))
+    });
 }
 
 /// Checks every dense representation that applies to `g` against its
@@ -314,4 +352,31 @@ fn counter_backend_falls_back_past_the_u16_state_space() {
     assert_eq!(stats.backend, ResolvedBackend::Counter);
     assert_eq!(verdict, generic.verdict());
     assert_eq!(stats.explored, generic.len());
+}
+
+/// The certified twin of the fallback above: `Decider::certified(true)`
+/// with `Backend::Counter` also falls back to the generic counter system
+/// and returns a counter certificate that verifies, with the generic
+/// explored count.
+#[test]
+fn certified_counter_backend_falls_back_past_the_u16_state_space() {
+    let m = ladder(66_000);
+    let g = generators::labelled_star(&LabelCount::from_vec(vec![3, 1]));
+    let counter = CounterSystem::new(&m, &g).expect("the label-0 leaves are twins");
+    let generic = Exploration::explore(&counter, 1_000_000).unwrap();
+    let d = Decider::new(&m, &g)
+        .backend(Backend::Counter)
+        .certified(true)
+        .limit(1_000_000)
+        .decide()
+        .expect("the certified decision falls back to the generic counter system");
+    assert_eq!(d.stats.backend, ResolvedBackend::Counter);
+    assert_eq!(d.verdict, generic.verdict());
+    assert_eq!(d.stats.explored, generic.len());
+    let cert = d.certificate.expect("certified run");
+    assert!(matches!(cert, DecisionCertificate::Counter(_)), "{cert:?}");
+    assert_eq!(
+        cert.verify(&m, &g, &VerifyOptions::default()).unwrap(),
+        d.verdict
+    );
 }

@@ -5,9 +5,18 @@
 //! id order (after unpacking), same CSR edges, same verdicts, same
 //! explored counts — and the `successors_into` buffer API of every model
 //! family must emit exactly what its `successors` returns, in order.
+//!
+//! Certified explicit decisions emit their certificate from the kernel
+//! rows: it must equal the generic emission over `ExclusiveSystem`
+//! (relabelled to `Node` steps) and serialise to the same bytes on every
+//! run.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use weak_async_models::certify::{
+    certificate_to_json, certify_exploration, relabel_exclusive_path, Decider, DecisionCertificate,
+    StateTable,
+};
 use weak_async_models::core::{
     decide, explore_kernel, Backend, ExclusiveSystem, Exploration, ExploreOptions, LiberalSystem,
     Machine, Output, Schedule, SuccBuf, Symmetry, TransitionSystem,
@@ -111,6 +120,30 @@ fn assert_kernel_matches_naive(m: &Machine<u8>, g: &Graph) {
     .expect("decide explicit");
     assert_eq!(verdict, naive.verdict());
     assert_eq!(stats.explored, naive.len());
+
+    // The certified explicit decision emits from the kernel rows, whose id
+    // order coincides with the generic engine's: the certificate is the
+    // generic emission, not merely an equivalent one.
+    let certified = || {
+        let d = Decider::new(m, g)
+            .backend(Backend::Explicit)
+            .certified(true)
+            .limit(200_000)
+            .decide()
+            .expect("certified explicit");
+        assert_eq!(d.verdict, naive.verdict());
+        assert_eq!(d.stats.explored, naive.len());
+        match d.certificate {
+            Some(DecisionCertificate::Node(cert)) => cert,
+            other => panic!("expected a node certificate, got {other:?}"),
+        }
+    };
+    let mut generic = certify_exploration(&sys, &naive).certificate;
+    relabel_exclusive_path(&mut generic);
+    let cert = certified();
+    assert_eq!(cert, generic);
+    let json = |c| certificate_to_json(c, &StateTable::from_certificate(c));
+    assert_eq!(json(&cert), json(&certified()), "certificate JSON differs");
 }
 
 /// Asserts `successors_into` emits exactly `successors`, in order, for
