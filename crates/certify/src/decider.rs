@@ -177,8 +177,8 @@ impl<'a, S: State> Decider<'a, S> {
         self
     }
 
-    /// Replaces the full exploration options (limit, symmetry policy,
-    /// edge encoding, …).
+    /// Replaces the full exploration options (the limit and the memory
+    /// budget).
     pub fn options(mut self, options: ExploreOptions) -> Self {
         self.options = options;
         self
@@ -248,7 +248,7 @@ fn certified_pseudo_stochastic<S: State>(
     backend: Backend,
     options: ExploreOptions,
 ) -> Result<Decision<S>, ExploreError> {
-    let resolution = resolve_backend(machine, graph, backend, &options)?;
+    let resolution = resolve_backend(machine, graph, backend)?;
     let resolved = resolution.backend();
     let system = ExclusiveSystem::new(machine, graph);
     let (verdict, certificate, explored, spilled) = match resolution {
@@ -311,7 +311,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wam_core::{Machine, Output, Symmetry};
+    use wam_core::{Machine, Output};
     use wam_graph::{generators, LabelCount};
 
     fn flood() -> Machine<bool> {
@@ -383,17 +383,15 @@ mod tests {
             generators::labelled_cycle(&LabelCount::from_vec(vec![5, 1])),
             line.clone(),
         ] {
-            for (backend, symmetry) in [
-                (Backend::Auto, Symmetry::Auto),
-                (Backend::Explicit, Symmetry::Auto),
-                (Backend::Quotient, Symmetry::Auto),
-                (Backend::Counter, Symmetry::Auto),
-                (Backend::Auto, Symmetry::Off),
+            for backend in [
+                Backend::Auto,
+                Backend::Explicit,
+                Backend::Quotient,
+                Backend::Counter,
             ] {
                 let run = |certified| {
                     Decider::new(&m, &g)
                         .backend(backend)
-                        .options(ExploreOptions::default().symmetry(symmetry))
                         .certified(certified)
                         .decide()
                 };
@@ -410,7 +408,7 @@ mod tests {
                         assert_eq!(plain, certified);
                     }
                     (plain, certified) => {
-                        panic!("{backend:?}/{symmetry:?} on {g:?}: {plain:?} vs {certified:?}")
+                        panic!("{backend:?} on {g:?}: {plain:?} vs {certified:?}")
                     }
                 }
             }

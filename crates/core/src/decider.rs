@@ -18,14 +18,14 @@
 use crate::counter::{CounterSystem, RingSystem};
 use crate::dense::{explore_counter_kernel, explore_ring_kernel};
 use crate::explore::{
-    lasso_verdict, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Symmetry,
-    TransitionSystem, Verdict,
+    lasso_verdict, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, TransitionSystem,
+    Verdict,
 };
 use crate::kernel::{explore_kernel, KernelExploration, KernelRow};
 use crate::{Machine, QuotientSystem, State};
 use std::fmt;
 use std::hash::Hash;
-use wam_graph::{automorphism_group, AutomorphismGroup, Graph};
+use wam_graph::{automorphism_group, AutomorphismGroup, Graph, DEFAULT_GROUP_CAP};
 
 /// Which fairness regime / schedule to decide under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -49,17 +49,16 @@ pub enum Schedule {
 /// abstraction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Pick the strongest applicable reduction: counter abstraction if the
+    /// The cheapest dense rows that apply: the counter abstraction if the
     /// twin partition compresses, the ring abstraction on cycles, else the
-    /// orbit quotient per [`ExploreOptions::symmetry`], else the full
-    /// space. Never fails on backend grounds. The default.
+    /// full space. Never computes `Aut(G)` and never fails on backend
+    /// grounds. The default.
     #[default]
     Auto,
     /// The full explicit configuration space, no reduction.
     Explicit,
-    /// The orbit quotient under the graph's automorphism group (forces
-    /// [`Symmetry::On`]; the full space if the group outgrows
-    /// [`ExploreOptions::symmetry_cap`]).
+    /// The orbit quotient under the graph's automorphism group (the full
+    /// space if the group outgrows [`DEFAULT_GROUP_CAP`]).
     Quotient,
     /// The counter abstraction over the twin partition, or the ring
     /// abstraction on cycles. Errors with [`ExploreError::Unsupported`] on
@@ -163,16 +162,13 @@ impl<S: State> Resolution<'_, S> {
 ///
 /// * [`Backend::Explicit`] — the full space;
 /// * [`Backend::Quotient`] — the orbit quotient, even under a trivial
-///   group, unless `Aut(G)` outgrew [`ExploreOptions::symmetry_cap`]
-///   (then the full space);
+///   group, unless `Aut(G)` outgrew [`DEFAULT_GROUP_CAP`] (then the full
+///   space);
 /// * [`Backend::Counter`] — the counter abstraction if the twin partition
 ///   compresses, else the ring abstraction on a cycle;
-/// * [`Backend::Auto`] — the full space under [`Symmetry::Off`] (the
-///   counter and ring backends are symmetry reductions too); otherwise the
-///   counter, then the ring abstraction, then the orbit quotient if
-///   `Aut(G)` was enumerated completely within
-///   [`ExploreOptions::symmetry_cap`] and is non-trivial (always under
-///   [`Symmetry::On`]), else the full space.
+/// * [`Backend::Auto`] — the counter, then the ring abstraction, else the
+///   full space. All three run on the dense rows of the δ session; `Auto`
+///   never enumerates `Aut(G)`.
 ///
 /// A [`Resolution::Quotient`] group is always complete.
 ///
@@ -184,7 +180,6 @@ pub fn resolve_backend<'a, S: State>(
     machine: &'a Machine<S>,
     graph: &'a Graph,
     backend: Backend,
-    options: &ExploreOptions,
 ) -> Result<Resolution<'a, S>, ExploreError> {
     let counter_or_ring = || {
         CounterSystem::new(machine, graph)
@@ -192,19 +187,18 @@ pub fn resolve_backend<'a, S: State>(
             .or_else(|_| RingSystem::new(machine, graph).map(Resolution::Ring))
             .ok()
     };
-    // A capped enumeration is not closed under composition, so reducing by
-    // it would be unsound: only a complete group yields a quotient.
-    let quotient = |forced: bool| {
-        let group = automorphism_group(graph, options.symmetry_cap);
-        if group.is_complete() && (forced || !group.is_trivial()) {
-            Resolution::Quotient(group)
-        } else {
-            Resolution::Explicit
-        }
-    };
     match backend {
         Backend::Explicit => Ok(Resolution::Explicit),
-        Backend::Quotient => Ok(quotient(true)),
+        // A capped enumeration is not closed under composition, so reducing
+        // by it would be unsound: only a complete group yields a quotient.
+        Backend::Quotient => {
+            let group = automorphism_group(graph, DEFAULT_GROUP_CAP);
+            Ok(if group.is_complete() {
+                Resolution::Quotient(group)
+            } else {
+                Resolution::Explicit
+            })
+        }
         Backend::Counter => counter_or_ring().ok_or_else(|| ExploreError::Unsupported {
             reason: format!(
                 "the counter backend needs a twin-compressible graph or a cycle; \
@@ -212,10 +206,7 @@ pub fn resolve_backend<'a, S: State>(
                 graph.node_count()
             ),
         }),
-        Backend::Auto if options.symmetry == Symmetry::Off => Ok(Resolution::Explicit),
-        Backend::Auto => {
-            Ok(counter_or_ring().unwrap_or_else(|| quotient(options.symmetry == Symmetry::On)))
-        }
+        Backend::Auto => Ok(counter_or_ring().unwrap_or(Resolution::Explicit)),
     }
 }
 
@@ -230,15 +221,15 @@ pub fn resolve_backend<'a, S: State>(
 /// configurations, orbit representatives, count vectors or necklaces — or
 /// the number of lasso steps.
 ///
-/// The explicit, counter and ring resolutions explore dense rows over one
-/// shared δ session per decision — interned `u16` state ids, memoized δ
-/// steps — through [`explore_kernel`](crate::explore_kernel),
+/// The explicit, counter and ring resolutions — every [`Backend::Auto`]
+/// decision among them — explore dense rows over one shared δ session per
+/// decision (interned `u16` state ids, memoized δ steps) through [`explore_kernel`](crate::explore_kernel),
 /// [`explore_counter_kernel`](crate::explore_counter_kernel) and
 /// [`explore_ring_kernel`](crate::explore_ring_kernel). Their rows map
 /// one-to-one onto the generic systems' configurations, so the verdict and
 /// [`DecisionStats`] are those of the generic engine; past 65 534
 /// reachable states the rows refuse and the generic system runs instead
-/// ([`dense_or`]). The orbit quotient explores the generic engine.
+/// ([`dense_or`]). The opt-in orbit quotient explores the generic engine.
 /// Certified decisions (`wam_certify::Decider`) explore the same rows and
 /// emit their certificates from them.
 ///
@@ -262,7 +253,7 @@ pub fn decide<S: State>(
             DecisionStats::new(ResolvedBackend::Lasso, lasso.steps()),
         ));
     }
-    let resolution = resolve_backend(machine, graph, backend, &options)?;
+    let resolution = resolve_backend(machine, graph, backend)?;
     let resolved = resolution.backend();
     let system = ExclusiveSystem::new(machine, graph);
     // The dense systems explore the same spaces over rows of interned
@@ -384,36 +375,32 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_off_forces_explicit_under_auto() {
+    fn resolver_policy_table() {
         let m = flood();
-        let g = generators::labelled_clique(&LabelCount::from_vec(vec![4, 1]));
-        let opts = ExploreOptions::with_limit(1_000_000).symmetry(Symmetry::Off);
-        let (_, stats) = decide(&m, &g, Schedule::PseudoStochastic, Backend::Auto, opts).unwrap();
-        assert_eq!(stats.backend, ResolvedBackend::Explicit);
-    }
-
-    #[test]
-    fn resolver_honours_the_symmetry_policy() {
+        let c = LabelCount::from_vec(vec![4, 2]);
         // A 6-node path: twin-free, not a cycle, |Aut| = 2.
-        let m = flood();
-        let g = generators::labelled_line(&LabelCount::from_vec(vec![4, 2]));
-        for (backend, symmetry, expected) in [
-            (Backend::Auto, Symmetry::Auto, ResolvedBackend::Quotient),
-            (Backend::Auto, Symmetry::On, ResolvedBackend::Quotient),
-            (Backend::Auto, Symmetry::Off, ResolvedBackend::Explicit),
-            (Backend::Quotient, Symmetry::Off, ResolvedBackend::Quotient),
-            (Backend::Explicit, Symmetry::On, ResolvedBackend::Explicit),
+        let (line, clique) = (
+            generators::labelled_line(&c),
+            generators::labelled_clique(&c),
+        );
+        let (star, cycle) = (
+            generators::labelled_star(&c),
+            generators::labelled_cycle(&c),
+        );
+        // 8! = 40 320 outgrows the group cap, and a capped enumeration is
+        // no group: the full space instead of an unsound reduction.
+        let big = generators::labelled_clique(&LabelCount::from_vec(vec![8]));
+        for (backend, g, expected) in [
+            (Backend::Auto, &line, ResolvedBackend::Explicit),
+            (Backend::Auto, &star, ResolvedBackend::Counter),
+            (Backend::Auto, &clique, ResolvedBackend::Counter),
+            (Backend::Auto, &cycle, ResolvedBackend::Ring),
+            (Backend::Quotient, &line, ResolvedBackend::Quotient),
+            (Backend::Quotient, &big, ResolvedBackend::Explicit),
+            (Backend::Explicit, &clique, ResolvedBackend::Explicit),
         ] {
-            let opts = ExploreOptions::with_limit(100_000).symmetry(symmetry);
-            let r = resolve_backend(&m, &g, backend, &opts).unwrap();
-            assert_eq!(r.backend(), expected, "{backend:?} under {symmetry:?}");
-        }
-        // A capped enumeration is no group: every policy then explores the
-        // full space instead of reducing unsoundly.
-        let opts = ExploreOptions::with_limit(100_000).symmetry_cap(1);
-        for backend in [Backend::Auto, Backend::Quotient] {
-            let r = resolve_backend(&m, &g, backend, &opts).unwrap();
-            assert_eq!(r.backend(), ResolvedBackend::Explicit, "{backend:?}");
+            let r = resolve_backend(&m, g, backend).unwrap();
+            assert_eq!(r.backend(), expected, "{backend:?} on {g:?}");
         }
     }
 

@@ -12,7 +12,8 @@
 //!   its first id followed by the gaps, LEB128-varint encoded. Successor
 //!   ids of a BFS level cluster around the level's id range, so gaps are
 //!   small and most edges take 1–2 bytes instead of 4. Selected
-//!   automatically above [`COMPACT_EDGE_THRESHOLD`] edges (or on request).
+//!   automatically above [`COMPACT_EDGE_THRESHOLD`] edges, and from the
+//!   start under a memory budget.
 //! * **Spilled** — the compact byte stream, flushed segment-by-segment to
 //!   an anonymous temp file whenever the in-memory buffer exceeds half the
 //!   caller's memory budget. Fixpoints re-read the stream sequentially in
@@ -28,27 +29,12 @@ use std::ops::{Deref, Range};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Edge count above which `Auto` switches the forward CSR to the compact
+/// Edge count above which the forward CSR switches to the compact
 /// encoding (8 Mi edges ≈ 32 MiB plain).
 pub(crate) const COMPACT_EDGE_THRESHOLD: usize = 8 << 20;
 
 /// Chunk size for streaming re-reads of a spilled edge stream.
 const STREAM_CHUNK_BYTES: usize = 4 << 20;
-
-/// Which successor-row representation [`Exploration`](crate::Exploration)
-/// uses (see [`ExploreOptions::edge_encoding`](crate::ExploreOptions)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EdgeEncoding {
-    /// Plain CSR below a threshold (8 Mi edges ≈ 32 MiB plain), compact
-    /// above it. Setting a memory budget implies the compact encoding
-    /// regardless.
-    #[default]
-    Auto,
-    /// Always the plain `u32` CSR (fastest; 4 bytes per edge).
-    Plain,
-    /// Always the delta/varint encoding (typically 1–2 bytes per edge).
-    Compact,
-}
 
 /// One successor row: borrowed straight out of a plain CSR, or decoded on
 /// the fly from the compact / spilled representations. Dereferences to
@@ -455,11 +441,11 @@ impl EdgeStore {
 }
 
 /// Accumulates successor rows during exploration and finishes into an
-/// [`EdgeStore`]. Starts plain; migrates to the compact encoding when the
-/// requested [`EdgeEncoding`] (or the edge threshold, or a memory budget)
-/// says so; flushes compact segments to a temp file under a budget.
+/// [`EdgeStore`]. Starts plain, or compact under a memory budget; migrates
+/// to the compact encoding once the edge count clears
+/// [`COMPACT_EDGE_THRESHOLD`]; flushes compact segments to a temp file
+/// under a budget.
 pub(crate) struct EdgeBuilder {
-    encoding: EdgeEncoding,
     budget: Option<usize>,
     compact: bool,
     off: Vec<u32>,
@@ -472,10 +458,9 @@ pub(crate) struct EdgeBuilder {
 }
 
 impl EdgeBuilder {
-    pub(crate) fn new(encoding: EdgeEncoding, budget: Option<usize>) -> Self {
-        let compact = matches!(encoding, EdgeEncoding::Compact) || budget.is_some();
+    pub(crate) fn new(budget: Option<usize>) -> Self {
+        let compact = budget.is_some();
         EdgeBuilder {
-            encoding,
             budget,
             compact,
             off: if compact { Vec::new() } else { vec![0] },
@@ -495,9 +480,7 @@ impl EdgeBuilder {
         if !self.compact {
             self.ids.extend_from_slice(row);
             self.off.push(self.ids.len() as u32);
-            if matches!(self.encoding, EdgeEncoding::Auto)
-                && self.ids.len() >= COMPACT_EDGE_THRESHOLD
-            {
+            if self.ids.len() >= COMPACT_EDGE_THRESHOLD {
                 self.migrate_to_compact();
             }
             return Ok(());
@@ -507,8 +490,8 @@ impl EdgeBuilder {
         self.maybe_flush()
     }
 
-    /// Re-encodes the accumulated plain rows compactly (the `Auto`
-    /// threshold crossing); the plain vectors are freed.
+    /// Re-encodes the accumulated plain rows compactly (the threshold
+    /// crossing); the plain vectors are freed.
     fn migrate_to_compact(&mut self) {
         self.boff = Vec::with_capacity(self.off.len());
         self.boff.push(0);
@@ -579,12 +562,24 @@ mod tests {
             .collect()
     }
 
-    fn build(encoding: EdgeEncoding, budget: Option<usize>) -> EdgeStore {
-        let mut b = EdgeBuilder::new(encoding, budget);
+    fn builder(budget: Option<usize>) -> EdgeBuilder {
+        let mut b = EdgeBuilder::new(budget);
         for row in rows() {
             b.push_row(&row).unwrap();
         }
-        b.finish()
+        b
+    }
+
+    /// The plain store, the resident compact store (the plain rows
+    /// migrated, as past the edge threshold) and the spilled store.
+    fn stores() -> [EdgeStore; 3] {
+        let mut compact = builder(None);
+        compact.migrate_to_compact();
+        [
+            builder(None).finish(),
+            compact.finish(),
+            builder(Some(64)).finish(),
+        ]
     }
 
     #[test]
@@ -603,10 +598,9 @@ mod tests {
 
     #[test]
     fn encodings_agree_on_every_row() {
-        let plain = build(EdgeEncoding::Plain, None);
-        let compact = build(EdgeEncoding::Compact, None);
-        let spilled = build(EdgeEncoding::Auto, Some(64));
+        let [plain, compact, spilled] = stores();
         assert!(plain.is_plain() && !compact.is_plain() && !spilled.is_plain());
+        assert!(!compact.is_spilled());
         assert!(spilled.is_spilled() && spilled.spilled_bytes() > 0);
         assert_eq!(plain.rows(), compact.rows());
         assert_eq!(plain.rows(), spilled.rows());
@@ -619,11 +613,7 @@ mod tests {
 
     #[test]
     fn streaming_matches_random_access() {
-        for store in [
-            build(EdgeEncoding::Plain, None),
-            build(EdgeEncoding::Compact, None),
-            build(EdgeEncoding::Auto, Some(64)),
-        ] {
+        for store in stores() {
             let mut seen = 0usize;
             store.for_each_row(|i, row| {
                 assert_eq!(store.row(i as usize), *row, "row {i}");
@@ -644,25 +634,8 @@ mod tests {
     }
 
     #[test]
-    fn auto_migrates_above_threshold() {
-        // A miniature threshold is not configurable, so exercise the
-        // migration path directly.
-        let mut b = EdgeBuilder::new(EdgeEncoding::Plain, None);
-        for row in rows() {
-            b.push_row(&row).unwrap();
-        }
-        b.migrate_to_compact();
-        let store = b.finish();
-        let plain = build(EdgeEncoding::Plain, None);
-        assert!(!store.is_plain());
-        for i in 0..plain.rows() {
-            assert_eq!(plain.row(i), store.row(i));
-        }
-    }
-
-    #[test]
     fn spill_file_is_removed_on_drop() {
-        let store = build(EdgeEncoding::Auto, Some(64));
+        let store = builder(Some(64)).finish();
         let path = match &store.rep {
             Rep::Spilled { path, .. } => path.clone(),
             _ => panic!("expected a spilled store"),

@@ -33,11 +33,10 @@
 //!   arrive in first-occurrence order and the whole exploration is a pure
 //!   function of the transition system and its start;
 //! * the step relation is stored as a CSR (offsets + `u32` targets); past
-//!   [`ExploreOptions::edge_encoding`]'s auto threshold the target lists
-//!   switch to a delta/varint encoding behind [`Exploration::successors`],
-//!   and an [`ExploreOptions::memory_budget`] spills encoded segments to a
-//!   temp file so footprint-refused spaces become *slower* instead of
-//!   `TooLarge`;
+//!   8 Mi edges the target lists switch to a delta/varint encoding behind
+//!   [`Exploration::successors`], and an [`ExploreOptions::memory_budget`]
+//!   spills encoded segments to a temp file so footprint-refused spaces
+//!   become *slower* instead of `TooLarge`;
 //! * [`Exploration::pre_star`] and the stable-consensus queries run bitset
 //!   fixpoints over a lazily built, cached reverse CSR (a counting sort),
 //!   so [`Exploration::verdict`] transposes the edge list once, not twice;
@@ -47,8 +46,8 @@
 //!   quadratic membership scans of the original implementation.
 
 use crate::bitset::BitSet;
+pub use crate::edges::SuccRow;
 use crate::edges::{EdgeBuilder, EdgeStore};
-pub use crate::edges::{EdgeEncoding, SuccRow};
 use crate::{Config, Interner, Machine, Schedule, Selection, State};
 use rustc_hash::FxHashMap;
 use std::error::Error;
@@ -434,57 +433,22 @@ impl<S: State> TransitionSystem for LiberalSystem<'_, S> {
     }
 }
 
-/// Whether a decider should explore the orbit quotient of the
-/// configuration space under the communication graph's automorphism group
-/// (see [`resolve_backend`](crate::resolve_backend) and the
-/// `wam-core::symmetry` module).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Symmetry {
-    /// Reduce when the structural automorphism group is non-trivial and was
-    /// enumerated completely within [`ExploreOptions::symmetry_cap`];
-    /// otherwise explore the full space. The right default: reduction is
-    /// sound whenever it applies, and `Auto` never pays canonicalisation
-    /// overhead on rigid graphs.
-    #[default]
-    Auto,
-    /// Always canonicalise, even under a trivial group (useful for testing
-    /// the quotient machinery itself; a trivial group makes it a no-op
-    /// semantically but still exercises the wrapper).
-    On,
-    /// Never reduce: explore the full configuration space.
-    Off,
-}
-
-/// Tuning knobs for [`Exploration::explore_with`].
+/// Tuning knobs for [`Exploration::explore_with`] and the deciders: a
+/// size limit and an optional memory budget. Which representation a
+/// decision explores is the [`Backend`](crate::Backend) argument's job,
+/// and the successor storage picks its own encoding.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`ExploreOptions::default`] / [`ExploreOptions::with_limit`] and refine
 /// through the builder methods ([`limit`](ExploreOptions::limit),
-/// [`symmetry`](ExploreOptions::symmetry), …), so future backend knobs
-/// can be added without breaking downstream code.
+/// [`memory_budget`](ExploreOptions::memory_budget)).
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreOptions {
     /// Maximum number of reachable configurations before
-    /// [`ExploreError::TooLarge`]. Under symmetry reduction this bounds the
-    /// number of *orbit representatives*, which is what is interned.
+    /// [`ExploreError::TooLarge`]. Under a reduction this bounds what is
+    /// interned: orbit representatives, count vectors or necklaces.
     pub limit: usize,
-    /// Orbit-quotient reduction policy. [`Exploration`] itself never
-    /// canonicalises — the option is consumed by
-    /// [`resolve_backend`](crate::resolve_backend), whose
-    /// [`Resolution::Quotient`](crate::Resolution::Quotient) callers wrap
-    /// the system in a [`QuotientSystem`](crate::QuotientSystem) before
-    /// exploring.
-    pub symmetry: Symmetry,
-    /// Cap on the order of the enumerated automorphism group; larger groups
-    /// fall back to no reduction (see
-    /// [`wam_graph::automorphism_group`](wam_graph::automorphism_group)).
-    pub symmetry_cap: usize,
-    /// How the successor CSR is stored: plain `u32` rows, the delta/varint
-    /// compact encoding, or (the default) plain until the edge count
-    /// clears a threshold. Setting a [`memory_budget`](Self::memory_budget)
-    /// implies the compact encoding.
-    pub edge_encoding: EdgeEncoding,
     /// Approximate byte budget for in-memory successor storage. When set,
     /// edges are varint-encoded and flushed segment-by-segment to a temp
     /// file once the resident encoding exceeds the budget; fixpoints then
@@ -500,9 +464,6 @@ impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
             limit: 1_000_000,
-            symmetry: Symmetry::default(),
-            symmetry_cap: wam_graph::DEFAULT_GROUP_CAP,
-            edge_encoding: EdgeEncoding::default(),
             memory_budget: None,
         }
     }
@@ -523,24 +484,6 @@ impl ExploreOptions {
         self
     }
 
-    /// Sets the orbit-quotient reduction policy.
-    pub fn symmetry(mut self, symmetry: Symmetry) -> Self {
-        self.symmetry = symmetry;
-        self
-    }
-
-    /// Sets the cap on the enumerated automorphism group order.
-    pub fn symmetry_cap(mut self, symmetry_cap: usize) -> Self {
-        self.symmetry_cap = symmetry_cap;
-        self
-    }
-
-    /// Sets the successor-CSR encoding policy.
-    pub fn edge_encoding(mut self, edge_encoding: EdgeEncoding) -> Self {
-        self.edge_encoding = edge_encoding;
-        self
-    }
-
     /// Sets the in-memory byte budget for successor storage (enables the
     /// out-of-core spill path).
     pub fn memory_budget(mut self, memory_budget: usize) -> Self {
@@ -552,9 +495,9 @@ impl ExploreOptions {
 /// The explored configuration graph of a [`TransitionSystem`]: every
 /// configuration reachable from the initial one (hash-consed to dense
 /// `u32` ids), the non-silent step relation behind a CSR-row API (plain,
-/// compact or spilled — see [`EdgeEncoding`]), acceptance flags as
-/// bitsets, and `Pre*` machinery over a cached reverse CSR (or streaming
-/// forward passes when the edges live on disk).
+/// compact or spilled), acceptance flags as bitsets, and `Pre*` machinery
+/// over a cached reverse CSR (or streaming forward passes when the edges
+/// live on disk).
 #[derive(Debug)]
 pub struct Exploration<C> {
     interner: Interner<C>,
@@ -602,8 +545,8 @@ impl<C: Clone + Eq + Hash + fmt::Debug> Exploration<C> {
     /// Explores `system` from `start` under explicit [`ExploreOptions`].
     ///
     /// The result — ids, edges, flags, verdicts — is a pure function of
-    /// the transition system and `start`; the edge encoding and memory
-    /// budget only change how the edges are stored.
+    /// the transition system and `start`; the memory budget only changes
+    /// how the edges are stored.
     ///
     /// # Errors
     ///
@@ -621,7 +564,7 @@ impl<C: Clone + Eq + Hash + fmt::Debug> Exploration<C> {
         let mut interner = Interner::new();
         let (start_id, _) = interner.intern(start);
         debug_assert_eq!(start_id, 0);
-        let mut builder = EdgeBuilder::new(options.edge_encoding, options.memory_budget);
+        let mut builder = EdgeBuilder::new(options.memory_budget);
         let mut acc_flags: Vec<bool> = Vec::new();
         let mut rej_flags: Vec<bool> = Vec::new();
         let mut lo = 0usize;

@@ -77,8 +77,8 @@ pub use decider::{
 };
 pub use dense::{explore_counter_kernel, explore_ring_kernel, CounterRow, RingRow};
 pub use explore::{
-    lasso_verdict, EdgeEncoding, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Lasso,
-    LiberalSystem, SuccBuf, SuccRow, Symmetry, TransitionSystem, Verdict,
+    lasso_verdict, ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Lasso,
+    LiberalSystem, SuccBuf, SuccRow, TransitionSystem, Verdict,
 };
 pub use halting::{halting_violations, make_halting};
 pub use intern::Interner;

@@ -478,6 +478,25 @@ mod tests {
         assert!(!blob.json.is_empty());
     }
 
+    /// The served backend policy: `Auto` takes the counter or ring rows
+    /// where they apply and the full space elsewhere, never the quotient.
+    #[test]
+    fn auto_policy_picks_the_dense_rows() {
+        let reg = MachineRegistry::paper_catalog();
+        let e = reg.get("majority").unwrap();
+        let c = LabelCount::from_vec(vec![2, 2]);
+        for (g, backend) in [
+            (generators::labelled_line(&c), "explicit"),
+            (generators::labelled_star(&c), "counter"),
+            (generators::labelled_cycle(&c), "ring"),
+        ] {
+            assert_eq!(e.decide(&g, false).unwrap().backend, backend, "{g:?}");
+        }
+        let certified = e.decide(&generators::labelled_line(&c), true).unwrap();
+        assert_eq!(certified.backend, "explicit");
+        assert_eq!(certified.certificate.expect("certified").kind, "node");
+    }
+
     #[test]
     fn fingerprints_are_stable_per_name() {
         let a = MachineRegistry::paper_catalog();

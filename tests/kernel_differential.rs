@@ -19,7 +19,7 @@ use weak_async_models::certify::{
 };
 use weak_async_models::core::{
     decide, explore_kernel, Backend, ExclusiveSystem, Exploration, ExploreOptions, LiberalSystem,
-    Machine, Output, Schedule, SuccBuf, Symmetry, TransitionSystem,
+    Machine, Output, ResolvedBackend, Schedule, SuccBuf, TransitionSystem,
 };
 use weak_async_models::extensions::{
     threshold_protocol, AbsenceMachine, AbsenceSystem, BroadcastMachine, BroadcastSystem,
@@ -121,16 +121,23 @@ fn assert_kernel_matches_naive(m: &Machine<u8>, g: &Graph) {
     assert_eq!(verdict, naive.verdict());
     assert_eq!(stats.explored, naive.len());
 
-    // The certified explicit decision emits from the kernel rows, whose id
-    // order coincides with the generic engine's: the certificate is the
-    // generic emission, not merely an equivalent one.
+    assert_certified_is_generic(m, g, Backend::Explicit);
+}
+
+/// The certified decision under `backend` (one that resolves to the full
+/// space) emits from the kernel rows, whose id order coincides with the
+/// generic engine's: the certificate is the generic emission, not merely
+/// an equivalent one, and serialises to the same bytes on every run.
+fn assert_certified_is_generic(m: &Machine<u8>, g: &Graph, backend: Backend) {
+    let sys = ExclusiveSystem::new(m, g);
+    let naive = Exploration::explore(&sys, 200_000).expect("naive exploration");
     let certified = || {
         let d = Decider::new(m, g)
-            .backend(Backend::Explicit)
+            .backend(backend)
             .certified(true)
             .limit(200_000)
             .decide()
-            .expect("certified explicit");
+            .expect("certified decision");
         assert_eq!(d.verdict, naive.verdict());
         assert_eq!(d.stats.explored, naive.len());
         match d.certificate {
@@ -310,22 +317,22 @@ fn buffer_api_matches_extension_families() {
     }
 }
 
-/// `Backend::Auto` with `Symmetry::Off` (the other route into the explicit
-/// closure) also rides the kernel and stays observationally identical.
+/// `Backend::Auto` on twin-free graphs that are not cycles resolves to the
+/// full space and rides the kernel rows, certificate included.
 #[test]
-fn auto_backend_symmetry_off_matches_naive() {
-    let m = table_machine([1, 0], vec![1; (STATES as usize) << STATES], [1, 0, 2]);
-    let g = generators::labelled_cycle(&LabelCount::from_vec(vec![3, 2]));
-    let sys = ExclusiveSystem::new(&m, &g);
-    let naive = Exploration::explore(&sys, 200_000).unwrap();
-    let (verdict, stats) = decide(
-        &m,
-        &g,
-        Schedule::PseudoStochastic,
-        Backend::Auto,
-        ExploreOptions::with_limit(200_000).symmetry(Symmetry::Off),
-    )
-    .unwrap();
-    assert_eq!(verdict, naive.verdict());
-    assert_eq!(stats.explored, naive.len());
+fn auto_backend_on_twin_free_graphs_matches_naive() {
+    let table = (0..(STATES as usize) << STATES).map(|i| (i * 5 % 7) as u8);
+    let m = table_machine([1, 0], table.collect(), [1, 0, 2]);
+    let line = generators::labelled_line(&LabelCount::from_vec(vec![3, 2]));
+    // Rigid (|Aut| = 1): no twins, not a cycle.
+    let rigid = generators::random_degree_bounded(&LabelCount::from_vec(vec![5, 1]), 3, 2, 4);
+    for g in [&rigid, &line] {
+        let naive = Exploration::explore(&ExclusiveSystem::new(&m, g), 200_000).unwrap();
+        let opts = ExploreOptions::with_limit(200_000);
+        let (v, stats) = decide(&m, g, Schedule::PseudoStochastic, Backend::Auto, opts).unwrap();
+        assert_eq!(stats.backend, ResolvedBackend::Explicit, "{g:?}");
+        assert_eq!(v, naive.verdict());
+        assert_eq!(stats.explored, naive.len());
+    }
+    assert_certified_is_generic(&m, &line, Backend::Auto);
 }
