@@ -234,9 +234,7 @@ mod tests {
 
     #[test]
     fn certified_store_reuses_certificates_across_isomorphic_graphs() {
-        use wam_certify::{
-            verify_machine, CertifiedVerdict, Decider, DecisionCertificate, VerifyOptions,
-        };
+        use wam_certify::{verify_machine, CertifiedVerdict, Decider, DecisionCertificate};
 
         let m = Machine::new(
             1,
@@ -251,7 +249,7 @@ mod tests {
         let fp = system_fingerprint("flood");
         let first = memo.decide_certified(fp, &star, |g| {
             let d = Decider::new(&m, g)
-                .backend(wam_core::Backend::Quotient)
+                .backend(wam_core::Backend::Explicit)
                 .certified(true)
                 .limit(100_000)
                 .decide()
@@ -261,7 +259,7 @@ mod tests {
                     verdict: d.verdict,
                     certificate,
                 },
-                other => panic!("quotient backend emits node certificates, got {other:?}"),
+                other => panic!("explicit backend emits node certificates, got {other:?}"),
             }
         });
         let second = memo.decide_certified(fp, &line, |_| {
@@ -277,13 +275,8 @@ mod tests {
         // The cached certificate stays valid against its *emission* graph —
         // even when the lookup graph merely shared the isomorphism class.
         assert_eq!(second.graph, star);
-        let v = verify_machine(
-            &m,
-            &second.graph,
-            &second.certificate,
-            &VerifyOptions::default(),
-        )
-        .expect("cached certificate must verify against its emission graph");
+        let v = verify_machine(&m, &second.graph, &second.certificate)
+            .expect("cached certificate must verify against its emission graph");
         assert_eq!(v, second.verdict);
     }
 }

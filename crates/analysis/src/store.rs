@@ -526,17 +526,23 @@ mod tests {
     fn failed_decision_wakes_coalesced_waiters() {
         let store: Arc<VerdictStore<u32>> = Arc::new(VerdictStore::new());
         let k = key("a", &[5, 2]);
+        let (claimed, on_claim) = std::sync::mpsc::channel();
         let failer = {
             let store = Arc::clone(&store);
             let k = k.clone();
             std::thread::spawn(move || {
                 store.try_get_or_insert_with(&k, || {
+                    // The key is claimed once the closure runs: release the
+                    // waiter, then hold the claim so it parks. Should it
+                    // arrive after the failure, it decides fresh and the
+                    // assertions hold all the same.
+                    claimed.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(10));
                     Err::<u32, &str>("nope")
                 })
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        on_claim.recv().unwrap();
         let v = store.get_or_insert_with(&k, || 6);
         assert_eq!(failer.join().unwrap(), Err("nope"));
         assert_eq!(v, 6, "a waiter must take over after the error");
@@ -546,19 +552,21 @@ mod tests {
     fn panicking_decision_hands_over_to_a_waiter() {
         let store: Arc<VerdictStore<u32>> = Arc::new(VerdictStore::new());
         let k = key("a", &[3, 2]);
+        let (claimed, on_claim) = std::sync::mpsc::channel();
         let poisoner = {
             let store = Arc::clone(&store);
             let k = k.clone();
             std::thread::spawn(move || {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     store.get_or_insert_with(&k, || {
+                        claimed.send(()).unwrap();
                         std::thread::sleep(std::time::Duration::from_millis(10));
                         panic!("decision failed")
                     })
                 }));
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        on_claim.recv().unwrap();
         let v = store.get_or_insert_with(&k, || 5);
         poisoner.join().unwrap();
         assert_eq!(v, 5, "a waiter must take over after the panic");

@@ -18,9 +18,7 @@
 
 use std::time::Instant;
 use wam_bench::Table;
-use wam_certify::{
-    certificate_to_json, Certificate, Decider, DecisionCertificate, StateTable, VerifyOptions,
-};
+use wam_certify::{certificate_to_json, Certificate, Decider, DecisionCertificate, StateTable};
 use wam_core::{
     explore_counter_kernel, explore_kernel, explore_ring_kernel, Backend, CounterSystem,
     ExclusiveSystem, Exploration, ExploreError, ExploreOptions, KernelStats, Machine,
@@ -539,7 +537,6 @@ struct CertTiming {
     backend: ResolvedBackend,
     verdict: Verdict,
     kind: &'static str,
-    transported: bool,
     cert_configs: usize,
     json_bytes: usize,
     plain_ms: f64,
@@ -547,13 +544,12 @@ struct CertTiming {
     verify_ms: f64,
 }
 
-/// The certificate's kind, transport flag, configuration count and
-/// serialised size.
+/// The certificate's kind, configuration count and serialised size.
 fn cert_facts<C>(
     c: &Certificate<C>,
     json: impl FnOnce(&Certificate<C>) -> String,
-) -> (&'static str, bool, usize, usize) {
-    (c.kind(), c.has_transport(), c.config_count(), json(c).len())
+) -> (&'static str, usize, usize) {
+    (c.kind(), c.config_count(), json(c).len())
 }
 
 /// Times a plain decider against its certificate-emitting counterpart and
@@ -594,11 +590,11 @@ fn time_certified<S: State>(
     );
     let cert = out.certificate.expect("certified run");
     let (verify_ms, vv) = time_ms(reps, || {
-        cert.verify(machine, graph, &VerifyOptions::default())
+        cert.verify(machine, graph)
             .expect("emitted certificate must verify")
     });
     assert_eq!(vv, out.verdict, "verifier disagreed with the decider");
-    let (kind, transported, cert_configs, json_bytes) = match &cert {
+    let (kind, cert_configs, json_bytes) = match &cert {
         DecisionCertificate::Node(c) => cert_facts(c, |c| {
             certificate_to_json(c, &StateTable::from_certificate(c))
         }),
@@ -615,7 +611,6 @@ fn time_certified<S: State>(
         backend: out.stats.backend,
         verdict: out.verdict,
         kind,
-        transported,
         cert_configs,
         json_bytes,
         plain_ms,
@@ -826,13 +821,12 @@ fn write_report(
             cert_rows.push_str(",\n");
         }
         cert_rows.push_str(&format!(
-            "      {{\n        \"workload\": \"{}\",\n        \"nodes\": {},\n        \"backend\": \"{}\",\n        \"verdict\": \"{}\",\n        \"kind\": \"{}\",\n        \"transported\": {},\n        \"cert_configs\": {},\n        \"json_bytes\": {},\n        \"plain_ms\": {:.3},\n        \"certified_ms\": {:.3},\n        \"verify_ms\": {:.3},\n        \"emission_overhead\": {:.2}\n      }}",
+            "      {{\n        \"workload\": \"{}\",\n        \"nodes\": {},\n        \"backend\": \"{}\",\n        \"verdict\": \"{}\",\n        \"kind\": \"{}\",\n        \"cert_configs\": {},\n        \"json_bytes\": {},\n        \"plain_ms\": {:.3},\n        \"certified_ms\": {:.3},\n        \"verify_ms\": {:.3},\n        \"emission_overhead\": {:.2}\n      }}",
             json_escape(&c.name),
             c.nodes,
             c.backend,
             c.verdict,
             c.kind,
-            c.transported,
             c.cert_configs,
             c.json_bytes,
             c.plain_ms,
@@ -883,7 +877,7 @@ fn write_report(
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; transported rows were emitted from an orbit-quotient run; backend is the resolved representation, and the explicit, counter and ring rows emit from the dense δ-session rows the plain decision explores\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; backend is the resolved representation, and the explicit, counter and ring rows emit from the dense δ-session rows the plain decision explores\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
     std::fs::write(path, &json).expect("write BENCH_explore.json");
@@ -1258,22 +1252,20 @@ fn main() {
             &g,
             9,
             Schedule::PseudoStochastic,
-            Backend::Quotient,
+            Backend::Auto,
         ));
     }
     {
-        // Star with 7 leaves: |Aut| = 5040, the quotient backend reduces
-        // the space, so this certificate carries symmetry transport.
         let g = generators::labelled_star(&LabelCount::from_vec(vec![7, 1]));
         let m = flood();
         certificates.push(time_certified(
-            "flood star (quotient)",
+            "flood star (pseudo-stochastic)",
             8,
             &m,
             &g,
             9,
             Schedule::PseudoStochastic,
-            Backend::Quotient,
+            Backend::Auto,
         ));
     }
     {
@@ -1286,7 +1278,7 @@ fn main() {
             &g,
             3,
             Schedule::PseudoStochastic,
-            Backend::Quotient,
+            Backend::Auto,
         ));
     }
     {
@@ -1302,7 +1294,7 @@ fn main() {
             &g,
             9,
             Schedule::RoundRobin,
-            Backend::Quotient,
+            Backend::Auto,
         ));
     }
     // The dense rows: certified decisions emit from the same δ-session
@@ -1351,11 +1343,7 @@ fn main() {
     for c in &certificates {
         ct.row([
             c.name.clone(),
-            if c.transported {
-                format!("{} (transported)", c.kind)
-            } else {
-                c.kind.to_string()
-            },
+            c.kind.to_string(),
             c.cert_configs.to_string(),
             c.json_bytes.to_string(),
             format!("{:.1}", c.plain_ms),

@@ -24,15 +24,6 @@
 //!   deciders: a stem length and the closed cycle of configurations; the
 //!   verifier replays the deterministic run and reads the verdict off the
 //!   cycle.
-//!
-//! When emission went through the orbit quotient
-//! ([`QuotientSystem`](wam_core::QuotientSystem)), configurations in the
-//! invariant / space sections are **orbit representatives** and the
-//! certificate carries *symmetry transport*: explicit node permutations
-//! mapping each re-executed successor back onto a stored representative
-//! (see [`InvariantTransport`] / [`SpaceTransport`]). Reachability paths
-//! are always concretised at emission time, so path steps never need
-//! transport.
 
 use wam_core::Verdict;
 
@@ -108,38 +99,13 @@ impl<C> ReachPath<C> {
     }
 }
 
-/// A node permutation `π`, stored as the image table used by
-/// [`PermuteNodes::permute`](wam_core::PermuteNodes::permute):
-/// `(π · c)(v) = c(π(v))`.
-pub type Perm = Vec<u32>;
-
-/// Symmetry transport for a [`StabilityInvariant`] emitted from an
-/// orbit-quotient exploration.
-///
-/// `closure[i][j]` is the permutation mapping the `j`-th re-executed
-/// successor of invariant member `i` (in `TransitionSystem::successors`
-/// order) onto a stored orbit representative: the verifier checks
-/// `π · s ∈ members` instead of `s ∈ members`. `endpoint` maps the concrete
-/// path endpoint onto its stored representative the same way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvariantTransport {
-    /// Per member, per enumerated successor: the canonicalising permutation.
-    pub closure: Vec<Vec<Perm>>,
-    /// Maps the (concrete) path endpoint onto its orbit representative.
-    pub endpoint: Perm,
-}
-
 /// The explicit closed set witnessing "stably accepting/rejecting": every
 /// member has uniform output of the claimed polarity, and every enumerated
-/// successor of a member is again a member (possibly after transport).
+/// successor of a member is again a member.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StabilityInvariant<C> {
-    /// The members of the closed set. Must contain the path endpoint (its
-    /// orbit representative under transport).
+    /// The members of the closed set. Must contain the path endpoint.
     pub members: Vec<C>,
-    /// Present iff the members are orbit representatives of a quotient
-    /// exploration.
-    pub transport: Option<InvariantTransport>,
 }
 
 /// Prop. D.2 witness for `Accepts` / `Rejects`: a reachability path from
@@ -149,7 +115,7 @@ pub struct StableCertificate<C> {
     /// Whether the invariant claims accepting or rejecting consensus.
     pub polarity: Polarity,
     /// Concrete path from the initial configuration to a member of the
-    /// invariant (up to transport).
+    /// invariant.
     pub path: ReachPath<C>,
     /// The closed, output-uniform set containing the path endpoint.
     pub invariant: StabilityInvariant<C>,
@@ -163,19 +129,9 @@ pub enum Escape {
     /// non-accepting / non-rejecting).
     Here,
     /// Follow the step to the member with this index (which must be an
-    /// enumerated successor, up to transport); its own escape pointer
+    /// enumerated successor); its own escape pointer
     /// continues the walk. The chains must be acyclic.
     Via(u32),
-}
-
-/// Symmetry transport for a [`NoConsensusCertificate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpaceTransport {
-    /// Per space member, per enumerated successor: the canonicalising
-    /// permutation (same convention as [`InvariantTransport::closure`]).
-    pub closure: Vec<Vec<Perm>>,
-    /// Maps the concrete initial configuration onto its representative.
-    pub initial: Perm,
 }
 
 /// Witness for `NoConsensus` under pseudo-stochastic fairness: the entire
@@ -184,12 +140,10 @@ pub struct SpaceTransport {
 /// accepting or stably rejecting configuration exists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoConsensusCertificate<C> {
-    /// All reachable configurations (orbit representatives under
-    /// transport). Closure of this set under `successors` is re-checked by
-    /// the verifier, which makes it a genuine over-approximation witness.
+    /// All reachable configurations. Closure of this set under
+    /// `successors` is re-checked by the verifier, which makes it a genuine
+    /// over-approximation witness.
     pub space: Vec<C>,
-    /// Present iff the space members are orbit representatives.
-    pub transport: Option<SpaceTransport>,
     /// For each space member: an escape to a non-accepting configuration.
     pub escape_accepting: Vec<Escape>,
     /// For each space member: an escape to a non-rejecting configuration.
@@ -258,19 +212,6 @@ impl<C> Certificate<C> {
         }
     }
 
-    /// Whether any part of the certificate carries symmetry transport
-    /// (i.e. it was emitted from an orbit-quotient exploration).
-    pub fn has_transport(&self) -> bool {
-        match self {
-            Certificate::Stable(s) => s.invariant.transport.is_some(),
-            Certificate::Inconsistent(a, r) => {
-                a.invariant.transport.is_some() || r.invariant.transport.is_some()
-            }
-            Certificate::NoConsensus(n) => n.transport.is_some(),
-            Certificate::Lasso(_) => false,
-        }
-    }
-
     /// Total number of configurations stored in the certificate.
     pub fn config_count(&self) -> usize {
         let stable = |s: &StableCertificate<C>| 1 + s.path.len() + s.invariant.members.len();
@@ -309,15 +250,10 @@ impl<C> Certificate<C> {
     pub fn summary(&self) -> String {
         match self {
             Certificate::Stable(s) => format!(
-                "stable {}: path of {} steps, invariant of {} configurations{}",
+                "stable {}: path of {} steps, invariant of {} configurations",
                 s.polarity.verdict(),
                 s.path.len(),
                 s.invariant.members.len(),
-                if s.invariant.transport.is_some() {
-                    " (orbit representatives + transport)"
-                } else {
-                    ""
-                }
             ),
             Certificate::Inconsistent(a, r) => format!(
                 "inconsistent: accepting witness ({} steps, {} members) \
@@ -328,13 +264,8 @@ impl<C> Certificate<C> {
                 r.invariant.members.len()
             ),
             Certificate::NoConsensus(n) => format!(
-                "no consensus: closed space of {} configurations with escape pointers{}",
-                n.space.len(),
-                if n.transport.is_some() {
-                    " (orbit representatives + transport)"
-                } else {
-                    ""
-                }
+                "no consensus: closed space of {} configurations with escape pointers",
+                n.space.len()
             ),
             Certificate::Lasso(l) => format!(
                 "{} lasso {}: stem of {} steps, cycle of {}",

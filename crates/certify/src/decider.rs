@@ -22,7 +22,7 @@
 //! against it.
 //!
 //! ```
-//! use wam_certify::{Decider, VerifyOptions};
+//! use wam_certify::Decider;
 //! use wam_core::{Backend, Machine, Output, Schedule};
 //! use wam_graph::{generators, LabelCount};
 //!
@@ -42,20 +42,17 @@
 //!     .unwrap();
 //! assert!(decision.verdict.is_accepting());
 //! let cert = decision.certificate.as_ref().unwrap();
-//! assert_eq!(
-//!     cert.verify(&m, &g, &VerifyOptions::default()).unwrap(),
-//!     decision.verdict,
-//! );
+//! assert_eq!(cert.verify(&m, &g).unwrap(), decision.verdict);
 //! ```
 
 use crate::certificate::{Certificate, LassoCertificate, LassoSchedule};
-use crate::emit::{certify_exploration, certify_quotient, relabel_exclusive_path, Explored};
-use crate::verify::{verify_machine, verify_system, CertError, VerifyOptions};
+use crate::emit::{certify_exploration, relabel_exclusive_path, Explored};
+use crate::verify::{verify_machine, verify_system, CertError};
 use wam_core::{
     dense_or, explore_counter_kernel, explore_kernel, explore_ring_kernel, lasso_verdict,
     resolve_backend, Backend, Config, CounterConfig, CounterSystem, DecisionStats, ExclusiveSystem,
-    Exploration, ExploreError, ExploreOptions, Machine, QuotientSystem, Resolution,
-    ResolvedBackend, RingConfig, RingSystem, Schedule, State, TransitionSystem, Verdict,
+    Exploration, ExploreError, ExploreOptions, Machine, Resolution, ResolvedBackend, RingConfig,
+    RingSystem, Schedule, State, TransitionSystem, Verdict,
 };
 use wam_graph::Graph;
 
@@ -68,8 +65,8 @@ use wam_graph::Graph;
 /// precondition) before replaying the witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecisionCertificate<S: State> {
-    /// A witness over explicit node configurations (explicit or quotient
-    /// backends, and the deterministic lasso schedules).
+    /// A witness over explicit node configurations (the explicit backend
+    /// and the deterministic lasso schedules).
     Node(Certificate<Config<S>>),
     /// A witness over count vectors of the twin partition.
     Counter(Certificate<CounterConfig<S>>),
@@ -86,14 +83,9 @@ impl<S: State> DecisionCertificate<S> {
     /// A [`CertError`] describing the first failed check —
     /// [`CertError::BackendUnavailable`] if the certificate's abstraction
     /// does not apply to this machine/graph pair at all.
-    pub fn verify(
-        &self,
-        machine: &Machine<S>,
-        graph: &Graph,
-        options: &VerifyOptions,
-    ) -> Result<Verdict, CertError> {
+    pub fn verify(&self, machine: &Machine<S>, graph: &Graph) -> Result<Verdict, CertError> {
         match self {
-            DecisionCertificate::Node(cert) => verify_machine(machine, graph, cert, options),
+            DecisionCertificate::Node(cert) => verify_machine(machine, graph, cert),
             DecisionCertificate::Counter(cert) => {
                 let system = CounterSystem::new(machine, graph).map_err(|e| {
                     CertError::BackendUnavailable {
@@ -237,11 +229,11 @@ impl<'a, S: State> Decider<'a, S> {
 /// [`resolve_backend`] picks, explored the way [`wam_core::decide`]
 /// explores it: the explicit, counter and ring resolutions run on the
 /// dense rows of the shared δ session, falling back to the generic system
-/// through the same [`dense_or`] past 65 534 reachable states, and the
-/// orbit quotient runs on the generic engine. The emitters unpack only the
-/// rows a certificate holds; rows map one-to-one onto the generic
-/// configurations, so each `Choice` selection is still the index of the
-/// next configuration among the generic successors the verifier replays.
+/// through the same [`dense_or`] past 65 534 reachable states. The
+/// emitter unpacks only the rows a certificate holds; rows map one-to-one
+/// onto the generic configurations, so each `Choice` selection is still
+/// the index of the next configuration among the generic successors the
+/// verifier replays.
 fn certified_pseudo_stochastic<S: State>(
     machine: &Machine<S>,
     graph: &Graph,
@@ -257,12 +249,6 @@ fn certified_pseudo_stochastic<S: State>(
             |e| emit(&system, &e, node),
             || explore(&system, options).map(|e| emit(&system, &e, node)),
         )?,
-        Resolution::Quotient(group) => {
-            let quotient = QuotientSystem::new(&system, group);
-            let e = explore(&quotient, options)?;
-            let cv = certify_quotient(&system, &quotient, &e);
-            (cv.verdict, node(cv.certificate), e.len(), e.was_spilled())
-        }
         Resolution::Counter(counter) => dense_or(
             explore_counter_kernel(&counter, options),
             |e| emit(&counter, &e, DecisionCertificate::Counter),
@@ -344,19 +330,13 @@ mod tests {
     #[test]
     fn certified_decisions_verify_on_every_backend() {
         let m = flood();
-        let opts = VerifyOptions::default();
         for counts in [vec![3u64, 1], vec![4, 0]] {
             for g in [
                 generators::labelled_clique(&LabelCount::from_vec(counts.clone())),
                 generators::labelled_star(&LabelCount::from_vec(counts.clone())),
                 generators::labelled_cycle(&LabelCount::from_vec(counts.clone())),
             ] {
-                for backend in [
-                    Backend::Auto,
-                    Backend::Explicit,
-                    Backend::Quotient,
-                    Backend::Counter,
-                ] {
+                for backend in [Backend::Auto, Backend::Explicit, Backend::Counter] {
                     let d = Decider::new(&m, &g)
                         .backend(backend)
                         .certified(true)
@@ -365,7 +345,7 @@ mod tests {
                         .unwrap();
                     let cert = d.certificate.as_ref().expect("certified run");
                     assert_eq!(
-                        cert.verify(&m, &g, &opts).unwrap(),
+                        cert.verify(&m, &g).unwrap(),
                         d.verdict,
                         "{backend:?} on {g:?}"
                     );
@@ -383,12 +363,7 @@ mod tests {
             generators::labelled_cycle(&LabelCount::from_vec(vec![5, 1])),
             line.clone(),
         ] {
-            for backend in [
-                Backend::Auto,
-                Backend::Explicit,
-                Backend::Quotient,
-                Backend::Counter,
-            ] {
+            for backend in [Backend::Auto, Backend::Explicit, Backend::Counter] {
                 let run = |certified| {
                     Decider::new(&m, &g)
                         .backend(backend)
@@ -428,10 +403,7 @@ mod tests {
                 .unwrap();
             assert_eq!(d.stats.backend, ResolvedBackend::Lasso);
             let cert = d.certificate.as_ref().unwrap();
-            assert_eq!(
-                cert.verify(&m, &g, &VerifyOptions::default()).unwrap(),
-                d.verdict
-            );
+            assert_eq!(cert.verify(&m, &g).unwrap(), d.verdict);
         }
     }
 
@@ -449,9 +421,7 @@ mod tests {
         // Replaying a counter certificate against a twin-free graph must
         // fail its precondition check, not silently "verify".
         let line = generators::labelled_line(&LabelCount::from_vec(vec![4, 1]));
-        let err = cert
-            .verify(&m, &line, &VerifyOptions::default())
-            .unwrap_err();
+        let err = cert.verify(&m, &line).unwrap_err();
         assert!(
             matches!(err, CertError::BackendUnavailable { .. }),
             "{err:?}"

@@ -5,36 +5,22 @@
 //! trusted: a bug in emission produces a certificate the independent
 //! checker rejects, never a wrongly accepted one.
 //!
-//! The emitters turn a completed exploration into a [`Certificate`]:
-//! [`certify_exploration`] for a full space — the generic [`Exploration`]
-//! or the dense rows of a [`KernelExploration`], through [`Explored`] —
-//! and [`certify_quotient`] for an orbit quotient. [`crate::Decider`]
-//! drives them over the backend [`wam_core::resolve_backend`] picks;
-//! generic systems can call them on an [`Exploration`] they drive
-//! themselves.
-//!
-//! # Quotient concretisation
-//!
-//! When the orbit quotient is active, the explored ids are orbit
-//! representatives. Reachability paths are *concretised* on the fly: with
-//! the action `(π · c)(v) = c(π(v))` and `σᵢ` the accumulated permutation
-//! satisfying `rᵢ = σᵢ · dᵢ` (representative `rᵢ`, concrete `dᵢ`), a
-//! quotient edge `rᵢ → rᵢ₊₁ = q · s` with `s ∈ succ(rᵢ)` lifts to the
-//! concrete step `dᵢ₊₁ = σᵢ⁻¹ · s` and `σᵢ₊₁ = σᵢ ∘ q`. Invariant and
-//! space sections stay in representatives and carry the canonicalising
-//! permutation per re-executed successor ([`InvariantTransport`] /
-//! [`SpaceTransport`]), which is what the checker replays.
+//! The emitter turns a completed full-space exploration into a
+//! [`Certificate`]: [`certify_exploration`] reads the generic
+//! [`Exploration`] or the dense rows of a [`KernelExploration`], through
+//! [`Explored`]. [`crate::Decider`] drives it over the backend
+//! [`wam_core::resolve_backend`] picks; generic systems can call it on an
+//! [`Exploration`] they drive themselves.
 
 use crate::certificate::{
-    Certificate, Escape, InvariantTransport, NoConsensusCertificate, PathStep, Perm, Polarity,
-    ReachPath, SpaceTransport, StabilityInvariant, StableCertificate, StepSelection,
+    Certificate, Escape, NoConsensusCertificate, PathStep, Polarity, ReachPath, StabilityInvariant,
+    StableCertificate, StepSelection,
 };
 use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::hash::Hash;
 use wam_core::{
-    Config, Exploration, KernelExploration, KernelRow, NodeSymmetric, PermuteNodes, QuotientSystem,
-    State, TransitionSystem, Verdict,
+    Config, Exploration, KernelExploration, KernelRow, State, TransitionSystem, Verdict,
 };
 
 /// A verdict together with its machine-checkable witness.
@@ -44,52 +30,6 @@ pub struct CertifiedVerdict<C> {
     pub verdict: Verdict,
     /// The witness; `certificate.verdict()` always equals `verdict`.
     pub certificate: Certificate<C>,
-}
-
-/// Identity permutation on `n` nodes.
-fn identity(n: usize) -> Perm {
-    (0..n as u32).collect()
-}
-
-/// `compose(f, g)[v] = f[g[v]]` — the permutation applying `g` first under
-/// the `(π · c)(v) = c(π(v))` action: `f · (g · c) = compose(g, f) · c`,
-/// i.e. accumulating "then permute by `q`" is `compose(σ, q)`.
-fn compose(f: &[u32], g: &[u32]) -> Perm {
-    g.iter().map(|&v| f[v as usize]).collect()
-}
-
-fn invert(p: &[u32]) -> Perm {
-    let mut inv = vec![0u32; p.len()];
-    for (i, &v) in p.iter().enumerate() {
-        inv[v as usize] = i as u32;
-    }
-    inv
-}
-
-/// The orbit minimum of `c` together with the permutation reaching it:
-/// returns `(rep, p)` with `rep = p · c`, matching
-/// [`PermuteNodes::min_under`]'s choice of representative exactly.
-fn min_perm<C: PermuteNodes>(c: &C, elements: &[Vec<u32>]) -> (C, Perm) {
-    let mut best: Option<&Vec<u32>> = None;
-    for p in elements {
-        let candidate_is_less = {
-            let current = |v: usize| match best {
-                Some(b) => c.permuted_entry(b, v),
-                None => c.permuted_entry_id(v),
-            };
-            (0..c.node_count_for_permute())
-                .map(|v| c.permuted_entry(p, v).cmp(current(v)))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                == Some(std::cmp::Ordering::Less)
-        };
-        if candidate_is_less {
-            best = Some(p);
-        }
-    }
-    match best {
-        None => (c.clone(), identity(c.node_count_for_permute())),
-        Some(p) => (c.permute(p), p.clone()),
-    }
 }
 
 /// BFS over the explored CSR from id 0 to the nearest id flagged in
@@ -259,10 +199,7 @@ fn stable_full<T: TransitionSystem, E: Explored<C = T::C>>(
             start: path.swap_remove(0),
             steps,
         },
-        invariant: StabilityInvariant {
-            members,
-            transport: None,
-        },
+        invariant: StabilityInvariant { members },
     }
 }
 
@@ -270,7 +207,6 @@ fn no_consensus_full<E: Explored>(e: &E) -> NoConsensusCertificate<E::C> {
     let x = e.exploration();
     NoConsensusCertificate {
         space: e.configs_of(0..x.len() as u32),
-        transport: None,
         escape_accepting: escape_pointers(x, |i| !x.is_accepting(i)),
         escape_rejecting: escape_pointers(x, |i| !x.is_rejecting(i)),
     }
@@ -302,170 +238,6 @@ pub fn certify_exploration<T: TransitionSystem, E: Explored<C = T::C>>(
             Box::new(stable(Polarity::Rejecting)),
         ),
         Verdict::NoConsensus => Certificate::NoConsensus(no_consensus_full(e)),
-    };
-    CertifiedVerdict {
-        verdict,
-        certificate,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Quotient emission
-// ---------------------------------------------------------------------------
-
-fn transported_closure<T>(
-    system: &T,
-    quotient: &QuotientSystem<'_, T>,
-    members: &[T::C],
-) -> Vec<Vec<Perm>>
-where
-    T: NodeSymmetric,
-    T::C: PermuteNodes,
-{
-    let elements = quotient.group().elements();
-    members
-        .iter()
-        .map(|m| {
-            system
-                .successors(m)
-                .iter()
-                .map(|s| min_perm(s, elements).1)
-                .collect()
-        })
-        .collect()
-}
-
-fn stable_quotient<T>(
-    system: &T,
-    quotient: &QuotientSystem<'_, T>,
-    e: &Exploration<T::C>,
-    polarity: Polarity,
-    stably: &[bool],
-) -> StableCertificate<T::C>
-where
-    T: NodeSymmetric,
-    T::C: PermuteNodes,
-{
-    let elements = quotient.group().elements();
-    let ids = path_ids(e, stably);
-    let reps = e.configs();
-    // Concretise: d₀ is the true initial configuration, σ₀ · d₀ = r₀.
-    let start = system.initial_config();
-    let (r0, sigma0) = min_perm(&start, elements);
-    debug_assert_eq!(r0, reps[0]);
-    let mut sigma = sigma0;
-    let mut concrete = start.clone();
-    let mut steps = Vec::with_capacity(ids.len() - 1);
-    for w in ids.windows(2) {
-        let rep_succs = system.successors(&reps[w[0] as usize]);
-        let target = &reps[w[1] as usize];
-        let (s, q) = rep_succs
-            .iter()
-            .find_map(|s| {
-                let (rep, q) = min_perm(s, elements);
-                (rep == *target).then_some((s.clone(), q))
-            })
-            .expect("quotient edge has no witnessing successor");
-        let next = s.permute(&invert(&sigma));
-        let succs = system.successors(&concrete);
-        let selection = StepSelection::Choice(choice_of(&succs, &next));
-        steps.push(PathStep {
-            to: next.clone(),
-            selection,
-        });
-        concrete = next;
-        sigma = compose(&sigma, &q);
-    }
-    let endpoint = *ids.last().expect("path is never empty");
-    let members: Vec<T::C> = reach_ids(e, endpoint)
-        .into_iter()
-        .map(|i| reps[i as usize].clone())
-        .collect();
-    let closure = transported_closure(system, quotient, &members);
-    StableCertificate {
-        polarity,
-        path: ReachPath { start, steps },
-        invariant: StabilityInvariant {
-            members,
-            transport: Some(InvariantTransport {
-                closure,
-                endpoint: sigma,
-            }),
-        },
-    }
-}
-
-fn no_consensus_quotient<T>(
-    system: &T,
-    quotient: &QuotientSystem<'_, T>,
-    e: &Exploration<T::C>,
-) -> NoConsensusCertificate<T::C>
-where
-    T: NodeSymmetric,
-    T::C: PermuteNodes,
-{
-    let space = e.configs().to_vec();
-    let initial = min_perm(&system.initial_config(), quotient.group().elements()).1;
-    NoConsensusCertificate {
-        escape_accepting: escape_pointers(e, |i| !e.is_accepting(i)),
-        escape_rejecting: escape_pointers(e, |i| !e.is_rejecting(i)),
-        transport: Some(SpaceTransport {
-            closure: transported_closure(system, quotient, &space),
-            initial,
-        }),
-        space,
-    }
-}
-
-/// Builds the certificate for a completed exploration of `quotient`, the
-/// orbit quotient of `system`. Reachability paths are concretised to
-/// `Choice` steps over `system`'s full space; invariant and space
-/// sections stay in orbit representatives and carry symmetry transport,
-/// which [`crate::verify_symmetric`] replays.
-pub fn certify_quotient<T>(
-    system: &T,
-    quotient: &QuotientSystem<'_, T>,
-    e: &Exploration<T::C>,
-) -> CertifiedVerdict<T::C>
-where
-    T: NodeSymmetric,
-    T::C: PermuteNodes,
-{
-    let verdict = e.verdict();
-    let certificate = match verdict {
-        Verdict::Accepts => Certificate::Stable(stable_quotient(
-            system,
-            quotient,
-            e,
-            Polarity::Accepting,
-            &e.stably_accepting(),
-        )),
-        Verdict::Rejects => Certificate::Stable(stable_quotient(
-            system,
-            quotient,
-            e,
-            Polarity::Rejecting,
-            &e.stably_rejecting(),
-        )),
-        Verdict::Inconsistent => Certificate::Inconsistent(
-            Box::new(stable_quotient(
-                system,
-                quotient,
-                e,
-                Polarity::Accepting,
-                &e.stably_accepting(),
-            )),
-            Box::new(stable_quotient(
-                system,
-                quotient,
-                e,
-                Polarity::Rejecting,
-                &e.stably_rejecting(),
-            )),
-        ),
-        Verdict::NoConsensus => {
-            Certificate::NoConsensus(no_consensus_quotient(system, quotient, e))
-        }
     };
     CertifiedVerdict {
         verdict,

@@ -22,9 +22,8 @@
 //! mismatch tripwire (the importer checks the table length).
 
 use crate::certificate::{
-    Certificate, Escape, InvariantTransport, LassoCertificate, LassoSchedule,
-    NoConsensusCertificate, PathStep, Perm, Polarity, ReachPath, SpaceTransport,
-    StabilityInvariant, StableCertificate, StepSelection,
+    Certificate, Escape, LassoCertificate, LassoSchedule, NoConsensusCertificate, PathStep,
+    Polarity, ReachPath, StabilityInvariant, StableCertificate, StepSelection,
 };
 use crate::verify::CertError;
 use rustc_hash::FxHashSet;
@@ -40,8 +39,8 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (certificates only use nonnegative integers within the
-    /// exact `f64` range).
+    /// Any number (certificates only use nonnegative integers within
+    /// `u32`, which import enforces).
     Num(f64),
     /// A string.
     Str(String),
@@ -137,10 +136,14 @@ impl Json {
         }
     }
 
+    /// A nonnegative integer within `u32` — the range of every index and
+    /// count a certificate stores, so later narrowing casts are lossless.
     fn index(&self) -> Result<usize, CertError> {
         let n = self.num()?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(err("expected a nonnegative integer"));
+        if !(0.0..=f64::from(u32::MAX)).contains(&n) || n.fract() != 0.0 {
+            return Err(err(&format!(
+                "expected an integer in 0..=u32::MAX, got {n}"
+            )));
         }
         Ok(n as usize)
     }
@@ -548,14 +551,15 @@ impl<S: State> ConfigCodec<CounterConfig<S>> for StateTable<S> {
             if triple.len() != 3 {
                 return Err(err("counter entry is not a [cell, state, count] triple"));
             }
-            let cell = triple[0].index()?;
+            let cell = u16::try_from(triple[0].index()?)
+                .map_err(|_| err("counter cell out of u16 range"))?;
             let i = triple[1].index()?;
-            let count = triple[2].num()?;
+            let count = triple[2].index()?;
             let s = self
                 .states
                 .get(i)
                 .ok_or_else(|| err("state index out of table range"))?;
-            entries.push((cell as u16, s.clone(), count as u64));
+            entries.push((cell, s.clone(), count as u64));
         }
         Ok(CounterConfig::from_entries(entries))
     }
@@ -585,7 +589,7 @@ impl<S: State> ConfigCodec<RingConfig<S>> for StateTable<S> {
                 return Err(err("ring run is not a [state, length] pair"));
             }
             let i = pair[0].index()?;
-            let len = pair[1].num()?;
+            let len = pair[1].index()?;
             let s = self
                 .states
                 .get(i)
@@ -608,14 +612,6 @@ fn parse_verdict(v: &Json) -> Result<Verdict, CertError> {
         "inconsistent" => Ok(Verdict::Inconsistent),
         other => Err(err(&format!("unknown verdict {other:?}"))),
     }
-}
-
-fn perm_json(p: &Perm) -> Json {
-    Json::Arr(p.iter().map(|&v| Json::Num(v as f64)).collect())
-}
-
-fn parse_perm(v: &Json) -> Result<Perm, CertError> {
-    v.arr()?.iter().map(|x| Ok(x.index()? as u32)).collect()
 }
 
 fn selection_json(sel: &StepSelection) -> Json {
@@ -657,22 +653,6 @@ fn parse_escape(v: &Json) -> Result<Escape, CertError> {
     }
 }
 
-fn closure_json(closure: &[Vec<Perm>]) -> Json {
-    Json::Arr(
-        closure
-            .iter()
-            .map(|row| Json::Arr(row.iter().map(perm_json).collect()))
-            .collect(),
-    )
-}
-
-fn parse_closure(v: &Json) -> Result<Vec<Vec<Perm>>, CertError> {
-    v.arr()?
-        .iter()
-        .map(|row| row.arr()?.iter().map(parse_perm).collect())
-        .collect()
-}
-
 fn configs_json<C>(configs: &[C], codec: &dyn ConfigCodec<C>) -> Json {
     Json::Arr(configs.iter().map(|c| codec.encode_config(c)).collect())
 }
@@ -682,7 +662,7 @@ fn parse_configs<C>(v: &Json, codec: &dyn ConfigCodec<C>) -> Result<Vec<C>, Cert
 }
 
 fn stable_json<C>(s: &StableCertificate<C>, codec: &dyn ConfigCodec<C>) -> Json {
-    let mut pairs = vec![
+    Json::Obj(vec![
         (
             "polarity".to_string(),
             Json::Str(
@@ -718,23 +698,27 @@ fn stable_json<C>(s: &StableCertificate<C>, codec: &dyn ConfigCodec<C>) -> Json 
             "members".to_string(),
             configs_json(&s.invariant.members, codec),
         ),
-    ];
-    if let Some(t) = &s.invariant.transport {
-        pairs.push((
-            "transport".to_string(),
-            Json::Obj(vec![
-                ("closure".to_string(), closure_json(&t.closure)),
-                ("endpoint".to_string(), perm_json(&t.endpoint)),
-            ]),
-        ));
+    ])
+}
+
+/// Refuses a body carrying symmetry transport. Documents from builds that
+/// emitted orbit-quotient certificates store orbit representatives there,
+/// which are not a closed set without the permutations this format no
+/// longer replays.
+fn reject_transport(body: &Json) -> Result<(), CertError> {
+    match body.get("transport") {
+        Some(_) => Err(err(
+            "unsupported key \"transport\": symmetry-transported certificates are not accepted",
+        )),
+        None => Ok(()),
     }
-    Json::Obj(pairs)
 }
 
 fn parse_stable<C>(
     v: &Json,
     codec: &dyn ConfigCodec<C>,
 ) -> Result<StableCertificate<C>, CertError> {
+    reject_transport(v)?;
     let polarity = match v.field("polarity")?.str()? {
         "accepting" => Polarity::Accepting,
         "rejecting" => Polarity::Rejecting,
@@ -754,17 +738,10 @@ fn parse_stable<C>(
         })
         .collect::<Result<Vec<_>, CertError>>()?;
     let members = parse_configs(v.field("members")?, codec)?;
-    let transport = match v.get("transport") {
-        None => None,
-        Some(t) => Some(InvariantTransport {
-            closure: parse_closure(t.field("closure")?)?,
-            endpoint: parse_perm(t.field("endpoint")?)?,
-        }),
-    };
     Ok(StableCertificate {
         polarity,
         path: ReachPath { start, steps },
-        invariant: StabilityInvariant { members, transport },
+        invariant: StabilityInvariant { members },
     })
 }
 
@@ -783,24 +760,17 @@ pub fn certificate_to_json<C>(cert: &Certificate<C>, codec: &dyn ConfigCodec<C>)
             pairs.push(("rejecting".to_string(), stable_json(rej, codec)));
         }
         Certificate::NoConsensus(n) => {
-            let mut body = vec![("space".to_string(), configs_json(&n.space, codec))];
-            if let Some(t) = &n.transport {
-                body.push((
-                    "transport".to_string(),
-                    Json::Obj(vec![
-                        ("closure".to_string(), closure_json(&t.closure)),
-                        ("initial".to_string(), perm_json(&t.initial)),
-                    ]),
-                ));
-            }
-            body.push((
-                "escape_accepting".to_string(),
-                Json::Arr(n.escape_accepting.iter().map(escape_json).collect()),
-            ));
-            body.push((
-                "escape_rejecting".to_string(),
-                Json::Arr(n.escape_rejecting.iter().map(escape_json).collect()),
-            ));
+            let body = vec![
+                ("space".to_string(), configs_json(&n.space, codec)),
+                (
+                    "escape_accepting".to_string(),
+                    Json::Arr(n.escape_accepting.iter().map(escape_json).collect()),
+                ),
+                (
+                    "escape_rejecting".to_string(),
+                    Json::Arr(n.escape_rejecting.iter().map(escape_json).collect()),
+                ),
+            ];
             pairs.push(("no_consensus".to_string(), Json::Obj(body)));
         }
         Certificate::Lasso(l) => {
@@ -858,14 +828,8 @@ pub fn certificate_from_json<C>(
         ),
         "no-consensus" => {
             let body = doc.field("no_consensus")?;
+            reject_transport(body)?;
             let space = parse_configs(body.field("space")?, codec)?;
-            let transport = match body.get("transport") {
-                None => None,
-                Some(t) => Some(SpaceTransport {
-                    closure: parse_closure(t.field("closure")?)?,
-                    initial: parse_perm(t.field("initial")?)?,
-                }),
-            };
             let escape_accepting = body
                 .field("escape_accepting")?
                 .arr()?
@@ -880,7 +844,6 @@ pub fn certificate_from_json<C>(
                 .collect::<Result<Vec<_>, _>>()?;
             Certificate::NoConsensus(NoConsensusCertificate {
                 space,
-                transport,
                 escape_accepting,
                 escape_rejecting,
             })
@@ -931,6 +894,40 @@ mod tests {
             Json::parse(&"[".repeat(200_000)),
             Err(CertError::Json(_))
         ));
+    }
+
+    #[test]
+    fn transported_bodies_are_refused() {
+        let codec = StateTable {
+            states: vec![false, true],
+        };
+        let stable = |transport: &str| {
+            format!(
+                r#"{{"format":"wam-certify","version":1,"kind":"stable","verdict":"accepts",
+                "stable":{{"polarity":"accepting","path":{{"start":[1,0],"steps":[]}},
+                "members":[[0,1]]{transport}}}}}"#
+            )
+        };
+        let no_consensus = |transport: &str| {
+            format!(
+                r#"{{"format":"wam-certify","version":1,"kind":"no-consensus",
+                "verdict":"no consensus","no_consensus":{{"space":[[0,1]]{transport},
+                "escape_accepting":["here"],"escape_rejecting":["here"]}}}}"#
+            )
+        };
+        let stable_transport = r#","transport":{"closure":[[[1,0]]],"endpoint":[1,0]}"#;
+        let space_transport = r#","transport":{"closure":[[[1,0]]],"initial":[1,0]}"#;
+        for (plain, transported) in [
+            (stable(""), stable(stable_transport)),
+            (no_consensus(""), no_consensus(space_transport)),
+        ] {
+            let plain: Result<Certificate<Config<bool>>, _> = certificate_from_json(&plain, &codec);
+            assert!(plain.is_ok(), "{plain:?}");
+            match certificate_from_json::<Config<bool>>(&transported, &codec) {
+                Err(CertError::Json(msg)) => assert!(msg.contains("\"transport\""), "{msg}"),
+                other => panic!("imported a transported body: {other:?}"),
+            }
+        }
     }
 
     #[test]

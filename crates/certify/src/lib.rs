@@ -1,9 +1,9 @@
 //! Verdict certificates and an independent proof-checking subsystem.
 //!
 //! Every classification claim of the reproduction (the Figure 1 / E1 grid
-//! verdicts) is produced by a three-layer engine: interned BFS,
-//! orbit-quotient reduction, decision memoisation. Those layers validate
-//! each other differentially, but no artefact lets anyone check a verdict
+//! verdicts) is produced by a three-layer engine: interned BFS over dense
+//! rows, counter and ring reductions, decision memoisation. Those layers
+//! validate each other differentially, but no artefact lets anyone check a verdict
 //! without re-trusting the engine. Since the general verification problem
 //! for these models is undecidable, *per-instance* machine-checkable
 //! witnesses are the right correctness artefact — and the paper's own
@@ -11,8 +11,7 @@
 //! is reachable) makes them small:
 //!
 //! * [`certificate`] — the data model: reachability paths, stability
-//!   invariants, no-consensus escape tables, deterministic lassos, and
-//!   symmetry transport for quotient-mode runs.
+//!   invariants, no-consensus escape tables and deterministic lassos.
 //! * [`verify`] — the deliberately small checker that re-validates every
 //!   claim by direct re-execution of the step semantics. It never touches
 //!   the engine (enforced by an import-grepping test), so engine bugs
@@ -20,13 +19,13 @@
 //! * [`decider`] — the ergonomic entry point: [`Decider`] builds a
 //!   decision over any schedule and backend and (optionally) returns the
 //!   witness as a [`DecisionCertificate`].
-//! * [`emit`] — the engine-facing emitters behind it
-//!   ([`certify_exploration`] and [`certify_quotient`]).
+//! * [`emit`] — the engine-facing emitter behind it
+//!   ([`certify_exploration`]).
 //! * [`json`] — serde-free JSON export/import with a pluggable
 //!   configuration codec ([`StateTable`]).
 //!
 //! ```
-//! use wam_certify::{Decider, VerifyOptions};
+//! use wam_certify::Decider;
 //! use wam_core::{Machine, Output};
 //! use wam_graph::{generators, LabelCount};
 //!
@@ -39,7 +38,7 @@
 //! let g = generators::labelled_cycle(&LabelCount::from_vec(vec![3, 1]));
 //! let out = Decider::new(&m, &g).certified(true).limit(100_000).decide().unwrap();
 //! let cert = out.certificate.as_ref().unwrap();
-//! let rechecked = cert.verify(&m, &g, &VerifyOptions::default()).unwrap();
+//! let rechecked = cert.verify(&m, &g).unwrap();
 //! assert_eq!(rechecked, out.verdict);
 //! ```
 
@@ -50,13 +49,10 @@ pub mod json;
 pub mod verify;
 
 pub use certificate::{
-    Certificate, Escape, InvariantTransport, LassoCertificate, LassoSchedule,
-    NoConsensusCertificate, PathStep, Perm, Polarity, ReachPath, SpaceTransport,
-    StabilityInvariant, StableCertificate, StepSelection,
+    Certificate, Escape, LassoCertificate, LassoSchedule, NoConsensusCertificate, PathStep,
+    Polarity, ReachPath, StabilityInvariant, StableCertificate, StepSelection,
 };
 pub use decider::{Decider, Decision, DecisionCertificate};
-pub use emit::{
-    certify_exploration, certify_quotient, relabel_exclusive_path, CertifiedVerdict, Explored,
-};
+pub use emit::{certify_exploration, relabel_exclusive_path, CertifiedVerdict, Explored};
 pub use json::{certificate_from_json, certificate_to_json, ConfigCodec, Json, StateTable};
-pub use verify::{verify_machine, verify_symmetric, verify_system, CertError, VerifyOptions};
+pub use verify::{verify_machine, verify_system, CertError};

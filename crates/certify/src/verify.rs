@@ -16,32 +16,18 @@
 //! module accepts — the only shared code is the step function itself, which
 //! *defines* the semantics being certified.
 //!
-//! For quotient-mode certificates the invariant/space members are orbit
-//! representatives and carry transport permutations. The checker validates
-//! each recorded permutation from first principles (it is a bijection on
-//! the node set and a structural automorphism of the communication graph,
-//! checked edge by edge) and then uses it only through
-//! [`PermuteNodes::permute`]. Soundness of the quotient additionally rests
-//! on *equivariance* of the step relation under graph automorphisms —
-//! a structural property of node-anonymous semantics (DESIGN §3a) that no
-//! per-instance artefact can fully discharge; the checker spot-checks it on
-//! the certificate's own configurations
-//! ([`VerifyOptions::equivariance_samples`]) and the differential test
-//! suite checks it statistically.
-//!
 //! # What each certificate kind establishes
 //!
 //! * [`Certificate::Stable`]: the path re-executes from the initial
-//!   configuration; the invariant contains the endpoint (after transport),
-//!   is uniformly accepting/rejecting, and is closed under every enumerated
-//!   successor (after transport). With `W` the union of orbits of the
-//!   members, `W` is then closed under steps and output-uniform, and a
-//!   member of `W` is reachable — exactly Prop. D.2's "a stably
+//!   configuration; the invariant contains the endpoint, is uniformly
+//!   accepting/rejecting, and is closed under every enumerated successor.
+//!   The invariant is then closed under steps and output-uniform, and one
+//!   of its members is reachable — exactly Prop. D.2's "a stably
 //!   accepting/rejecting configuration is reachable".
 //! * [`Certificate::Inconsistent`]: one accepting and one rejecting such
 //!   witness from the same initial configuration.
 //! * [`Certificate::NoConsensus`]: the space contains the initial
-//!   configuration (after transport) and is closed under steps, so it
+//!   configuration and is closed under steps, so it
 //!   over-approximates the reachable set; every member's escape chain
 //!   reaches a non-accepting (resp. non-rejecting) configuration through
 //!   validated successor steps, so *no* reachable configuration is stably
@@ -59,29 +45,8 @@ use crate::certificate::{
 use rustc_hash::FxHashMap;
 use std::fmt;
 use std::hash::Hash;
-use wam_core::{
-    Config, ExclusiveSystem, Machine, NodeSymmetric, PermuteNodes, Selection, State,
-    TransitionSystem, Verdict,
-};
+use wam_core::{Config, ExclusiveSystem, Machine, Selection, State, TransitionSystem, Verdict};
 use wam_graph::Graph;
-
-/// Tuning knobs for the checker.
-#[derive(Debug, Clone, Copy)]
-pub struct VerifyOptions {
-    /// Number of (member, successor, permutation) instances on which to
-    /// spot-check step equivariance for transported certificates. `0`
-    /// disables the spot check (the permutations are still validated as
-    /// automorphisms).
-    pub equivariance_samples: usize,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            equivariance_samples: 8,
-        }
-    }
-}
 
 /// Why a certificate was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,13 +60,13 @@ pub enum CertError {
         index: usize,
     },
     /// A `Choice` selection index is out of range for the enumerated
-    /// successors.
+    /// successors, or a `Node` selection for the node set.
     BadChoice {
         /// Index of the offending step.
         index: usize,
-        /// The recorded choice.
+        /// The recorded choice or node.
         choice: u32,
-        /// How many successors the system enumerates at that point.
+        /// How many successors (or nodes) there are at that point.
         available: usize,
     },
     /// The checker entry point cannot re-execute this selection kind (e.g.
@@ -112,44 +77,19 @@ pub enum CertError {
     },
     /// A stability invariant with no members proves nothing.
     EmptyInvariant,
-    /// The path endpoint (after transport) is not an invariant member.
+    /// The path endpoint is not an invariant member.
     EndpointNotInInvariant,
     /// Invariant member `index` does not have the claimed output polarity.
     NotUniform {
         /// Index of the offending member.
         index: usize,
     },
-    /// A successor of member `index` (after transport) leaves the set.
+    /// A successor of member `index` leaves the set.
     ClosureEscape {
         /// Index of the offending member.
         index: usize,
         /// Which enumerated successor escapes.
         successor: usize,
-    },
-    /// The certificate carries transport but this entry point has no
-    /// communication graph / permutation action to replay it with.
-    TransportUnsupported,
-    /// A transport table's shape does not match the members/successors.
-    TransportArity {
-        /// Index of the offending member (or `usize::MAX` for the
-        /// top-level tables).
-        index: usize,
-    },
-    /// A recorded permutation is not a bijection on the node set.
-    NotAPermutation {
-        /// Index of the offending member.
-        index: usize,
-    },
-    /// A recorded permutation does not preserve the graph's edges.
-    NotAnAutomorphism {
-        /// Index of the offending member.
-        index: usize,
-    },
-    /// An equivariance spot check failed: the step relation does not
-    /// commute with a recorded automorphism.
-    NotEquivariant {
-        /// Index of the offending member.
-        index: usize,
     },
     /// An `Inconsistent` certificate must pair an accepting and a
     /// rejecting witness.
@@ -157,7 +97,7 @@ pub enum CertError {
     /// A no-consensus space with no members cannot contain the initial
     /// configuration.
     EmptySpace,
-    /// The initial configuration (after transport) is not in the space.
+    /// The initial configuration is not in the space.
     InitialNotInSpace,
     /// An escape table's length does not match the space.
     EscapeArity,
@@ -168,7 +108,7 @@ pub enum CertError {
         index: usize,
     },
     /// An escape pointer names a member that is not an enumerated
-    /// successor (after transport).
+    /// successor.
     EscapeNotASuccessor {
         /// Index of the offending member.
         index: usize,
@@ -235,7 +175,7 @@ impl fmt::Display for CertError {
                 available,
             } => write!(
                 f,
-                "step {index}: choice {choice} out of range ({available} successors)"
+                "step {index}: selection {choice} out of range ({available} available)"
             ),
             CertError::UnsupportedSelection { index } => {
                 write!(f, "step {index}: selection kind not replayable here")
@@ -251,27 +191,6 @@ impl fmt::Display for CertError {
                 f,
                 "successor {successor} of member {index} leaves the certified set"
             ),
-            CertError::TransportUnsupported => {
-                write!(
-                    f,
-                    "certificate carries symmetry transport but this entry point cannot replay it"
-                )
-            }
-            CertError::TransportArity { index } => {
-                write!(f, "transport table shape mismatch at member {index}")
-            }
-            CertError::NotAPermutation { index } => {
-                write!(f, "transport entry at member {index} is not a permutation")
-            }
-            CertError::NotAnAutomorphism { index } => {
-                write!(
-                    f,
-                    "transport entry at member {index} is not a graph automorphism"
-                )
-            }
-            CertError::NotEquivariant { index } => {
-                write!(f, "equivariance spot check failed at member {index}")
-            }
             CertError::WrongPolarities => {
                 write!(
                     f,
@@ -330,7 +249,7 @@ impl fmt::Display for CertError {
 impl std::error::Error for CertError {}
 
 /// The re-execution surface a checker entry point provides. Private: the
-/// public API is the three `verify_*` functions below.
+/// public API is the two `verify_*` functions below.
 trait Checker {
     type C: Clone + Eq + Hash + fmt::Debug;
 
@@ -341,17 +260,6 @@ trait Checker {
 
     /// Re-executes one recorded path step by direct semantics.
     fn apply(&self, c: &Self::C, sel: &StepSelection, index: usize) -> Result<Self::C, CertError>;
-
-    /// The graph whose automorphisms transported certificates refer to,
-    /// when this entry point has one.
-    fn graph(&self) -> Option<&Graph> {
-        None
-    }
-
-    /// The permutation action, when this entry point supports transport.
-    fn permute(&self, _c: &Self::C, _perm: &[u32]) -> Option<Self::C> {
-        None
-    }
 
     /// Resolves a `Choice` selection against the enumerated successors —
     /// shared by every checker.
@@ -368,9 +276,7 @@ trait Checker {
     }
 }
 
-/// Checker over any [`TransitionSystem`]: replays `Choice` selections only
-/// and rejects transported certificates (no graph to validate permutations
-/// against).
+/// Checker over any [`TransitionSystem`]: replays `Choice` selections only.
 struct SystemChecker<'a, T: TransitionSystem>(&'a T);
 
 impl<T: TransitionSystem> Checker for SystemChecker<'_, T> {
@@ -400,54 +306,10 @@ impl<T: TransitionSystem> Checker for SystemChecker<'_, T> {
     }
 }
 
-/// Checker over a [`NodeSymmetric`] system whose configurations carry a
-/// permutation action: additionally replays symmetry transport.
-struct SymmetricChecker<'a, T: NodeSymmetric>(&'a T)
-where
-    T::C: PermuteNodes;
-
-impl<T: NodeSymmetric> Checker for SymmetricChecker<'_, T>
-where
-    T::C: PermuteNodes,
-{
-    type C = T::C;
-
-    fn initial(&self) -> T::C {
-        self.0.initial_config()
-    }
-
-    fn successors(&self, c: &T::C) -> Vec<T::C> {
-        self.0.successors(c)
-    }
-
-    fn is_accepting(&self, c: &T::C) -> bool {
-        self.0.is_accepting(c)
-    }
-
-    fn is_rejecting(&self, c: &T::C) -> bool {
-        self.0.is_rejecting(c)
-    }
-
-    fn apply(&self, c: &T::C, sel: &StepSelection, index: usize) -> Result<T::C, CertError> {
-        match sel {
-            StepSelection::Choice(j) => self.choose(c, *j, index),
-            _ => Err(CertError::UnsupportedSelection { index }),
-        }
-    }
-
-    fn graph(&self) -> Option<&Graph> {
-        Some(self.0.symmetry_graph())
-    }
-
-    fn permute(&self, c: &T::C, perm: &[u32]) -> Option<T::C> {
-        Some(c.permute(perm))
-    }
-}
-
 /// Checker over a plain machine under exclusive selection: replays `Node`,
-/// `All` and `Choice` selections and symmetry transport. The successor
-/// enumeration is [`ExclusiveSystem`]'s — the direct one-node-steps
-/// semantics, not anything engine-derived.
+/// `All` and `Choice` selections. The successor enumeration is
+/// [`ExclusiveSystem`]'s — the direct one-node-steps semantics, not
+/// anything engine-derived.
 struct MachineChecker<'a, S: State> {
     machine: &'a Machine<S>,
     graph: &'a Graph,
@@ -490,6 +352,13 @@ impl<S: State> Checker for MachineChecker<'_, S> {
         index: usize,
     ) -> Result<Config<S>, CertError> {
         match sel {
+            StepSelection::Node(v) if *v as usize >= self.graph.node_count() => {
+                Err(CertError::BadChoice {
+                    index,
+                    choice: *v,
+                    available: self.graph.node_count(),
+                })
+            }
             StepSelection::Node(v) => {
                 Ok(c.successor(self.machine, self.graph, &Selection::exclusive(*v as usize)))
             }
@@ -499,141 +368,30 @@ impl<S: State> Checker for MachineChecker<'_, S> {
             StepSelection::Choice(j) => self.choose(c, *j, index),
         }
     }
-
-    fn graph(&self) -> Option<&Graph> {
-        Some(self.graph)
-    }
-
-    fn permute(&self, c: &Config<S>, perm: &[u32]) -> Option<Config<S>> {
-        Some(c.permute(perm))
-    }
-}
-
-/// Validates that `perm` is a bijection on `0..n` and a structural
-/// automorphism of `graph` (edge-preserving; a bijection preserving all
-/// edges of a finite graph into the same edge set is automatically
-/// edge-reflecting too).
-fn check_automorphism(graph: &Graph, perm: &[u32], index: usize) -> Result<(), CertError> {
-    let n = graph.node_count();
-    if perm.len() != n {
-        return Err(CertError::NotAPermutation { index });
-    }
-    let mut seen = vec![false; n];
-    for &v in perm {
-        let v = v as usize;
-        if v >= n || seen[v] {
-            return Err(CertError::NotAPermutation { index });
-        }
-        seen[v] = true;
-    }
-    for &(u, v) in graph.edges() {
-        if !graph.has_edge(perm[u] as usize, perm[v] as usize) {
-            return Err(CertError::NotAnAutomorphism { index });
-        }
-    }
-    Ok(())
-}
-
-fn is_identity(perm: &[u32]) -> bool {
-    perm.iter().enumerate().all(|(i, &v)| v as usize == i)
-}
-
-/// Multiset equality of `successors(π · c)` and `π · successors(c)` — one
-/// equivariance instance, checked from first principles.
-fn equivariant_at<K: Checker>(ck: &K, c: &K::C, perm: &[u32]) -> bool {
-    let permuted = match ck.permute(c, perm) {
-        Some(p) => p,
-        None => return false,
-    };
-    let mut lhs: FxHashMap<K::C, usize> = FxHashMap::default();
-    for s in ck.successors(&permuted) {
-        *lhs.entry(s).or_insert(0) += 1;
-    }
-    let mut rhs: FxHashMap<K::C, usize> = FxHashMap::default();
-    for s in ck.successors(c) {
-        if let Some(p) = ck.permute(&s, perm) {
-            *rhs.entry(p).or_insert(0) += 1;
-        }
-    }
-    lhs == rhs
-}
-
-/// Budgeted equivariance spot-checking shared by the stable and
-/// no-consensus checks.
-struct EquivarianceBudget {
-    remaining: usize,
-}
-
-impl EquivarianceBudget {
-    fn check<K: Checker>(
-        &mut self,
-        ck: &K,
-        c: &K::C,
-        perm: &[u32],
-        index: usize,
-    ) -> Result<(), CertError> {
-        if self.remaining == 0 || is_identity(perm) {
-            return Ok(());
-        }
-        self.remaining -= 1;
-        if equivariant_at(ck, c, perm) {
-            Ok(())
-        } else {
-            Err(CertError::NotEquivariant { index })
-        }
-    }
 }
 
 /// Checks one closure row: every enumerated successor of `member` must land
-/// back in `members` (after transport when `maps` is present). Returns the
-/// member indices of the mapped successors, which the no-consensus escape
-/// check consumes as the validated adjacency.
+/// back in `members`. Returns the member indices of the successors, which
+/// the no-consensus escape check consumes as the validated adjacency.
 fn check_closure_row<K: Checker>(
     ck: &K,
     member_index: &FxHashMap<&K::C, u32>,
     member: &K::C,
     i: usize,
-    maps: Option<&[Vec<u32>]>,
-    budget: &mut EquivarianceBudget,
 ) -> Result<Vec<u32>, CertError> {
-    let succs = ck.successors(member);
-    let mut adjacent = Vec::with_capacity(succs.len());
-    match maps {
-        None => {
-            for (j, s) in succs.iter().enumerate() {
-                match member_index.get(s) {
-                    Some(&idx) => adjacent.push(idx),
-                    None => {
-                        return Err(CertError::ClosureEscape {
-                            index: i,
-                            successor: j,
-                        })
-                    }
-                }
-            }
-        }
-        Some(maps) => {
-            let graph = ck.graph().ok_or(CertError::TransportUnsupported)?;
-            if maps.len() != succs.len() {
-                return Err(CertError::TransportArity { index: i });
-            }
-            for (j, (s, p)) in succs.iter().zip(maps).enumerate() {
-                check_automorphism(graph, p, i)?;
-                budget.check(ck, s, p, i)?;
-                let mapped = ck.permute(s, p).ok_or(CertError::TransportUnsupported)?;
-                match member_index.get(&mapped) {
-                    Some(&idx) => adjacent.push(idx),
-                    None => {
-                        return Err(CertError::ClosureEscape {
-                            index: i,
-                            successor: j,
-                        })
-                    }
-                }
-            }
-        }
-    }
-    Ok(adjacent)
+    ck.successors(member)
+        .iter()
+        .enumerate()
+        .map(|(j, s)| {
+            member_index
+                .get(s)
+                .copied()
+                .ok_or(CertError::ClosureEscape {
+                    index: i,
+                    successor: j,
+                })
+        })
+        .collect()
 }
 
 /// Replays a reachability path from the initial configuration, returning
@@ -656,11 +414,7 @@ fn check_path<K: Checker>(
     Ok(cur)
 }
 
-fn check_stable<K: Checker>(
-    ck: &K,
-    cert: &StableCertificate<K::C>,
-    options: &VerifyOptions,
-) -> Result<Verdict, CertError> {
+fn check_stable<K: Checker>(ck: &K, cert: &StableCertificate<K::C>) -> Result<Verdict, CertError> {
     let endpoint = check_path(ck, &cert.path)?;
     let inv = &cert.invariant;
     if inv.members.is_empty() {
@@ -673,30 +427,9 @@ fn check_stable<K: Checker>(
         .map(|(i, m)| (m, i as u32))
         .collect();
 
-    // Endpoint membership, through the endpoint transport when present.
-    let contained = match &inv.transport {
-        None => member_index.contains_key(&endpoint),
-        Some(t) => {
-            let graph = ck.graph().ok_or(CertError::TransportUnsupported)?;
-            check_automorphism(graph, &t.endpoint, usize::MAX)?;
-            let rep = ck
-                .permute(&endpoint, &t.endpoint)
-                .ok_or(CertError::TransportUnsupported)?;
-            member_index.contains_key(&rep)
-        }
-    };
-    if !contained {
+    if !member_index.contains_key(&endpoint) {
         return Err(CertError::EndpointNotInInvariant);
     }
-
-    if let Some(t) = &inv.transport {
-        if t.closure.len() != inv.members.len() {
-            return Err(CertError::TransportArity { index: usize::MAX });
-        }
-    }
-    let mut budget = EquivarianceBudget {
-        remaining: options.equivariance_samples,
-    };
     for (i, m) in inv.members.iter().enumerate() {
         let uniform = match cert.polarity {
             Polarity::Accepting => ck.is_accepting(m),
@@ -705,8 +438,7 @@ fn check_stable<K: Checker>(
         if !uniform {
             return Err(CertError::NotUniform { index: i });
         }
-        let maps = inv.transport.as_ref().map(|t| t.closure[i].as_slice());
-        check_closure_row(ck, &member_index, m, i, maps, &mut budget)?;
+        check_closure_row(ck, &member_index, m, i)?;
     }
     Ok(cert.polarity.verdict())
 }
@@ -765,7 +497,6 @@ fn check_escapes<C>(
 fn check_no_consensus<K: Checker>(
     ck: &K,
     cert: &NoConsensusCertificate<K::C>,
-    options: &VerifyOptions,
 ) -> Result<Verdict, CertError> {
     if cert.space.is_empty() {
         return Err(CertError::EmptySpace);
@@ -777,42 +508,15 @@ fn check_no_consensus<K: Checker>(
         .map(|(i, m)| (m, i as u32))
         .collect();
 
-    let initial = ck.initial();
-    let contained = match &cert.transport {
-        None => member_index.contains_key(&initial),
-        Some(t) => {
-            let graph = ck.graph().ok_or(CertError::TransportUnsupported)?;
-            check_automorphism(graph, &t.initial, usize::MAX)?;
-            let rep = ck
-                .permute(&initial, &t.initial)
-                .ok_or(CertError::TransportUnsupported)?;
-            member_index.contains_key(&rep)
-        }
-    };
-    if !contained {
+    if !member_index.contains_key(&ck.initial()) {
         return Err(CertError::InitialNotInSpace);
     }
-
-    if let Some(t) = &cert.transport {
-        if t.closure.len() != cert.space.len() {
-            return Err(CertError::TransportArity { index: usize::MAX });
-        }
-    }
-    let mut budget = EquivarianceBudget {
-        remaining: options.equivariance_samples,
-    };
-    let mut adjacency = Vec::with_capacity(cert.space.len());
-    for (i, m) in cert.space.iter().enumerate() {
-        let maps = cert.transport.as_ref().map(|t| t.closure[i].as_slice());
-        adjacency.push(check_closure_row(
-            ck,
-            &member_index,
-            m,
-            i,
-            maps,
-            &mut budget,
-        )?);
-    }
+    let adjacency = cert
+        .space
+        .iter()
+        .enumerate()
+        .map(|(i, m)| check_closure_row(ck, &member_index, m, i))
+        .collect::<Result<Vec<_>, _>>()?;
 
     check_escapes(&cert.space, &adjacency, &cert.escape_accepting, |c| {
         !ck.is_accepting(c)
@@ -823,22 +527,18 @@ fn check_no_consensus<K: Checker>(
     Ok(Verdict::NoConsensus)
 }
 
-fn check_certificate<K: Checker>(
-    ck: &K,
-    cert: &Certificate<K::C>,
-    options: &VerifyOptions,
-) -> Result<Verdict, CertError> {
+fn check_certificate<K: Checker>(ck: &K, cert: &Certificate<K::C>) -> Result<Verdict, CertError> {
     match cert {
-        Certificate::Stable(s) => check_stable(ck, s, options),
+        Certificate::Stable(s) => check_stable(ck, s),
         Certificate::Inconsistent(acc, rej) => {
             if acc.polarity != Polarity::Accepting || rej.polarity != Polarity::Rejecting {
                 return Err(CertError::WrongPolarities);
             }
-            let _ = check_stable(ck, acc, options)?;
-            let _ = check_stable(ck, rej, options)?;
+            let _ = check_stable(ck, acc)?;
+            let _ = check_stable(ck, rej)?;
             Ok(Verdict::Inconsistent)
         }
-        Certificate::NoConsensus(n) => check_no_consensus(ck, n, options),
+        Certificate::NoConsensus(n) => check_no_consensus(ck, n),
         Certificate::Lasso(_) => Err(CertError::LassoNeedsMachine),
     }
 }
@@ -899,9 +599,9 @@ fn check_lasso<S: State>(
 /// Verifies a certificate against any [`TransitionSystem`] by direct
 /// re-execution of its `successors` semantics.
 ///
-/// This entry point replays `Choice` selections only and has no graph, so
-/// it rejects transported (quotient-mode) and lasso certificates — use
-/// [`verify_symmetric`] / [`verify_machine`] for those.
+/// This entry point replays `Choice` selections only and has no machine to
+/// replay a deterministic schedule on, so it rejects lasso certificates —
+/// use [`verify_machine`] for those.
 ///
 /// # Errors
 ///
@@ -910,33 +610,13 @@ pub fn verify_system<T: TransitionSystem>(
     system: &T,
     cert: &Certificate<T::C>,
 ) -> Result<Verdict, CertError> {
-    check_certificate(&SystemChecker(system), cert, &VerifyOptions::default())
-}
-
-/// Verifies a certificate against a [`NodeSymmetric`] system, replaying
-/// symmetry transport: recorded permutations are validated as structural
-/// automorphisms of [`NodeSymmetric::symmetry_graph`] and applied through
-/// [`PermuteNodes::permute`], with equivariance spot checks per
-/// [`VerifyOptions`].
-///
-/// # Errors
-///
-/// A [`CertError`] describing the first check that failed.
-pub fn verify_symmetric<T: NodeSymmetric>(
-    system: &T,
-    cert: &Certificate<T::C>,
-    options: &VerifyOptions,
-) -> Result<Verdict, CertError>
-where
-    T::C: PermuteNodes,
-{
-    check_certificate(&SymmetricChecker(system), cert, options)
+    check_certificate(&SystemChecker(system), cert)
 }
 
 /// Verifies a certificate for a plain machine under exclusive selection:
 /// replays `Node` / `All` / `Choice` selections via
-/// [`Config::successor`](wam_core::Config::successor), handles symmetry
-/// transport, and replays lasso certificates deterministically.
+/// [`Config::successor`](wam_core::Config::successor) and replays lasso
+/// certificates deterministically.
 ///
 /// # Errors
 ///
@@ -945,10 +625,9 @@ pub fn verify_machine<S: State>(
     machine: &Machine<S>,
     graph: &Graph,
     cert: &Certificate<Config<S>>,
-    options: &VerifyOptions,
 ) -> Result<Verdict, CertError> {
     match cert {
         Certificate::Lasso(l) => check_lasso(machine, graph, l),
-        _ => check_certificate(&MachineChecker::new(machine, graph), cert, options),
+        _ => check_certificate(&MachineChecker::new(machine, graph), cert),
     }
 }

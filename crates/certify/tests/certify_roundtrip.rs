@@ -1,17 +1,13 @@
 //! End-to-end exercises of the certificate subsystem on small machines:
 //! every verdict kind is emitted, independently verified, round-tripped
-//! through JSON and re-verified — including quotient-mode certificates
-//! with symmetry transport.
+//! through JSON and re-verified.
 
 use wam_certify::{
-    certificate_from_json, certificate_to_json, certify_exploration, certify_quotient,
-    verify_machine, verify_symmetric, verify_system, Certificate, Decider, DecisionCertificate,
-    StateTable, VerifyOptions,
+    certificate_from_json, certificate_to_json, certify_exploration, verify_machine, verify_system,
+    Certificate, Decider, DecisionCertificate, StateTable,
 };
-use wam_core::{
-    Backend, ExclusiveSystem, Exploration, Machine, Output, QuotientSystem, State, Verdict,
-};
-use wam_graph::{automorphism_group, generators, Graph, Label, LabelCount};
+use wam_core::{Backend, ExclusiveSystem, Exploration, Machine, Output, State, Verdict};
+use wam_graph::{generators, Graph, Label, LabelCount};
 
 /// "Some node carries label x1", by flag flooding.
 fn flood() -> Machine<bool> {
@@ -62,22 +58,22 @@ fn first_mover_by_label() -> Machine<u8> {
     )
 }
 
-/// Runs a certified quotient-backend decision and unwraps its node-space
-/// certificate (the quotient backend always emits one).
+/// Runs a certified explicit-backend decision and unwraps its node-space
+/// certificate (the explicit backend always emits one).
 fn certified_node<S: State>(
     m: &Machine<S>,
     g: &Graph,
     limit: usize,
 ) -> (Verdict, Certificate<wam_core::Config<S>>) {
     let d = Decider::new(m, g)
-        .backend(Backend::Quotient)
+        .backend(Backend::Explicit)
         .certified(true)
         .limit(limit)
         .decide()
         .unwrap();
     match d.certificate.unwrap() {
         DecisionCertificate::Node(cert) => (d.verdict, cert),
-        other => panic!("quotient backend must emit a node certificate, got {other:?}"),
+        other => panic!("explicit backend must emit a node certificate, got {other:?}"),
     }
 }
 
@@ -91,10 +87,7 @@ fn roundtrip_machine<S: State>(
     let json = certificate_to_json(cert, &table);
     let back = certificate_from_json(&json, &table).expect("JSON import");
     assert_eq!(back, *cert, "JSON round-trip must be lossless");
-    assert_eq!(
-        verify_machine(m, g, &back, &VerifyOptions::default()).expect("re-verify"),
-        expected
-    );
+    assert_eq!(verify_machine(m, g, &back).expect("re-verify"), expected);
 }
 
 #[test]
@@ -113,31 +106,10 @@ fn stable_accept_and_reject_certificates_verify() {
             plain.verdict, verdict,
             "certified and plain deciders must agree"
         );
-        let v = verify_machine(&m, &g, &cert, &VerifyOptions::default()).unwrap();
+        let v = verify_machine(&m, &g, &cert).unwrap();
         assert_eq!(v, expected);
         roundtrip_machine(&m, &cert, &g, expected);
     }
-}
-
-#[test]
-fn quotient_certificates_carry_and_replay_transport() {
-    // A 6-cycle has |Aut| = 12; Backend::Quotient forces the reduction
-    // even for the mixed labelling, so the certificate must carry
-    // transport.
-    let m = flood();
-    let g = generators::labelled_cycle(&LabelCount::from_vec(vec![5, 1]));
-    let (verdict, cert) = certified_node(&m, &g, 100_000);
-    assert_eq!(verdict, Verdict::Accepts);
-    assert!(
-        cert.has_transport(),
-        "quotient-mode emission must record transport"
-    );
-    // The generic checker has no graph, so it must refuse the transported
-    // certificate rather than wrongly accept it.
-    let sys = ExclusiveSystem::new(&m, &g);
-    assert!(verify_system(&sys, &cert).is_err());
-    // Machine-level verification replays the transport.
-    roundtrip_machine(&m, &cert, &g, Verdict::Accepts);
 }
 
 #[test]
@@ -160,7 +132,7 @@ fn inconsistent_certificate_verifies() {
     let back = certificate_from_json(&json, &table).unwrap();
     assert_eq!(back, cert);
     assert_eq!(
-        verify_machine(&m, &g, &back, &VerifyOptions::default()).unwrap(),
+        verify_machine(&m, &g, &back).unwrap(),
         Verdict::Inconsistent
     );
 }
@@ -209,8 +181,8 @@ fn generic_system_certificates_verify_without_a_graph() {
     let e = Exploration::explore(&sys, 100_000).unwrap();
     let out = certify_exploration(&sys, &e);
     assert_eq!(out.verdict, Verdict::Accepts);
-    // Choice-selection certificates need no graph and no permutation
-    // action — the fully generic entry point suffices.
+    // Choice-selection certificates need no graph — the fully generic
+    // entry point suffices.
     assert_eq!(verify_system(&sys, &out.certificate).unwrap(), out.verdict);
 }
 
@@ -226,27 +198,14 @@ fn generic_emitters_verify_and_match_the_decider() {
             generators::labelled_line(&mixed),
             generators::labelled_cycle(&uniform),
         ] {
-            let decide = |backend| Decider::new(&m, &g).backend(backend).decide().unwrap();
             let sys = ExclusiveSystem::new(&m, &g);
             let e = Exploration::explore(&sys, 200_000).unwrap();
             let full = certify_exploration(&sys, &e);
-            assert_eq!(full.verdict, decide(Backend::Explicit).verdict, "{g:?}");
+            let decided = Decider::new(&m, &g).backend(Backend::Explicit).decide();
+            assert_eq!(full.verdict, decided.unwrap().verdict, "{g:?}");
             assert_eq!(
                 verify_system(&sys, &full.certificate).unwrap(),
                 full.verdict
-            );
-
-            // The quotient emitter's witnesses keep their `Choice` steps
-            // and carry transport, which only the symmetric checker
-            // replays — coverage the relabelled `Decider` certificates do
-            // not exercise.
-            let quotient = QuotientSystem::new(&sys, automorphism_group(&g, 10_000));
-            let e = Exploration::explore(&quotient, 200_000).unwrap();
-            let sym = certify_quotient(&sys, &quotient, &e);
-            assert_eq!(sym.verdict, decide(Backend::Quotient).verdict, "{g:?}");
-            assert_eq!(
-                verify_symmetric(&sys, &sym.certificate, &VerifyOptions::default()).unwrap(),
-                sym.verdict
             );
         }
     }
@@ -266,10 +225,7 @@ fn counter_and_ring_certificates_roundtrip_through_json() {
             .decide()
             .unwrap();
         let cert = d.certificate.unwrap();
-        assert_eq!(
-            cert.verify(&m, &g, &VerifyOptions::default()).unwrap(),
-            d.verdict
-        );
+        assert_eq!(cert.verify(&m, &g).unwrap(), d.verdict);
         // Abstract certificates round-trip through JSON like node ones.
         match &cert {
             DecisionCertificate::Counter(c) => {

@@ -46,8 +46,6 @@ fn verifier_imports_only_semantics_level_items() {
         "Config",
         "ExclusiveSystem",
         "Machine",
-        "NodeSymmetric",
-        "PermuteNodes",
         "Selection",
         "State",
         "TransitionSystem",

@@ -13,7 +13,7 @@
 //! Plain and certified decisions explore the explicit, counter and ring
 //! resolutions on the dense rows of the shared δ session (`kernel`,
 //! `dense`), falling back to the generic systems through the one
-//! [`dense_or`]; the orbit quotient runs on the generic engine.
+//! [`dense_or`].
 
 use crate::counter::{CounterSystem, RingSystem};
 use crate::dense::{explore_counter_kernel, explore_ring_kernel};
@@ -22,10 +22,10 @@ use crate::explore::{
     Verdict,
 };
 use crate::kernel::{explore_kernel, KernelExploration, KernelRow};
-use crate::{Machine, QuotientSystem, State};
+use crate::{Machine, State};
 use std::fmt;
 use std::hash::Hash;
-use wam_graph::{automorphism_group, AutomorphismGroup, Graph, DEFAULT_GROUP_CAP};
+use wam_graph::Graph;
 
 /// Which fairness regime / schedule to decide under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -57,9 +57,6 @@ pub enum Backend {
     Auto,
     /// The full explicit configuration space, no reduction.
     Explicit,
-    /// The orbit quotient under the graph's automorphism group (the full
-    /// space if the group outgrows [`DEFAULT_GROUP_CAP`]).
-    Quotient,
     /// The counter abstraction over the twin partition, or the ring
     /// abstraction on cycles. Errors with [`ExploreError::Unsupported`] on
     /// graphs where neither applies — the abstraction's soundness
@@ -73,8 +70,6 @@ pub enum Backend {
 pub enum ResolvedBackend {
     /// Full explicit configuration space.
     Explicit,
-    /// Orbit quotient under `Aut(G)`.
-    Quotient,
     /// Count vectors over the twin partition.
     Counter,
     /// Canonical necklaces on a cycle.
@@ -87,7 +82,6 @@ impl fmt::Display for ResolvedBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ResolvedBackend::Explicit => "explicit",
-            ResolvedBackend::Quotient => "quotient",
             ResolvedBackend::Counter => "counter",
             ResolvedBackend::Ring => "ring",
             ResolvedBackend::Lasso => "lasso",
@@ -137,8 +131,6 @@ impl DecisionStats {
 pub enum Resolution<'a, S: State> {
     /// The full explicit configuration space.
     Explicit,
-    /// The orbit quotient under this (complete) automorphism group.
-    Quotient(AutomorphismGroup),
     /// Count vectors over the twin partition.
     Counter(CounterSystem<'a, S>),
     /// Canonical necklaces on a cycle.
@@ -150,7 +142,6 @@ impl<S: State> Resolution<'_, S> {
     pub fn backend(&self) -> ResolvedBackend {
         match self {
             Resolution::Explicit => ResolvedBackend::Explicit,
-            Resolution::Quotient(_) => ResolvedBackend::Quotient,
             Resolution::Counter(_) => ResolvedBackend::Counter,
             Resolution::Ring(_) => ResolvedBackend::Ring,
         }
@@ -161,16 +152,11 @@ impl<S: State> Resolution<'_, S> {
 /// on `graph` explores — the one place the backend policy lives:
 ///
 /// * [`Backend::Explicit`] — the full space;
-/// * [`Backend::Quotient`] — the orbit quotient, even under a trivial
-///   group, unless `Aut(G)` outgrew [`DEFAULT_GROUP_CAP`] (then the full
-///   space);
 /// * [`Backend::Counter`] — the counter abstraction if the twin partition
 ///   compresses, else the ring abstraction on a cycle;
 /// * [`Backend::Auto`] — the counter, then the ring abstraction, else the
 ///   full space. All three run on the dense rows of the δ session; `Auto`
 ///   never enumerates `Aut(G)`.
-///
-/// A [`Resolution::Quotient`] group is always complete.
 ///
 /// # Errors
 ///
@@ -189,16 +175,6 @@ pub fn resolve_backend<'a, S: State>(
     };
     match backend {
         Backend::Explicit => Ok(Resolution::Explicit),
-        // A capped enumeration is not closed under composition, so reducing
-        // by it would be unsound: only a complete group yields a quotient.
-        Backend::Quotient => {
-            let group = automorphism_group(graph, DEFAULT_GROUP_CAP);
-            Ok(if group.is_complete() {
-                Resolution::Quotient(group)
-            } else {
-                Resolution::Explicit
-            })
-        }
         Backend::Counter => counter_or_ring().ok_or_else(|| ExploreError::Unsupported {
             reason: format!(
                 "the counter backend needs a twin-compressible graph or a cycle; \
@@ -218,7 +194,7 @@ pub fn resolve_backend<'a, S: State>(
 /// represented, never in the verdict (the counter and ring backends are
 /// orbit quotients under subgroups of `Aut(G)`, see `wam-core::counter`).
 /// `options.limit` bounds whatever the backend interns — explicit
-/// configurations, orbit representatives, count vectors or necklaces — or
+/// configurations, count vectors or necklaces — or
 /// the number of lasso steps.
 ///
 /// The explicit, counter and ring resolutions — every [`Backend::Auto`]
@@ -229,9 +205,8 @@ pub fn resolve_backend<'a, S: State>(
 /// one-to-one onto the generic systems' configurations, so the verdict and
 /// [`DecisionStats`] are those of the generic engine; past 65 534
 /// reachable states the rows refuse and the generic system runs instead
-/// ([`dense_or`]). The opt-in orbit quotient explores the generic engine.
-/// Certified decisions (`wam_certify::Decider`) explore the same rows and
-/// emit their certificates from them.
+/// ([`dense_or`]). Certified decisions (`wam_certify::Decider`) explore
+/// the same rows and emit their certificates from them.
 ///
 /// # Errors
 ///
@@ -255,7 +230,6 @@ pub fn decide<S: State>(
     }
     let resolution = resolve_backend(machine, graph, backend)?;
     let resolved = resolution.backend();
-    let system = ExclusiveSystem::new(machine, graph);
     // The dense systems explore the same spaces over rows of interned
     // state ids with memoized δ steps, one row per generic configuration
     // (pinned by the kernel and counter differential suites), so verdicts
@@ -265,11 +239,8 @@ pub fn decide<S: State>(
         Resolution::Explicit => dense_or(
             explore_kernel(machine, graph, options),
             |e| summary(e.exploration()),
-            || explore(&system, options).map(|e| summary(&e)),
+            || explore(&ExclusiveSystem::new(machine, graph), options).map(|e| summary(&e)),
         )?,
-        Resolution::Quotient(group) => {
-            summary(&explore(&QuotientSystem::new(&system, group), options)?)
-        }
         Resolution::Counter(counter) => dense_or(
             explore_counter_kernel(&counter, options),
             |e| summary(e.exploration()),
@@ -350,7 +321,7 @@ mod tests {
                 let reference = decide(&m, &g, Schedule::PseudoStochastic, Backend::Explicit, opts)
                     .unwrap()
                     .0;
-                for backend in [Backend::Auto, Backend::Quotient, Backend::Counter] {
+                for backend in [Backend::Auto, Backend::Counter] {
                     let (v, stats) =
                         decide(&m, &g, Schedule::PseudoStochastic, backend, opts).unwrap();
                     assert_eq!(v, reference, "{backend:?} on {g:?}");
@@ -387,16 +358,11 @@ mod tests {
             generators::labelled_star(&c),
             generators::labelled_cycle(&c),
         );
-        // 8! = 40 320 outgrows the group cap, and a capped enumeration is
-        // no group: the full space instead of an unsound reduction.
-        let big = generators::labelled_clique(&LabelCount::from_vec(vec![8]));
         for (backend, g, expected) in [
             (Backend::Auto, &line, ResolvedBackend::Explicit),
             (Backend::Auto, &star, ResolvedBackend::Counter),
             (Backend::Auto, &clique, ResolvedBackend::Counter),
             (Backend::Auto, &cycle, ResolvedBackend::Ring),
-            (Backend::Quotient, &line, ResolvedBackend::Quotient),
-            (Backend::Quotient, &big, ResolvedBackend::Explicit),
             (Backend::Explicit, &clique, ResolvedBackend::Explicit),
         ] {
             let r = resolve_backend(&m, g, backend).unwrap();

@@ -200,11 +200,6 @@ where
         q
     }
 
-    /// The automorphism group in use.
-    pub fn group(&self) -> &AutomorphismGroup {
-        &self.group
-    }
-
     /// The orbit representative (lexicographic minimum) of `c`.
     pub fn canonical(&self, c: T::C) -> T::C {
         c.min_under(self.group.elements())

@@ -23,7 +23,7 @@ use crate::error::ServeError;
 use crate::proto::{build_graph_bounded, ChaosReply, ChaosRequest};
 use std::sync::Arc;
 use wam_analysis::system_fingerprint;
-use wam_certify::{certificate_to_json, Decider, DecisionCertificate, StateTable, VerifyOptions};
+use wam_certify::{certificate_to_json, Decider, DecisionCertificate, StateTable};
 use wam_core::{Backend, ExploreOptions, Machine, Schedule, State, Verdict};
 use wam_extensions::{
     compile_broadcasts, compile_rendezvous, GraphPopulationProtocol, MajorityState,
@@ -51,7 +51,7 @@ pub const MAX_CHAOS_DELAY: u64 = 1_000;
 pub struct CachedVerdict {
     /// The decided verdict.
     pub verdict: Verdict,
-    /// The backend that ran, rendered (`explicit`, `quotient`, …).
+    /// The backend that ran, rendered (`explicit`, `counter`, …).
     pub backend: String,
     /// Configurations (or lasso steps) the decision visited.
     pub explored: usize,
@@ -196,7 +196,7 @@ impl MachineRegistry {
                 None => None,
                 Some(cert) => {
                     let verified = cert
-                        .verify(&machine, graph, &VerifyOptions::default())
+                        .verify(&machine, graph)
                         .map_err(ServeError::Certificate)?;
                     if verified != d.verdict {
                         return Err(ServeError::Internal {
@@ -479,7 +479,7 @@ mod tests {
     }
 
     /// The served backend policy: `Auto` takes the counter or ring rows
-    /// where they apply and the full space elsewhere, never the quotient.
+    /// where they apply and the full space elsewhere.
     #[test]
     fn auto_policy_picks_the_dense_rows() {
         let reg = MachineRegistry::paper_catalog();

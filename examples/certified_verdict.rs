@@ -9,7 +9,7 @@
 
 use weak_async_models::certify::{
     certificate_from_json, certificate_to_json, verify_machine, Decider, DecisionCertificate,
-    StateTable, VerifyOptions,
+    StateTable,
 };
 use weak_async_models::core::Backend;
 use weak_async_models::extensions::{compile_rendezvous, GraphPopulationProtocol, MajorityState};
@@ -27,10 +27,10 @@ fn main() {
     // The certified decider returns the usual exact verdict *plus* a
     // certificate: a concrete path to a stable configuration and the closed
     // invariant that keeps it stable (or an escape structure / lasso for
-    // the other verdict kinds). The quotient backend keeps the witness in
-    // explicit node space.
+    // the other verdict kinds). The explicit backend keeps the witness in
+    // node space.
     let decision = Decider::new(&machine, &graph)
-        .backend(Backend::Quotient)
+        .backend(Backend::Explicit)
         .certified(true)
         .limit(5_000_000)
         .decide()
@@ -38,7 +38,7 @@ fn main() {
     let verdict = decision.verdict;
     let DecisionCertificate::Node(certificate) = decision.certificate.expect("certified run")
     else {
-        unreachable!("the quotient backend emits node-space certificates");
+        unreachable!("the explicit backend emits node-space certificates");
     };
     println!("verdict:     {verdict}");
     println!("certificate: {}", certificate.summary());
@@ -50,8 +50,8 @@ fn main() {
     // Verification is independent of the exploration engine: it replays
     // the recorded steps through the machine semantics and re-checks the
     // invariant's closure — no interned id spaces, no CSR.
-    let checked = verify_machine(&machine, &graph, &certificate, &VerifyOptions::default())
-        .expect("emitted certificate must verify");
+    let checked =
+        verify_machine(&machine, &graph, &certificate).expect("emitted certificate must verify");
     assert_eq!(checked, verdict);
     println!("verified:    {checked} (independent checker)");
 
@@ -65,8 +65,8 @@ fn main() {
     // object and verifies again.
     let back = certificate_from_json(&json, &table).expect("import");
     assert_eq!(back, certificate, "round-trip must be lossless");
-    let again = verify_machine(&machine, &graph, &back, &VerifyOptions::default())
-        .expect("re-imported certificate must verify");
+    let again =
+        verify_machine(&machine, &graph, &back).expect("re-imported certificate must verify");
     assert_eq!(again, verdict);
     println!("re-verified: {again} (after JSON round-trip)");
 }

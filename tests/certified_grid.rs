@@ -1,14 +1,13 @@
 //! **E1, certified:** every verdict of the Figure-1 witness protocols on
 //! the small-graph suite is emitted together with a certificate, checked by
-//! the independent verifier, round-tripped through JSON and re-verified —
-//! including the quotient-active runs, whose certificates carry symmetry
-//! transport. The certified sweeps also run through the shared [`VerdictStore`], so
+//! the independent verifier, round-tripped through JSON and re-verified.
+//! The certified sweeps also run through the shared [`VerdictStore`], so
 //! repeated isomorphism classes are served with their cached proofs.
 
 use weak_async_models::analysis::{system_fingerprint, Predicate, VerdictStore};
 use weak_async_models::certify::{
     certificate_from_json, certificate_to_json, verify_machine, CertifiedVerdict, Decider,
-    DecisionCertificate, StateTable, VerifyOptions,
+    DecisionCertificate, StateTable,
 };
 use weak_async_models::core::{Backend, Config, Machine, Schedule, State};
 use weak_async_models::extensions::{
@@ -27,7 +26,7 @@ fn suite(c: &LabelCount) -> Vec<Graph> {
 }
 
 /// One certified decision through the [`Decider`], forced onto the
-/// quotient backend so every certificate lives in node space (the form
+/// explicit backend so every certificate lives in node space (the form
 /// [`VerdictStore`] transports between isomorphic graphs).
 fn certified<S: State>(
     m: &Machine<S>,
@@ -37,7 +36,7 @@ fn certified<S: State>(
 ) -> CertifiedVerdict<Config<S>> {
     let d = Decider::new(m, g)
         .schedule(schedule)
-        .backend(Backend::Quotient)
+        .backend(Backend::Explicit)
         .certified(true)
         .limit(limit)
         .decide()
@@ -47,7 +46,7 @@ fn certified<S: State>(
             verdict: d.verdict,
             certificate,
         },
-        other => panic!("quotient backend must emit a node certificate, got {other:?}"),
+        other => panic!("explicit backend must emit a node certificate, got {other:?}"),
     }
 }
 
@@ -61,16 +60,15 @@ fn counts() -> Vec<LabelCount> {
 /// Runs one witness family over the whole grid: every verdict must match
 /// the predicate, every certificate must verify (before and after a JSON
 /// round-trip), and the store must serve the suite's repeated isomorphism
-/// classes from cache. Returns the number of transported certificates.
+/// classes from cache.
 fn certified_grid<S: State>(
     machine: &Machine<S>,
     pred: &Predicate,
     name: &str,
     mut decide: impl FnMut(&Graph) -> CertifiedVerdict<Config<S>>,
-) -> usize {
+) {
     let memo = VerdictStore::new();
     let fp = system_fingerprint(name);
-    let mut transports = 0;
     for c in counts() {
         for g in suite(&c) {
             let d = memo.decide_certified(fp, &g, |g| decide(g));
@@ -82,34 +80,27 @@ fn certified_grid<S: State>(
             assert_eq!(d.verdict, d.certificate.verdict());
             // The cached certificate is verified against its *emission*
             // graph (isomorphic to `g`, possibly differently labelled).
-            let v = verify_machine(machine, &d.graph, &d.certificate, &VerifyOptions::default())
+            let v = verify_machine(machine, &d.graph, &d.certificate)
                 .unwrap_or_else(|e| panic!("{name} on {c}: verifier rejected: {e}"));
             assert_eq!(v, d.verdict);
-            if d.certificate.has_transport() {
-                transports += 1;
-            }
             let table = StateTable::from_certificate(&d.certificate);
             let json = certificate_to_json(&d.certificate, &table);
             let back = certificate_from_json(&json, &table)
                 .unwrap_or_else(|e| panic!("{name} on {c}: JSON import failed: {e}"));
             assert_eq!(back, *d.certificate, "{name} on {c}: lossy round-trip");
-            assert_eq!(
-                verify_machine(machine, &d.graph, &back, &VerifyOptions::default()).unwrap(),
-                d.verdict
-            );
+            assert_eq!(verify_machine(machine, &d.graph, &back).unwrap(), d.verdict);
         }
     }
     assert!(
         memo.hits() > 0,
         "{name}: the suite revisits isomorphic graphs, the store must hit"
     );
-    transports
 }
 
 #[test]
 fn daf_presence_grid_is_certified_by_lassos() {
     // dAf ⊇ Cutoff(1): the presence machine under round-robin emits lasso
-    // certificates (deterministic replay, no transport by construction).
+    // certificates (deterministic replay).
     let m = cutoff_one_machine(2, |p| p[1]);
     let pred = Predicate::threshold(2, 1, 1);
     certified_grid(&m, &pred, "dAf-presence", |g| {
@@ -118,20 +109,14 @@ fn daf_presence_grid_is_certified_by_lassos() {
 }
 
 #[test]
-fn daf_ladder_grid_is_certified_with_transport() {
+fn daf_ladder_grid_is_certified() {
     // dAF ⊇ Cutoff: the compiled ⟨level⟩ ladder under pseudo-stochastic
-    // fairness. Uniform counts on cliques and cycles have non-trivial
-    // complete automorphism groups, so some runs go through the quotient
-    // and their certificates must carry (and replay) transport.
+    // fairness.
     let flat = compile_broadcasts(&threshold_machine(2, 0, 2));
     let pred = Predicate::threshold(2, 0, 2);
-    let transports = certified_grid(&flat, &pred, "dAF-ladder", |g| {
+    certified_grid(&flat, &pred, "dAF-ladder", |g| {
         certified(&flat, g, Schedule::PseudoStochastic, 3_000_000)
     });
-    assert!(
-        transports > 0,
-        "the grid must include quotient-active (transported) certificates"
-    );
 }
 
 #[test]

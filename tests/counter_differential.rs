@@ -29,7 +29,7 @@ use std::collections::HashSet;
 use weak_async_models::analysis::StarSystem;
 use weak_async_models::certify::{
     certificate_to_json, certify_exploration, verify_system, Certificate, Decider,
-    DecisionCertificate, StateTable, VerifyOptions,
+    DecisionCertificate, StateTable,
 };
 use weak_async_models::core::{
     explore_counter_kernel, explore_ring_kernel, Backend, CounterSystem, ExclusiveSystem,
@@ -375,8 +375,5 @@ fn certified_counter_backend_falls_back_past_the_u16_state_space() {
     assert_eq!(d.stats.explored, generic.len());
     let cert = d.certificate.expect("certified run");
     assert!(matches!(cert, DecisionCertificate::Counter(_)), "{cert:?}");
-    assert_eq!(
-        cert.verify(&m, &g, &VerifyOptions::default()).unwrap(),
-        d.verdict
-    );
+    assert_eq!(cert.verify(&m, &g).unwrap(), d.verdict);
 }

@@ -61,7 +61,7 @@ fn decide_canonical(g: &Graph) -> (Verdict, String) {
     let cg = canonical_graph(g);
     let d = Decider::new(&machine, &cg)
         .schedule(Schedule::RoundRobin)
-        .backend(Backend::Quotient)
+        .backend(Backend::Explicit)
         .certified(true)
         .limit(500_000)
         .decide()
@@ -69,7 +69,7 @@ fn decide_canonical(g: &Graph) -> (Verdict, String) {
     let cert = d.certificate.expect("certified run emits a certificate");
     let json = match &cert {
         DecisionCertificate::Node(c) => certificate_to_json(c, &StateTable::from_certificate(c)),
-        other => panic!("quotient backend emits node certificates, got {other:?}"),
+        other => panic!("lasso schedules emit node certificates, got {other:?}"),
     };
     (d.verdict, json)
 }

@@ -120,8 +120,8 @@ proptest! {
 
     /// Exclusive and liberal selection: random table machines on random
     /// graphs. Also cross-checks the backend resolution of
-    /// [`weak_async_models::core::decide`]: `Auto`, `Explicit` and
-    /// `Quotient` must return the same verdict.
+    /// [`weak_async_models::core::decide`]: `Auto` and `Explicit` must
+    /// return the same verdict.
     #[test]
     fn quotient_preserves_verdicts_exclusive_and_liberal(
         init in (0u8..STATES, 0u8..STATES),
@@ -139,7 +139,7 @@ proptest! {
         let ex = ExclusiveSystem::new(&m, &g);
         let (full, reduced) = assert_quotient_agrees(&ex, 500_000);
         let expected = Exploration::explore(&ex, 500_000).unwrap().verdict();
-        for backend in [Backend::Auto, Backend::Explicit, Backend::Quotient] {
+        for backend in [Backend::Auto, Backend::Explicit] {
             let (v, _) = weak_async_models::core::decide(
                 &m,
                 &g,
