@@ -1,5 +1,5 @@
-//! The shared δ session: interned states, lock-free outputs and memoized
-//! δ-tables for one decision, behind every dense system.
+//! The δ session: interned states, their outputs and memoized δ-tables
+//! for one decision, behind every dense row system.
 //!
 //! The machines of the paper only ever observe the β-clipped neighbourhood
 //! multiset, and their reachable state sets are tiny — which makes δ fully
@@ -7,9 +7,9 @@
 //! one (machine, graph) decision:
 //!
 //! * **State interning**: reachable states get dense `u16` ids in
-//!   first-sighting order; outputs (`Accept`/`Reject`/`Neutral`) are
-//!   memoized per id in a lock-free table, so accept/reject scans are
-//!   table walks over ids instead of boxed-closure calls over cloned
+//!   first-sighting order, and each id's output (`Accept`/`Reject`/
+//!   `Neutral`) is recorded when it is interned, so accept/reject scans
+//!   are table walks over ids instead of boxed-closure calls over cloned
 //!   states.
 //! * **Raw δ memo**: a local view of at most `1 + RAW_DEG` state ids —
 //!   own id plus neighbour ids in any fixed order — packs into one `u64`
@@ -23,20 +23,18 @@
 //!
 //! Either way the first sighting of a key pays one real `Machine::step` —
 //! rebuilding the states and the [`Neighbourhood`] from the key — and
-//! every later sighting is a table lookup. Three systems share the
-//! session type: the packed node rows of `kernel`, and the counter and
-//! ring rows of `dense`. Each expands a configuration through [`Steps`],
-//! which looks steps up under the read lock and trades it for the write
-//! lock only to compute a miss, so one memo can be shared across threads.
+//! every later sighting is a table lookup. Three row kinds run on the
+//! session, each an [`Expand`] implementation: the packed node rows of
+//! `kernel`, and the counter and ring rows of `dense`. A session has one
+//! owner — the exploration that created it — and an expansion borrows its
+//! tables and scratch mutably for the length of one configuration.
 
-use crate::explore::SuccBuf;
-use crate::{Machine, Neighbourhood, Output, State};
+use crate::explore::{ExploreError, SuccBuf};
+use crate::{KernelStats, Machine, Neighbourhood, Output, State};
 use rustc_hash::FxHasher;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{RwLock, RwLockReadGuard};
 
 /// Sentinel for a δ-table entry that has not been computed yet, and the
 /// filler of unused raw-key lanes.
@@ -55,11 +53,13 @@ pub(crate) const RAW_DEG: usize = 3;
 
 /// The refusal every dense system reports when the `u16` id space runs
 /// out.
-pub(crate) fn exhausted_reason() -> String {
-    format!(
-        "the dense kernel interns states to u16 ids; this machine \
-         exceeded {MAX_STATES} distinct reachable states"
-    )
+pub(crate) fn exhausted() -> ExploreError {
+    ExploreError::Unsupported {
+        reason: format!(
+            "the dense kernel interns states to u16 ids; this machine \
+             exceeded {MAX_STATES} distinct reachable states"
+        ),
+    }
 }
 
 /// Open-addressing `u64 → u16` table behind the raw δ memo: linear
@@ -182,12 +182,15 @@ impl Hasher for MixHasher {
 /// A hash map over [`MixHasher`].
 type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
-/// The memo tables of one session: state interner, the raw low-degree δ
-/// memo, signature interner, and the signature δ table.
+/// The tables of one session: state interner and outputs, the raw
+/// low-degree δ memo, signature interner, the signature δ table, and the
+/// hit/miss counters.
 #[derive(Debug)]
 pub(crate) struct Tables<S> {
     /// States by dense id, in first-sighting order.
     states: Vec<S>,
+    /// `outputs[sid]`: the output of state `sid`, recorded at intern time.
+    outputs: Vec<Output>,
     ids: MixMap<S, u16>,
     /// Raw δ memo: the key packs a node's own state id with its neighbour
     /// ids (unused lanes filled with `0xFFFF`, which is never a real id);
@@ -203,16 +206,23 @@ pub(crate) struct Tables<S> {
     /// under its signature, so a state space that keeps growing costs
     /// memory per memoized step, not per (signature × state).
     delta: Vec<Vec<u16>>,
+    /// Node steps resolved by a memoized entry.
+    hits: u64,
+    /// Node steps that computed (and memoized) a fresh entry.
+    misses: u64,
 }
 
 impl<S: State> Tables<S> {
     fn new() -> Self {
         Tables {
             states: Vec::new(),
+            outputs: Vec::new(),
             ids: MixMap::default(),
             raw: RawMap::new(),
             sigs: MixMap::default(),
             delta: Vec::new(),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -221,9 +231,9 @@ impl<S: State> Tables<S> {
         &self.states
     }
 
-    /// Interns a state, memoizing its output into the session's lock-free
-    /// output table; `None` when the `u16` id space is exhausted.
-    fn intern_state(&mut self, machine: &Machine<S>, s: S, outputs: &Outputs) -> Option<u16> {
+    /// Interns a state, recording its output; `None` when the `u16` id
+    /// space is exhausted.
+    fn intern_state(&mut self, machine: &Machine<S>, s: S) -> Option<u16> {
         if let Some(&id) = self.ids.get(&s) {
             return Some(id);
         }
@@ -231,85 +241,10 @@ impl<S: State> Tables<S> {
             return None;
         }
         let id = self.states.len() as u16;
-        outputs.0[id as usize].store(encode_output(machine.output(&s)), Ordering::Release);
+        self.outputs.push(machine.output(&s));
         self.ids.insert(s.clone(), id);
         self.states.push(s);
         Some(id)
-    }
-
-    /// The memoized δ of `sid` under signature `sig`, if any.
-    #[inline]
-    fn lookup_sig(&self, sid: u16, sig: &[u32]) -> Option<u16> {
-        let &s = self.sigs.get(sig)?;
-        let nid = *self.delta[s as usize].get(sid as usize)?;
-        (nid != UNKNOWN).then_some(nid)
-    }
-
-    /// δ of the raw view packed in `key`, computed and memoized unless
-    /// present (a concurrent expansion may have filled it since the read
-    /// lookup missed). The flag is `true` when δ was computed here; `None`
-    /// when the id space is exhausted.
-    fn fill_raw(
-        &mut self,
-        machine: &Machine<S>,
-        outputs: &Outputs,
-        key: u64,
-    ) -> Option<(u16, bool)> {
-        if let Some(nid) = self.raw.get(key) {
-            return Some((nid, false));
-        }
-        let lane = |i: u32| (key >> (16 * i)) as u16;
-        let states = &self.states;
-        let view = Neighbourhood::from_states(
-            (1..=RAW_DEG as u32)
-                .map(lane)
-                .take_while(|&id| id != UNKNOWN)
-                .map(|id| states[id as usize].clone()),
-            machine.beta(),
-        );
-        let next = machine.step(&states[lane(0) as usize], &view);
-        let nid = self.intern_state(machine, next, outputs)?;
-        self.raw.insert(key, nid);
-        Some((nid, true))
-    }
-
-    /// δ of `sid` under signature `sig`, computed and memoized unless
-    /// present; flag and `None` as for [`fill_raw`](Self::fill_raw).
-    fn fill_sig(
-        &mut self,
-        machine: &Machine<S>,
-        outputs: &Outputs,
-        sid: u16,
-        sig: &[u32],
-    ) -> Option<(u16, bool)> {
-        let s = match self.sigs.get(sig) {
-            Some(&s) => s as usize,
-            None => {
-                let s = self.delta.len();
-                self.sigs.insert(sig.into(), s as u32);
-                self.delta.push(Vec::new());
-                s
-            }
-        };
-        if self.delta[s].len() <= sid as usize {
-            self.delta[s].resize(sid as usize + 1, UNKNOWN);
-        }
-        let nid = self.delta[s][sid as usize];
-        if nid != UNKNOWN {
-            return Some((nid, false));
-        }
-        // Reconstruct the clip-exact neighbourhood from the signature and
-        // pay the one real δ call for this key.
-        let states = &self.states;
-        let view = Neighbourhood::from_counts(
-            sig.iter()
-                .map(|&e| (states[(e >> 16) as usize].clone(), u64::from(e & 0xFFFF))),
-            machine.beta(),
-        );
-        let next = machine.step(&states[sid as usize], &view);
-        let nid = self.intern_state(machine, next, outputs)?;
-        self.delta[s][sid as usize] = nid;
-        Some((nid, true))
     }
 
     /// Number of filled δ-memo entries across both levels (raw keys plus
@@ -322,11 +257,26 @@ impl<S: State> Tables<S> {
                 .map(|row| row.iter().filter(|&&e| e != UNKNOWN).count() as u64)
                 .sum::<u64>()
     }
+
+    /// The δ columns of [`KernelStats`]: table sizes and hit/miss
+    /// counters so far (the row layout and arena columns stay zero).
+    pub(crate) fn stats(&self) -> KernelStats {
+        KernelStats {
+            states: self.states.len(),
+            sigs: self.sigs.len(),
+            delta_entries: self.delta_entries(),
+            delta_hits: self.hits,
+            delta_misses: self.misses,
+            bits: 0,
+            restarts: 0,
+            arena_bytes: 0,
+        }
+    }
 }
 
-/// Per-thread scratch shared by every dense system's expansion: reused
-/// across calls, so steady-state successor generation allocates nothing
-/// beyond the successor rows themselves.
+/// Scratch shared by every row kind's expansion: reused across calls, so
+/// steady-state successor generation allocates nothing beyond the
+/// successor rows themselves.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Per-node state ids of the configuration being expanded.
@@ -339,37 +289,23 @@ pub(crate) struct Scratch {
     pub(crate) words: Vec<u64>,
 }
 
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+/// One expansion's access to the session's δ memo: a lookup that misses
+/// computes, interns and memoizes the step on the spot.
+pub(crate) struct Steps<'t, S: State> {
+    tables: &'t mut Tables<S>,
+    machine: &'t Machine<S>,
 }
 
-/// One expansion's access to the session's δ memo: lookups run under the
-/// read lock, and each miss briefly trades it for the write lock to
-/// compute, intern and memoize the step. Steady-state expansions never
-/// leave the read lock.
-pub(crate) struct Steps<'s, S: State> {
-    session: &'s DeltaSession<S>,
-    machine: &'s Machine<S>,
-    tables: Option<RwLockReadGuard<'s, Tables<S>>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<'s, S: State> Steps<'s, S> {
-    #[inline]
-    fn tables(&self) -> &Tables<S> {
-        self.tables.as_ref().expect("read lock held between steps")
-    }
-
+impl<S: State> Steps<'_, S> {
     /// δ of the raw view packed in `key` (see [`raw_key`]); `None` when
     /// the `u16` id space is exhausted.
     #[inline]
     pub(crate) fn raw(&mut self, key: u64) -> Option<u16> {
-        if let Some(nid) = self.tables().raw.get(key) {
-            self.hits += 1;
+        if let Some(nid) = self.tables.raw.get(key) {
+            self.tables.hits += 1;
             return Some(nid);
         }
-        self.fill(|t, machine, outputs| t.fill_raw(machine, outputs, key))
+        self.fill_raw(key)
     }
 
     /// δ of state `sid` under the sorted, clipped signature `sig` (entries
@@ -377,44 +313,76 @@ impl<'s, S: State> Steps<'s, S> {
     /// space is exhausted.
     #[inline]
     pub(crate) fn canonical(&mut self, sid: u16, sig: &[u32]) -> Option<u16> {
-        if let Some(nid) = self.tables().lookup_sig(sid, sig) {
-            self.hits += 1;
-            return Some(nid);
+        let t = &mut *self.tables;
+        if let Some(&s) = t.sigs.get(sig) {
+            if let Some(&nid) = t.delta[s as usize].get(sid as usize) {
+                if nid != UNKNOWN {
+                    t.hits += 1;
+                    return Some(nid);
+                }
+            }
         }
-        self.fill(|t, machine, outputs| t.fill_sig(machine, outputs, sid, sig))
+        self.fill_sig(sid, sig)
     }
 
-    /// Runs `fill` under the write lock, then re-takes the read lock.
+    /// Computes and memoizes the δ of the raw view packed in `key`.
     #[cold]
-    fn fill(
-        &mut self,
-        fill: impl FnOnce(&mut Tables<S>, &Machine<S>, &Outputs) -> Option<(u16, bool)>,
-    ) -> Option<u16> {
-        self.tables = None;
-        let filled = {
-            let mut t = self
-                .session
-                .tables
-                .write()
-                .expect("δ session tables poisoned");
-            fill(&mut t, self.machine, &self.session.outputs)
+    fn fill_raw(&mut self, key: u64) -> Option<u16> {
+        let t = &mut *self.tables;
+        let lane = |i: u32| (key >> (16 * i)) as u16;
+        let states = &t.states;
+        let view = Neighbourhood::from_states(
+            (1..=RAW_DEG as u32)
+                .map(lane)
+                .take_while(|&id| id != UNKNOWN)
+                .map(|id| states[id as usize].clone()),
+            self.machine.beta(),
+        );
+        let next = self.machine.step(&states[lane(0) as usize], &view);
+        let nid = t.intern_state(self.machine, next)?;
+        t.raw.insert(key, nid);
+        t.misses += 1;
+        Some(nid)
+    }
+
+    /// Computes and memoizes the δ of `sid` under signature `sig`,
+    /// interning the signature if it is new.
+    #[cold]
+    fn fill_sig(&mut self, sid: u16, sig: &[u32]) -> Option<u16> {
+        let t = &mut *self.tables;
+        let s = match t.sigs.get(sig) {
+            Some(&s) => s as usize,
+            None => {
+                let s = t.delta.len();
+                t.sigs.insert(sig.into(), s as u32);
+                t.delta.push(Vec::new());
+                s
+            }
         };
-        self.tables = Some(self.session.read());
-        let (nid, computed) = filled?;
-        if computed {
-            self.misses += 1;
-        } else {
-            self.hits += 1;
+        if t.delta[s].len() <= sid as usize {
+            t.delta[s].resize(sid as usize + 1, UNKNOWN);
         }
+        // Reconstruct the clip-exact neighbourhood from the signature and
+        // pay the one real δ call for this key.
+        let states = &t.states;
+        let view = Neighbourhood::from_counts(
+            sig.iter()
+                .map(|&e| (states[(e >> 16) as usize].clone(), u64::from(e & 0xFFFF))),
+            self.machine.beta(),
+        );
+        let next = self.machine.step(&states[sid as usize], &view);
+        let nid = t.intern_state(self.machine, next)?;
+        t.delta[s][sid as usize] = nid;
+        t.misses += 1;
         Some(nid)
     }
 }
 
-/// A dense transition system whose successor generation runs against a
-/// session's memo tables.
+/// One dense row kind: successor generation against a session's memo
+/// tables, and the state ids a consensus scan reads off a row.
 pub(crate) trait Expand<S: State> {
     /// The row type.
-    type C;
+    type C: Clone + Eq + std::hash::Hash + std::fmt::Debug;
 
     /// Pushes the successors of `c` into `out`, resolving node steps
     /// through `steps`. Returns `None` as soon as a step does (the `u16`
@@ -426,93 +394,36 @@ pub(crate) trait Expand<S: State> {
         out: &mut SuccBuf<Self::C>,
         scratch: &mut Scratch,
     ) -> Option<()>;
+
+    /// The state id of every node, count entry or run of `c`.
+    fn sids<'c>(&'c self, c: &'c Self::C) -> impl Iterator<Item = u16> + 'c;
 }
 
-/// Shared, thread-safe session state: the memo tables behind a read/write
-/// lock (reads are the steady state; a write is one δ or signature miss),
-/// the lock-free per-id output table, and lock-free hit/miss counters.
+/// The session's tables and the expansion scratch, borrowed together.
 #[derive(Debug)]
-pub(crate) struct DeltaSession<S> {
-    tables: RwLock<Tables<S>>,
-    outputs: Outputs,
-    hits: AtomicU64,
-    misses: AtomicU64,
+struct Session<S> {
+    tables: Tables<S>,
+    scratch: Scratch,
 }
 
-/// The session's output table: `0[sid]` is the encoded output of state
-/// `sid`, written once under the write lock at intern time and read
-/// lock-free by the accept/reject scans (the engine calls them once per
-/// interned configuration — taking the read lock there would double the
-/// per-configuration lock traffic). Pre-sized to the whole `u16` id space
-/// (64 KiB), so a slot exists before any id can reach a reader. It does
-/// not depend on the state type, so dense systems can scan it without
-/// being generic over `S`.
+/// The δ session of one exploration. The cell exists only because
+/// [`TransitionSystem`](crate::TransitionSystem) expands through `&self`;
+/// the session is never shared, so every borrow is uncontended.
 #[derive(Debug)]
-pub(crate) struct Outputs(Box<[AtomicU8]>);
-
-impl Outputs {
-    /// Whether every id in `sids` is an accepting state.
-    #[inline]
-    pub(crate) fn all_accept(&self, sids: impl IntoIterator<Item = u16>) -> bool {
-        self.all(sids, OUT_ACCEPT)
-    }
-
-    /// Whether every id in `sids` is a rejecting state.
-    #[inline]
-    pub(crate) fn all_reject(&self, sids: impl IntoIterator<Item = u16>) -> bool {
-        self.all(sids, OUT_REJECT)
-    }
-
-    #[inline]
-    fn all(&self, sids: impl IntoIterator<Item = u16>, want: u8) -> bool {
-        sids.into_iter()
-            .all(|sid| self.0[sid as usize].load(Ordering::Acquire) == want)
-    }
-}
-
-/// Lock-free encoding of [`Output`] for the session output table.
-const OUT_NEUTRAL: u8 = 0;
-const OUT_ACCEPT: u8 = 1;
-const OUT_REJECT: u8 = 2;
-
-#[inline]
-fn encode_output(o: Output) -> u8 {
-    match o {
-        Output::Neutral => OUT_NEUTRAL,
-        Output::Accept => OUT_ACCEPT,
-        Output::Reject => OUT_REJECT,
-    }
-}
-
-/// Session table sizes and counters: the δ columns of
-/// [`KernelStats`](crate::KernelStats).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SessionStats {
-    pub(crate) states: usize,
-    pub(crate) sigs: usize,
-    pub(crate) delta_entries: u64,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-}
+pub(crate) struct DeltaSession<S>(RefCell<Session<S>>);
 
 impl<S: State> DeltaSession<S> {
     /// An empty session.
     pub(crate) fn new() -> Self {
-        DeltaSession {
-            tables: RwLock::new(Tables::new()),
-            outputs: Outputs(
-                std::iter::repeat_with(|| AtomicU8::new(OUT_NEUTRAL))
-                    .take(1 << 16)
-                    .collect(),
-            ),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        DeltaSession(RefCell::new(Session {
+            tables: Tables::new(),
+            scratch: Scratch::default(),
+        }))
     }
 
-    /// The tables under the read lock (unpacking, statistics).
-    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Tables<S>> {
-        self.tables.read().expect("δ session tables poisoned")
+    /// Number of states interned so far.
+    pub(crate) fn state_count(&self) -> usize {
+        self.0.borrow().tables.states.len()
     }
 
     /// Interns `states` in order; `None` when the `u16` id space is
@@ -522,60 +433,43 @@ impl<S: State> DeltaSession<S> {
         machine: &Machine<S>,
         states: impl IntoIterator<Item = S>,
     ) -> Option<Vec<u16>> {
-        let mut t = self.tables.write().expect("δ session tables poisoned");
+        let tables = &mut self.0.borrow_mut().tables;
         states
             .into_iter()
-            .map(|s| t.intern_state(machine, s, &self.outputs))
+            .map(|s| tables.intern_state(machine, s))
             .collect()
     }
 
-    /// The lock-free output table.
-    pub(crate) fn outputs(&self) -> &Outputs {
-        &self.outputs
+    /// Whether every id in `sids` has output `want`.
+    #[inline]
+    pub(crate) fn all(&self, sids: impl IntoIterator<Item = u16>, want: Output) -> bool {
+        let session = self.0.borrow();
+        let outputs = &session.tables.outputs;
+        sids.into_iter().all(|sid| outputs[sid as usize] == want)
     }
 
-    /// Expands `c` through `system`. Returns `false` — with `out`
-    /// cleared — when the `u16` id space was exhausted; the caller must
-    /// then refuse the exploration.
+    /// Expands `c` through `rows`. Returns `false` — with `out` cleared —
+    /// when the `u16` id space was exhausted; the caller must then refuse
+    /// the exploration.
     pub(crate) fn successors_into<E: Expand<S>>(
         &self,
         machine: &Machine<S>,
-        system: &E,
+        rows: &E,
         c: &E::C,
         out: &mut SuccBuf<E::C>,
     ) -> bool {
-        SCRATCH.with(|scratch| {
-            let mut steps = Steps {
-                session: self,
-                machine,
-                tables: Some(self.read()),
-                hits: 0,
-                misses: 0,
-            };
-            let done = system
-                .expand(&mut steps, c, out, &mut scratch.borrow_mut())
-                .is_some();
-            self.hits.fetch_add(steps.hits, Ordering::Relaxed);
-            if steps.misses > 0 {
-                self.misses.fetch_add(steps.misses, Ordering::Relaxed);
-            }
-            if !done {
-                out.clear();
-            }
-            done
-        })
+        let Session { tables, scratch } = &mut *self.0.borrow_mut();
+        let mut steps = Steps { tables, machine };
+        let done = rows.expand(&mut steps, c, out, scratch).is_some();
+        if !done {
+            out.clear();
+        }
+        done
     }
 
-    /// Table sizes and hit/miss counters so far.
-    pub(crate) fn stats(&self) -> SessionStats {
-        let t = self.read();
-        SessionStats {
-            states: t.states.len(),
-            sigs: t.sigs.len(),
-            delta_entries: t.delta_entries(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+    /// The finished tables, for unpacking rows and reading statistics.
+    pub(crate) fn into_tables(self) -> Tables<S> {
+        self.0.into_inner().tables
     }
 }
 

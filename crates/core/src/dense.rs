@@ -1,5 +1,8 @@
 //! Dense counter and ring rows: the counter and ring abstractions of
-//! `counter`, explored over `u64` words through the shared δ session.
+//! `counter`, explored over `u64` words. Both row kinds are `Expand`
+//! implementations on a fresh δ session per exploration, explored by the
+//! same session-bound transition system as the packed node rows of
+//! `kernel`; consensus reads the state id in bits 32..48 of every word.
 //!
 //! [`CounterSystem`] and [`RingSystem`] step over generic configurations:
 //! every successor clones states, builds a sorted [`Neighbourhood`] and
@@ -26,13 +29,10 @@
 //! refuse with [`ExploreError::Unsupported`] and `decide` falls back to
 //! the generic systems.
 
-use crate::delta::{
-    exhausted_reason, push_sig, raw_key, DeltaSession, Expand, Outputs, Scratch, Steps,
-};
-use crate::explore::{Exploration, ExploreError, ExploreOptions, SuccBuf, TransitionSystem};
-use crate::kernel::{KernelExploration, KernelRow};
-use crate::{CounterConfig, CounterSystem, Machine, RingConfig, RingSystem, State};
-use std::cell::Cell;
+use crate::delta::{push_sig, raw_key, Expand, Scratch, Steps};
+use crate::explore::{ExploreError, ExploreOptions, SuccBuf, TransitionSystem};
+use crate::kernel::{explore_dense, KernelExploration, KernelRow};
+use crate::{CounterConfig, CounterSystem, RingConfig, RingSystem, State};
 
 /// Low 32 bits of a row word: a count or a run length.
 const LOW: u64 = 0xFFFF_FFFF;
@@ -89,24 +89,6 @@ impl<S: State> KernelRow<S> for RingRow {
 
     fn heap_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.0)
-    }
-}
-
-/// Row types whose words carry a state id in bits 32..48 (the consensus
-/// scans read it).
-trait Words {
-    fn words(&self) -> &[u64];
-}
-
-impl Words for CounterRow {
-    fn words(&self) -> &[u64] {
-        &self.0
-    }
-}
-
-impl Words for RingRow {
-    fn words(&self) -> &[u64] {
-        &self.0
     }
 }
 
@@ -172,6 +154,10 @@ impl<S: State> Expand<S> for CounterRows {
             i = end;
         }
         Some(())
+    }
+
+    fn sids<'c>(&'c self, c: &'c CounterRow) -> impl Iterator<Item = u16> + 'c {
+        c.0.iter().map(|&w| sid(w))
     }
 }
 
@@ -276,6 +262,10 @@ impl<S: State> Expand<S> for RingRows {
         }
         Some(())
     }
+
+    fn sids<'c>(&'c self, c: &'c RingRow) -> impl Iterator<Item = u16> + 'c {
+        c.0.iter().map(|&w| sid(w))
+    }
 }
 
 /// The run list with run `i` replaced by `patch`, re-normalised.
@@ -316,85 +306,6 @@ fn normalise(buf: &mut Vec<u64>) -> RingRow {
         }
     }
     RingRow((0..m).map(|j| at(best, j)).collect())
-}
-
-/// A [`TransitionSystem`] over dense rows, generic over the row type only:
-/// the machine-specific stepping sits behind `expand`, so the exploration
-/// engine is instantiated once per row type rather than once per machine
-/// state type. Successors flag exhaustion and drain from then on;
-/// consensus reads the session's lock-free output table.
-struct Dense<'a, C> {
-    expand: &'a dyn Fn(&C, &mut SuccBuf<C>) -> bool,
-    outputs: &'a Outputs,
-    start: C,
-    exhausted: Cell<bool>,
-}
-
-impl<C> TransitionSystem for Dense<'_, C>
-where
-    C: Words + Clone + Eq + std::hash::Hash + std::fmt::Debug,
-{
-    type C = C;
-
-    fn initial_config(&self) -> C {
-        self.start.clone()
-    }
-
-    fn successors(&self, c: &C) -> Vec<C> {
-        let mut out = SuccBuf::new();
-        self.successors_into(c, &mut out);
-        out.into_vec()
-    }
-
-    fn successors_into(&self, c: &C, out: &mut SuccBuf<C>) {
-        if self.exhausted.get() {
-            return; // drain: the exploration will be refused
-        }
-        if !(self.expand)(c, out) {
-            self.exhausted.set(true);
-        }
-    }
-
-    fn is_accepting(&self, c: &C) -> bool {
-        self.outputs.all_accept(c.words().iter().map(|&w| sid(w)))
-    }
-
-    fn is_rejecting(&self, c: &C) -> bool {
-        self.outputs.all_reject(c.words().iter().map(|&w| sid(w)))
-    }
-}
-
-/// Explores `rows` from the row `start` builds over a fresh session.
-fn explore_rows<S, E>(
-    machine: &Machine<S>,
-    nodes: usize,
-    rows: E,
-    start: impl FnOnce(&DeltaSession<S>) -> Option<E::C>,
-    options: ExploreOptions,
-) -> Result<KernelExploration<S, E::C>, ExploreError>
-where
-    S: State,
-    E: Expand<S>,
-    E::C: Words + KernelRow<S>,
-{
-    let exhausted = || ExploreError::Unsupported {
-        reason: exhausted_reason(),
-    };
-    let session = DeltaSession::new();
-    let start = start(&session).ok_or_else(exhausted)?;
-    let expand =
-        |c: &E::C, out: &mut SuccBuf<E::C>| session.successors_into(machine, &rows, c, out);
-    let system = Dense {
-        expand: &expand,
-        outputs: session.outputs(),
-        start,
-        exhausted: Cell::new(false),
-    };
-    let exploration = Exploration::explore_with(&system, system.initial_config(), options)?;
-    if system.exhausted.get() {
-        return Err(exhausted());
-    }
-    Ok(KernelExploration::new(exploration, session, nodes, 16, 0))
 }
 
 /// Explores the counter abstraction of `counter` over [`CounterRow`]s.
@@ -438,7 +349,7 @@ pub fn explore_counter_kernel<S: State>(
             .collect(),
     };
     let nodes = counter.graph().node_count();
-    explore_rows(
+    explore_dense(
         machine,
         nodes,
         rows,
@@ -473,7 +384,7 @@ pub fn explore_ring_kernel<S: State>(
 ) -> Result<KernelExploration<S, RingRow>, ExploreError> {
     let machine = ring.machine();
     let nodes = ring.graph().node_count();
-    explore_rows(
+    explore_dense(
         machine,
         nodes,
         RingRows,
@@ -495,7 +406,7 @@ pub fn explore_ring_kernel<S: State>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Output;
+    use crate::{Exploration, Machine, Output};
     use std::collections::HashSet;
     use wam_graph::{generators, LabelCount};
 

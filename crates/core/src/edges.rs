@@ -158,18 +158,35 @@ fn read_at(file: &File, mut buf: &mut [u8], mut pos: u64) -> std::io::Result<()>
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn create_spill_file() -> std::io::Result<(File, PathBuf)> {
-    let path = std::env::temp_dir().join(format!(
-        "wam-spill-{}-{}.csr",
-        std::process::id(),
-        SPILL_SEQ.fetch_add(1, Ordering::Relaxed),
-    ));
-    let file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create_new(true)
-        .open(&path)?;
-    Ok((file, path))
+/// A temp file holding spilled edge bytes. It is unlinked when dropped,
+/// whether a finished [`EdgeStore`] or an [`EdgeBuilder`] abandoned
+/// mid-exploration (a `TooLarge` refusal, a failed write) holds it.
+#[derive(Debug)]
+struct SpillFile {
+    file: File,
+    path: PathBuf,
+}
+
+impl SpillFile {
+    fn create() -> std::io::Result<Self> {
+        let path = std::env::temp_dir().join(format!(
+            "wam-spill-{}-{}.csr",
+            std::process::id(),
+            SPILL_SEQ.fetch_add(1, Ordering::Relaxed),
+        ));
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)?;
+        Ok(SpillFile { file, path })
+    }
+}
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
 }
 
 enum Rep {
@@ -183,8 +200,7 @@ enum Rep {
     },
     Spilled {
         boff: Vec<u64>,
-        file: File,
-        path: PathBuf,
+        file: SpillFile,
         /// Bytes written to the file; the global stream is the file
         /// followed by `tail`.
         file_len: u64,
@@ -213,14 +229,6 @@ impl std::fmt::Debug for Rep {
 pub(crate) struct EdgeStore {
     rep: Rep,
     edges: u64,
-}
-
-impl Drop for EdgeStore {
-    fn drop(&mut self) {
-        if let Rep::Spilled { path, .. } = &self.rep {
-            let _ = std::fs::remove_file(path);
-        }
-    }
 }
 
 impl EdgeStore {
@@ -285,7 +293,7 @@ impl EdgeStore {
                     decode_row(&tail[s..e], &mut out);
                 } else {
                     let mut buf = vec![0u8; (end - start) as usize];
-                    read_at(file, &mut buf, start).expect("spill file read");
+                    read_at(&file.file, &mut buf, start).expect("spill file read");
                     decode_row(&buf, &mut out);
                 }
                 SuccRow::Owned(out)
@@ -399,13 +407,13 @@ impl EdgeStore {
                     f(rows.start, b, &tail[s..e]);
                 } else if end <= *file_len {
                     let mut buf = vec![0u8; (end - start) as usize];
-                    read_at(file, &mut buf, start).expect("spill file read");
+                    read_at(&file.file, &mut buf, start).expect("spill file read");
                     f(rows.start, b, &buf);
                 } else {
                     // Chunk straddles the boundary: splice file + tail.
                     let mut buf = vec![0u8; (end - start) as usize];
                     let split = (file_len - start) as usize;
-                    read_at(file, &mut buf[..split], start).expect("spill file read");
+                    read_at(&file.file, &mut buf[..split], start).expect("spill file read");
                     buf[split..].copy_from_slice(&tail[..(end - file_len) as usize]);
                     f(rows.start, b, &buf);
                 }
@@ -452,7 +460,7 @@ pub(crate) struct EdgeBuilder {
     ids: Vec<u32>,
     boff: Vec<u64>,
     buf: Vec<u8>,
-    spill: Option<(File, PathBuf)>,
+    spill: Option<SpillFile>,
     file_len: u64,
     edges: u64,
 }
@@ -516,10 +524,10 @@ impl EdgeBuilder {
             return Ok(());
         }
         if self.spill.is_none() {
-            self.spill = Some(create_spill_file()?);
+            self.spill = Some(SpillFile::create()?);
         }
-        let (file, _) = self.spill.as_mut().expect("spill file just created");
-        file.write_all(&self.buf)?;
+        let spill = self.spill.as_mut().expect("spill file just created");
+        spill.file.write_all(&self.buf)?;
         self.file_len += self.buf.len() as u64;
         self.buf.clear();
         Ok(())
@@ -531,11 +539,10 @@ impl EdgeBuilder {
                 off: self.off,
                 ids: self.ids,
             }
-        } else if let Some((file, path)) = self.spill {
+        } else if let Some(file) = self.spill {
             Rep::Spilled {
                 boff: self.boff,
                 file,
-                path,
                 file_len: self.file_len,
                 tail: self.buf,
             }
@@ -637,11 +644,22 @@ mod tests {
     fn spill_file_is_removed_on_drop() {
         let store = builder(Some(64)).finish();
         let path = match &store.rep {
-            Rep::Spilled { path, .. } => path.clone(),
+            Rep::Spilled { file, .. } => file.path.clone(),
             _ => panic!("expected a spilled store"),
         };
         assert!(path.exists());
         drop(store);
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn spill_file_is_removed_when_an_unfinished_builder_drops() {
+        // An exploration refused after spilling drops its builder without
+        // ever finishing it into a store.
+        let b = builder(Some(64));
+        let path = b.spill.as_ref().expect("a spilling builder").path.clone();
+        assert!(path.exists());
+        drop(b);
+        assert!(!path.exists(), "{} leaked", path.display());
     }
 }

@@ -1,13 +1,14 @@
-//! The dense successor kernel: packed node rows over the shared δ session,
-//! and the row explorations every dense system returns.
+//! The dense successor kernel: packed node rows, the one transition system
+//! every dense row kind explores through, and the row explorations they
+//! return.
 //!
 //! The machines of the paper only ever observe the β-clipped neighbourhood
 //! multiset, and their reachable state sets are tiny — which makes δ fully
 //! memoizable and configurations densely packable. The memo half lives in
-//! `delta`: one `DeltaSession` per decision interns states to `u16`
-//! ids, keeps their outputs lock-free, and memoizes δ per raw low-degree
-//! view and per `(state, clipped signature)`. Three dense systems run on
-//! it, each mapping one-to-one onto a generic system:
+//! `delta`: one `DeltaSession` per exploration interns states to `u16`
+//! ids, records their outputs, and memoizes δ per raw low-degree view and
+//! per `(state, clipped signature)`. Three row kinds run on it, each an
+//! `Expand` implementation mapping one-to-one onto a generic system:
 //!
 //! * **Packed node rows** (this module, `Resolution::Explicit`):
 //!   configurations are [`PackedConfig`] rows — power-of-two bits per node
@@ -20,6 +21,9 @@
 //! * **Ring rows** (`dense`, `Resolution::Ring`): canonical run lists on a
 //!   cycle, stepping through the raw memo.
 //!
+//! One session-bound transition system explores all three: it expands a
+//! row through the session, scans the session's outputs for consensus, and
+//! drains once the `u16` id space runs out, so the exploration is refused.
 //! All three return a [`KernelExploration`] over their row type, which
 //! unpacks rows back into the generic configurations through
 //! [`KernelRow`]. Plain and certified decisions both explore these rows;
@@ -30,8 +34,8 @@
 //! The per-node bit width must cover every state id, but states are
 //! *discovered during* exploration — so the session starts at the smallest
 //! power-of-two width covering the initial states and **restarts** when a
-//! fresh state overflows it: the overflow flag flips, successor generation
-//! drains (returns no successors, finishing the doomed exploration
+//! fresh state overflows it: the node rows' overflow flag flips, their
+//! expansion drains (returns no successors, finishing the doomed exploration
 //! quickly), and the session re-explores at double width. The state and
 //! δ tables persist across restarts, so the re-run replays memoized
 //! lookups instead of recomputing δ; widths are capped at 16 bits, which
@@ -45,43 +49,40 @@
 //! `kernel_differential` suite.
 
 use crate::delta::{
-    exhausted_reason, push_sig, raw_key, DeltaSession, Expand, Scratch, Steps, RAW_DEG,
+    exhausted, push_sig, raw_key, DeltaSession, Expand, Scratch, Steps, Tables, RAW_DEG,
 };
 use crate::explore::{
     Exploration, ExploreError, ExploreOptions, SuccBuf, TransitionSystem, Verdict,
 };
-use crate::{Config, Machine, PackedConfig, State};
+use crate::{Config, Machine, Output, PackedConfig, State};
 use std::cell::Cell;
 use std::fmt;
 use std::hash::Hash;
 use wam_graph::Graph;
 
-/// A [`TransitionSystem`] over [`PackedConfig`]s that replays the
-/// exclusive-selection semantics through the session's memo tables. One
-/// instance per width attempt; the session outlives it across restarts.
+/// The packed node rows of one width attempt: the exclusive-selection
+/// semantics replayed over [`PackedConfig`]s. The session outlives the
+/// attempt across restarts.
 #[derive(Debug)]
-struct KernelSystem<'a, S: State> {
-    machine: &'a Machine<S>,
+struct NodeRows<'a> {
     graph: &'a Graph,
-    session: &'a DeltaSession<S>,
+    beta: u32,
     nodes: usize,
     /// Per-node field width of this attempt (power of two, ≤ 16).
     bits: u32,
-    /// Flips when a fresh state id no longer fits `bits`; successor
-    /// generation then drains so the doomed exploration finishes fast.
+    /// Flips when a fresh state id no longer fits `bits`; expansion then
+    /// drains so the doomed exploration finishes fast.
     overflow: Cell<bool>,
-    /// Flips when the `u16` state-id space is exhausted (the session must
-    /// refuse rather than restart).
-    exhausted: Cell<bool>,
 }
 
-impl<S: State> Expand<S> for KernelSystem<'_, S> {
+impl<S: State> Expand<S> for NodeRows<'_> {
     type C = PackedConfig;
 
     /// Nodes of degree at most [`RAW_DEG`] go through the raw memo keyed
     /// by their exact local view; the rest through sorted clipped
     /// signatures. On a state-width overflow the overflow flag is set and
-    /// the expansion ends with an empty buffer — the drain behaviour.
+    /// this and every later expansion ends with an empty buffer — the
+    /// drain behaviour.
     fn expand(
         &self,
         steps: &mut Steps<'_, S>,
@@ -89,9 +90,11 @@ impl<S: State> Expand<S> for KernelSystem<'_, S> {
         out: &mut SuccBuf<PackedConfig>,
         scratch: &mut Scratch,
     ) -> Option<()> {
+        if self.overflow.get() {
+            return Some(()); // drain: the attempt's result will be discarded
+        }
         let Scratch { ids, nbr, key, .. } = scratch;
         let bits = self.bits;
-        let beta = self.machine.beta();
         ids.clear();
         c.unpack_into(self.nodes, bits, ids);
         for v in 0..self.nodes {
@@ -105,7 +108,7 @@ impl<S: State> Expand<S> for KernelSystem<'_, S> {
                 nbr.sort_unstable();
                 key.clear();
                 for &n in nbr.iter() {
-                    push_sig(key, n, 1, beta);
+                    push_sig(key, n, 1, self.beta);
                 }
                 steps.canonical(sid, key)?
             };
@@ -121,59 +124,109 @@ impl<S: State> Expand<S> for KernelSystem<'_, S> {
         }
         Some(())
     }
-}
 
-impl<S: State> KernelSystem<'_, S> {
-    /// Packs the initial configuration, interning the initial states.
-    /// `None` when the state-id space is exhausted.
-    fn pack_initial(&self) -> Option<PackedConfig> {
-        let ids = self.session.intern_all(
-            self.machine,
-            self.graph
-                .nodes()
-                .map(|v| self.machine.initial(self.graph.label(v))),
-        )?;
-        if ids.iter().any(|&id| u32::from(id) >> self.bits != 0) {
-            self.overflow.set(true);
-        }
-        Some(PackedConfig::pack(ids, self.nodes, self.bits))
+    fn sids<'c>(&'c self, c: &'c PackedConfig) -> impl Iterator<Item = u16> + 'c {
+        (0..self.nodes).map(move |v| c.get(v, self.bits))
     }
 }
 
-impl<S: State> TransitionSystem for KernelSystem<'_, S> {
-    type C = PackedConfig;
+/// The one [`TransitionSystem`] over dense rows: `rows` expands through
+/// the session's memo tables, and consensus reads the session's per-id
+/// outputs. Once the `u16` id space runs out, successor generation
+/// drains and the exploration is refused.
+struct SessionSystem<'a, S: State, E: Expand<S>> {
+    machine: &'a Machine<S>,
+    session: &'a DeltaSession<S>,
+    rows: &'a E,
+    start: E::C,
+    exhausted: Cell<bool>,
+}
 
-    fn initial_config(&self) -> PackedConfig {
-        self.pack_initial()
-            .expect("state-id space exhausted while packing the initial configuration")
+impl<S: State, E: Expand<S>> TransitionSystem for SessionSystem<'_, S, E> {
+    type C = E::C;
+
+    fn initial_config(&self) -> E::C {
+        self.start.clone()
     }
 
-    fn successors(&self, c: &PackedConfig) -> Vec<PackedConfig> {
+    fn successors(&self, c: &E::C) -> Vec<E::C> {
         let mut out = SuccBuf::new();
         self.successors_into(c, &mut out);
         out.into_vec()
     }
 
-    fn successors_into(&self, c: &PackedConfig, out: &mut SuccBuf<PackedConfig>) {
-        if self.overflow.get() || self.exhausted.get() {
-            return; // drain: the attempt's result will be discarded
+    fn successors_into(&self, c: &E::C, out: &mut SuccBuf<E::C>) {
+        if self.exhausted.get() {
+            return; // drain: the exploration will be refused
         }
-        if !self.session.successors_into(self.machine, self, c, out) {
+        if !self
+            .session
+            .successors_into(self.machine, self.rows, c, out)
+        {
             self.exhausted.set(true);
         }
     }
 
-    fn is_accepting(&self, c: &PackedConfig) -> bool {
-        self.session
-            .outputs()
-            .all_accept((0..self.nodes).map(|v| c.get(v, self.bits)))
+    fn is_accepting(&self, c: &E::C) -> bool {
+        self.session.all(self.rows.sids(c), Output::Accept)
     }
 
-    fn is_rejecting(&self, c: &PackedConfig) -> bool {
-        self.session
-            .outputs()
-            .all_reject((0..self.nodes).map(|v| c.get(v, self.bits)))
+    fn is_rejecting(&self, c: &E::C) -> bool {
+        self.session.all(self.rows.sids(c), Output::Reject)
     }
+}
+
+/// Explores `rows` from `start` over `session`.
+///
+/// # Errors
+///
+/// [`ExploreError::TooLarge`] when `options.limit` is exhausted, and
+/// [`ExploreError::Unsupported`] when the session's `u16` id space ran
+/// out on the way.
+fn explore_rows<S: State, E: Expand<S>>(
+    machine: &Machine<S>,
+    session: &DeltaSession<S>,
+    rows: &E,
+    start: E::C,
+    options: ExploreOptions,
+) -> Result<Exploration<E::C>, ExploreError> {
+    let system = SessionSystem {
+        machine,
+        session,
+        rows,
+        start,
+        exhausted: Cell::new(false),
+    };
+    let exploration = Exploration::explore_with(&system, system.initial_config(), options)?;
+    if system.exhausted.get() {
+        return Err(exhausted());
+    }
+    Ok(exploration)
+}
+
+/// Explores `rows` over a fresh session, from the row `start` builds —
+/// the counter and ring rows, whose words hold state ids in 16-bit lanes.
+pub(crate) fn explore_dense<S, E>(
+    machine: &Machine<S>,
+    nodes: usize,
+    rows: E,
+    start: impl FnOnce(&DeltaSession<S>) -> Option<E::C>,
+    options: ExploreOptions,
+) -> Result<KernelExploration<S, E::C>, ExploreError>
+where
+    S: State,
+    E: Expand<S>,
+    E::C: KernelRow<S>,
+{
+    let session = DeltaSession::new();
+    let start = start(&session).ok_or_else(exhausted)?;
+    Ok(KernelExploration {
+        exploration: explore_rows(machine, &session, &rows, start, options)?,
+        tables: session.into_tables(),
+        nodes,
+        bits: 16,
+        restarts: 0,
+    })
 }
 
 /// Table sizes and counters of a finished kernel session — the numbers
@@ -251,30 +304,13 @@ impl<S: State> KernelRow<S> for PackedConfig {
 #[derive(Debug)]
 pub struct KernelExploration<S: State, R = PackedConfig> {
     exploration: Exploration<R>,
-    session: DeltaSession<S>,
+    tables: Tables<S>,
     nodes: usize,
     bits: u32,
     restarts: u32,
 }
 
 impl<S: State, R: KernelRow<S>> KernelExploration<S, R> {
-    /// Wraps a finished exploration with its session.
-    pub(crate) fn new(
-        exploration: Exploration<R>,
-        session: DeltaSession<S>,
-        nodes: usize,
-        bits: u32,
-        restarts: u32,
-    ) -> Self {
-        KernelExploration {
-            exploration,
-            session,
-            nodes,
-            bits,
-            restarts,
-        }
-    }
-
     /// The verdict under pseudo-stochastic fairness.
     pub fn verdict(&self) -> Verdict {
         self.exploration.verdict()
@@ -303,8 +339,7 @@ impl<S: State, R: KernelRow<S>> KernelExploration<S, R> {
 
     /// Unpacks row `i` into the generic system's configuration.
     pub fn config(&self, i: usize) -> R::Config {
-        let t = self.session.read();
-        self.exploration.configs()[i].unpack(t.states(), self.nodes, self.bits)
+        self.exploration.configs()[i].unpack(self.tables.states(), self.nodes, self.bits)
     }
 
     /// Unpacks every row, dense by id — the differential suites compare
@@ -313,19 +348,14 @@ impl<S: State, R: KernelRow<S>> KernelExploration<S, R> {
         self.configs_of(0..self.len() as u32)
     }
 
-    /// Unpacks the rows `ids`, in order, under one session read — how
-    /// certificate emission reads only the rows a witness holds.
+    /// Unpacks the rows `ids`, in order — how certificate emission reads
+    /// only the rows a witness holds.
     pub fn configs_of(&self, ids: impl IntoIterator<Item = u32>) -> Vec<R::Config> {
-        let t = self.session.read();
-        let rows = self.exploration.configs();
-        ids.into_iter()
-            .map(|i| rows[i as usize].unpack(t.states(), self.nodes, self.bits))
-            .collect()
+        ids.into_iter().map(|i| self.config(i as usize)).collect()
     }
 
     /// Session statistics: table sizes, δ hit counters, arena footprint.
     pub fn stats(&self) -> KernelStats {
-        let s = self.session.stats();
         let arena_bytes = self
             .exploration
             .configs()
@@ -333,14 +363,10 @@ impl<S: State, R: KernelRow<S>> KernelExploration<S, R> {
             .map(|c| (std::mem::size_of::<R>() + c.heap_bytes()) as u64)
             .sum();
         KernelStats {
-            states: s.states,
-            sigs: s.sigs,
-            delta_entries: s.delta_entries,
-            delta_hits: s.hits,
-            delta_misses: s.misses,
             bits: self.bits,
             restarts: self.restarts,
             arena_bytes,
+            ..self.tables.stats()
         }
     }
 }
@@ -395,39 +421,37 @@ pub fn explore_kernel<S: State>(
     let nodes = graph.node_count();
     let mut restarts = 0u32;
     loop {
-        let bits = start_width(session.read().states().len(), nodes);
-        let system = KernelSystem {
-            machine,
+        let rows = NodeRows {
             graph,
-            session: &session,
+            beta: machine.beta(),
             nodes,
-            bits,
+            bits: start_width(session.state_count(), nodes),
             overflow: Cell::new(false),
-            exhausted: Cell::new(false),
         };
-        let exhausted = || ExploreError::Unsupported {
-            reason: exhausted_reason(),
-        };
-        let start = system.pack_initial().ok_or_else(exhausted)?;
-        let exploration = Exploration::explore_with(&system, start, options)?;
-        if system.exhausted.get() {
-            return Err(exhausted());
+        let ids = session
+            .intern_all(
+                machine,
+                graph.nodes().map(|v| machine.initial(graph.label(v))),
+            )
+            .ok_or_else(exhausted)?;
+        if ids.iter().all(|&id| u32::from(id) >> rows.bits == 0) {
+            let start = PackedConfig::pack(ids, nodes, rows.bits);
+            let exploration = explore_rows(machine, &session, &rows, start, options)?;
+            if !rows.overflow.get() {
+                return Ok(KernelExploration {
+                    exploration,
+                    tables: session.into_tables(),
+                    nodes,
+                    bits: rows.bits,
+                    restarts,
+                });
+            }
         }
-        if system.overflow.get() {
-            // A fresh state overflowed the field width: discard the drained
-            // attempt and re-explore wider. The session persists, so the
-            // re-run replays memoized δ lookups.
-            restarts += 1;
-            debug_assert!(restarts <= PackedConfig::WIDTHS.len() as u32);
-            continue;
-        }
-        return Ok(KernelExploration::new(
-            exploration,
-            session,
-            nodes,
-            bits,
-            restarts,
-        ));
+        // A state overflowed the field width: discard the attempt and
+        // re-explore wider. The session persists, so the re-run replays
+        // memoized δ lookups.
+        restarts += 1;
+        debug_assert!(restarts <= PackedConfig::WIDTHS.len() as u32);
     }
 }
 

@@ -99,10 +99,24 @@ fn bad(reason: impl Into<String>) -> ServeError {
     }
 }
 
+/// The largest integer every JSON number in a request represents exactly
+/// (2⁵³ − 1). Larger values would round on the way in — a client matching
+/// replies by `id` would get someone else's — so they are refused.
+pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
+/// `n` as an integer in `0..=MAX_EXACT_INT`, if it is one.
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n <= MAX_EXACT_INT as f64 && n.fract() == 0.0).then_some(n as u64)
+}
+
 fn get_u64(v: &Json, key: &str) -> Result<Option<u64>, ServeError> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
+        Some(Json::Num(n)) => exact_u64(*n).map(Some).ok_or_else(|| {
+            bad(format!(
+                "field {key:?} must be an integer in 0..={MAX_EXACT_INT}"
+            ))
+        }),
         Some(_) => Err(bad(format!("field {key:?} must be a nonnegative integer"))),
     }
 }
@@ -136,7 +150,11 @@ fn get_counts(v: &Json) -> Result<Vec<u64>, ServeError> {
         Some(Json::Arr(items)) => items
             .iter()
             .map(|item| match item {
-                Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
+                Json::Num(n) => exact_u64(*n).ok_or_else(|| {
+                    bad(format!(
+                        "\"counts\" entries must be integers in 0..={MAX_EXACT_INT}"
+                    ))
+                }),
                 _ => Err(bad("\"counts\" entries must be nonnegative integers")),
             })
             .collect::<Result<Vec<u64>, ServeError>>(),
@@ -189,6 +207,12 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
         }
         other => Err(bad(format!("unknown op {other:?}"))),
     }
+}
+
+/// The `id` of a line [`parse_request`] refused, when the line is a JSON
+/// object with a valid `id`: the bad-request reply then still echoes it.
+pub(crate) fn refused_id(line: &str) -> Option<u64> {
+    get_u64(&Json::parse(line).ok()?, "id").ok().flatten()
 }
 
 /// Default cap on the total node count [`build_graph`] accepts. A request
@@ -542,6 +566,12 @@ mod tests {
             Request::Stats { id: Some(1) }
         );
         assert_eq!(
+            parse_request(r#"{"id":9007199254740991,"op":"stats"}"#).unwrap(),
+            Request::Stats {
+                id: Some(MAX_EXACT_INT)
+            }
+        );
+        assert_eq!(
             parse_request(r#"{"op":"catalog"}"#).unwrap(),
             Request::Catalog { id: None }
         );
@@ -556,10 +586,18 @@ mod tests {
             r#"{"machine":"m","family":"line"}"#,
             r#"{"machine":"m","family":"line","counts":[1.5]}"#,
             r#"{"machine":"m","family":"line","counts":[3],"certified":"yes"}"#,
+            // Past 2⁵³ − 1 a double rounds (2⁵³ + 1 parses to 2⁵³) or the
+            // cast saturates (1e300): either would echo a wrong id.
+            r#"{"id":9007199254740993,"op":"stats"}"#,
+            r#"{"id":1e300,"op":"catalog"}"#,
         ] {
             let e = parse_request(line).unwrap_err();
             assert_eq!(e.kind(), "bad-request", "{line}");
         }
+        // A refused line still echoes its id, when that id is valid.
+        assert_eq!(refused_id(r#"{"id":7,"counts":[1e300]}"#), Some(7));
+        assert_eq!(refused_id(r#"{"id":1e300,"op":"catalog"}"#), None);
+        assert_eq!(refused_id(r#"{"id":7,"#), None);
     }
 
     #[test]
@@ -614,5 +652,10 @@ mod tests {
         let v = Json::parse(&line).unwrap();
         assert_eq!(v.get("status"), Some(&Json::Str("overloaded".to_string())));
         assert_eq!(v.get("id"), Some(&Json::Num(3.0)));
+        let max = Reply::Catalog {
+            id: Some(MAX_EXACT_INT),
+            machines: Vec::new(),
+        };
+        assert!(max.render().starts_with(r#"{"id":9007199254740991,"#));
     }
 }

@@ -13,7 +13,7 @@
 //! the next line. An overlong line is skipped without being buffered.
 
 use crate::error::ServeError;
-use crate::proto::{parse_request, Reply, Request};
+use crate::proto::{parse_request, refused_id, Reply, Request};
 use crate::service::{ServiceStats, VerdictService};
 use executor::{block_on, mpsc};
 use std::io::{BufRead, Read, Write};
@@ -89,7 +89,10 @@ where
         }
         match parse_request(line) {
             Err(error) => {
-                let reply = Reply::Error { id: None, error };
+                let reply = Reply::Error {
+                    id: refused_id(line),
+                    error,
+                };
                 let _ = block_on(tx.send(reply.render()));
             }
             Ok(Request::Stats { id }) => {
