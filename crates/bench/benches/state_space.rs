@@ -5,31 +5,29 @@
 //! confined to small graphs and the paper's characterisations matter.
 //!
 //! The second half benchmarks the exploration engine itself: the
-//! interned/CSR engine against a faithful replica of the original `HashMap`-per-config explorer, on the
-//! largest workloads of the growth table; a third section compares full
-//! exploration against the orbit-quotient (`wam-core::symmetry`) on the
-//! same workloads plus highly symmetric graphs (stars, cliques), recording
-//! `|Aut(G)|`, full-vs-quotient configuration counts and timings. A fifth
-//! section (E18) runs the counter-abstracted backend on 10³–10⁴-node
-//! cycles, cliques and stars — populations far beyond any explicit
-//! engine — and cross-checks every verdict against the explicit engine on
-//! a ratio-preserving small instance of the same family. Results go to
-//! stdout and to `BENCH_explore.json` at the repository root.
+//! interned/CSR engine against a faithful replica of the original
+//! `HashMap`-per-config explorer, on the largest workloads of the growth
+//! table; the dense δ-session rows against the generic engine on the same
+//! spaces; certificate emission and verification; the counter-abstracted
+//! backend (E18) on 10³–10⁴-node cycles, cliques and stars — populations
+//! far beyond any explicit engine — with every verdict cross-checked
+//! against the explicit engine on a ratio-preserving small instance of the
+//! same family; and the out-of-core spill path (E19). Results go to stdout
+//! and to `BENCH_explore.json` at the repository root.
 
 use std::time::Instant;
 use wam_bench::Table;
 use wam_certify::{certificate_to_json, Certificate, Decider, DecisionCertificate, StateTable};
 use wam_core::{
     explore_counter_kernel, explore_kernel, explore_ring_kernel, Backend, CounterSystem,
-    ExclusiveSystem, Exploration, ExploreError, ExploreOptions, KernelStats, Machine,
-    NodeSymmetric, Output, PermuteNodes, QuotientSystem, ResolvedBackend, RingSystem, Schedule,
-    State, TransitionSystem, Verdict,
+    ExclusiveSystem, Exploration, ExploreError, ExploreOptions, KernelStats, Machine, Output,
+    ResolvedBackend, RingSystem, Schedule, State, TransitionSystem, Verdict,
 };
 use wam_extensions::{
     compile_broadcasts, compile_rendezvous, BroadcastSystem, CounterPopulationSystem,
     GraphPopulationProtocol, MajorityState, PopulationSystem,
 };
-use wam_graph::{automorphism_group, generators, Graph, Label, LabelCount, DEFAULT_GROUP_CAP};
+use wam_graph::{generators, Graph, Label, LabelCount};
 use wam_protocols::{cutoff_one_machine, threshold_machine};
 
 fn flood() -> Machine<bool> {
@@ -485,52 +483,6 @@ fn time_spill<S: State>(
     }
 }
 
-struct SymTiming {
-    name: String,
-    nodes: u64,
-    aut_order: usize,
-    configs_full: usize,
-    configs_quotient: usize,
-    full_ms: f64,
-    quotient_ms: f64,
-}
-
-/// Times full exploration against orbit-quotient exploration, asserting
-/// verdict equality. The quotient timing includes computing `Aut(G)` and
-/// building the [`QuotientSystem`] — the real cost a caller pays.
-fn time_symmetry<T>(name: &str, nodes: u64, sys: &T, limit: usize, reps: usize) -> SymTiming
-where
-    T: NodeSymmetric,
-    T::C: PermuteNodes,
-{
-    let (full_ms, (fv, configs_full)) = time_ms(reps, || {
-        let e = Exploration::explore(sys, limit).expect("full space within limit");
-        (e.verdict(), e.len())
-    });
-    let (quotient_ms, (qv, configs_quotient, aut_order)) = time_ms(reps, || {
-        let group = automorphism_group(sys.symmetry_graph(), DEFAULT_GROUP_CAP);
-        assert!(group.is_complete(), "bench graphs are small");
-        let order = group.order();
-        let q = QuotientSystem::new(sys, group);
-        let e = Exploration::explore(&q, limit).expect("quotient within limit");
-        (e.verdict(), e.len(), order)
-    });
-    assert_eq!(fv, qv, "orbit quotient changed the verdict on {name}");
-    assert!(
-        configs_quotient <= configs_full,
-        "quotient larger than the full space on {name}"
-    );
-    SymTiming {
-        name: name.to_string(),
-        nodes,
-        aut_order,
-        configs_full,
-        configs_quotient,
-        full_ms,
-        quotient_ms,
-    }
-}
-
 struct CertTiming {
     name: String,
     nodes: u64,
@@ -744,7 +696,6 @@ fn json_escape(s: &str) -> String {
 fn write_report(
     timings: &[Timing],
     kernel: &[KernelTiming],
-    symmetry: &[SymTiming],
     certificates: &[CertTiming],
     counter: &[CounterTiming],
     spill: &[SpillTiming],
@@ -795,24 +746,6 @@ fn write_report(
             k.sigs,
             k.bits,
             k.restarts,
-        ));
-    }
-    let mut sym_rows = String::new();
-    for (i, s) in symmetry.iter().enumerate() {
-        if i > 0 {
-            sym_rows.push_str(",\n");
-        }
-        sym_rows.push_str(&format!(
-            "      {{\n        \"workload\": \"{}\",\n        \"nodes\": {},\n        \"aut_order\": {},\n        \"configs_full\": {},\n        \"configs_quotient\": {},\n        \"reduction\": {:.2},\n        \"full_ms\": {:.3},\n        \"quotient_ms\": {:.3},\n        \"speedup\": {:.2}\n      }}",
-            json_escape(&s.name),
-            s.nodes,
-            s.aut_order,
-            s.configs_full,
-            s.configs_quotient,
-            s.configs_full as f64 / s.configs_quotient as f64,
-            s.full_ms,
-            s.quotient_ms,
-            s.full_ms / s.quotient_ms,
         ));
     }
     let mut cert_rows = String::new();
@@ -877,7 +810,7 @@ fn write_report(
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"symmetry\": {{\n    \"group_cap\": {DEFAULT_GROUP_CAP},\n    \"note\": \"full vs orbit-quotient exploration; quotient timing includes computing Aut(G); the structural (label-free) group applies because labels only seed the initial configuration\",\n    \"workloads\": [\n{sym_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; backend is the resolved representation, and the explicit, counter and ring rows emit from the dense δ-session rows the plain decision explores\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; backend is the resolved representation, and the explicit, counter and ring rows emit from the dense δ-session rows the plain decision explores\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
     std::fs::write(path, &json).expect("write BENCH_explore.json");
@@ -1114,130 +1047,6 @@ fn main() {
         ]);
     }
     kt.print("Dense rows: generic engine vs the shared δ session (explore only)");
-
-    // ── Orbit-quotient exploration: full space vs Aut(G) quotient ──────────
-    // The engine-timing workloads again, plus highly symmetric graphs
-    // (star, clique) where `|Aut(G)|` is in the thousands.
-    let mut symmetry = Vec::new();
-
-    {
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![13, 1]));
-        let m = flood();
-        let sys = ExclusiveSystem::new(&m, &g);
-        symmetry.push(time_symmetry("flood cycle", 14, &sys, 10_000_000, 25));
-    }
-    {
-        // Star with 7 leaves: Aut is the symmetric group on the leaves,
-        // |Aut| = 7! = 5040 — the quotient is the star algebra of
-        // `wam-analysis::stars`, computed here by explicit orbit reduction.
-        let g = generators::labelled_star(&LabelCount::from_vec(vec![7, 1]));
-        let m = flood();
-        let sys = ExclusiveSystem::new(&m, &g);
-        symmetry.push(time_symmetry("flood star", 8, &sys, 10_000_000, 25));
-    }
-    {
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![4, 2]));
-        let m = compile_rendezvous(&GraphPopulationProtocol::<MajorityState>::majority());
-        let sys = ExclusiveSystem::new(&m, &g);
-        symmetry.push(time_symmetry(
-            "majority via Lemma 4.10 cycle",
-            6,
-            &sys,
-            10_000_000,
-            3,
-        ));
-    }
-    {
-        // The line has |Aut| = 2 (one reflection), so the best possible
-        // reduction is 2x — recorded as the honest lower end of the range.
-        let g = generators::labelled_line(&LabelCount::from_vec(vec![4, 1]));
-        let m = compile_broadcasts(&threshold_machine(2, 0, 2));
-        let sys = ExclusiveSystem::new(&m, &g);
-        symmetry.push(time_symmetry(
-            "x₀ ≥ 2 via Lemma 4.7 line",
-            5,
-            &sys,
-            10_000_000,
-            3,
-        ));
-    }
-    {
-        // The same simulation on a cycle, where |Aut| = 10 gives the
-        // quotient real room.
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![4, 1]));
-        let m = compile_broadcasts(&threshold_machine(2, 0, 2));
-        let sys = ExclusiveSystem::new(&m, &g);
-        symmetry.push(time_symmetry(
-            "x₀ ≥ 2 via Lemma 4.7 cycle",
-            5,
-            &sys,
-            10_000_000,
-            3,
-        ));
-    }
-    {
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![4, 1]));
-        let bm = threshold_machine(2, 0, 2);
-        let sys = BroadcastSystem::new(&bm, &g);
-        symmetry.push(time_symmetry(
-            "x₀ ≥ 2 native broadcasts cycle",
-            5,
-            &sys,
-            10_000_000,
-            3,
-        ));
-    }
-    {
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![8, 6]));
-        let pp = GraphPopulationProtocol::<MajorityState>::majority();
-        let sys = PopulationSystem::new(&pp, &g);
-        symmetry.push(time_symmetry(
-            "majority native rendez-vous cycle",
-            14,
-            &sys,
-            10_000_000,
-            3,
-        ));
-    }
-    {
-        // Clique: |Aut| = 7! = 5040, so orbits are state multisets and the
-        // quotient collapses the space maximally; canonicalisation cost per
-        // successor grows with |Aut|, which this row makes visible.
-        let g = generators::labelled_clique(&LabelCount::from_vec(vec![4, 3]));
-        let pp = GraphPopulationProtocol::<MajorityState>::majority();
-        let sys = PopulationSystem::new(&pp, &g);
-        symmetry.push(time_symmetry(
-            "majority native rendez-vous clique",
-            7,
-            &sys,
-            10_000_000,
-            3,
-        ));
-    }
-
-    let mut st = Table::new([
-        "workload",
-        "|Aut(G)|",
-        "configs full",
-        "configs quotient",
-        "reduction",
-        "full ms",
-        "quotient ms",
-        "speedup",
-    ]);
-    for s in &symmetry {
-        st.row([
-            s.name.clone(),
-            s.aut_order.to_string(),
-            s.configs_full.to_string(),
-            s.configs_quotient.to_string(),
-            format!("{:.2}x", s.configs_full as f64 / s.configs_quotient as f64),
-            format!("{:.1}", s.full_ms),
-            format!("{:.1}", s.quotient_ms),
-            format!("{:.2}x", s.full_ms / s.quotient_ms),
-        ]);
-    }
-    st.print("Orbit-quotient exploration: full space vs Aut(G) quotient");
 
     // ── Certified verdicts: emission overhead, size, verification time ─────
     let mut certificates = Vec::new();
@@ -1566,12 +1375,5 @@ fn main() {
     }
     spt.print("E19 — spill path: refused at the default limit, decided under a memory budget");
 
-    write_report(
-        &timings,
-        &kernel,
-        &symmetry,
-        &certificates,
-        &counter,
-        &spill,
-    );
+    write_report(&timings, &kernel, &certificates, &counter, &spill);
 }

@@ -14,9 +14,11 @@
 //! node permutation, and every cell-preserving permutation is an
 //! automorphism of the graph. The counter space is exactly the orbit
 //! quotient of the configuration space under that Young subgroup of
-//! `Aut(G)`, so by the equivariance argument of `wam-core::symmetry`
-//! exploring it preserves `Pre*`, the stable-consensus sets, and the
-//! verdict — while collapsing `|Q|^n` configurations to
+//! `Aut(G)`. Steps are node-anonymous (a node reads its own state and the
+//! clipped multiset of its neighbours' states), so the successor relation
+//! commutes with every automorphism and consensus is constant on orbits:
+//! exploring the quotient preserves `Pre*`, the stable-consensus sets, and
+//! the verdict — while collapsing `|Q|^n` configurations to
 //! `O(n^{|Q|·cells})` count vectors.
 //!
 //! Successors apply **single-node** count moves: one node of cell `o`

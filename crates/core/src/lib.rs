@@ -65,7 +65,6 @@ mod neighbourhood;
 mod product;
 mod run;
 mod scheduler;
-mod symmetry;
 mod system;
 
 pub use class::{Acceptance, Detection, Fairness, ModelClass, PropertyClassBound};
@@ -94,5 +93,4 @@ pub use scheduler::{
     RandomScheduler, RoundRobinScheduler, Scheduler, Selection, SelectionRegime,
     SynchronousScheduler,
 };
-pub use symmetry::{NodeSymmetric, PermuteNodes, QuotientSystem};
 pub use system::{ScheduledSystem, StepOutcome};

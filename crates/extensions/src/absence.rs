@@ -9,8 +9,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use wam_core::{
-    Config, Machine, NodeSymmetric, Output, ScheduledSystem, State, StepOutcome, SuccBuf,
-    TransitionSystem,
+    Config, Machine, Output, ScheduledSystem, State, StepOutcome, SuccBuf, TransitionSystem,
 };
 use wam_graph::{Graph, Label, NodeId};
 
@@ -144,16 +143,6 @@ fn subsets_containing<S: State>(supp: &BTreeSet<S>, must: &S) -> Vec<BTreeSet<S>
         out.push(t);
     }
     out
-}
-
-/// The step relation reads states and adjacency only (labels seed the
-/// initial configuration, nothing else), so it commutes with every
-/// structural automorphism of the graph: orbit-quotient exploration
-/// applies (see `wam_core::QuotientSystem`).
-impl<S: State> NodeSymmetric for AbsenceSystem<'_, S> {
-    fn symmetry_graph(&self) -> &Graph {
-        self.graph
-    }
 }
 
 impl<S: State> TransitionSystem for AbsenceSystem<'_, S> {

@@ -7,8 +7,7 @@ use rand::RngExt;
 use std::fmt;
 use std::sync::Arc;
 use wam_core::{
-    Config, Machine, NodeSymmetric, Output, ScheduledSystem, State, StepOutcome, SuccBuf,
-    TransitionSystem,
+    Config, Machine, Output, ScheduledSystem, State, StepOutcome, SuccBuf, TransitionSystem,
 };
 use wam_graph::{Graph, Label, NodeId};
 
@@ -210,16 +209,6 @@ impl<'a, S: State> BroadcastSystem<'a, S> {
             }
         }
         out
-    }
-}
-
-/// The step relation reads states and adjacency only (labels seed the
-/// initial configuration, nothing else), so it commutes with every
-/// structural automorphism of the graph: orbit-quotient exploration
-/// applies (see `wam_core::QuotientSystem`).
-impl<S: State> NodeSymmetric for BroadcastSystem<'_, S> {
-    fn symmetry_graph(&self) -> &Graph {
-        self.graph
     }
 }
 

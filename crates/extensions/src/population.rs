@@ -5,9 +5,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use std::fmt;
 use std::sync::Arc;
-use wam_core::{
-    Config, NodeSymmetric, Output, ScheduledSystem, State, StepOutcome, SuccBuf, TransitionSystem,
-};
+use wam_core::{Config, Output, ScheduledSystem, State, StepOutcome, SuccBuf, TransitionSystem};
 use wam_graph::{Graph, Label};
 
 /// A population protocol on graphs: `(Q, δ)` with total rendez-vous
@@ -130,16 +128,6 @@ impl<'a, S: State> PopulationSystem<'a, S> {
     /// Wraps a protocol and a graph.
     pub fn new(pp: &'a GraphPopulationProtocol<S>, graph: &'a Graph) -> Self {
         PopulationSystem { pp, graph }
-    }
-}
-
-/// The step relation reads states and adjacency only (labels seed the
-/// initial configuration, nothing else), so it commutes with every
-/// structural automorphism of the graph: orbit-quotient exploration
-/// applies (see `wam_core::QuotientSystem`).
-impl<S: State> NodeSymmetric for PopulationSystem<'_, S> {
-    fn symmetry_graph(&self) -> &Graph {
-        self.graph
     }
 }
 

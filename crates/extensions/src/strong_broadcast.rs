@@ -6,9 +6,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use std::fmt;
 use std::sync::Arc;
-use wam_core::{
-    Config, NodeSymmetric, Output, ScheduledSystem, State, StepOutcome, SuccBuf, TransitionSystem,
-};
+use wam_core::{Config, Output, ScheduledSystem, State, StepOutcome, SuccBuf, TransitionSystem};
 use wam_graph::{Graph, Label};
 
 /// A response function of a strong broadcast.
@@ -88,16 +86,6 @@ impl<'a, S: State> StrongBroadcastSystem<'a, S> {
     /// Wraps a protocol and a graph.
     pub fn new(sb: &'a StrongBroadcastProtocol<S>, graph: &'a Graph) -> Self {
         StrongBroadcastSystem { sb, graph }
-    }
-}
-
-/// The step relation reads states and adjacency only (labels seed the
-/// initial configuration, nothing else), so it commutes with every
-/// structural automorphism of the graph: orbit-quotient exploration
-/// applies (see `wam_core::QuotientSystem`).
-impl<S: State> NodeSymmetric for StrongBroadcastSystem<'_, S> {
-    fn symmetry_graph(&self) -> &Graph {
-        self.graph
     }
 }
 

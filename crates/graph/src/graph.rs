@@ -70,6 +70,7 @@ impl Graph {
 
     /// The CSR arrays `(offsets, adj)`: the sorted neighbours of `v` are
     /// `adj[offsets[v]..offsets[v + 1]]`.
+    #[cfg(test)]
     pub(crate) fn csr(&self) -> (&[usize], &[NodeId]) {
         (&self.offsets, &self.adj)
     }

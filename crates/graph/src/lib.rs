@@ -9,8 +9,8 @@
 //!   least three nodes (the paper's standing convention),
 //! * generator functions for every graph family the proofs use
 //!   ([`generators`]),
-//! * automorphism groups and canonical forms ([`automorphism`]), the
-//!   substrate of the orbit-quotient exploration in `wam-core`,
+//! * canonical forms up to isomorphism ([`automorphism`]), the key of the
+//!   verdict store in `wam-analysis`,
 //! * covering maps and λ-fold covering constructions ([`CoveringMap`],
 //!   Lemma 3.2 / Corollary 3.3),
 //! * the Figure 3 "surgery" used to refute halting discrimination
@@ -41,10 +41,7 @@ pub mod surgery;
 pub mod trees;
 
 pub use alphabet::{Alphabet, Label};
-pub use automorphism::{
-    automorphism_group, canonical_form, labelled_automorphism_group, AutomorphismGroup,
-    CanonicalForm, DEFAULT_GROUP_CAP,
-};
+pub use automorphism::{canonical_form, CanonicalForm};
 pub use count::LabelCount;
 pub use covering::{is_covering, lambda_fold_cycle_cover, CoveringError, CoveringMap};
 pub use error::GraphError;

@@ -20,10 +20,10 @@
 //! (here equal to the full product `Π S_{C_i}` by saturation), so the count
 //! vectors are exactly the orbits of the configuration space under a
 //! subgroup of `Aut(G)` — and quotienting by *any* subgroup of `Aut(G)`
-//! preserves verdicts (see `wam-core::symmetry` for the equivariance
-//! argument). No such structure exists on, say, a long cycle: there the
-//! only saturated partition is the all-singleton one and counting is
-//! genuinely unsound (`AAABBB` and `ABABAB` have equal counts but disjoint
+//! preserves verdicts, because node-anonymous steps commute with every
+//! automorphism (see `wam-core::counter`). No such structure exists on,
+//! say, a long cycle: there the only saturated partition is the
+//! all-singleton one and counting is genuinely unsound (`AAABBB` and `ABABAB` have equal counts but disjoint
 //! reachable views).
 //!
 //! # The twin partition

@@ -42,7 +42,7 @@ const STATES: u8 = 3;
 const LIMIT: usize = 500_000;
 
 /// A table-driven machine over states `0..STATES` with counting bound 1
-/// (as in `symmetry_differential.rs`): every table is a well-formed
+/// (as in `kernel_differential.rs`): every table is a well-formed
 /// machine, so sampling tables samples machines.
 fn table_machine(init: [u8; 2], table: Vec<u8>, outs: [u8; STATES as usize]) -> Machine<u8> {
     assert_eq!(table.len(), (STATES as usize) << STATES);

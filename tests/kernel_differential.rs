@@ -3,8 +3,10 @@
 //! memoized δ-tables, packed configuration rows) must be observationally
 //! *identical* to the generic engine over `ExclusiveSystem` — same dense
 //! id order (after unpacking), same CSR edges, same verdicts, same
-//! explored counts — and the `successors_into` buffer API of every model
-//! family must emit exactly what its `successors` returns, in order.
+//! explored counts — `decide` under `Backend::Auto` and
+//! `Backend::Explicit` must return the generic engine's verdict, and the
+//! `successors_into` buffer API of every model family must emit exactly
+//! what its `successors` returns, in order.
 //!
 //! Certified explicit decisions emit their certificate from the kernel
 //! rows: it must equal the generic emission over `ExclusiveSystem`
@@ -120,6 +122,19 @@ fn assert_kernel_matches_naive(m: &Machine<u8>, g: &Graph) {
     .expect("decide explicit");
     assert_eq!(verdict, naive.verdict());
     assert_eq!(stats.explored, naive.len());
+
+    // Auto resolves to counter rows on twin graphs, ring rows on cycles
+    // and node rows otherwise: whichever it picks, the verdict is the
+    // generic engine's.
+    let (verdict, _) = decide(
+        m,
+        g,
+        Schedule::PseudoStochastic,
+        Backend::Auto,
+        ExploreOptions::with_limit(200_000),
+    )
+    .expect("decide auto");
+    assert_eq!(verdict, naive.verdict());
 
     assert_certified_is_generic(m, g, Backend::Explicit);
 }

@@ -1,11 +1,14 @@
 //! Symmetry-reduced star deciders vs node-explicit deciders on a heavier
 //! machine: the compiled rendez-vous majority automaton. The reduction must
 //! be verdict-preserving (leaves are interchangeable), and it must shrink
-//! the explored space.
+//! the explored space. On a flooding machine the reduced space is pinned
+//! exactly: one configuration per leaf-permutation orbit of the explicit
+//! reach set.
 
+use std::collections::HashSet;
 use weak_async_models::analysis::StarSystem;
 use weak_async_models::certify::Decider;
-use weak_async_models::core::{ExclusiveSystem, Exploration};
+use weak_async_models::core::{ExclusiveSystem, Exploration, Machine, Output};
 use weak_async_models::extensions::{compile_rendezvous, GraphPopulationProtocol, MajorityState};
 use weak_async_models::graph::{generators, Label, LabelCount};
 
@@ -55,4 +58,52 @@ fn reduction_shrinks_the_space() {
         reduced.len(),
         explicit.len()
     );
+}
+
+/// The star algebra (centre state + leaf multiset) reproduces the orbits of
+/// the explicit reach set under leaf permutations *exactly*: its
+/// configuration count is the number of distinct (centre state, sorted
+/// leaf states) projections of the node-explicit configurations, and the
+/// verdicts agree.
+#[test]
+fn star_counts_equal_leaf_multiset_orbits() {
+    // "Some node carries label x1", by flag flooding.
+    let m = Machine::new(
+        1,
+        |l: Label| l.0 == 1,
+        |&s: &bool, n| s || n.exists(|&t| t),
+        |&s| if s { Output::Accept } else { Output::Reject },
+    );
+    for (plain_leaves, flagged) in [(4u64, 1u64), (5, 1), (3, 2)] {
+        // Node 0 is the centre and takes the first label (label 0).
+        let g = generators::labelled_star(&LabelCount::from_vec(vec![plain_leaves + 1, flagged]));
+        let explicit = Exploration::explore(&ExclusiveSystem::new(&m, &g), 100_000).unwrap();
+        let orbits: HashSet<(bool, Vec<bool>)> = explicit
+            .configs()
+            .iter()
+            .map(|c| {
+                let mut leaves = c.states()[1..].to_vec();
+                leaves.sort_unstable();
+                (c.states()[0], leaves)
+            })
+            .collect();
+
+        let star_sys = StarSystem::new(
+            &m,
+            Label(0),
+            vec![(Label(0), plain_leaves), (Label(1), flagged)],
+        );
+        let symbolic = Exploration::explore(&star_sys, 100_000).unwrap();
+
+        assert_eq!(
+            symbolic.len(),
+            orbits.len(),
+            "star algebra and leaf orbits must agree on ({plain_leaves}, {flagged})"
+        );
+        assert_eq!(symbolic.verdict(), explicit.verdict());
+        assert!(
+            orbits.len() < explicit.len(),
+            "reduction must actually bite"
+        );
+    }
 }
