@@ -206,6 +206,9 @@ pub(crate) struct Tables<S> {
     /// under its signature, so a state space that keeps growing costs
     /// memory per memoized step, not per (signature × state).
     delta: Vec<Vec<u16>>,
+    /// The entries buffer of the [`Neighbourhood`] a δ miss hands to
+    /// `Machine::step`; empty between misses.
+    view: Vec<(S, u32)>,
     /// Node steps resolved by a memoized entry.
     hits: u64,
     /// Node steps that computed (and memoized) a fresh entry.
@@ -221,6 +224,7 @@ impl<S: State> Tables<S> {
             raw: RawMap::new(),
             sigs: MixMap::default(),
             delta: Vec::new(),
+            view: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -245,6 +249,16 @@ impl<S: State> Tables<S> {
         self.ids.insert(s.clone(), id);
         self.states.push(s);
         Some(id)
+    }
+
+    /// Interns a signature the interner does not hold yet, with an empty
+    /// δ row; returns its id.
+    #[cold]
+    fn intern_sig(&mut self, sig: &[u32]) -> usize {
+        let s = self.delta.len();
+        self.sigs.insert(sig.into(), s as u32);
+        self.delta.push(Vec::new());
+        s
     }
 
     /// Number of filled δ-memo entries across both levels (raw keys plus
@@ -314,65 +328,81 @@ impl<S: State> Steps<'_, S> {
     #[inline]
     pub(crate) fn canonical(&mut self, sid: u16, sig: &[u32]) -> Option<u16> {
         let t = &mut *self.tables;
-        if let Some(&s) = t.sigs.get(sig) {
-            if let Some(&nid) = t.delta[s as usize].get(sid as usize) {
-                if nid != UNKNOWN {
-                    t.hits += 1;
-                    return Some(nid);
+        let s = match t.sigs.get(sig) {
+            Some(&s) => {
+                if let Some(&nid) = t.delta[s as usize].get(sid as usize) {
+                    if nid != UNKNOWN {
+                        t.hits += 1;
+                        return Some(nid);
+                    }
                 }
+                s as usize
             }
-        }
-        self.fill_sig(sid, sig)
+            None => t.intern_sig(sig),
+        };
+        self.fill_sig(sid, s, sig)
     }
 
     /// Computes and memoizes the δ of the raw view packed in `key`.
     #[cold]
     fn fill_raw(&mut self, key: u64) -> Option<u16> {
         let t = &mut *self.tables;
+        let beta = self.machine.beta();
         let lane = |i: u32| (key >> (16 * i)) as u16;
         let states = &t.states;
-        let view = Neighbourhood::from_states(
+        let mut entries = std::mem::take(&mut t.view);
+        entries.extend(
             (1..=RAW_DEG as u32)
                 .map(lane)
                 .take_while(|&id| id != UNKNOWN)
-                .map(|id| states[id as usize].clone()),
-            self.machine.beta(),
+                .map(|id| (states[id as usize].clone(), 1)),
         );
-        let next = self.machine.step(&states[lane(0) as usize], &view);
-        let nid = t.intern_state(self.machine, next)?;
-        t.raw.insert(key, nid);
-        t.misses += 1;
-        Some(nid)
+        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        entries.dedup_by(|(s, _), (kept, c)| {
+            let repeat = s == kept;
+            if repeat {
+                *c = (*c + 1).min(beta);
+            }
+            repeat
+        });
+        let next = self.step(lane(0), entries)?;
+        self.tables.raw.insert(key, next);
+        Some(next)
     }
 
-    /// Computes and memoizes the δ of `sid` under signature `sig`,
-    /// interning the signature if it is new.
+    /// Computes and memoizes the δ of `sid` under signature `sig`, whose
+    /// id in the signature interner is `s`.
     #[cold]
-    fn fill_sig(&mut self, sid: u16, sig: &[u32]) -> Option<u16> {
+    fn fill_sig(&mut self, sid: u16, s: usize, sig: &[u32]) -> Option<u16> {
         let t = &mut *self.tables;
-        let s = match t.sigs.get(sig) {
-            Some(&s) => s as usize,
-            None => {
-                let s = t.delta.len();
-                t.sigs.insert(sig.into(), s as u32);
-                t.delta.push(Vec::new());
-                s
-            }
-        };
         if t.delta[s].len() <= sid as usize {
             t.delta[s].resize(sid as usize + 1, UNKNOWN);
         }
-        // Reconstruct the clip-exact neighbourhood from the signature and
-        // pay the one real δ call for this key.
+        // Reconstruct the clip-exact neighbourhood from the signature:
+        // its entries are distinct and clipped, so they need only a sort
+        // by state.
         let states = &t.states;
-        let view = Neighbourhood::from_counts(
+        let mut entries = std::mem::take(&mut t.view);
+        entries.extend(
             sig.iter()
-                .map(|&e| (states[(e >> 16) as usize].clone(), u64::from(e & 0xFFFF))),
-            self.machine.beta(),
+                .map(|&e| (states[(e >> 16) as usize].clone(), e & 0xFFFF)),
         );
-        let next = self.machine.step(&states[sid as usize], &view);
+        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        let next = self.step(sid, entries)?;
+        self.tables.delta[s][sid as usize] = next;
+        Some(next)
+    }
+
+    /// Pays the one real δ call of a miss: steps state `sid` under the
+    /// view `entries` (sorted by state, distinct, clipped), keeps the
+    /// emptied buffer for the next miss and interns the result.
+    fn step(&mut self, sid: u16, entries: Vec<(S, u32)>) -> Option<u16> {
+        let t = &mut *self.tables;
+        let view = Neighbourhood::from_sorted(entries, self.machine.beta());
+        let next = self.machine.step(&t.states[sid as usize], &view);
+        t.view = view.into_entries();
+        t.view.clear();
         let nid = t.intern_state(self.machine, next)?;
-        t.delta[s][sid as usize] = nid;
         t.misses += 1;
         Some(nid)
     }

@@ -14,6 +14,12 @@ use wam_graph::Label;
 /// never have to enumerate their state spaces. The `Ord` bound gives
 /// simulation compilers a canonical tie-breaking order (e.g. the choice
 /// function `g` of Lemma 4.7 picks the least available response).
+///
+/// States are cloned freely: into the interner, into the neighbourhood
+/// of every δ-memo miss and into every successor the certificate
+/// verifier replays. A heap field (a `Vec`, `String` or `Box`) costs
+/// one allocation on each of those clones, so prefer inline fields, as
+/// `wam_protocols::CutoffState` does for its estimate vector.
 pub trait State: Clone + Ord + Eq + Hash + fmt::Debug + Send + Sync + 'static {}
 
 impl<T: Clone + Ord + Eq + Hash + fmt::Debug + Send + Sync + 'static> State for T {}

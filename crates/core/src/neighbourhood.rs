@@ -87,6 +87,23 @@ impl<S: Clone + Ord> Neighbourhood<S> {
         Neighbourhood { entries, beta }
     }
 
+    /// Wraps entries that are already a view: sorted by state, distinct,
+    /// with counts in `1..=β`. The δ session builds views this way in a
+    /// buffer it keeps, and takes the buffer back with
+    /// [`into_entries`](Self::into_entries).
+    pub(crate) fn from_sorted(entries: Vec<(S, u32)>, beta: u32) -> Self {
+        debug_assert!(beta >= 1, "counting bound must be at least 1");
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(entries.iter().all(|&(_, c)| (1..=beta).contains(&c)));
+        Neighbourhood { entries, beta }
+    }
+
+    /// The entries buffer, for reuse by the next
+    /// [`from_sorted`](Self::from_sorted).
+    pub(crate) fn into_entries(self) -> Vec<(S, u32)> {
+        self.entries
+    }
+
     /// The counting bound β of this view.
     pub fn beta(&self) -> u32 {
         self.beta

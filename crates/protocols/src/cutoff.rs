@@ -11,21 +11,105 @@
 //! maintains an estimate vector that converges to `⌈L_G⌉_K` and evaluates
 //! the predicate locally.
 
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use wam_core::{Machine, Output};
 use wam_extensions::{BroadcastMachine, ResponseFn};
 use wam_graph::Label;
 
+/// Maximum alphabet size the ladder machines support (the estimate
+/// vector is stored inline in [`Est`]).
+pub const MAX_ARITY: usize = 8;
+
+/// A per-label rung vector of at most [`MAX_ARITY`] entries, stored
+/// inline so that a [`CutoffState`] owns no heap memory and cloning one
+/// is a copy.
+///
+/// It dereferences to the `[u8]` of its entries, and equality, order,
+/// hashing and `Debug` all go through that slice, so it compares, hashes
+/// and prints like a `Vec<u8>` of the same entries: the broadcast
+/// compiler's tie-breaking and the certificate state tables depend on
+/// both.
+#[derive(Clone, Copy)]
+pub struct Est {
+    len: u8,
+    lanes: [u8; MAX_ARITY],
+}
+
+impl Est {
+    /// `arity` zero entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arity > MAX_ARITY`.
+    pub fn zeros(arity: usize) -> Self {
+        assert!(arity <= MAX_ARITY, "at most {MAX_ARITY} labels supported");
+        Est {
+            len: arity as u8,
+            lanes: [0; MAX_ARITY],
+        }
+    }
+}
+
+impl Deref for Est {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.lanes[..self.len as usize]
+    }
+}
+
+impl DerefMut for Est {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.lanes[..self.len as usize]
+    }
+}
+
+impl PartialEq for Est {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Est {}
+
+impl PartialOrd for Est {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Est {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl Hash for Est {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Est {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// State of the generalised ladder machine: own label and rung, plus the
-/// per-label best-rung estimate.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// per-label best-rung estimate. It owns no heap memory, so it is `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CutoffState {
     /// This agent's label.
     pub label: u16,
     /// This agent's rung on its label's ladder (`1..=K`).
     pub level: u8,
     /// Per-label best rung this agent knows of (converges to `⌈L_G⌉_K`).
-    pub est: Vec<u8>,
+    pub est: Est,
 }
 
 /// A dAF machine with weak broadcasts deciding an arbitrary Cutoff property
@@ -37,18 +121,19 @@ pub struct CutoffState {
 ///
 /// # Panics
 ///
-/// Panics if `K == 0` or `K > u8::MAX as u64`.
+/// Panics if `K == 0` or `arity > MAX_ARITY`.
 pub fn cutoff_machine(
     arity: usize,
     k: u8,
     pred: impl Fn(&[u8]) -> bool + Send + Sync + 'static,
 ) -> BroadcastMachine<CutoffState> {
     assert!(k >= 1, "cutoff must be at least 1");
+    assert!(arity <= MAX_ARITY, "at most {MAX_ARITY} labels supported");
     let machine = Machine::new(
         1,
         move |l: Label| {
             assert!(l.index() < arity, "label out of range");
-            let mut est = vec![0u8; arity];
+            let mut est = Est::zeros(arity);
             est[l.index()] = 1;
             CutoffState {
                 label: l.0,
@@ -56,7 +141,7 @@ pub fn cutoff_machine(
                 est,
             }
         },
-        |s: &CutoffState, _| s.clone(), // no neighbourhood transitions
+        |s: &CutoffState, _| *s, // no neighbourhood transitions
         move |s| {
             if pred(&s.est) {
                 Output::Accept
@@ -73,10 +158,10 @@ pub fn cutoff_machine(
         |_| true,
         move |s| {
             let (ell, v) = (s.label, s.level);
-            let mut post = s.clone();
+            let mut post = *s;
             post.est[ell as usize] = post.est[ell as usize].max(v);
             let f = move |r: &CutoffState| {
-                let mut r2 = r.clone();
+                let mut r2 = *r;
                 if r2.label == ell && r2.level == v && v < k {
                     r2.level = v + 1;
                     r2.est[ell as usize] = r2.est[ell as usize].max(v + 1);
@@ -124,6 +209,43 @@ mod tests {
     use wam_core::{Exploration, Verdict};
     use wam_extensions::{compile_broadcasts, BroadcastSystem};
     use wam_graph::{generators, LabelCount};
+
+    #[test]
+    fn est_compares_hashes_and_prints_like_a_vec() {
+        use std::hash::{BuildHasher, RandomState};
+        // Every vector of up to three lanes over 0..3, against every other.
+        let vecs: Vec<Vec<u8>> = (0..=3usize)
+            .flat_map(|len| {
+                (0..3u32.pow(len as u32)).map(move |code| {
+                    (0..len)
+                        .map(|i| (code / 3u32.pow(i as u32) % 3) as u8)
+                        .collect()
+                })
+            })
+            .collect();
+        let est = |v: &[u8]| {
+            let mut e = Est::zeros(v.len());
+            e.copy_from_slice(v);
+            e
+        };
+        let hasher = RandomState::new();
+        for a in &vecs {
+            let ea = est(a);
+            assert_eq!(format!("{ea:?}"), format!("{a:?}"));
+            assert_eq!(hasher.hash_one(ea), hasher.hash_one(a));
+            for b in &vecs {
+                assert_eq!(ea.cmp(&est(b)), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(ea == est(b), a == b, "{a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(format!("{:?}", est(&[1, 0])), "[1, 0]");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 labels")]
+    fn arity_above_the_inline_capacity_panics() {
+        let _ = cutoff_machine(MAX_ARITY + 1, 2, |_| true);
+    }
 
     #[test]
     fn threshold_semantic_verdicts() {

@@ -23,7 +23,7 @@ pub mod pp_to_strong;
 pub mod semilinear;
 
 pub use cutoff::{
-    cutoff_machine, exact_count_machine, interval_machine, threshold_machine, CutoffState,
+    cutoff_machine, exact_count_machine, interval_machine, threshold_machine, CutoffState, Est,
 };
 pub use cutoff_one::{cutoff_one_machine, exists_label};
 pub use homogeneous::{cancel_machine, majority_stack, threshold_stack, HomogeneousStack};

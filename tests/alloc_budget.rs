@@ -1,0 +1,121 @@
+//! Allocation budget of served decisions.
+//!
+//! A heap field in a machine state costs one allocation on every clone of
+//! that state: at interning, in every δ miss (the neighbourhood the step
+//! receives is built from cloned states) and in every successor the
+//! independent verifier replays. This suite counts the heap calls a
+//! `ladder` decision of the paper catalog makes, per explored
+//! configuration, plain and certified, and pins a budget that only
+//! heap-free catalog states and an allocation-lean δ miss path meet.
+//!
+//! The counting allocator keeps one counter per thread, so the parallel
+//! test harness cannot mix the counts of two decisions.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use weak_async_models::extensions::{MajorityState, Phased, Rv};
+use weak_async_models::protocols::{CutoffState, ModState};
+use weak_async_models::serve::{build_graph, MachineRegistry};
+
+/// The system allocator, counting the heap calls of the current thread.
+struct Counting;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: a thread being torn down has no counter left to bump.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell` without a destructor, so bumping
+// it never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
+/// Decides `ladder` on one servebench pool key through the catalog entry
+/// the service runs (certified decisions include the verifier's replay
+/// and the JSON rendering). Returns heap calls per explored configuration.
+fn allocs_per_config(family: &str, counts: [u64; 2], certified: bool) -> f64 {
+    let registry = MachineRegistry::paper_catalog();
+    let ladder = registry.get("ladder").expect("catalog has ladder");
+    let graph = build_graph(family, &counts).expect("pool key builds");
+    let before = calls();
+    let decided = ladder.decide(&graph, certified).expect("ladder decides");
+    let made = calls() - before;
+    assert!(decided.explored > 0);
+    made as f64 / decided.explored as f64
+}
+
+/// Budgets in heap calls per explored configuration, each well under
+/// what a heap-backed ladder state costs. Measured per key, plain /
+/// certified:
+///
+/// | Key          | `Vec<u8>` estimate | inline estimate | + buffered δ miss |
+/// |--------------|--------------------|-----------------|-------------------|
+/// | clique [4,3] | 43.9 / 96.2        | 11.5 / 22.9     | 6.7 / 18.1        |
+/// | star [2,2]   | 12.0 / 20.7        | 4.7 / 7.2       | 3.5 / 6.0         |
+/// | cycle [2,2]  | 19.8 / 114.4       | 7.1 / 23.4      | 2.3 / 18.6        |
+/// | line [2,1]   | 10.8 / 20.4        | 3.5 / 6.8       | 0.4 / 3.7         |
+const BUDGETS: [(&str, [u64; 2], bool, f64); 8] = [
+    ("clique", [4, 3], false, 10.0),
+    ("clique", [4, 3], true, 28.0),
+    ("star", [2, 2], false, 6.0),
+    ("star", [2, 2], true, 10.0),
+    ("cycle", [2, 2], false, 5.0),
+    ("cycle", [2, 2], true, 28.0),
+    ("line", [2, 1], false, 2.0),
+    ("line", [2, 1], true, 6.0),
+];
+
+#[test]
+fn ladder_decisions_stay_within_their_allocation_budget() {
+    let mut over = Vec::new();
+    for (family, counts, certified, budget) in BUDGETS {
+        let per = allocs_per_config(family, counts, certified);
+        eprintln!("ladder {family} {counts:?} certified={certified}: {per:.1} allocs/config");
+        if per > budget {
+            over.push(format!(
+                "{family} {counts:?} certified={certified}: {per:.1} > {budget}"
+            ));
+        }
+    }
+    assert!(over.is_empty(), "over budget: {over:#?}");
+}
+
+#[test]
+fn catalog_states_own_no_heap_memory() {
+    // The state types of the four catalog machines: presence, ladder,
+    // majority, parity.
+    assert!(!std::mem::needs_drop::<u32>());
+    assert!(!std::mem::needs_drop::<Phased<CutoffState>>());
+    assert!(!std::mem::needs_drop::<Rv<MajorityState>>());
+    assert!(!std::mem::needs_drop::<Rv<ModState>>());
+}
