@@ -13,10 +13,10 @@
 //!   stably-rejecting sets, and empirical cutoff extraction.
 //! * [`crossval`] — drive a decision procedure across label counts and graph
 //!   families and diff the verdicts against a reference predicate.
-//! * [`store`] — the sharded concurrent [`VerdictStore`]: `&self`
-//!   get-or-insert keyed by (system fingerprint, canonical graph), with
-//!   in-flight coalescing and optional LRU-ish eviction — the cache the
-//!   verdict service and the Figure-1 sweeps share.
+//! * [`store`] — the sharded concurrent [`VerdictStore`]: a `&self`
+//!   cache of finished decisions keyed by (system fingerprint, canonical
+//!   graph), with optional LRU eviction — the cache the verdict service
+//!   and the Figure-1 sweeps share.
 
 pub mod classes;
 pub mod counter;

@@ -160,7 +160,7 @@ fn main() {
         ));
         let mut certified = req("slow", "cycle", &counts, true);
         certified.deadline_ms = Some(5);
-        match block_on(handle.submit(certified)) {
+        match block_on(handle.submit(certified.clone())) {
             Reply::Ok(ok) => {
                 assert!(
                     ok.degraded,
@@ -173,6 +173,10 @@ fn main() {
             }
             other => panic!("unexpected reply {other:?}"),
         }
+        // The degraded request's decision keeps running; wait for it so
+        // the final counts include it.
+        certified.deadline_ms = None;
+        let _ = expect_ok(block_on(handle.submit(certified)));
         probe += 1;
     }
 
@@ -272,6 +276,13 @@ fn main() {
     );
     assert!(stats.degraded > 0, "no certified request degraded");
     assert!(p99 >= p50);
+    // One decision per cached key: nothing evicts here, so a second
+    // decision of a key would show as `decided` above the store size.
+    assert_eq!(
+        stats.decided,
+        service.store().len() as u64,
+        "a key was decided more than once"
+    );
 
     let json = format!(
         "{{\n  \"bench\": \"serve_traffic\",\n  \"note\": \"closed-loop clients over the E1 grid with an 80/20 hot-set skew, plus coalescing / overload / degrade bursts against a synthetic fixed-cost entry; latencies and throughput are steady-phase only\",\n  \"workers\": {WORKERS},\n  \"admission\": {ADMISSION},\n  \"clients\": {CLIENTS},\n  \"requests\": {},\n  \"steady_requests\": {steady_requests},\n  \"steady_elapsed_ms\": {:.3},\n  \"requests_per_sec\": {requests_per_sec:.1},\n  \"p50_us\": {p50},\n  \"p99_us\": {p99},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"coalesced_fraction\": {coalesced_fraction:.4},\n  \"cache_hits\": {},\n  \"coalesced\": {},\n  \"decided\": {},\n  \"rejected_overload\": {},\n  \"rejected_deadline\": {},\n  \"degraded\": {},\n  \"distinct_keys\": {}\n}}\n",

@@ -1,5 +1,5 @@
-//! `wam-serve` — an async certified-verdict service over the sharded
-//! [`VerdictStore`](wam_analysis::VerdictStore).
+//! `wam-serve` — an async certified-verdict service in front of the
+//! sharded [`VerdictStore`](wam_analysis::VerdictStore) cache.
 //!
 //! The crate turns the workspace's exact deciders into a long-running
 //! service: clients submit `(machine, graph)` jobs as line-JSON and get
@@ -15,7 +15,8 @@
 //!   exact decider.
 //! * [`service`] — the core: cache → coalescing → admission gates, with
 //!   deadlines that degrade certified requests to cached plain verdicts
-//!   before rejecting.
+//!   before rejecting. Its in-flight map, not the store, is what makes
+//!   each canonical key decide at most once.
 //! * [`proto`] — the framed line-JSON request/reply protocol, built on
 //!   the serde-free [`Json`](wam_certify::Json) codec.
 //! * [`transport`] — the stdin/stdout line loop the `wam-serve` binary

@@ -3,8 +3,8 @@
 //! out (completion order; match replies by `id`).
 //!
 //! ```text
-//! wam-serve [--workers N] [--admission N] [--shards N] [--capacity N]
-//!           [--deadline-ms N] [--max-nodes N] [--net] [--catalog]
+//! wam-serve [--workers N] [--admission N] [--capacity N] [--deadline-ms N]
+//!           [--max-nodes N] [--net] [--catalog]
 //! ```
 //!
 //! `--net` enables the chaos backend: `{"op":"chaos",...}` requests run
@@ -19,8 +19,8 @@ use wam_serve::{serve, ServiceConfig, VerdictService};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: wam-serve [--workers N] [--admission N] [--shards N] \
-         [--capacity N] [--deadline-ms N] [--max-nodes N] [--net] [--catalog]"
+        "usage: wam-serve [--workers N] [--admission N] [--capacity N] \
+         [--deadline-ms N] [--max-nodes N] [--net] [--catalog]"
     );
     std::process::exit(2);
 }
@@ -39,7 +39,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--workers" => config.workers = num("--workers").max(1),
             "--admission" => config.admission = num("--admission").max(1),
-            "--shards" => config.store_shards = num("--shards").max(1),
             "--capacity" => config.store_capacity = Some(num("--capacity").max(1)),
             "--deadline-ms" => {
                 config.default_deadline = Some(Duration::from_millis(num("--deadline-ms") as u64))

@@ -3,14 +3,21 @@
 //!
 //! A request travels through three gates:
 //!
-//! 1. **Cache** — a ready store entry answers immediately (`cache: hit`).
+//! 1. **Cache** — a stored entry answers immediately (`cache: hit`).
 //! 2. **Coalescing** — if the same canonical key is already being
 //!    decided, the request joins that in-flight decision instead of
-//!    starting its own (`cache: coalesced`). At most one decision runs
-//!    per key at any time.
+//!    starting its own (`cache: coalesced`).
 //! 3. **Admission** — a new decision only starts while fewer than
 //!    `admission` decisions are in flight; past the bound the service
 //!    *rejects* with `overloaded` rather than queueing unboundedly.
+//!
+//! The service's in-flight map is the only record of running decisions;
+//! the [`VerdictStore`] is a cache of finished ones. At most one decision
+//! runs per canonical key, and `cache: miss` / `decided` count exactly
+//! the decisions that ran, because a decision publishes to the store
+//! before it leaves the in-flight map and Gate 2 re-peeks the store with
+//! the map locked. Locks nest in one order only: `inflight`, then a
+//! store shard.
 //!
 //! Deadlines degrade before they reject: when a *certified* request runs
 //! out of time, the service first tries to answer with a cached *plain*
@@ -37,8 +44,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Admission bound: maximum decisions in flight before rejection.
     pub admission: usize,
-    /// Lock stripes of the verdict store.
-    pub store_shards: usize,
     /// Optional store capacity (entries); evicts LRU-ish past it.
     pub store_capacity: Option<usize>,
     /// Deadline applied to requests that do not carry their own.
@@ -59,7 +64,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             admission: 64,
-            store_shards: 16,
             store_capacity: None,
             default_deadline: None,
             max_nodes: crate::proto::DEFAULT_MAX_NODES,
@@ -172,8 +176,8 @@ impl VerdictService {
     /// Builds a service over `registry` with the given tunables.
     pub fn new(registry: MachineRegistry, config: ServiceConfig) -> Self {
         let store = match config.store_capacity {
-            Some(cap) => VerdictStore::with_capacity(config.store_shards, cap),
-            None => VerdictStore::with_shards(config.store_shards),
+            Some(cap) => VerdictStore::with_capacity(cap),
+            None => VerdictStore::new(),
         };
         let runtime = Runtime::new(config.workers);
         VerdictService {
@@ -353,10 +357,15 @@ impl ServiceHandle {
             micros: start.elapsed().as_micros() as u64,
         };
 
-        // Gate 1: a ready cache entry answers immediately.
-        if let Some(v) = inner.store.peek(&key) {
+        let hit = |v: CachedVerdict| {
             inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(ok(v, CacheOutcome::Hit, false));
+            Ok(ok(v, CacheOutcome::Hit, false))
+        };
+
+        // Gate 1: a ready cache entry answers without touching the
+        // in-flight map.
+        if let Some(v) = inner.store.peek(&key) {
+            return hit(v);
         }
 
         // A deadline that elapsed before any decision work degrades
@@ -368,20 +377,22 @@ impl ServiceHandle {
         }
 
         // Gate 2 and 3: join the in-flight decision for this key, or
-        // claim an admission permit and become the decider.
+        // claim an admission permit and become the decider. The re-peek
+        // under the lock turns a decision that published and left the
+        // map since Gate 1 into a hit, not a second miss (module docs).
         let (rx, role) = {
             let mut inflight = inner.inflight.lock().unwrap();
             let (tx, rx) = oneshot::channel();
-            match inflight.get_mut(&key) {
-                Some(waiters) => {
-                    waiters.push(tx);
-                    (rx, CacheOutcome::Coalesced)
-                }
-                None => {
-                    inner.try_admit()?;
-                    inflight.insert(key.clone(), vec![tx]);
-                    (rx, CacheOutcome::Miss)
-                }
+            if let Some(waiters) = inflight.get_mut(&key) {
+                waiters.push(tx);
+                (rx, CacheOutcome::Coalesced)
+            } else if let Some(v) = inner.store.peek(&key) {
+                drop(inflight);
+                return hit(v);
+            } else {
+                inner.try_admit()?;
+                inflight.insert(key.clone(), vec![tx]);
+                (rx, CacheOutcome::Miss)
             }
         };
 
@@ -451,20 +462,11 @@ impl ServiceHandle {
         // is tracked through the in-flight map and the waiter channels.
         let task = self.spawner.spawn(async move {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let entry = inner
+                inner
                     .registry
                     .get(&machine)
-                    .expect("entry existed when the decision was admitted");
-                // The decision runs *inside* the store's in-flight slot:
-                // a racer that slipped past the Gate-1 peek just as the
-                // previous decision published hits the ready entry here
-                // and never re-decides, keeping the at-most-once
-                // guarantee even against callers that bypass the service
-                // and hammer the store directly. An Err caches nothing
-                // and leaves the key decidable.
-                inner
-                    .store
-                    .try_get_or_insert_with(&key, || entry.decide(&graph, certified))
+                    .expect("entry existed when the decision was admitted")
+                    .decide(&graph, certified)
             }))
             .unwrap_or_else(|panic| {
                 let reason = panic
@@ -474,10 +476,11 @@ impl ServiceHandle {
                     .unwrap_or_else(|| "decision panicked".to_string());
                 Err(ServeError::Internal { reason })
             });
-            // Publish before releasing the permit: the waiter list is
-            // removed only after the store holds the result (or the
-            // error is final), so late arrivals either see the ready
-            // entry or start a fresh decision — never neither.
+            // Publish before the waiter list leaves the in-flight map
+            // (see Gate 2): late arrivals either see the stored entry or
+            // start a fresh decision — never neither. An error caches
+            // nothing and leaves the key decidable.
+            let outcome = outcome.map(|v| inner.store.insert(&key, v));
             let waiters = inner
                 .inflight
                 .lock()

@@ -114,6 +114,57 @@ fn concurrent_identical_requests_coalesce_into_one_decision() {
 }
 
 #[test]
+fn oversubscribed_bursts_report_one_miss_per_key() {
+    // More workers than cores and instant decisions: copies of a key keep
+    // arriving while its decision publishes. Whatever the interleaving,
+    // each key must decide once and reply `miss` once. Every round is a
+    // fresh service, so every round starts cold; one round alone catches
+    // a double miss only some of the time.
+    const ROUNDS: usize = 16;
+    let keys: Vec<Vec<u64>> = (2..=11)
+        .flat_map(|zeros| (1..=8).map(move |ones| vec![zeros, ones]))
+        .collect();
+    for round in 0..ROUNDS {
+        let (reg, calls) = instrumented("instant", 0, 0);
+        // Admission above the key count: no request may be refused.
+        let config = ServiceConfig {
+            workers: 8,
+            admission: 2 * keys.len(),
+            ..ServiceConfig::default()
+        };
+        let service = VerdictService::new(reg, config);
+        let handle = service.handle();
+        let mut replies = Vec::new();
+        for (k, counts) in keys.iter().enumerate() {
+            for copy in 0..8 {
+                let id = (k * 8 + copy) as u64;
+                replies.push((k, handle.submit(req("instant", id, counts.clone()))));
+            }
+        }
+        let mut misses = vec![0; keys.len()];
+        for (k, reply) in replies {
+            if expect_ok(block_on(reply)).cache == CacheOutcome::Miss {
+                misses[k] += 1;
+            }
+        }
+        for (k, n) in misses.iter().enumerate() {
+            assert_eq!(
+                *n, 1,
+                "round {round}: key {:?} replied miss {n} times",
+                keys[k]
+            );
+        }
+        let stats = service.stats();
+        assert_eq!(calls.load(Ordering::SeqCst), keys.len());
+        assert_eq!(stats.decided, keys.len() as u64);
+        assert_eq!(
+            stats.cache_hits + stats.coalesced + stats.decided,
+            stats.received
+        );
+    }
+}
+
+#[test]
 fn completed_decisions_are_served_from_cache() {
     let (reg, calls) = instrumented("fast", 0, 0);
     let service = VerdictService::new(reg, ServiceConfig::default());
@@ -239,36 +290,43 @@ fn deadline_already_expired_degrades_before_any_work() {
 
 #[test]
 fn decision_errors_fan_out_to_every_coalesced_waiter() {
-    let mut reg = MachineRegistry::new();
-    reg.register_with(
-        "failing",
-        "always errors after a delay",
-        2,
-        Box::new(|_g, _c| {
-            std::thread::sleep(Duration::from_millis(100));
-            Err(ServeError::Internal {
-                reason: "synthetic failure".to_string(),
-            })
-        }),
-    );
-    let service = VerdictService::new(reg, ServiceConfig::default());
-    let handle = service.handle();
-    let a = handle.submit(req("failing", 1, vec![2, 1]));
-    std::thread::sleep(Duration::from_millis(30));
-    let b = handle.submit(req("failing", 2, vec![2, 1]));
-    for h in [a, b] {
-        match expect_err(block_on(h)) {
-            ServeError::Internal { reason } => assert!(reason.contains("synthetic")),
-            other => panic!("expected internal error, got {other}"),
+    // A panicking decision ends like a failing one: every waiter gets
+    // the error and the key stays decidable.
+    for panics in [false, true] {
+        let mut reg = MachineRegistry::new();
+        reg.register_with(
+            "failing",
+            "always errors after a delay",
+            2,
+            Box::new(move |_g, _c| {
+                std::thread::sleep(Duration::from_millis(100));
+                if panics {
+                    panic!("synthetic failure");
+                }
+                Err(ServeError::Internal {
+                    reason: "synthetic failure".to_string(),
+                })
+            }),
+        );
+        let service = VerdictService::new(reg, ServiceConfig::default());
+        let handle = service.handle();
+        let a = handle.submit(req("failing", 1, vec![2, 1]));
+        std::thread::sleep(Duration::from_millis(30));
+        let b = handle.submit(req("failing", 2, vec![2, 1]));
+        for h in [a, b] {
+            match expect_err(block_on(h)) {
+                ServeError::Internal { reason } => assert!(reason.contains("synthetic")),
+                other => panic!("expected internal error, got {other}"),
+            }
         }
+        let stats = service.stats();
+        assert_eq!(stats.decide_errors, 1);
+        assert_eq!(stats.completed, 0);
+        // Errors are not cached: a retry runs the decision again.
+        let retry = service.process_blocking(req("failing", 3, vec![2, 1]));
+        let _ = expect_err(retry);
+        assert_eq!(service.stats().decide_errors, 2);
     }
-    let stats = service.stats();
-    assert_eq!(stats.decide_errors, 1);
-    assert_eq!(stats.completed, 0);
-    // Errors are not cached: a retry runs the decision again.
-    let retry = service.process_blocking(req("failing", 3, vec![2, 1]));
-    let _ = expect_err(retry);
-    assert_eq!(service.stats().decide_errors, 2);
 }
 
 #[test]

@@ -45,8 +45,9 @@ mod weak_async_models_smoke {
 fn binary_serves_a_piped_batch_with_at_most_one_decision_per_key() {
     // Eight identical requests: whatever the interleaving, the at-most-
     // once guarantee means exactly one may report `cache: miss`; the
-    // rest are hits or coalesced joins. Two distinct keys keep the
-    // catalog honest, and an unknown machine must error without
+    // rest are hits or coalesced joins. Eight workers, more than a CI
+    // runner has cores, keep the interleavings varied. Two distinct keys
+    // keep the catalog honest, and an unknown machine must error without
     // disturbing the rest.
     let mut input = String::new();
     for id in 1..=8 {
@@ -59,7 +60,7 @@ fn binary_serves_a_piped_batch_with_at_most_one_decision_per_key() {
     input.push_str("{\"id\":22,\"op\":\"stats\"}\n");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_wam-serve"))
-        .args(["--workers", "2"])
+        .args(["--workers", "8"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

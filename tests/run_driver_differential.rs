@@ -1,278 +1,25 @@
-//! Differential test for the unified run-time layer: the generic
-//! `run_until_stable` driver must agree *exactly* — verdict, step count,
-//! stabilisation point and final configuration — with the four
-//! family-specific runner loops it replaced. The `reference` module holds
-//! verbatim copies of the removed loops; any drift in the generic driver's
-//! RNG stream or clock handling shows up as a mismatch here.
+//! Golden digests for the unified run-time layer: the generic
+//! `run_until_stable` driver must reproduce, run for run, what the four
+//! family-specific runner loops it replaced produced. Each family has one
+//! FNV-1a digest over (shape, seed, verdict, step count, stabilisation
+//! point, `{:?}` of the final configuration) on 12 graphs × 6 seeds. The
+//! digests were captured while verbatim copies of those loops still sat
+//! next to the driver and agreed with it exactly; any drift in the
+//! driver's RNG stream or clock handling changes a digest.
 //!
 //! A second layer of checks compares the statistical verdicts with the exact
 //! deciders on the same systems: whenever the sampled run decides, it must
 //! decide the same way as exhaustive exploration.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use weak_async_models::core::{
-    run_until_stable, Config, Exploration, Machine, Output, RunReport, StabilityClock,
-    StabilityOptions, State, TransitionSystem, Verdict,
+    run_until_stable, Exploration, Machine, Output, RunReport, StabilityOptions, Verdict,
 };
 use weak_async_models::extensions::{
     AbsenceMachine, AbsenceSystem, BroadcastMachine, BroadcastSystem, GraphPopulationProtocol,
-    MajorityState, PopulationSystem, ResponseFn, StrongBroadcastProtocol, StrongBroadcastSystem,
+    MajorityState, PopulationSystem, ResponseFn, StrongBroadcastSystem,
 };
-use weak_async_models::graph::{generators, Graph, Label, LabelCount, NodeId};
-
-/// Verbatim copies of the four family-specific runner loops that the
-/// generic `wam_core::run_until_stable` driver replaced. Kept here, and
-/// only here, as the reference semantics.
-mod reference {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-
-    pub fn run_broadcast_until_stable<S: State>(
-        bm: &BroadcastMachine<S>,
-        graph: &Graph,
-        broadcast_prob: f64,
-        seed: u64,
-        opts: StabilityOptions,
-    ) -> RunReport<Config<S>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut config = Config::initial(bm.machine(), graph);
-        let outputs: Vec<Output> = config.states().iter().map(|s| bm.output(s)).collect();
-        let mut clock = StabilityClock::new(opts, outputs);
-        for t in 0..opts.max_steps {
-            if let Some((verdict, since)) = clock.verdict(t) {
-                return RunReport {
-                    verdict,
-                    steps: t,
-                    stabilised_at: Some(since),
-                    final_config: config,
-                };
-            }
-            let initiators: Vec<NodeId> = graph
-                .nodes()
-                .filter(|&v| bm.initiates(config.state(v)))
-                .collect();
-            let next = if !initiators.is_empty() && rng.random_bool(broadcast_prob) {
-                let mut order = initiators.clone();
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.random_range(0..=i));
-                }
-                let mut set: Vec<NodeId> = Vec::new();
-                for v in order {
-                    if set.iter().all(|&u| !graph.has_edge(u, v))
-                        && (set.is_empty() || rng.random_bool(0.5))
-                    {
-                        set.push(v);
-                    }
-                }
-                let responses: Vec<ResponseFn<S>> = set
-                    .iter()
-                    .map(|&v| bm.broadcast(config.state(v)).1)
-                    .collect();
-                let states: Vec<S> = graph
-                    .nodes()
-                    .map(|v| {
-                        if set.contains(&v) {
-                            bm.broadcast(config.state(v)).0
-                        } else {
-                            let f = &responses[rng.random_range(0..responses.len())];
-                            f(config.state(v))
-                        }
-                    })
-                    .collect();
-                Config::from_states(states)
-            } else {
-                let v = rng.random_range(0..graph.node_count());
-                if bm.initiates(config.state(v)) {
-                    continue;
-                }
-                let stepped = config.stepped_state(bm.machine(), graph, v);
-                let mut states = config.states().to_vec();
-                states[v] = stepped;
-                Config::from_states(states)
-            };
-            let changed = next != config;
-            if changed {
-                config = next;
-            }
-            let outputs: Vec<Output> = config.states().iter().map(|s| bm.output(s)).collect();
-            clock.record(t, changed, &outputs);
-        }
-        RunReport {
-            verdict: Verdict::NoConsensus,
-            steps: opts.max_steps,
-            stabilised_at: None,
-            final_config: config,
-        }
-    }
-
-    pub fn run_absence_until_stable<S: State>(
-        am: &AbsenceMachine<S>,
-        graph: &Graph,
-        seed: u64,
-        opts: StabilityOptions,
-    ) -> RunReport<Config<S>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut config = Config::initial(am.machine(), graph);
-        let outputs: Vec<Output> = config.states().iter().map(|s| am.output(s)).collect();
-        let mut clock = StabilityClock::new(opts, outputs);
-        let mut last_output_change = 0usize;
-        for t in 0..opts.max_steps {
-            if let Some((verdict, since)) = clock.verdict(t) {
-                return RunReport {
-                    verdict,
-                    steps: t,
-                    stabilised_at: Some(since),
-                    final_config: config,
-                };
-            }
-            let c1 = am.sync_step(graph, &config);
-            let initiators: Vec<NodeId> = graph
-                .nodes()
-                .filter(|&v| am.initiates(c1.state(v)))
-                .collect();
-            if initiators.is_empty() {
-                let verdict = match config.consensus(am.machine()) {
-                    Some(Output::Accept) => Verdict::Accepts,
-                    Some(Output::Reject) => Verdict::Rejects,
-                    _ => Verdict::NoConsensus,
-                };
-                return RunReport {
-                    verdict,
-                    steps: t,
-                    stabilised_at: verdict.decided().map(|_| last_output_change),
-                    final_config: config,
-                };
-            }
-            let mut observed: Vec<BTreeSet<S>> = vec![BTreeSet::new(); initiators.len()];
-            for v in graph.nodes() {
-                let i = rng.random_range(0..initiators.len());
-                observed[i].insert(c1.state(v).clone());
-            }
-            for (i, &v) in initiators.iter().enumerate() {
-                observed[i].insert(c1.state(v).clone());
-            }
-            let mut states = c1.states().to_vec();
-            for (i, &v) in initiators.iter().enumerate() {
-                states[v] = am.detect(c1.state(v), &observed[i]);
-            }
-            let next = Config::from_states(states);
-            let changed = next != config;
-            if changed {
-                let changed_outputs = next
-                    .states()
-                    .iter()
-                    .zip(config.states())
-                    .any(|(a, b)| am.output(a) != am.output(b));
-                if changed_outputs {
-                    last_output_change = t + 1;
-                }
-                config = next;
-            }
-            let outputs: Vec<Output> = config.states().iter().map(|s| am.output(s)).collect();
-            clock.record(t, changed, &outputs);
-        }
-        RunReport {
-            verdict: Verdict::NoConsensus,
-            steps: opts.max_steps,
-            stabilised_at: None,
-            final_config: config,
-        }
-    }
-
-    pub fn run_population_until_stable<S: State>(
-        pp: &GraphPopulationProtocol<S>,
-        graph: &Graph,
-        seed: u64,
-        opts: StabilityOptions,
-    ) -> RunReport<Config<S>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let edges = graph.edges();
-        let mut config = {
-            let sys = PopulationSystem::new(pp, graph);
-            sys.initial_config()
-        };
-        let outputs: Vec<Output> = config.states().iter().map(|s| pp.output(s)).collect();
-        let mut clock = StabilityClock::new(opts, outputs);
-        for t in 0..opts.max_steps {
-            if let Some((verdict, since)) = clock.verdict(t) {
-                return RunReport {
-                    verdict,
-                    steps: t,
-                    stabilised_at: Some(since),
-                    final_config: config,
-                };
-            }
-            let &(u, v) = &edges[rng.random_range(0..edges.len())];
-            let (a, b) = if rng.random_bool(0.5) { (u, v) } else { (v, u) };
-            let (pa, pb) = pp.interact(config.state(a), config.state(b));
-            let changed = pa != *config.state(a) || pb != *config.state(b);
-            if changed {
-                let mut states = config.states().to_vec();
-                states[a] = pa;
-                states[b] = pb;
-                config = Config::from_states(states);
-            }
-            let outputs: Vec<Output> = config.states().iter().map(|s| pp.output(s)).collect();
-            clock.record(t, changed, &outputs);
-        }
-        RunReport {
-            verdict: Verdict::NoConsensus,
-            steps: opts.max_steps,
-            stabilised_at: None,
-            final_config: config,
-        }
-    }
-
-    pub fn run_strong_broadcast_until_stable<S: State>(
-        sb: &StrongBroadcastProtocol<S>,
-        graph: &Graph,
-        seed: u64,
-        opts: StabilityOptions,
-    ) -> RunReport<Config<S>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sys = StrongBroadcastSystem::new(sb, graph);
-        let mut config = sys.initial_config();
-        let outputs: Vec<Output> = config.states().iter().map(|s| sb.output(s)).collect();
-        let mut clock = StabilityClock::new(opts, outputs);
-        for t in 0..opts.max_steps {
-            if let Some((verdict, since)) = clock.verdict(t) {
-                return RunReport {
-                    verdict,
-                    steps: t,
-                    stabilised_at: Some(since),
-                    final_config: config,
-                };
-            }
-            let v = rng.random_range(0..graph.node_count());
-            let (q2, f) = sb.broadcast(config.state(v));
-            let states: Vec<S> = graph
-                .nodes()
-                .map(|u| {
-                    if u == v {
-                        q2.clone()
-                    } else {
-                        f(config.state(u))
-                    }
-                })
-                .collect();
-            let next = Config::from_states(states);
-            let changed = next != config;
-            if changed {
-                config = next;
-            }
-            let outputs: Vec<Output> = config.states().iter().map(|s| sb.output(s)).collect();
-            clock.record(t, changed, &outputs);
-        }
-        RunReport {
-            verdict: Verdict::NoConsensus,
-            steps: opts.max_steps,
-            stabilised_at: None,
-            final_config: config,
-        }
-    }
-}
+use weak_async_models::graph::{generators, Graph, Label, LabelCount};
 
 /// The Lemma C.5 threshold broadcast machine `x₀ ≥ k` (same construction as
 /// the unit tests in `wam-extensions`).
@@ -349,21 +96,28 @@ fn graphs() -> Vec<(&'static str, Graph)> {
     out
 }
 
-fn assert_same<C: PartialEq + std::fmt::Debug>(
-    family: &str,
-    shape: &str,
-    seed: u64,
-    old: &RunReport<C>,
-    new: &RunReport<C>,
-) {
+/// FNV-1a over one line per run, in `graphs()` order, seeds 0..6.
+fn run_digest<C: std::fmt::Debug>(mut run: impl FnMut(&Graph, u64) -> RunReport<C>) -> u64 {
+    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+    for (shape, g) in graphs() {
+        for seed in 0..6 {
+            let r = run(&g, seed);
+            let line = format!(
+                "{shape} {seed} {:?} {} {:?} {:?}\n",
+                r.verdict, r.steps, r.stabilised_at, r.final_config
+            );
+            hash = line.bytes().fold(hash, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+        }
+    }
+    hash
+}
+
+fn assert_golden(family: &str, digest: u64, golden: u64) {
     assert_eq!(
-        (old.verdict, old.steps, old.stabilised_at),
-        (new.verdict, new.steps, new.stabilised_at),
-        "{family} on {shape} (seed {seed}) diverged",
-    );
-    assert_eq!(
-        old.final_config, new.final_config,
-        "{family} on {shape} (seed {seed}): final configurations differ",
+        digest, golden,
+        "{family} runs drifted from the reference loop: digest {digest:#018x}"
     );
 }
 
@@ -371,56 +125,39 @@ fn assert_same<C: PartialEq + std::fmt::Debug>(
 fn broadcast_driver_matches_reference_loop() {
     let bm = broadcast_threshold(2);
     let opts = StabilityOptions::new(60_000, 600);
-    for (shape, g) in graphs() {
-        for seed in 0..6 {
-            let old = reference::run_broadcast_until_stable(&bm, &g, 0.3, seed, opts);
-            let sys = BroadcastSystem::new(&bm, &g).with_broadcast_prob(0.3);
-            let new = run_until_stable(&sys, seed, opts);
-            assert_same("broadcast", shape, seed, &old, &new);
-        }
-    }
+    let digest = run_digest(|g, seed| {
+        run_until_stable(
+            &BroadcastSystem::new(&bm, g).with_broadcast_prob(0.3),
+            seed,
+            opts,
+        )
+    });
+    assert_golden("broadcast", digest, 0xcd41_034b_cb30_53f1);
 }
 
 #[test]
 fn absence_driver_matches_reference_loop() {
     let am = absence_detector();
     let opts = StabilityOptions::new(60_000, 600);
-    for (shape, g) in graphs() {
-        for seed in 0..6 {
-            let old = reference::run_absence_until_stable(&am, &g, seed, opts);
-            let sys = AbsenceSystem::new(&am, &g);
-            let new = run_until_stable(&sys, seed, opts);
-            assert_same("absence", shape, seed, &old, &new);
-        }
-    }
+    let digest = run_digest(|g, seed| run_until_stable(&AbsenceSystem::new(&am, g), seed, opts));
+    assert_golden("absence", digest, 0x0b3f_9c3d_87a2_4c65);
 }
 
 #[test]
 fn population_driver_matches_reference_loop() {
     let pp = GraphPopulationProtocol::<MajorityState>::majority();
     let opts = StabilityOptions::new(120_000, 600);
-    for (shape, g) in graphs() {
-        for seed in 0..6 {
-            let old = reference::run_population_until_stable(&pp, &g, seed, opts);
-            let sys = PopulationSystem::new(&pp, &g);
-            let new = run_until_stable(&sys, seed, opts);
-            assert_same("population", shape, seed, &old, &new);
-        }
-    }
+    let digest = run_digest(|g, seed| run_until_stable(&PopulationSystem::new(&pp, g), seed, opts));
+    assert_golden("population", digest, 0xc3f5_d026_1c94_585b);
 }
 
 #[test]
 fn strong_broadcast_driver_matches_reference_loop() {
     let sb = weak_async_models::extensions::threshold_protocol(2);
     let opts = StabilityOptions::new(60_000, 600);
-    for (shape, g) in graphs() {
-        for seed in 0..6 {
-            let old = reference::run_strong_broadcast_until_stable(&sb, &g, seed, opts);
-            let sys = StrongBroadcastSystem::new(&sb, &g);
-            let new = run_until_stable(&sys, seed, opts);
-            assert_same("strong-broadcast", shape, seed, &old, &new);
-        }
-    }
+    let digest =
+        run_digest(|g, seed| run_until_stable(&StrongBroadcastSystem::new(&sb, g), seed, opts));
+    assert_golden("strong-broadcast", digest, 0xdefe_0700_0ad0_a621);
 }
 
 /// Whenever a sampled run decides, it must agree with the exact decider on

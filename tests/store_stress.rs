@@ -1,9 +1,11 @@
-//! Concurrency stress for the sharded [`VerdictStore`]: many threads
-//! hammer one store with overlapping E1-grid jobs in scrambled orders,
-//! and the outcome must be indistinguishable from a serial run —
-//! bit-identical verdicts *and* certificate JSON for every job, with
-//! each canonical isomorphism class decided at most once across all
-//! threads (the store's pending-slot coalescing, not luck).
+//! Concurrency stress for the verdict service over its sharded
+//! [`VerdictStore`](weak_async_models::analysis::VerdictStore) cache:
+//! many client threads send overlapping E1-grid jobs in scrambled orders
+//! through one [`VerdictService`], and the outcome must be
+//! indistinguishable from a serial run — bit-identical verdicts *and*
+//! certificate JSON for every job, with each canonical isomorphism class
+//! decided exactly once and replied `miss` exactly once across all
+//! threads (the service's in-flight coalescing, not luck).
 //!
 //! Decisions run on the *canonical representative* of each class, so
 //! the emitted certificate is a pure function of the store key: which
@@ -13,13 +15,14 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use weak_async_models::analysis::{system_fingerprint, StoreKey, VerdictStore};
 use weak_async_models::certify::{certificate_to_json, Decider, DecisionCertificate, StateTable};
 use weak_async_models::core::{Backend, Schedule, Verdict};
-use weak_async_models::graph::{
-    canonical_form, generators, Graph, GraphBuilder, Label, LabelCount,
-};
+use weak_async_models::graph::{canonical_form, Graph, GraphBuilder, Label};
 use weak_async_models::protocols::cutoff_one_machine;
+use weak_async_models::serve::{
+    build_graph, CacheOutcome, CachedVerdict, CertificateBlob, DecideRequest, MachineRegistry,
+    Reply, ServiceConfig, VerdictService,
+};
 
 const THREADS: usize = 8;
 const PASSES: usize = 3;
@@ -27,15 +30,14 @@ const PASSES: usize = 3;
 /// A graph's canonical-class key, as produced by [`canonical_form`].
 type ClassKey = (Vec<u16>, Vec<(u32, u32)>);
 
-/// The E1 small-graph grid: five label counts across four families.
-fn jobs() -> Vec<Graph> {
+/// The E1 small-graph grid: five label counts across four families, as
+/// `(family, counts)` request fields.
+fn jobs() -> Vec<(&'static str, Vec<u64>)> {
     let mut out = Vec::new();
     for (a, b) in [(3u64, 0u64), (2, 1), (1, 2), (2, 2), (3, 1)] {
-        let c = LabelCount::from_vec(vec![a, b]);
-        out.push(generators::labelled_cycle(&c));
-        out.push(generators::labelled_line(&c));
-        out.push(generators::labelled_star(&c));
-        out.push(generators::labelled_clique(&c));
+        for family in ["cycle", "line", "star", "clique"] {
+            out.push((family, vec![a, b]));
+        }
     }
     out
 }
@@ -89,12 +91,25 @@ impl Lcg {
 
 #[test]
 fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_class() {
-    let fp = system_fingerprint("stress/presence");
-    let grid = jobs();
+    let grid: Vec<(DecideRequest, Graph)> = jobs()
+        .into_iter()
+        .map(|(family, counts)| {
+            let graph = build_graph(family, &counts).expect("grid job builds");
+            let req = DecideRequest {
+                id: None,
+                machine: "presence".to_string(),
+                family: family.to_string(),
+                counts,
+                certified: true,
+                deadline_ms: None,
+            };
+            (req, graph)
+        })
+        .collect();
 
     // Serial reference: decide every distinct canonical class once.
     let mut reference: BTreeMap<ClassKey, (Verdict, String)> = BTreeMap::new();
-    for g in &grid {
+    for (_, g) in &grid {
         let key = canonical_form(g).key();
         reference.entry(key).or_insert_with(|| decide_canonical(g));
     }
@@ -104,7 +119,7 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
         "the grid must contain isomorphic duplicates to make contention real"
     );
     // Presence accepts exactly when a node is labelled 1.
-    for g in &grid {
+    for (_, g) in &grid {
         let (verdict, _) = &reference[&canonical_form(g).key()];
         let expected = if g.label_count().get(Label(1)) >= 1 {
             Verdict::Accepts
@@ -114,59 +129,92 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
         assert_eq!(*verdict, expected, "serial reference verdict is wrong");
     }
 
-    // Concurrent run: THREADS threads × PASSES passes over the grid, each
-    // in its own scrambled order, all through one shared store.
-    let store: Arc<VerdictStore<(Verdict, String)>> = Arc::new(VerdictStore::with_shards(16));
+    // The service decides through an entry that renders the same JSON.
     let decisions = Arc::new(AtomicUsize::new(0));
-    let reference = Arc::new(reference);
+    let mut registry = MachineRegistry::new();
+    let counter = Arc::clone(&decisions);
+    registry.register_with(
+        "presence",
+        "certified presence on the canonical representative",
+        2,
+        Box::new(move |g, _certified| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            let (verdict, json) = decide_canonical(g);
+            Ok(CachedVerdict {
+                verdict,
+                backend: "explicit".to_string(),
+                explored: 0,
+                certificate: Some(Arc::new(CertificateBlob { kind: "node", json })),
+            })
+        }),
+    );
+    let service = Arc::new(VerdictService::new(registry, ServiceConfig::default()));
 
+    // Concurrent run: THREADS client threads × PASSES passes over the
+    // grid, each in its own scrambled order, all through one service.
+    let reference = Arc::new(reference);
+    let grid = Arc::new(grid);
     let mut handles = Vec::new();
     for t in 0..THREADS {
-        let store = Arc::clone(&store);
-        let decisions = Arc::clone(&decisions);
+        let service = Arc::clone(&service);
         let reference = Arc::clone(&reference);
-        let grid = grid.clone();
+        let grid = Arc::clone(&grid);
         handles.push(std::thread::spawn(move || {
             let mut rng = Lcg(0xA076_1D64_78BD_642F ^ (t as u64 + 1));
+            let mut misses: Vec<ClassKey> = Vec::new();
             for _ in 0..PASSES {
                 let mut order: Vec<usize> = (0..grid.len()).collect();
                 for i in (1..order.len()).rev() {
                     order.swap(i, (rng.next() as usize) % (i + 1));
                 }
                 for &j in &order {
-                    let g = &grid[j];
-                    let key = StoreKey::new(fp, g);
-                    let got = store.get_or_insert_with(&key, || {
-                        decisions.fetch_add(1, Ordering::SeqCst);
-                        decide_canonical(g)
-                    });
-                    let want = &reference[&canonical_form(g).key()];
-                    assert_eq!(got.0, want.0, "verdict diverged from serial on job {j}");
-                    assert_eq!(
-                        got.1, want.1,
-                        "certificate JSON diverged from serial on job {j}"
-                    );
+                    let (req, g) = &grid[j];
+                    let ok = match service.process_blocking(req.clone()) {
+                        Reply::Ok(ok) => ok,
+                        other => panic!("job {j} was not served: {other:?}"),
+                    };
+                    let class = canonical_form(g).key();
+                    let want = &reference[&class];
+                    let blob = ok.result.certificate.expect("certified reply");
+                    assert_eq!(ok.result.verdict, want.0, "verdict diverged on job {j}");
+                    assert_eq!(blob.json, want.1, "certificate JSON diverged on job {j}");
+                    if ok.cache == CacheOutcome::Miss {
+                        misses.push(class);
+                    }
                 }
             }
+            misses
         }));
     }
+    let mut misses: BTreeMap<ClassKey, usize> = BTreeMap::new();
     for h in handles {
-        h.join().expect("stress thread");
+        for class in h.join().expect("client thread") {
+            *misses.entry(class).or_default() += 1;
+        }
     }
 
-    // At-most-once: THREADS × PASSES × |grid| lookups collapsed to one
-    // decision per canonical class.
+    // THREADS × PASSES × |grid| requests collapsed to one decision, and
+    // one `miss` reply, per canonical class.
     assert_eq!(
         decisions.load(Ordering::SeqCst),
         distinct,
         "each canonical class must be decided exactly once"
     );
-    assert_eq!(store.len(), distinct);
-    assert_eq!(store.misses() as usize, distinct);
-    let lookups = (THREADS * PASSES * grid.len()) as u64;
-    assert_eq!(store.hits() + store.coalesced() + store.misses(), lookups);
+    assert_eq!(misses.len(), distinct, "every class must miss once");
     assert!(
-        store.hits() > 0,
+        misses.values().all(|&n| n == 1),
+        "a class replied miss more than once: {misses:?}"
+    );
+    let stats = service.stats();
+    assert_eq!(stats.received, (THREADS * PASSES * grid.len()) as u64);
+    assert_eq!(stats.decided as usize, distinct);
+    assert_eq!(
+        stats.cache_hits + stats.coalesced + stats.decided,
+        stats.received
+    );
+    assert!(
+        stats.cache_hits > 0,
         "repeat passes must be served from the cache"
     );
+    assert_eq!(service.store().len(), distinct);
 }
