@@ -494,14 +494,18 @@ struct CertTiming {
     plain_ms: f64,
     certified_ms: f64,
     verify_ms: f64,
+    encode_ms: f64,
 }
 
-/// The certificate's kind, configuration count and serialised size.
+/// The certificate's kind, configuration count and serialised size, and
+/// the best time of encoding it (state table and JSON text).
 fn cert_facts<C>(
     c: &Certificate<C>,
-    json: impl FnOnce(&Certificate<C>) -> String,
-) -> (&'static str, usize, usize) {
-    (c.kind(), c.config_count(), json(c).len())
+    reps: usize,
+    json: impl Fn(&Certificate<C>) -> String,
+) -> (&'static str, usize, usize, f64) {
+    let (encode_ms, text) = time_ms(reps, || json(c));
+    (c.kind(), c.config_count(), text.len(), encode_ms)
 }
 
 /// Times a plain decider against its certificate-emitting counterpart and
@@ -546,14 +550,14 @@ fn time_certified<S: State>(
             .expect("emitted certificate must verify")
     });
     assert_eq!(vv, out.verdict, "verifier disagreed with the decider");
-    let (kind, cert_configs, json_bytes) = match &cert {
-        DecisionCertificate::Node(c) => cert_facts(c, |c| {
+    let (kind, cert_configs, json_bytes, encode_ms) = match &cert {
+        DecisionCertificate::Node(c) => cert_facts(c, reps, |c| {
             certificate_to_json(c, &StateTable::from_certificate(c))
         }),
-        DecisionCertificate::Counter(c) => cert_facts(c, |c| {
+        DecisionCertificate::Counter(c) => cert_facts(c, reps, |c| {
             certificate_to_json(c, &StateTable::from_counter_certificate(c))
         }),
-        DecisionCertificate::Ring(c) => cert_facts(c, |c| {
+        DecisionCertificate::Ring(c) => cert_facts(c, reps, |c| {
             certificate_to_json(c, &StateTable::from_ring_certificate(c))
         }),
     };
@@ -568,6 +572,7 @@ fn time_certified<S: State>(
         plain_ms,
         certified_ms,
         verify_ms,
+        encode_ms,
     }
 }
 
@@ -754,7 +759,7 @@ fn write_report(
             cert_rows.push_str(",\n");
         }
         cert_rows.push_str(&format!(
-            "      {{\n        \"workload\": \"{}\",\n        \"nodes\": {},\n        \"backend\": \"{}\",\n        \"verdict\": \"{}\",\n        \"kind\": \"{}\",\n        \"cert_configs\": {},\n        \"json_bytes\": {},\n        \"plain_ms\": {:.3},\n        \"certified_ms\": {:.3},\n        \"verify_ms\": {:.3},\n        \"emission_overhead\": {:.2}\n      }}",
+            "      {{\n        \"workload\": \"{}\",\n        \"nodes\": {},\n        \"backend\": \"{}\",\n        \"verdict\": \"{}\",\n        \"kind\": \"{}\",\n        \"cert_configs\": {},\n        \"json_bytes\": {},\n        \"plain_ms\": {:.3},\n        \"certified_ms\": {:.3},\n        \"verify_ms\": {:.3},\n        \"encode_ms\": {:.4},\n        \"emission_overhead\": {:.2}\n      }}",
             json_escape(&c.name),
             c.nodes,
             c.backend,
@@ -765,6 +770,7 @@ fn write_report(
             c.plain_ms,
             c.certified_ms,
             c.verify_ms,
+            c.encode_ms,
             c.certified_ms / c.plain_ms,
         ));
     }
@@ -810,7 +816,7 @@ fn write_report(
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size; backend is the resolved representation, and the explicit, counter and ring rows emit from the dense δ-session rows the plain decision explores\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
+        "{{\n  \"bench\": \"state_space\",\n  \"baseline\": \"seed HashMap/Vec<Vec> explorer (SipHash, per-query predecessor rebuild)\",\n  \"engine\": \"sequential interned CSR explorer (FxHash open-addressing interner, bitset Pre*, cached reverse CSR)\",\n  \"cores\": {cores},\n  \"timing\": \"best of repetitions, milliseconds, explore only; phases are one instrumented run, and verdict_ms re-runs the fixpoints on the cached reverse CSR\",\n  \"workloads\": [\n{rows}\n  ],\n  \"kernel\": {{\n    \"note\": \"dense rows vs the generic engine on the same space, explore phase only; every dense system shares one δ session per decision that interns reachable states to u16 ids and memoizes δ per local view (raw u64 keys for degree ≤ 3 and ring steps, sorted clipped-count signatures otherwise); system 'exclusive' = bit-packed node rows patched in one field vs ExclusiveSystem, 'counter' = sorted (cell, sid, count) words vs CounterSystem, 'ring' = canonical (sid, length) run words vs RingSystem; bits is the packed node width (16 = sid lanes of counter and ring words); memory_bytes is the row arena, delta_hit_rate counts memoized steps over all node-step lookups\",\n    \"workloads\": [\n{kernel_rows}\n    ]\n  }},\n  \"certificates\": {{\n    \"note\": \"plain decider vs certificate-emitting decider vs independent verifier; emission_overhead = certified_ms / plain_ms; json_bytes is the serialised certificate size and encode_ms the time to encode it (state table and certificate_to_json); backend is the resolved representation, and the explicit, counter and ring rows emit from the dense δ-session rows the plain decision explores\",\n    \"workloads\": [\n{cert_rows}\n    ]\n  }},\n  \"counter\": {{\n    \"note\": \"counter-abstracted backend (Backend::Counter / CounterPopulationSystem) on 10^3-10^4-node graphs; every verdict cross-validated against the explicit engine on a ratio-preserving small instance of the same family (small_nodes/small_verdict); backend 'counter' = twin-partition count vectors, 'ring' = canonical necklaces on cycles, 'counter-population' = rendez-vous count moves\",\n    \"workloads\": [\n{counter_rows}\n    ]\n  }},\n  \"spill\": {{\n    \"note\": \"E19 out-of-core spill path: workloads refused at the default limit, re-decided at a raised limit fully in memory and under a small edge-memory budget (compact CSR segments flushed to a temp file, fixpoints via streaming forward passes); both decisions must agree\",\n    \"workloads\": [\n{spill_rows}\n    ]\n  }}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
     std::fs::write(path, &json).expect("write BENCH_explore.json");
@@ -1147,6 +1153,7 @@ fn main() {
         "plain ms",
         "certified ms",
         "verify ms",
+        "encode ms",
         "overhead",
     ]);
     for c in &certificates {
@@ -1158,6 +1165,7 @@ fn main() {
             format!("{:.1}", c.plain_ms),
             format!("{:.1}", c.certified_ms),
             format!("{:.2}", c.verify_ms),
+            format!("{:.3}", c.encode_ms),
             format!("{:.2}x", c.certified_ms / c.plain_ms),
         ]);
     }

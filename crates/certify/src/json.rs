@@ -3,7 +3,9 @@
 //! The workspace deliberately has no JSON dependency; this module carries
 //! its own ~100-line recursive-descent parser (the same style as the
 //! schema check in `tests/bench_schema.rs`, but returning `Result` instead
-//! of panicking) and a small writer.
+//! of panicking) and a small writer. Certificates are exported by a
+//! streaming encoder ([`certificate_to_json`]) that writes the document's
+//! text directly, without building a [`Json`] tree first.
 //!
 //! # Why configurations need a codec
 //!
@@ -90,24 +92,15 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Str(s) => write_json_string(out, s),
+            Json::Arr(items) => write_array(out, items, |out, item| item.write(out)),
             Json::Obj(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(out, k);
+                    write_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -167,7 +160,9 @@ fn err(msg: &str) -> CertError {
     CertError::Json(msg.to_string())
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal: quoted, with `"`, `\` and
+/// control characters escaped.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -379,8 +374,8 @@ impl Parser<'_> {
 
 /// Machine-specific shared context for encoding configurations.
 pub trait ConfigCodec<C> {
-    /// Encodes one configuration.
-    fn encode_config(&self, c: &C) -> Json;
+    /// Writes one configuration as JSON text onto `out`.
+    fn write_config(&self, c: &C, out: &mut String);
 
     /// Decodes one configuration.
     ///
@@ -462,22 +457,20 @@ impl<S: State> StateTable<S> {
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
     }
+
+    /// The table index of `s`, written as a JSON number.
+    fn write_index(&self, s: &S, out: &mut String) {
+        let i = self
+            .states
+            .binary_search(s)
+            .expect("state missing from the table built for this certificate");
+        write_uint(out, i as u64);
+    }
 }
 
 impl<S: State> ConfigCodec<Config<S>> for StateTable<S> {
-    fn encode_config(&self, c: &Config<S>) -> Json {
-        Json::Arr(
-            c.states()
-                .iter()
-                .map(|s| {
-                    let i = self
-                        .states
-                        .binary_search(s)
-                        .expect("state missing from the table built for this certificate");
-                    Json::Num(i as f64)
-                })
-                .collect(),
-        )
+    fn write_config(&self, c: &Config<S>, out: &mut String) {
+        write_array(out, c.states(), |out, s| self.write_index(s, out));
     }
 
     fn decode_config(&self, v: &Json) -> Result<Config<S>, CertError> {
@@ -525,23 +518,16 @@ impl<S: State> ConfigCodec<Config<S>> for StateTable<S> {
 }
 
 impl<S: State> ConfigCodec<CounterConfig<S>> for StateTable<S> {
-    fn encode_config(&self, c: &CounterConfig<S>) -> Json {
-        Json::Arr(
-            c.entries()
-                .iter()
-                .map(|(cell, s, count)| {
-                    let i = self
-                        .states
-                        .binary_search(s)
-                        .expect("state missing from the table built for this certificate");
-                    Json::Arr(vec![
-                        Json::Num(*cell as f64),
-                        Json::Num(i as f64),
-                        Json::Num(*count as f64),
-                    ])
-                })
-                .collect(),
-        )
+    fn write_config(&self, c: &CounterConfig<S>, out: &mut String) {
+        write_array(out, c.entries(), |out, (cell, s, count)| {
+            out.push('[');
+            write_uint(out, u64::from(*cell));
+            out.push(',');
+            self.write_index(s, out);
+            out.push(',');
+            write_uint(out, *count);
+            out.push(']');
+        });
     }
 
     fn decode_config(&self, v: &Json) -> Result<CounterConfig<S>, CertError> {
@@ -566,19 +552,14 @@ impl<S: State> ConfigCodec<CounterConfig<S>> for StateTable<S> {
 }
 
 impl<S: State> ConfigCodec<RingConfig<S>> for StateTable<S> {
-    fn encode_config(&self, c: &RingConfig<S>) -> Json {
-        Json::Arr(
-            c.runs()
-                .iter()
-                .map(|(s, len)| {
-                    let i = self
-                        .states
-                        .binary_search(s)
-                        .expect("state missing from the table built for this certificate");
-                    Json::Arr(vec![Json::Num(i as f64), Json::Num(*len as f64)])
-                })
-                .collect(),
-        )
+    fn write_config(&self, c: &RingConfig<S>, out: &mut String) {
+        write_array(out, c.runs(), |out, (s, len)| {
+            out.push('[');
+            self.write_index(s, out);
+            out.push(',');
+            write_uint(out, u64::from(*len));
+            out.push(']');
+        });
     }
 
     fn decode_config(&self, v: &Json) -> Result<RingConfig<S>, CertError> {
@@ -600,10 +581,6 @@ impl<S: State> ConfigCodec<RingConfig<S>> for StateTable<S> {
     }
 }
 
-fn verdict_str(v: Verdict) -> Json {
-    Json::Str(v.to_string())
-}
-
 fn parse_verdict(v: &Json) -> Result<Verdict, CertError> {
     match v.str()? {
         "accepts" => Ok(Verdict::Accepts),
@@ -611,14 +588,6 @@ fn parse_verdict(v: &Json) -> Result<Verdict, CertError> {
         "no consensus" => Ok(Verdict::NoConsensus),
         "inconsistent" => Ok(Verdict::Inconsistent),
         other => Err(err(&format!("unknown verdict {other:?}"))),
-    }
-}
-
-fn selection_json(sel: &StepSelection) -> Json {
-    match sel {
-        StepSelection::Node(v) => Json::Obj(vec![("node".to_string(), Json::Num(*v as f64))]),
-        StepSelection::Choice(j) => Json::Obj(vec![("choice".to_string(), Json::Num(*j as f64))]),
-        StepSelection::All => Json::Str("all".to_string()),
     }
 }
 
@@ -638,13 +607,6 @@ fn parse_selection(v: &Json) -> Result<StepSelection, CertError> {
     }
 }
 
-fn escape_json(e: &Escape) -> Json {
-    match e {
-        Escape::Here => Json::Str("here".to_string()),
-        Escape::Via(j) => Json::Obj(vec![("via".to_string(), Json::Num(*j as f64))]),
-    }
-}
-
 fn parse_escape(v: &Json) -> Result<Escape, CertError> {
     match v {
         Json::Str(s) if s == "here" => Ok(Escape::Here),
@@ -653,52 +615,8 @@ fn parse_escape(v: &Json) -> Result<Escape, CertError> {
     }
 }
 
-fn configs_json<C>(configs: &[C], codec: &dyn ConfigCodec<C>) -> Json {
-    Json::Arr(configs.iter().map(|c| codec.encode_config(c)).collect())
-}
-
 fn parse_configs<C>(v: &Json, codec: &dyn ConfigCodec<C>) -> Result<Vec<C>, CertError> {
     v.arr()?.iter().map(|c| codec.decode_config(c)).collect()
-}
-
-fn stable_json<C>(s: &StableCertificate<C>, codec: &dyn ConfigCodec<C>) -> Json {
-    Json::Obj(vec![
-        (
-            "polarity".to_string(),
-            Json::Str(
-                match s.polarity {
-                    Polarity::Accepting => "accepting",
-                    Polarity::Rejecting => "rejecting",
-                }
-                .to_string(),
-            ),
-        ),
-        (
-            "path".to_string(),
-            Json::Obj(vec![
-                ("start".to_string(), codec.encode_config(&s.path.start)),
-                (
-                    "steps".to_string(),
-                    Json::Arr(
-                        s.path
-                            .steps
-                            .iter()
-                            .map(|step| {
-                                Json::Obj(vec![
-                                    ("to".to_string(), codec.encode_config(&step.to)),
-                                    ("selection".to_string(), selection_json(&step.selection)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "members".to_string(),
-            configs_json(&s.invariant.members, codec),
-        ),
-    ])
 }
 
 /// Refuses a body carrying symmetry transport. Documents from builds that
@@ -746,57 +664,134 @@ fn parse_stable<C>(
 }
 
 /// Exports a certificate as a JSON document.
+///
+/// The document is written straight into one string: keys are literals,
+/// integers go through a digit writer and configurations through the
+/// codec's [`ConfigCodec::write_config`], so no [`Json`] value is built
+/// for the body. The text is compact and parses back with [`Json::parse`].
 pub fn certificate_to_json<C>(cert: &Certificate<C>, codec: &dyn ConfigCodec<C>) -> String {
-    let mut pairs = vec![
-        ("format".to_string(), Json::Str("wam-certify".to_string())),
-        ("version".to_string(), Json::Num(1.0)),
-        ("kind".to_string(), Json::Str(cert.kind().to_string())),
-        ("verdict".to_string(), verdict_str(cert.verdict())),
-    ];
+    let mut out = String::with_capacity(256 + 32 * cert.config_count());
+    // Kinds and verdicts are plain ASCII words: nothing in them to escape.
+    let _ = write!(
+        out,
+        r#"{{"format":"wam-certify","version":1,"kind":"{}","verdict":"{}""#,
+        cert.kind(),
+        cert.verdict()
+    );
     match cert {
-        Certificate::Stable(s) => pairs.push(("stable".to_string(), stable_json(s, codec))),
+        Certificate::Stable(s) => {
+            out.push_str(r#","stable":"#);
+            write_stable(&mut out, s, codec);
+        }
         Certificate::Inconsistent(acc, rej) => {
-            pairs.push(("accepting".to_string(), stable_json(acc, codec)));
-            pairs.push(("rejecting".to_string(), stable_json(rej, codec)));
+            out.push_str(r#","accepting":"#);
+            write_stable(&mut out, acc, codec);
+            out.push_str(r#","rejecting":"#);
+            write_stable(&mut out, rej, codec);
         }
         Certificate::NoConsensus(n) => {
-            let body = vec![
-                ("space".to_string(), configs_json(&n.space, codec)),
-                (
-                    "escape_accepting".to_string(),
-                    Json::Arr(n.escape_accepting.iter().map(escape_json).collect()),
-                ),
-                (
-                    "escape_rejecting".to_string(),
-                    Json::Arr(n.escape_rejecting.iter().map(escape_json).collect()),
-                ),
-            ];
-            pairs.push(("no_consensus".to_string(), Json::Obj(body)));
+            out.push_str(r#","no_consensus":{"space":"#);
+            write_configs(&mut out, &n.space, codec);
+            out.push_str(r#","escape_accepting":"#);
+            write_array(&mut out, &n.escape_accepting, write_escape);
+            out.push_str(r#","escape_rejecting":"#);
+            write_array(&mut out, &n.escape_rejecting, write_escape);
+            out.push('}');
         }
         Certificate::Lasso(l) => {
-            pairs.push((
-                "lasso".to_string(),
-                Json::Obj(vec![
-                    (
-                        "schedule".to_string(),
-                        Json::Str(
-                            match l.schedule {
-                                LassoSchedule::RoundRobin => "round-robin",
-                                LassoSchedule::Synchronous => "synchronous",
-                            }
-                            .to_string(),
-                        ),
-                    ),
-                    ("stem_len".to_string(), Json::Num(l.stem_len as f64)),
-                    ("cycle".to_string(), configs_json(&l.cycle, codec)),
-                ]),
-            ));
+            out.push_str(match l.schedule {
+                LassoSchedule::RoundRobin => r#","lasso":{"schedule":"round-robin","stem_len":"#,
+                LassoSchedule::Synchronous => r#","lasso":{"schedule":"synchronous","stem_len":"#,
+            });
+            write_uint(&mut out, l.stem_len as u64);
+            out.push_str(r#","cycle":"#);
+            write_configs(&mut out, &l.cycle, codec);
+            out.push('}');
         }
     }
     if let Some(sidecar) = codec.sidecar() {
-        pairs.push(("sidecar".to_string(), sidecar));
+        out.push_str(r#","sidecar":"#);
+        sidecar.write(&mut out);
     }
-    Json::Obj(pairs).render()
+    out.push('}');
+    out
+}
+
+/// Writes `n` in decimal.
+fn write_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Writes `items` as a JSON array, each through `item`.
+fn write_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+fn write_configs<C>(out: &mut String, configs: &[C], codec: &dyn ConfigCodec<C>) {
+    write_array(out, configs, |out, c| codec.write_config(c, out));
+}
+
+fn write_selection(out: &mut String, sel: &StepSelection) {
+    match sel {
+        StepSelection::Node(v) => {
+            out.push_str(r#"{"node":"#);
+            write_uint(out, u64::from(*v));
+            out.push('}');
+        }
+        StepSelection::Choice(j) => {
+            out.push_str(r#"{"choice":"#);
+            write_uint(out, u64::from(*j));
+            out.push('}');
+        }
+        StepSelection::All => out.push_str(r#""all""#),
+    }
+}
+
+fn write_escape(out: &mut String, e: &Escape) {
+    match e {
+        Escape::Here => out.push_str(r#""here""#),
+        Escape::Via(j) => {
+            out.push_str(r#"{"via":"#);
+            write_uint(out, u64::from(*j));
+            out.push('}');
+        }
+    }
+}
+
+fn write_stable<C>(out: &mut String, s: &StableCertificate<C>, codec: &dyn ConfigCodec<C>) {
+    out.push_str(match s.polarity {
+        Polarity::Accepting => r#"{"polarity":"accepting","path":{"start":"#,
+        Polarity::Rejecting => r#"{"polarity":"rejecting","path":{"start":"#,
+    });
+    codec.write_config(&s.path.start, out);
+    out.push_str(r#","steps":"#);
+    write_array(out, &s.path.steps, |out, step| {
+        out.push_str(r#"{"to":"#);
+        codec.write_config(&step.to, out);
+        out.push_str(r#","selection":"#);
+        write_selection(out, &step.selection);
+        out.push('}');
+    });
+    out.push_str(r#"},"members":"#);
+    write_configs(out, &s.invariant.members, codec);
+    out.push('}');
 }
 
 /// Imports a certificate from a JSON document.

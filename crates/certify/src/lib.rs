@@ -54,5 +54,7 @@ pub use certificate::{
 };
 pub use decider::{Decider, Decision, DecisionCertificate};
 pub use emit::{certify_exploration, relabel_exclusive_path, CertifiedVerdict, Explored};
-pub use json::{certificate_from_json, certificate_to_json, ConfigCodec, Json, StateTable};
+pub use json::{
+    certificate_from_json, certificate_to_json, write_json_string, ConfigCodec, Json, StateTable,
+};
 pub use verify::{verify_machine, verify_system, CertError};

@@ -20,7 +20,8 @@
 use crate::error::ServeError;
 use crate::registry::{CachedVerdict, MachineRegistry};
 use crate::service::ServiceStats;
-use wam_certify::Json;
+use std::fmt::Write as _;
+use wam_certify::{write_json_string, Json};
 use wam_core::Verdict;
 use wam_graph::{generators, Graph, LabelCount};
 
@@ -391,53 +392,9 @@ impl Reply {
 
     /// Renders the reply as one compact JSON line (no trailing newline).
     pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// The reply as a [`Json`] value.
-    pub fn to_json(&self) -> Json {
         let id_json = |id: Option<u64>| id.map_or(Json::Null, |n| Json::Num(n as f64));
-        match self {
-            Reply::Ok(ok) => {
-                let mut obj = vec![
-                    ("id".to_string(), id_json(ok.id)),
-                    ("status".to_string(), Json::Str("ok".to_string())),
-                    ("machine".to_string(), Json::Str(ok.machine.clone())),
-                    (
-                        "verdict".to_string(),
-                        Json::Str(ok.result.verdict.to_string()),
-                    ),
-                    (
-                        "decided".to_string(),
-                        ok.result.verdict.decided().map_or(Json::Null, Json::Bool),
-                    ),
-                    ("backend".to_string(), Json::Str(ok.result.backend.clone())),
-                    ("explored".to_string(), Json::Num(ok.result.explored as f64)),
-                    (
-                        "cache".to_string(),
-                        Json::Str(ok.cache.as_str().to_string()),
-                    ),
-                    (
-                        "certified".to_string(),
-                        Json::Bool(ok.result.certificate.is_some()),
-                    ),
-                    ("degraded".to_string(), Json::Bool(ok.degraded)),
-                    ("micros".to_string(), Json::Num(ok.micros as f64)),
-                ];
-                if let Some(blob) = &ok.result.certificate {
-                    obj.push((
-                        "certificate_kind".to_string(),
-                        Json::Str(blob.kind.to_string()),
-                    ));
-                    // The blob was rendered by the same codec, so it
-                    // re-parses; fall back to embedding as a string if a
-                    // foreign registry entry handed us something else.
-                    let cert =
-                        Json::parse(&blob.json).unwrap_or_else(|_| Json::Str(blob.json.clone()));
-                    obj.push(("certificate".to_string(), cert));
-                }
-                Json::Obj(obj)
-            }
+        let tree = match self {
+            Reply::Ok(ok) => return ok.render(),
             Reply::Error { id, error } => Json::Obj(vec![
                 ("id".to_string(), id_json(*id)),
                 ("status".to_string(), Json::Str(error.status().to_string())),
@@ -515,7 +472,60 @@ impl Reply {
                     ),
                 ),
             ]),
+        };
+        tree.render()
+    }
+}
+
+impl OkReply {
+    /// Writes the reply line into one string and splices the cached
+    /// certificate text into it as it is.
+    fn render(&self) -> String {
+        let blob = self.result.certificate.as_deref();
+        let mut out = String::with_capacity(
+            256 + self.machine.len()
+                + self.result.backend.len()
+                + blob.map_or(0, |b| b.kind().len() + b.json().len()),
+        );
+        out.push_str(r#"{"id":"#);
+        match self.id {
+            Some(id) => {
+                let _ = write!(out, "{id}");
+            }
+            None => out.push_str("null"),
         }
+        out.push_str(r#","status":"ok","machine":"#);
+        write_json_string(&mut out, &self.machine);
+        let decided = match self.result.verdict.decided() {
+            None => "null",
+            Some(true) => "true",
+            Some(false) => "false",
+        };
+        // Verdicts and cache outcomes are plain ASCII words: nothing in
+        // them to escape.
+        let _ = write!(
+            out,
+            r#","verdict":"{}","decided":{decided},"backend":"#,
+            self.result.verdict
+        );
+        write_json_string(&mut out, &self.result.backend);
+        let _ = write!(
+            out,
+            r#","explored":{},"cache":"{}","certified":{},"degraded":{},"micros":{}"#,
+            self.result.explored,
+            self.cache.as_str(),
+            blob.is_some(),
+            self.degraded,
+            self.micros
+        );
+        if let Some(blob) = blob {
+            out.push_str(r#","certificate_kind":"#);
+            write_json_string(&mut out, blob.kind());
+            out.push_str(r#","certificate":"#);
+            out.push_str(blob.json());
+        }
+        out.push('}');
+        out
     }
 }
 

@@ -23,7 +23,7 @@ use crate::error::ServeError;
 use crate::proto::{build_graph_bounded, ChaosReply, ChaosRequest};
 use std::sync::Arc;
 use wam_analysis::system_fingerprint;
-use wam_certify::{certificate_to_json, Decider, DecisionCertificate, StateTable};
+use wam_certify::{certificate_to_json, Decider, DecisionCertificate, Json, StateTable};
 use wam_core::{Backend, ExploreOptions, Machine, Schedule, State, Verdict};
 use wam_extensions::{
     compile_broadcasts, compile_rendezvous, GraphPopulationProtocol, MajorityState,
@@ -45,8 +45,9 @@ pub const MAX_CHAOS_ROUNDS: u64 = 200_000;
 pub const MAX_CHAOS_DELAY: u64 = 1_000;
 
 /// One verdict as the cache stores it: the decision outcome plus the
-/// pre-rendered certificate JSON (shared behind an [`Arc`] so cache hits
-/// never re-render).
+/// certificate JSON, encoded once when the decision ran and shared behind
+/// an [`Arc`]. Every reply that carries it, cache hits included, splices
+/// that text as it is: no reply re-parses or re-renders it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedVerdict {
     /// The decided verdict.
@@ -61,13 +62,52 @@ pub struct CachedVerdict {
 
 /// A certificate rendered to its JSON wire form, tagged with the
 /// abstraction it lives in.
+///
+/// The text is always one compact JSON value, so a reply line can splice
+/// it verbatim. The catalog's decisions build their blobs from
+/// [`certificate_to_json`], whose output is well formed by construction,
+/// and skip any check. Text from elsewhere, such as a
+/// [`register_with`](MachineRegistry::register_with) closure that renders
+/// its own certificate, goes through [`CertificateBlob::new`], which
+/// parses it once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertificateBlob {
+    kind: &'static str,
+    json: String,
+}
+
+impl CertificateBlob {
+    /// A blob from foreign certificate text, parsed once here. A JSON
+    /// document is stored in its compact rendering; any other text is
+    /// stored as a JSON string literal holding it. Either way every reply
+    /// stays one line of valid JSON.
+    pub fn new(kind: &'static str, json: &str) -> Self {
+        let json = match Json::parse(json) {
+            Ok(doc) => doc.render(),
+            Err(_) => Json::Str(json.to_string()).render(),
+        };
+        CertificateBlob { kind, json }
+    }
+
+    /// A blob from text [`certificate_to_json`] wrote, stored unchecked.
+    fn encoded(kind: &'static str, json: String) -> Self {
+        debug_assert!(
+            Json::parse(&json).is_ok(),
+            "certificate_to_json wrote malformed JSON"
+        );
+        CertificateBlob { kind, json }
+    }
+
     /// `"node"`, `"counter"`, or `"ring"` — which transition system the
     /// witness replays in.
-    pub kind: &'static str,
+    pub fn kind(&self) -> &'static str {
+        self.kind
+    }
+
     /// The certificate as compact JSON text.
-    pub json: String,
+    pub fn json(&self) -> &str {
+        &self.json
+    }
 }
 
 /// A decision closure: `(graph, certified)`.
@@ -407,27 +447,18 @@ impl MachineRegistry {
 /// the state type is still known.
 fn render_certificate<S: State>(cert: &DecisionCertificate<S>) -> CertificateBlob {
     match cert {
-        DecisionCertificate::Node(c) => {
-            let table = StateTable::from_certificate(c);
-            CertificateBlob {
-                kind: "node",
-                json: certificate_to_json(c, &table),
-            }
-        }
-        DecisionCertificate::Counter(c) => {
-            let table = StateTable::from_counter_certificate(c);
-            CertificateBlob {
-                kind: "counter",
-                json: certificate_to_json(c, &table),
-            }
-        }
-        DecisionCertificate::Ring(c) => {
-            let table = StateTable::from_ring_certificate(c);
-            CertificateBlob {
-                kind: "ring",
-                json: certificate_to_json(c, &table),
-            }
-        }
+        DecisionCertificate::Node(c) => CertificateBlob::encoded(
+            "node",
+            certificate_to_json(c, &StateTable::from_certificate(c)),
+        ),
+        DecisionCertificate::Counter(c) => CertificateBlob::encoded(
+            "counter",
+            certificate_to_json(c, &StateTable::from_counter_certificate(c)),
+        ),
+        DecisionCertificate::Ring(c) => CertificateBlob::encoded(
+            "ring",
+            certificate_to_json(c, &StateTable::from_ring_certificate(c)),
+        ),
     }
 }
 
@@ -475,7 +506,7 @@ mod tests {
         let certified = e.decide(&g, true).unwrap();
         assert_eq!(certified.verdict, Verdict::Accepts);
         let blob = certified.certificate.expect("certified run carries a blob");
-        assert!(!blob.json.is_empty());
+        assert!(!blob.json().is_empty());
     }
 
     /// The served backend policy: `Auto` takes the counter or ring rows
@@ -494,7 +525,7 @@ mod tests {
         }
         let certified = e.decide(&generators::labelled_line(&c), true).unwrap();
         assert_eq!(certified.backend, "explicit");
-        assert_eq!(certified.certificate.expect("certified").kind, "node");
+        assert_eq!(certified.certificate.expect("certified").kind(), "node");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use executor::block_on;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use wam_certify::Json;
 use wam_core::Verdict;
 use wam_serve::{
     CacheOutcome, CachedVerdict, CertificateBlob, DecideRequest, MachineRegistry, Reply,
@@ -42,12 +43,8 @@ fn instrumented(
                 verdict: Verdict::Accepts,
                 backend: "test".to_string(),
                 explored: 1,
-                certificate: certified.then(|| {
-                    Arc::new(CertificateBlob {
-                        kind: "node",
-                        json: "{\"test\":true}".to_string(),
-                    })
-                }),
+                certificate: certified
+                    .then(|| Arc::new(CertificateBlob::new("node", "{\"test\":true}"))),
             })
         }),
     );
@@ -329,6 +326,57 @@ fn decision_errors_fan_out_to_every_coalesced_waiter() {
     }
 }
 
+/// Certificate text a `register_with` closure hands over is parsed once,
+/// when the blob is built: valid JSON reaches the reply as a JSON value,
+/// anything else as a string holding the text, and the reply line parses
+/// either way.
+#[test]
+fn foreign_certificate_blobs_render_as_valid_reply_lines() {
+    let mut reg = MachineRegistry::new();
+    for (name, text) in [
+        ("foreign-text", "not json"),
+        ("foreign-json", "{\"test\": [1,\n 2]}"),
+    ] {
+        reg.register_with(
+            name,
+            "foreign certificate text",
+            2,
+            Box::new(move |_graph, certified| {
+                Ok(CachedVerdict {
+                    verdict: Verdict::Accepts,
+                    backend: "test".to_string(),
+                    explored: 1,
+                    certificate: certified.then(|| Arc::new(CertificateBlob::new("node", text))),
+                })
+            }),
+        );
+    }
+    let service = VerdictService::new(reg, ServiceConfig::default());
+    let certificate_of = |machine: &str| {
+        let mut r = req(machine, 1, vec![2, 1]);
+        r.certified = true;
+        let line = service.process_blocking(r).render();
+        assert!(!line.contains('\n'), "{line}");
+        let reply = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(
+            reply.get("certificate_kind"),
+            Some(&Json::Str("node".into()))
+        );
+        reply
+            .get("certificate")
+            .cloned()
+            .expect("certificate field")
+    };
+    assert_eq!(certificate_of("foreign-text"), Json::Str("not json".into()));
+    assert_eq!(
+        certificate_of("foreign-json"),
+        Json::Obj(vec![(
+            "test".into(),
+            Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])
+        )])
+    );
+}
+
 #[test]
 fn paper_catalog_decides_certified_majority_end_to_end() {
     let service = VerdictService::with_paper_catalog(ServiceConfig::default());
@@ -347,7 +395,7 @@ fn paper_catalog_decides_certified_majority_end_to_end() {
         .result
         .certificate
         .expect("certified request gets a blob");
-    assert!(!blob.json.is_empty());
+    assert!(!blob.json().is_empty());
 
     // The star on the same counts is a different graph but the same
     // 3-node isomorphism class sometimes; either way the verdict agrees.

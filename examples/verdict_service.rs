@@ -35,7 +35,7 @@ fn main() {
                 ok.result.backend,
                 ok.result.explored,
                 ok.cache.as_str(),
-                ok.result.certificate.as_ref().map_or("none", |c| c.kind),
+                ok.result.certificate.as_ref().map_or("none", |c| c.kind()),
             ),
             other => panic!("burst request failed: {other:?}"),
         }

@@ -8,6 +8,11 @@
 //! configuration, plain and certified, and pins a budget that only
 //! heap-free catalog states and an allocation-lean δ miss path meet.
 //!
+//! Rendering a reply line is counted too: a cache hit serves the
+//! certificate text the decision encoded, so the heap calls of one render
+//! must be a small constant, not a number that grows with the
+//! certificate.
+//!
 //! The counting allocator keeps one counter per thread, so the parallel
 //! test harness cannot mix the counts of two decisions.
 
@@ -15,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use weak_async_models::extensions::{MajorityState, Phased, Rv};
 use weak_async_models::protocols::{CutoffState, ModState};
-use weak_async_models::serve::{build_graph, MachineRegistry};
+use weak_async_models::serve::{build_graph, CacheOutcome, MachineRegistry, OkReply, Reply};
 
 /// The system allocator, counting the heap calls of the current thread.
 struct Counting;
@@ -78,12 +83,12 @@ fn allocs_per_config(family: &str, counts: [u64; 2], certified: bool) -> f64 {
 /// what a heap-backed ladder state costs. Measured per key, plain /
 /// certified:
 ///
-/// | Key          | `Vec<u8>` estimate | inline estimate | + buffered δ miss |
-/// |--------------|--------------------|-----------------|-------------------|
-/// | clique [4,3] | 43.9 / 96.2        | 11.5 / 22.9     | 6.7 / 18.1        |
-/// | star [2,2]   | 12.0 / 20.7        | 4.7 / 7.2       | 3.5 / 6.0         |
-/// | cycle [2,2]  | 19.8 / 114.4       | 7.1 / 23.4      | 2.3 / 18.6        |
-/// | line [2,1]   | 10.8 / 20.4        | 3.5 / 6.8       | 0.4 / 3.7         |
+/// | Key          | `Vec<u8>` estimate | inline estimate | + buffered δ miss | + streaming encoder |
+/// |--------------|--------------------|-----------------|-------------------|---------------------|
+/// | clique [4,3] | 43.9 / 96.2        | 11.5 / 22.9     | 6.7 / 18.1        | 6.7 / 15.1          |
+/// | star [2,2]   | 12.0 / 20.7        | 4.7 / 7.2       | 3.5 / 6.0         | 3.5 / 5.4           |
+/// | cycle [2,2]  | 19.8 / 114.4       | 7.1 / 23.4      | 2.3 / 18.6        | 2.3 / 17.1          |
+/// | line [2,1]   | 10.8 / 20.4        | 3.5 / 6.8       | 0.4 / 3.7         | 0.4 / 3.3           |
 const BUDGETS: [(&str, [u64; 2], bool, f64); 8] = [
     ("clique", [4, 3], false, 10.0),
     ("clique", [4, 3], true, 28.0),
@@ -118,4 +123,49 @@ fn catalog_states_own_no_heap_memory() {
     assert!(!std::mem::needs_drop::<Phased<CutoffState>>());
     assert!(!std::mem::needs_drop::<Rv<MajorityState>>());
     assert!(!std::mem::needs_drop::<Rv<ModState>>());
+}
+
+/// Heap calls one reply line may make, whatever the size of the
+/// certificate it carries.
+const RENDER_BUDGET: u64 = 8;
+
+/// Renders the cache-hit reply of `ladder` on the cycle [1,3], the
+/// servebench pool's largest certificate. Returns the heap calls of the
+/// render and the line's length.
+fn render_calls(certified: bool) -> (u64, usize) {
+    let registry = MachineRegistry::paper_catalog();
+    let ladder = registry.get("ladder").expect("catalog has ladder");
+    let graph = build_graph("cycle", &[1, 3]).expect("pool key builds");
+    let result = ladder.decide(&graph, certified).expect("ladder decides");
+    let reply = Reply::Ok(OkReply {
+        id: Some(7),
+        machine: "ladder".to_string(),
+        result,
+        cache: CacheOutcome::Hit,
+        degraded: false,
+        micros: 12,
+    });
+    let before = calls();
+    let line = reply.render();
+    (calls() - before, line.len())
+}
+
+#[test]
+fn hit_replies_render_within_a_constant_allocation_budget() {
+    let (plain, plain_len) = render_calls(false);
+    let (certified, certified_len) = render_calls(true);
+    eprintln!("plain hit: {plain} heap calls, {plain_len} bytes");
+    eprintln!("certified hit: {certified} heap calls, {certified_len} bytes");
+    assert!(
+        certified_len > 50_000,
+        "the cycle [1,3] certificate is the pool's largest: {certified_len} bytes"
+    );
+    assert!(
+        plain <= RENDER_BUDGET,
+        "plain hit reply: {plain} heap calls > {RENDER_BUDGET}"
+    );
+    assert!(
+        certified <= RENDER_BUDGET,
+        "certified hit reply: {certified} heap calls > {RENDER_BUDGET}"
+    );
 }

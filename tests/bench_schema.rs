@@ -378,7 +378,13 @@ fn bench_explore_json_matches_schema() {
         for key in ["nodes", "cert_configs", "json_bytes"] {
             assert!(w.get(key).num() >= 1.0, "{key} must be at least 1");
         }
-        for key in ["plain_ms", "certified_ms", "verify_ms", "emission_overhead"] {
+        for key in [
+            "plain_ms",
+            "certified_ms",
+            "verify_ms",
+            "encode_ms",
+            "emission_overhead",
+        ] {
             assert!(w.get(key).num() > 0.0, "{key} must be positive");
         }
         // Verification re-executes only the certificate's configurations,

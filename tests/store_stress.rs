@@ -144,7 +144,7 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
                 verdict,
                 backend: "explicit".to_string(),
                 explored: 0,
-                certificate: Some(Arc::new(CertificateBlob { kind: "node", json })),
+                certificate: Some(Arc::new(CertificateBlob::new("node", &json))),
             })
         }),
     );
@@ -177,7 +177,7 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
                     let want = &reference[&class];
                     let blob = ok.result.certificate.expect("certified reply");
                     assert_eq!(ok.result.verdict, want.0, "verdict diverged on job {j}");
-                    assert_eq!(blob.json, want.1, "certificate JSON diverged on job {j}");
+                    assert_eq!(blob.json(), want.1, "certificate JSON diverged on job {j}");
                     if ok.cache == CacheOutcome::Miss {
                         misses.push(class);
                     }
