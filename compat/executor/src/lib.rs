@@ -20,9 +20,7 @@
 mod channel;
 mod task;
 mod timer;
-mod yield_now;
 
 pub use channel::{mpsc, oneshot};
 pub use task::{block_on, Handle, JoinHandle, Runtime};
 pub use timer::{sleep, timeout, Elapsed, Sleep, Timeout};
-pub use yield_now::{yield_now, YieldNow};

@@ -25,7 +25,6 @@ use wam_graph::{generators, Graph, Label, LabelCount};
 use wam_net::{cross_validate, run_chaos, ChaosOptions, FaultPlan};
 use wam_protocols::{cutoff_one_machine, modulo_protocol, threshold_machine};
 
-const WORKERS: usize = 2;
 const SEED: u64 = 2026;
 
 /// The chaos baseline every agreement row runs under: 1–4 tick jitter
@@ -146,12 +145,6 @@ fn run<S: State>(
     row
 }
 
-fn opts(max_rounds: u64, window: u64) -> ChaosOptions {
-    let mut o = ChaosOptions::budget(max_rounds, window);
-    o.workers = WORKERS;
-    o
-}
-
 fn flood() -> Machine<bool> {
     Machine::new(
         1,
@@ -187,7 +180,7 @@ fn main() {
             &presence,
             &g31,
             &lossy(),
-            &opts(6_000, 150),
+            &ChaosOptions::budget(6_000, 150),
             500_000,
         ),
         run(
@@ -196,7 +189,7 @@ fn main() {
             &presence,
             &g40,
             &lossy(),
-            &opts(6_000, 150),
+            &ChaosOptions::budget(6_000, 150),
             500_000,
         ),
         run(
@@ -205,7 +198,7 @@ fn main() {
             &ladder,
             &g22,
             &lossy(),
-            &opts(60_000, 600),
+            &ChaosOptions::budget(60_000, 600),
             3_000_000,
         ),
         run(
@@ -214,7 +207,7 @@ fn main() {
             &majority,
             &g42,
             &lossy(),
-            &opts(80_000, 600),
+            &ChaosOptions::budget(80_000, 600),
             20_000_000,
         ),
         run(
@@ -223,7 +216,7 @@ fn main() {
             &parity,
             &g32,
             &lossy(),
-            &opts(60_000, 600),
+            &ChaosOptions::budget(60_000, 600),
             5_000_000,
         ),
     ];
@@ -268,7 +261,7 @@ fn main() {
         &m,
         &g31,
         &cut,
-        &opts(1_500, 150),
+        &ChaosOptions::budget(1_500, 150),
         100_000,
     );
     assert!(!divergence.fairness_preserved);
@@ -289,7 +282,10 @@ fn main() {
          written) and every run is replayed from its seed with the trace digest asserted \
          identical\",\n",
     );
-    let _ = writeln!(json, "  \"workers\": {WORKERS},");
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
     json.push_str("  \"agreement\": [\n");
     for (i, row) in agreement.iter().enumerate() {

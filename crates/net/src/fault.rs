@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a declarative description of link behaviour over
 //! virtual time — delay ranges (which also induce reordering), Bernoulli
 //! drops and duplication, partition and link-starvation windows, and node
-//! crash/restart events. The plan itself holds no randomness: the
-//! [`ChaosRunner`](crate::run_chaos) samples it with a seeded generator,
+//! crash/restart events. The plan itself holds no randomness: the router
+//! in [`run_chaos`](crate::run_chaos) samples it with a seeded generator,
 //! so a `(plan, seed)` pair replays bit-identically.
 //!
 //! The crucial classification is [`FaultPlan::preserves_fairness`]: a plan

@@ -3,14 +3,16 @@
 //!
 //! Every decider in the workspace drives a *scheduler* — the fairness
 //! premises of Czerner et al. (PODC 2021) are axioms of the simulation.
-//! This crate removes the axiom: each node of a model instance becomes an
-//! in-process actor on the vendored executor, exchanging typed line-JSON
+//! This crate removes the axiom: each node of a model instance becomes a
+//! protocol core ([`NodeProto`]) that exchanges real line-JSON wire
 //! messages ([`wire`]) through a simulated network whose misbehaviour is a
 //! declarative [`FaultPlan`] ([`fault`]) — delay jitter (and therefore
 //! reordering), Bernoulli drops and duplication, partitions that may or
-//! may not heal, starved links, node crash/restart with state loss. All
-//! randomness flows from one seed, so every run replays bit-identically
-//! and reports a trace digest as its fingerprint.
+//! may not heal, starved links, node crash/restart with state loss. One
+//! sequential router delivers every line, parses every line a node emits
+//! and routes it through the plan. All randomness flows from one seed, so
+//! every run replays bit-identically and reports a trace digest as its
+//! fingerprint.
 //!
 //! The activation protocol ([`node`]) turns each completed activation into
 //! one atomic step of the paper's exclusive model: an activated node reads
@@ -59,7 +61,7 @@ pub mod wire;
 mod runner;
 
 pub use fault::{CrashEvent, FaultPlan, Link, LinkStarve, Partition, Window};
-pub use node::{node_actor, Delivery, NodeProto, StateIntern};
+pub use node::{NodeProto, StateIntern};
 pub use runner::{
     cross_validate, run_chaos, ChaosOptions, ChaosOutcome, ChaosStats, CrossValidation,
     DivergenceReport,

@@ -1,9 +1,10 @@
-//! The node: a pure message-in/messages-out protocol core plus the async
-//! actor loop that runs it on the vendored executor.
+//! The node: a pure message-in/messages-out protocol core.
 //!
-//! [`NodeProto`] is deliberately a plain synchronous state machine — one
-//! wire line in, zero or more wire lines out — so the protocol logic is
-//! unit-testable without a runtime and the actor wrapper stays four lines.
+//! [`NodeProto`] is a plain synchronous state machine — one wire line in,
+//! zero or more wire lines out. The runner's router calls
+//! [`NodeProto::handle`] directly for each delivered line and routes what
+//! comes back, so the protocol logic is unit-testable on its own and a
+//! run needs no threads.
 //!
 //! ## The activation protocol
 //!
@@ -32,7 +33,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use executor::{mpsc, oneshot, yield_now};
 use wam_core::{Machine, Neighbourhood, State};
 use wam_graph::Label;
 
@@ -319,31 +319,6 @@ impl<S: State> NodeProto<S> {
         );
         self.last_completed = Some((attempt.round, receipt.clone()));
         vec![receipt]
-    }
-}
-
-/// One delivery into a node's mailbox: the wire line plus a completion
-/// slot the router awaits, so virtual time stays deterministic even though
-/// the actors genuinely run on executor worker threads.
-pub struct Delivery {
-    /// The wire line being delivered.
-    pub line: String,
-    /// Resolved with the node's outbound lines once handled.
-    pub done: oneshot::Sender<Vec<String>>,
-}
-
-/// The actor loop: drain the mailbox, handle each line, resolve its
-/// completion slot, and yield so a chatty node cannot monopolise a worker.
-pub async fn node_actor<S: State>(
-    machine: Machine<S>,
-    intern: Arc<StateIntern<S>>,
-    mut mailbox: mpsc::Receiver<Delivery>,
-) {
-    let mut node = NodeProto::new(machine, intern);
-    while let Some(delivery) = mailbox.recv().await {
-        let out = node.handle(&delivery.line);
-        let _ = delivery.done.send(out);
-        yield_now().await;
     }
 }
 

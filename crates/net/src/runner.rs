@@ -1,18 +1,17 @@
-//! The chaos runner: a virtual-time router (`SimNet`) over real actors,
-//! emergent-stabilisation detection, and cross-validation against the
-//! exact deciders.
+//! The chaos runner: one sequential virtual-time router over real wire
+//! lines, emergent-stabilisation detection, and cross-validation against
+//! the exact deciders.
 //!
 //! ## Determinism by seed
 //!
-//! The nodes genuinely run as concurrent actors on the executor's worker
-//! threads, but the *network* is a discrete-event simulation driven from
-//! one thread: a priority queue of `(tick, seq)`-ordered events. The
-//! router delivers one line into a node's mailbox and awaits the node's
-//! completion slot before touching the next event, so the sequence of
-//! deliveries — and every RNG draw that shapes it — is a pure function of
+//! The network is a discrete-event simulation: a priority queue of
+//! `(tick, seq)`-ordered events. The router pops one event, hands a
+//! delivered line to the destination node's [`NodeProto::handle`], parses
+//! and routes every line the node emits, and only then touches the next
+//! event. No two activations ever overlap, so the sequence of deliveries
+//! — and every RNG draw that shapes it — is a pure function of
 //! `(machine, graph, plan, seed, options)`. The whole run folds into an
-//! FNV-1a trace digest; same seed, same digest, regardless of how many
-//! worker threads the executor has.
+//! FNV-1a trace digest: the same seed replays the same digest.
 //!
 //! ## Emergent stabilisation
 //!
@@ -28,7 +27,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use executor::{block_on, mpsc, oneshot, JoinHandle, Runtime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wam_core::{
@@ -37,7 +35,7 @@ use wam_core::{
 use wam_graph::Graph;
 
 use crate::fault::FaultPlan;
-use crate::node::{node_actor, Delivery, StateIntern};
+use crate::node::{NodeProto, StateIntern};
 use crate::wire::{node_addr, parse_line, render_line, Body, Envelope, Payload, HUB};
 
 /// Tuning knobs for a chaos run.
@@ -49,18 +47,6 @@ pub struct ChaosOptions {
     /// Stability window: concluded activations with consensus outputs and
     /// no reported state change required to declare stabilisation.
     pub window: u64,
-    /// The long-consensus clock fires after `consensus_factor × window`
-    /// concluded activations of unchanged output consensus even while
-    /// states keep churning — compiled simulation machines (broadcast,
-    /// rendezvous) never quiesce state-wise, so this mirrors the second
-    /// clock of [`wam_core::StabilityClock`].
-    pub consensus_factor: u64,
-    /// Virtual ticks between activation retries when a receipt is missing.
-    pub retry_ticks: u64,
-    /// Retries before an activation is written off as starved.
-    pub max_retries: u32,
-    /// Executor worker threads the node actors run on.
-    pub workers: usize,
 }
 
 impl Default for ChaosOptions {
@@ -68,25 +54,28 @@ impl Default for ChaosOptions {
         ChaosOptions {
             max_rounds: 50_000,
             window: 600,
-            consensus_factor: 10,
-            retry_ticks: 64,
-            max_retries: 8,
-            workers: 2,
         }
     }
 }
 
 impl ChaosOptions {
-    /// Default knobs with a different budget/window (the two that vary
-    /// between quick smokes and long soak runs).
+    /// The given budget and window (the two that vary between quick
+    /// smokes and long soak runs).
     pub fn budget(max_rounds: u64, window: u64) -> Self {
-        ChaosOptions {
-            max_rounds,
-            window,
-            ..ChaosOptions::default()
-        }
+        ChaosOptions { max_rounds, window }
     }
 }
+
+/// The long-consensus clock fires after `CONSENSUS_FACTOR × window`
+/// concluded activations of unchanged output consensus even while states
+/// keep churning — compiled simulation machines (broadcast, rendezvous)
+/// never quiesce state-wise, so this mirrors the second clock of
+/// [`wam_core::StabilityClock`].
+const CONSENSUS_FACTOR: u64 = 10;
+/// Virtual ticks between activation retries when a receipt is missing.
+const RETRY_TICKS: u64 = 64;
+/// Retries before an activation is written off as starved.
+const MAX_RETRIES: u32 = 8;
 
 /// Counters from one chaos run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,9 +84,9 @@ pub struct ChaosStats {
     pub rounds: u64,
     /// Activations that produced an `activate_ok`.
     pub completed: u64,
-    /// Activations written off after `max_retries`.
+    /// Activations written off after `MAX_RETRIES` retries.
     pub starved: u64,
-    /// Lines delivered into mailboxes (hub and nodes).
+    /// Lines delivered to a node or the hub.
     pub delivered: u64,
     /// Data messages dropped by the Bernoulli fault.
     pub dropped_random: u64,
@@ -246,7 +235,7 @@ struct Driver<S: State> {
     now: u64,
     seq: u64,
     queue: BinaryHeap<QEntry>,
-    senders: Vec<mpsc::Sender<Delivery>>,
+    nodes: Vec<NodeProto<S>>,
     intern: Arc<StateIntern<S>>,
     hub_msg_id: u64,
     // Activation state.
@@ -351,20 +340,11 @@ impl<S: State> Driver<S> {
         }
     }
 
-    async fn deliver_to_node(&mut self, v: usize, line: String) {
+    fn deliver_to_node(&mut self, v: usize, line: String) {
         self.stats.delivered += 1;
         self.digest = fnv(self.digest, &self.now.to_le_bytes());
         self.digest = fnv(self.digest, line.as_bytes());
-        let (tx, rx) = oneshot::channel();
-        if self.senders[v]
-            .send(Delivery { line, done: tx })
-            .await
-            .is_err()
-        {
-            return;
-        }
-        let out = rx.await.unwrap_or_default();
-        for o in out {
+        for o in self.nodes[v].handle(&line) {
             self.route(o);
         }
     }
@@ -374,10 +354,7 @@ impl<S: State> Driver<S> {
         self.current_node = self.rng.random_range(0..self.labels.len());
         let line = self.hub_line(self.current_node, Payload::Activate { round });
         self.route(line);
-        self.push(
-            self.now + self.opts.retry_ticks,
-            Ev::Retry { round, attempt: 1 },
-        );
+        self.push(self.now + RETRY_TICKS, Ev::Retry { round, attempt: 1 });
     }
 
     /// Concludes the current activation (completed or starved), runs the
@@ -398,7 +375,7 @@ impl<S: State> Driver<S> {
         };
         let quiescent = self.rounds - self.last_change >= self.opts.window;
         let long_consensus = self.rounds - self.last_output_change
-            >= self.opts.window.saturating_mul(self.opts.consensus_factor);
+            >= self.opts.window.saturating_mul(CONSENSUS_FACTOR);
         if consensus && (quiescent || long_consensus) {
             self.verdict = Some(match self.believed[0] {
                 Output::Accept => Verdict::Accepts,
@@ -445,7 +422,7 @@ impl<S: State> Driver<S> {
         // init_ok / topology_ok / crash_ok need no bookkeeping.
     }
 
-    async fn run(mut self) -> ChaosOutcome {
+    fn run(mut self) -> ChaosOutcome {
         // Birth: init + topology over the (reliable) control plane,
         // delivered synchronously so every node is up before chaos starts.
         for v in 0..self.labels.len() {
@@ -456,16 +433,12 @@ impl<S: State> Driver<S> {
                     label: self.labels[v],
                 },
             );
-            self.deliver_to_node(v, init).await;
+            self.deliver_to_node(v, init);
         }
-        let topologies: Vec<String> = (0..self.labels.len())
-            .map(|v| {
-                let neighbours = self.neighbour_ids(v);
-                self.hub_line(v, Payload::Topology { neighbours })
-            })
-            .collect();
-        for (v, line) in topologies.into_iter().enumerate() {
-            self.deliver_to_node(v, line).await;
+        for v in 0..self.labels.len() {
+            let neighbours = self.neighbours[v].clone();
+            let topo = self.hub_line(v, Payload::Topology { neighbours });
+            self.deliver_to_node(v, topo);
         }
         // Inject the crash schedule.
         let crashes = self.plan.crashes.clone();
@@ -489,7 +462,7 @@ impl<S: State> Driver<S> {
                 Ev::Deliver {
                     dest: Dest::Node(v),
                     line,
-                } => self.deliver_to_node(v, line).await,
+                } => self.deliver_to_node(v, line),
                 Ev::Deliver {
                     dest: Dest::Hub,
                     line,
@@ -498,7 +471,7 @@ impl<S: State> Driver<S> {
                     if round != self.current_round {
                         continue; // the round concluded; stale timer
                     }
-                    if attempt > self.opts.max_retries {
+                    if attempt > MAX_RETRIES {
                         // Starved: the node never got a complete fresh view.
                         self.stats.starved += 1;
                         self.conclude_round(false, false);
@@ -507,7 +480,7 @@ impl<S: State> Driver<S> {
                     let line = self.hub_line(self.current_node, Payload::Activate { round });
                     self.route(line);
                     self.push(
-                        self.now + self.opts.retry_ticks,
+                        self.now + RETRY_TICKS,
                         Ev::Retry {
                             round,
                             attempt: attempt + 1,
@@ -528,7 +501,7 @@ impl<S: State> Driver<S> {
                         },
                     );
                     self.route(init);
-                    let neighbours = self.neighbour_ids(v);
+                    let neighbours = self.neighbours[v].clone();
                     let topo = self.hub_line(v, Payload::Topology { neighbours });
                     self.route(topo);
                     // The restart resets the node to δ₀: a state change in
@@ -552,10 +525,6 @@ impl<S: State> Driver<S> {
             stats: self.stats,
         }
     }
-
-    fn neighbour_ids(&self, v: usize) -> Vec<u64> {
-        self.neighbours[v].clone()
-    }
 }
 
 /// Runs `machine` on `graph` as real communicating nodes over a simulated
@@ -576,15 +545,7 @@ pub fn run_chaos<S: State>(
 ) -> ChaosOutcome {
     let n = graph.node_count();
     assert!(n > 0, "cannot run chaos on an empty graph");
-    let runtime = Runtime::new(opts.workers.max(1));
     let intern: Arc<StateIntern<S>> = Arc::new(StateIntern::new());
-    let mut senders = Vec::with_capacity(n);
-    let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::channel(64);
-        senders.push(tx);
-        handles.push(runtime.spawn(node_actor(machine.clone(), Arc::clone(&intern), rx)));
-    }
     let driver = Driver {
         machine: machine.clone(),
         labels: graph.nodes().map(|v| u64::from(graph.label(v).0)).collect(),
@@ -598,8 +559,10 @@ pub fn run_chaos<S: State>(
         now: 0,
         seq: 0,
         queue: BinaryHeap::new(),
-        senders,
-        intern: Arc::clone(&intern),
+        nodes: (0..n)
+            .map(|_| NodeProto::new(machine.clone(), Arc::clone(&intern)))
+            .collect(),
+        intern,
         hub_msg_id: 0,
         current_round: 0,
         current_node: 0,
@@ -615,14 +578,7 @@ pub fn run_chaos<S: State>(
         verdict: None,
         stabilised_at: None,
     };
-    let outcome = block_on(driver.run());
-    // Dropping the senders ends the actor loops; join them before the
-    // runtime goes down so no task is torn apart mid-poll.
-    for h in handles {
-        block_on(h);
-    }
-    drop(runtime);
-    outcome
+    driver.run()
 }
 
 /// Runs a chaos run *and* the exact decider, packaging any disagreement as

@@ -9,7 +9,7 @@ use wam_extensions::{
     compile_broadcasts, compile_rendezvous, GraphPopulationProtocol, MajorityState,
 };
 use wam_graph::{generators, Graph, Label, LabelCount};
-use wam_net::{cross_validate, run_chaos, ChaosOptions, FaultPlan};
+use wam_net::{cross_validate, run_chaos, ChaosOptions, ChaosStats, FaultPlan};
 use wam_protocols::{cutoff_one_machine, modulo_protocol, threshold_machine};
 use wam_sim::{LinkStarvation, LinkStarvedScheduler};
 
@@ -29,28 +29,105 @@ fn flood() -> Machine<bool> {
 }
 
 #[test]
-fn same_seed_same_digest_regardless_of_workers() {
+fn same_seed_same_digest() {
     let g = generators::labelled_cycle(&LabelCount::from_vec(vec![3, 1]));
     let m = flood();
-    let mut opts = ChaosOptions::budget(4_000, 100);
-    let mut digests = Vec::new();
-    for workers in [1, 2, 4] {
-        opts.workers = workers;
-        let out = run_chaos(&m, &g, &lossy(), 42, &opts);
-        assert_eq!(out.verdict, Verdict::Accepts);
-        digests.push(out.digest);
-    }
+    let opts = ChaosOptions::budget(4_000, 100);
+    let digests: Vec<u64> = (0..3)
+        .map(|_| {
+            let out = run_chaos(&m, &g, &lossy(), 42, &opts);
+            assert_eq!(out.verdict, Verdict::Accepts);
+            out.digest
+        })
+        .collect();
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
-        "same seed must replay bit-identically on any worker count: {digests:?}"
+        "same seed must replay bit-identically: {digests:?}"
     );
 
-    opts.workers = 2;
     let other = run_chaos(&m, &g, &lossy(), 43, &opts);
     assert_ne!(
         other.digest, digests[0],
         "different seeds should take different trajectories"
     );
+}
+
+/// Pinned traces: digest, verdict, stabilisation round and every counter
+/// of three cheap runs that together exercise each event kind — drops,
+/// duplicates and retries (lossy flood), `Crash`/`Restart`, and blocked
+/// links with starvation (permanent partition). Any change to the event
+/// heap, the RNG draw order, digest folding or the wire lines moves them.
+#[test]
+fn golden_traces_are_stable() {
+    let g = generators::labelled_cycle(&LabelCount::from_vec(vec![3, 1]));
+    let witness = g.nodes().find(|&v| g.label(v).0 == 1).unwrap();
+    let cases = [
+        (
+            lossy(),
+            42,
+            ChaosOptions::budget(4_000, 100),
+            0x923f_b6f6_1045_7732,
+            Verdict::Accepts,
+            Some(107),
+            ChaosStats {
+                rounds: 107,
+                completed: 106,
+                starved: 1,
+                delivered: 1013,
+                dropped_random: 108,
+                dropped_blocked: 0,
+                duplicated: 58,
+                crashes: 0,
+                distinct_states: 2,
+            },
+        ),
+        (
+            FaultPlan::reliable().with_crash(witness, 40, Some(400)),
+            11,
+            ChaosOptions::budget(6_000, 150),
+            0x848d_51b0_9e5f_cde3,
+            Verdict::Accepts,
+            Some(160),
+            ChaosStats {
+                rounds: 160,
+                completed: 160,
+                starved: 0,
+                delivered: 1006,
+                dropped_random: 0,
+                dropped_blocked: 0,
+                duplicated: 0,
+                crashes: 1,
+                distinct_states: 2,
+            },
+        ),
+        (
+            FaultPlan::reliable().with_partition(vec![witness], 0, None),
+            5,
+            ChaosOptions::budget(1_500, 150),
+            0x7b38_55f1_6d0b_2fb8,
+            Verdict::NoConsensus,
+            None,
+            ChaosStats {
+                rounds: 1500,
+                completed: 349,
+                starved: 1151,
+                delivered: 26347,
+                dropped_random: 0,
+                dropped_blocked: 13779,
+                duplicated: 0,
+                crashes: 0,
+                distinct_states: 2,
+            },
+        ),
+    ];
+    for (plan, seed, opts, digest, verdict, stabilised_at, stats) in cases {
+        let out = run_chaos(&flood(), &g, &plan, seed, &opts);
+        let what = plan.summary();
+        assert_eq!(out.digest, digest, "{what}: digest {:016x}", out.digest);
+        assert_eq!(out.verdict, verdict, "{what}");
+        assert_eq!(out.stabilised_at, stabilised_at, "{what}");
+        assert_eq!(out.stats, stats, "{what}");
+    }
 }
 
 #[test]

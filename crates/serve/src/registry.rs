@@ -14,10 +14,12 @@
 //! network ([`wam_net::cross_validate`]) next to the exact decider. A
 //! chaos run is a diagnostic, not a cached decision: it reruns on every
 //! request (same seed, same trace digest), never touches the verdict
-//! store, and executes synchronously on the transport's read loop.
-//! Because each node is a live actor, chaos requests are bounded far
-//! tighter than decisions: at most [`MAX_CHAOS_NODES`] nodes and
-//! [`MAX_CHAOS_ROUNDS`] activations per run.
+//! store, and executes synchronously on the transport's read loop, where
+//! one sequential router delivers every wire line. Because each
+//! activation renders, routes and parses a probe round over the whole
+//! neighbourhood, chaos requests are bounded far tighter than decisions:
+//! at most [`MAX_CHAOS_NODES`] nodes and [`MAX_CHAOS_ROUNDS`] activations
+//! per run.
 
 use crate::error::ServeError;
 use crate::proto::{build_graph_bounded, ChaosReply, ChaosRequest};
@@ -32,9 +34,11 @@ use wam_graph::Graph;
 use wam_net::{ChaosOptions, CrossValidation, FaultPlan};
 use wam_protocols::{cutoff_one_machine, modulo_protocol, threshold_machine};
 
-/// Hard cap on the node count of one chaos run. Every node is a live
-/// actor exchanging correlated probe rounds; a request is untrusted
-/// input and must not be able to spawn an unbounded actor fleet.
+/// Hard cap on the node count of one chaos run. Every node keeps its own
+/// protocol state and answers correlated probe rounds, so one activation
+/// costs wire lines in proportion to its degree; a request is untrusted
+/// input and must not be able to make every activation unboundedly
+/// expensive.
 pub const MAX_CHAOS_NODES: u64 = 32;
 
 /// Hard cap on the activation budget a request may ask for.
@@ -135,7 +139,7 @@ pub struct MachineEntry {
     fingerprint_certified: u64,
     decide: DecideFn,
     /// `None` for [`MachineRegistry::register_with`] entries, whose
-    /// closure hides the machine the node actors would need.
+    /// closure hides the machine the chaos nodes would need.
     chaos: Option<ChaosRunner>,
 }
 
@@ -355,7 +359,7 @@ impl MachineRegistry {
     }
 
     /// Validates and executes one chaos request: builds the graph and
-    /// fault plan, runs the entry's machine as network actors next to the
+    /// fault plan, runs the entry's machine as network nodes next to the
     /// exact decider, and packages the cross-validation as a reply
     /// (`micros` is left at 0 for the caller to stamp).
     ///
@@ -567,7 +571,7 @@ mod tests {
             run(&chaos_req("presence", vec![3, 1, 1])),
             Err(ServeError::BadRequest { .. })
         ));
-        // Over the actor-fleet cap even though the decide path would take it.
+        // Over the chaos node cap even though the decide path would take it.
         assert!(matches!(
             run(&chaos_req("presence", vec![MAX_CHAOS_NODES, 1])),
             Err(ServeError::BadRequest { .. })

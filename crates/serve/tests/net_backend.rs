@@ -208,7 +208,7 @@ fn chaos_runs_from_the_service_registry() {
     assert!(reply.agreed, "{reply:?}");
     assert_eq!(reply.expected, Verdict::Accepts);
 
-    // A closure-only entry has no machine for the node actors: a
+    // A closure-only entry has no machine for the chaos nodes: a
     // structured error, not a panic.
     let opaque = chaos_request(
         r#"{"id":2,"op":"chaos","machine":"opaque","family":"cycle","counts":[3,1]}"#,

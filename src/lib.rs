@@ -18,8 +18,9 @@
 //!   (Trivial / Cutoff / ISM / NL witnesses), and star-configuration `Pre*`.
 //! * [`sim`] — the experiment harness: adversaries, batch runners, statistics.
 //! * [`net`] — the message-passing chaos harness: machines as communicating
-//!   node actors over a seeded faulty virtual network, emergent verdicts
-//!   cross-validated against the exact deciders.
+//!   nodes exchanging real wire lines through one sequential router over a
+//!   seeded faulty virtual network, emergent verdicts cross-validated
+//!   against the exact deciders.
 //! * [`serve`] — the async certified-verdict service: the Figure-1 catalog
 //!   behind a sharded verdict cache, spoken over framed line-JSON.
 

@@ -559,7 +559,7 @@ fn bench_net_json_matches_schema() {
 
     assert_eq!(doc.get("bench").str(), "net_chaos");
     doc.get("note").str();
-    assert!(doc.get("workers").num() >= 1.0);
+    assert!(doc.get("cores").num() >= 1.0);
     assert!(doc.get("seed").num() >= 0.0);
 
     let verdicts = ["accepts", "rejects", "no consensus", "inconsistent"];
