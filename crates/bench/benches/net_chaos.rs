@@ -11,6 +11,8 @@
 //!
 //! Every run is replayed once from the same seed and the trace digests
 //! are asserted identical, so each row doubles as a determinism check.
+//! `elapsed_ms` times that replay alone — the chaos run, not the exact
+//! decision — so `activations_per_sec` is the router's throughput.
 //!
 //! Results go to stdout and to `BENCH_net.json` at the repository root,
 //! pinned by `tests/bench_schema.rs`.
@@ -100,7 +102,6 @@ fn run<S: State>(
     opts: &ChaosOptions,
     limit: usize,
 ) -> Row {
-    let t = Instant::now();
     let cv = cross_validate(
         machine,
         graph,
@@ -110,8 +111,9 @@ fn run<S: State>(
         ExploreOptions::with_limit(limit),
     )
     .expect("the exact decision fits the limit");
-    let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
     let replay = run_chaos(machine, graph, plan, SEED, opts);
+    let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         replay.digest, cv.outcome.digest,
         "{workload}: same seed must replay bit-identically"

@@ -19,7 +19,12 @@
 //! * **Signature δ memo**: any other step is keyed by `(state id,
 //!   signature)`, where a *signature* is the β-clipped count vector of
 //!   neighbour state ids, sorted — canonical for the clipped multiset, so
-//!   high-degree nodes and count-abstracted views stay compact.
+//!   high-degree nodes and count-abstracted views stay compact. One flat
+//!   open-addressing table maps the pair to the stepped id: each lookup
+//!   hashes the pair once, and each entry keeps its signature words in one
+//!   shared `u32` arena, so a fresh entry costs no allocation of its own.
+//!   Counter rows on cliques rarely see a signature twice, so the memo is
+//!   keyed per pair rather than interning signatures first.
 //!
 //! Either way the first sighting of a key pays one real `Machine::step` —
 //! rebuilding the states and the [`Neighbourhood`] from the key — and
@@ -30,14 +35,15 @@
 //! tables and scratch mutably for the length of one configuration.
 
 use crate::explore::{ExploreError, SuccBuf};
+use crate::intern::{fx_hash, RawTable};
 use crate::{KernelStats, Machine, Neighbourhood, Output, State};
-use rustc_hash::FxHasher;
+use rustc_hash::{FxHashSet, FxHasher};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Sentinel for a δ-table entry that has not been computed yet, and the
-/// filler of unused raw-key lanes.
+/// The filler of unused raw-key lanes, and so the one `u16` that is never
+/// a state id.
 pub(crate) const UNKNOWN: u16 = u16::MAX;
 
 /// Hard cap on interned states: ids must stay below the [`UNKNOWN`]
@@ -147,9 +153,8 @@ impl RawMap {
 
 /// FxHash with a final avalanche (the murmur3 finaliser). FxHash ends in
 /// a multiply, so its low bits depend only on the input's low bits — and
-/// `HashMap` picks buckets by the low bits. Keys that differ only in high
-/// bits (a signature whose later entry is a hub's climbing neighbour, a
-/// state with its payload in the top lane) would otherwise share one probe
+/// `HashMap` picks buckets by the low bits. States that differ only in
+/// high bits (a payload in the top lane) would otherwise share one probe
 /// chain and make every insert linear.
 #[derive(Debug, Default)]
 struct MixHasher(FxHasher);
@@ -182,9 +187,82 @@ impl Hasher for MixHasher {
 /// A hash map over [`MixHasher`].
 type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
+/// One entry of the signature δ memo: state `sid` under the signature
+/// `words[start..start + len]` of the memo's arena steps to `next`.
+#[derive(Debug, Clone, Copy)]
+struct SigEntry {
+    start: u32,
+    len: u32,
+    sid: u16,
+    next: u16,
+}
+
+/// The signature δ memo: `(state id, signature) → stepped id` in one
+/// open-addressing table over [`SigEntry`]s, whose signature words live
+/// back to back in one arena.
+#[derive(Debug)]
+struct SigMemo {
+    table: RawTable,
+    entries: Vec<SigEntry>,
+    words: Vec<u32>,
+}
+
+impl SigMemo {
+    fn new() -> Self {
+        SigMemo {
+            table: RawTable::new(),
+            entries: Vec::new(),
+            words: Vec::new(),
+        }
+    }
+
+    /// The signature of entry `e`.
+    #[inline]
+    fn sig(&self, e: &SigEntry) -> &[u32] {
+        &self.words[e.start as usize..(e.start + e.len) as usize]
+    }
+
+    /// The stepped id memoized for `(sid, sig)`, whose hash is `hash`.
+    #[inline]
+    fn get(&self, hash: u64, sid: u16, sig: &[u32]) -> Option<u16> {
+        self.table
+            .find(hash, |id| {
+                let e = &self.entries[id as usize];
+                e.sid == sid && self.sig(e) == sig
+            })
+            .map(|id| self.entries[id as usize].next)
+    }
+
+    /// Memoizes `(sid, sig) → next` for a pair [`get`](Self::get) just
+    /// missed.
+    fn insert(&mut self, hash: u64, sid: u16, sig: &[u32], next: u16) {
+        let id = self.entries.len() as u32;
+        let start = u32::try_from(self.words.len()).expect("signature arena exceeds 2^32 words");
+        // The pair is absent, so the probe only looks for a vacant slot.
+        self.table.find_or_insert(hash, id, |_| false);
+        self.words.extend_from_slice(sig);
+        self.entries.push(SigEntry {
+            start,
+            len: sig.len() as u32,
+            sid,
+            next,
+        });
+    }
+
+    /// Number of memoized entries.
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Number of distinct signatures across the entries.
+    fn distinct_sigs(&self) -> usize {
+        let sigs: FxHashSet<&[u32]> = self.entries.iter().map(|e| self.sig(e)).collect();
+        sigs.len()
+    }
+}
+
 /// The tables of one session: state interner and outputs, the raw
-/// low-degree δ memo, signature interner, the signature δ table, and the
-/// hit/miss counters.
+/// low-degree δ memo, the signature δ memo, and the hit/miss counters.
 #[derive(Debug)]
 pub(crate) struct Tables<S> {
     /// States by dense id, in first-sighting order.
@@ -198,14 +276,11 @@ pub(crate) struct Tables<S> {
     /// signature — order and unclipped repeats distinguish keys — so it
     /// stays trivially sound while skipping sorting and clipping entirely.
     raw: RawMap,
-    /// Signature interner: the canonical key of a β-clipped neighbour
-    /// multiset is its sorted `(sid << 16) | clipped_count` vector.
-    sigs: MixMap<Box<[u32]>, u32>,
-    /// `delta[sig][sid]` memoizes the stepped state id ([`UNKNOWN`] =
-    /// never computed). Each row grows only to the largest id stepped
-    /// under its signature, so a state space that keeps growing costs
-    /// memory per memoized step, not per (signature × state).
-    delta: Vec<Vec<u16>>,
+    /// Signature δ memo: the canonical key of a β-clipped neighbour
+    /// multiset is its sorted `(sid << 16) | clipped_count` vector, so a
+    /// state space that keeps growing costs memory per memoized step, not
+    /// per (signature × state).
+    sigs: SigMemo,
     /// The entries buffer of the [`Neighbourhood`] a δ miss hands to
     /// `Machine::step`; empty between misses.
     view: Vec<(S, u32)>,
@@ -222,8 +297,7 @@ impl<S: State> Tables<S> {
             outputs: Vec::new(),
             ids: MixMap::default(),
             raw: RawMap::new(),
-            sigs: MixMap::default(),
-            delta: Vec::new(),
+            sigs: SigMemo::new(),
             view: Vec::new(),
             hits: 0,
             misses: 0,
@@ -251,34 +325,14 @@ impl<S: State> Tables<S> {
         Some(id)
     }
 
-    /// Interns a signature the interner does not hold yet, with an empty
-    /// δ row; returns its id.
-    #[cold]
-    fn intern_sig(&mut self, sig: &[u32]) -> usize {
-        let s = self.delta.len();
-        self.sigs.insert(sig.into(), s as u32);
-        self.delta.push(Vec::new());
-        s
-    }
-
-    /// Number of filled δ-memo entries across both levels (raw keys plus
-    /// non-sentinel signature entries).
-    fn delta_entries(&self) -> u64 {
-        self.raw.len() as u64
-            + self
-                .delta
-                .iter()
-                .map(|row| row.iter().filter(|&&e| e != UNKNOWN).count() as u64)
-                .sum::<u64>()
-    }
-
     /// The δ columns of [`KernelStats`]: table sizes and hit/miss
     /// counters so far (the row layout and arena columns stay zero).
+    /// Filled entries are raw keys plus signature entries.
     pub(crate) fn stats(&self) -> KernelStats {
         KernelStats {
             states: self.states.len(),
-            sigs: self.sigs.len(),
-            delta_entries: self.delta_entries(),
+            sigs: self.sigs.distinct_sigs(),
+            delta_entries: (self.raw.len() + self.sigs.len()) as u64,
             delta_hits: self.hits,
             delta_misses: self.misses,
             bits: 0,
@@ -289,8 +343,8 @@ impl<S: State> Tables<S> {
 }
 
 /// Scratch shared by every row kind's expansion: reused across calls, so
-/// steady-state successor generation allocates nothing beyond the
-/// successor rows themselves.
+/// steady-state successor generation allocates nothing beyond rows too
+/// long to be stored inline.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Per-node state ids of the configuration being expanded.
@@ -301,6 +355,8 @@ pub(crate) struct Scratch {
     pub(crate) key: Vec<u32>,
     /// Row-shaped word scratch (visible counts, surgery run lists).
     pub(crate) words: Vec<u64>,
+    /// The counter successor under construction.
+    pub(crate) row: Vec<u64>,
 }
 
 /// One expansion's access to the session's δ memo: a lookup that misses
@@ -327,20 +383,12 @@ impl<S: State> Steps<'_, S> {
     /// space is exhausted.
     #[inline]
     pub(crate) fn canonical(&mut self, sid: u16, sig: &[u32]) -> Option<u16> {
-        let t = &mut *self.tables;
-        let s = match t.sigs.get(sig) {
-            Some(&s) => {
-                if let Some(&nid) = t.delta[s as usize].get(sid as usize) {
-                    if nid != UNKNOWN {
-                        t.hits += 1;
-                        return Some(nid);
-                    }
-                }
-                s as usize
-            }
-            None => t.intern_sig(sig),
-        };
-        self.fill_sig(sid, s, sig)
+        let hash = fx_hash(&(sid, sig));
+        if let Some(nid) = self.tables.sigs.get(hash, sid, sig) {
+            self.tables.hits += 1;
+            return Some(nid);
+        }
+        self.fill_sig(sid, sig, hash)
     }
 
     /// Computes and memoizes the δ of the raw view packed in `key`.
@@ -370,14 +418,11 @@ impl<S: State> Steps<'_, S> {
         Some(next)
     }
 
-    /// Computes and memoizes the δ of `sid` under signature `sig`, whose
-    /// id in the signature interner is `s`.
+    /// Computes and memoizes the δ of `sid` under signature `sig`; `hash`
+    /// is the pair's memo hash.
     #[cold]
-    fn fill_sig(&mut self, sid: u16, s: usize, sig: &[u32]) -> Option<u16> {
+    fn fill_sig(&mut self, sid: u16, sig: &[u32], hash: u64) -> Option<u16> {
         let t = &mut *self.tables;
-        if t.delta[s].len() <= sid as usize {
-            t.delta[s].resize(sid as usize + 1, UNKNOWN);
-        }
         // Reconstruct the clip-exact neighbourhood from the signature:
         // its entries are distinct and clipped, so they need only a sort
         // by state.
@@ -389,7 +434,7 @@ impl<S: State> Steps<'_, S> {
         );
         entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
         let next = self.step(sid, entries)?;
-        self.tables.delta[s][sid as usize] = next;
+        self.tables.sigs.insert(hash, sid, sig, next);
         Some(next)
     }
 
@@ -548,14 +593,32 @@ mod tests {
     use std::hash::BuildHasher;
 
     #[test]
-    fn signature_hashes_spread_keys_that_differ_in_a_late_entry() {
-        // A star hub watching one climbing leaf: its signatures differ only
-        // in the last entry's state id, i.e. in the key's high bits, while
+    fn state_hashes_spread_keys_that_differ_in_high_bits() {
+        // States whose payload sits in a field's high bits, while
         // `HashMap` picks buckets by the hash's low bits.
         let build = BuildHasherDefault::<MixHasher>::default();
         let buckets: HashSet<u64> = (0..1024u32)
-            .map(|k| build.hash_one(&[2u32, (k << 16) | 1][..]) & 1023)
+            .map(|k| build.hash_one((2u32, (k << 16) | 1)) & 1023)
             .collect();
         assert!(buckets.len() > 512, "{} of 1024 buckets", buckets.len());
+    }
+
+    #[test]
+    fn signature_memo_keys_on_the_state_and_signature_pair() {
+        // A star hub watching one climbing leaf: signatures that differ
+        // only in the last entry's state id, each stepped from two states.
+        let keys = (0..1024u32).flat_map(|k| [0u16, 1].map(|sid| (sid, [2u32, (k << 16) | 1])));
+        let mut memo = SigMemo::new();
+        for (n, (sid, sig)) in keys.clone().enumerate() {
+            let hash = fx_hash(&(sid, &sig[..]));
+            assert_eq!(memo.get(hash, sid, &sig), None);
+            memo.insert(hash, sid, &sig, n as u16);
+        }
+        for (n, (sid, sig)) in keys.enumerate() {
+            let hash = fx_hash(&(sid, &sig[..]));
+            assert_eq!(memo.get(hash, sid, &sig), Some(n as u16));
+        }
+        assert_eq!(memo.len(), 2048);
+        assert_eq!(memo.distinct_sigs(), 1024);
     }
 }

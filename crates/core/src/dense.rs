@@ -20,6 +20,12 @@
 //!   (lexicographic minimum over rotations and reflections), and every
 //!   step is a raw-memo lookup on `(own, left, right)`.
 //!
+//! Both row kinds keep their words inline up to a fixed length and spill
+//! only longer rows to the heap. A successor is written into a reused
+//! scratch buffer — `moved` patches one count, a ring surgery splices runs
+//! and re-normalises in place — and then copied into inline storage, so a
+//! steady-state step allocates nothing.
+//!
 //! Rows map one-to-one onto the generic configurations: both are
 //! canonical forms of the same classes, ordered by interned id instead of
 //! by state. Reachable sets, explored counts and verdicts therefore
@@ -33,6 +39,9 @@ use crate::delta::{push_sig, raw_key, Expand, Scratch, Steps};
 use crate::explore::{ExploreError, ExploreOptions, SuccBuf, TransitionSystem};
 use crate::kernel::{explore_dense, KernelExploration, KernelRow};
 use crate::{CounterConfig, CounterSystem, RingConfig, RingSystem, State};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 /// Low 32 bits of a row word: a count or a run length.
 const LOW: u64 = 0xFFFF_FFFF;
@@ -49,11 +58,80 @@ fn cell(w: u64) -> u16 {
     (w >> 48) as u16
 }
 
+/// Rows of at most this many words are stored inline. Counter and ring
+/// rows of the paper catalog's pool keys average four to five words.
+const INLINE_WORDS: usize = 6;
+
+/// The words of a counter or ring row: inline up to [`INLINE_WORDS`], so
+/// copying a successor into the row arena allocates nothing, and spilled to
+/// the heap beyond. The representation is canonical (a row is inline
+/// exactly when it fits), and equality, hashing and `Debug` go through the
+/// word slice.
+#[derive(Clone)]
+enum Words {
+    Inline(u8, [u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
+
+impl Words {
+    fn from_slice(words: &[u64]) -> Self {
+        if words.len() <= INLINE_WORDS {
+            let mut inline = [0; INLINE_WORDS];
+            inline[..words.len()].copy_from_slice(words);
+            Words::Inline(words.len() as u8, inline)
+        } else {
+            Words::Heap(words.into())
+        }
+    }
+
+    /// Heap bytes owned by the row (0 for inline rows).
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Words::Inline(..) => 0,
+            Words::Heap(w) => std::mem::size_of_val(&**w),
+        }
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline(len, w) => &w[..*len as usize],
+            Words::Heap(w) => w,
+        }
+    }
+}
+
+impl PartialEq for Words {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Words {}
+
+impl Hash for Words {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Words {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A counter-abstracted configuration over interned states: sorted words
 /// `(cell << 48) | (sid << 32) | count`, counts ≥ 1. The dense twin of
 /// [`CounterConfig`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CounterRow(Box<[u64]>);
+pub struct CounterRow(Words);
 
 impl<S: State> KernelRow<S> for CounterRow {
     type Config = CounterConfig<S>;
@@ -67,14 +145,14 @@ impl<S: State> KernelRow<S> for CounterRow {
     }
 
     fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.0)
+        self.0.heap_bytes()
     }
 }
 
 /// A necklace over interned states: the canonical run list `(sid << 32) |
 /// length`. The dense twin of [`RingConfig`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RingRow(Box<[u64]>);
+pub struct RingRow(Words);
 
 impl<S: State> KernelRow<S> for RingRow {
     type Config = RingConfig<S>;
@@ -88,7 +166,7 @@ impl<S: State> KernelRow<S> for RingRow {
     }
 
     fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.0)
+        self.0.heap_bytes()
     }
 }
 
@@ -119,7 +197,10 @@ impl<S: State> Expand<S> for CounterRows {
         scratch: &mut Scratch,
     ) -> Option<()> {
         let Scratch {
-            words: seen, key, ..
+            words: seen,
+            key,
+            row: next,
+            ..
         } = scratch;
         let row = &*c.0;
         let mut i = 0;
@@ -148,7 +229,7 @@ impl<S: State> Expand<S> for CounterRows {
                 }
                 let q = steps.canonical(p, key)?;
                 if q != p {
-                    out.push(moved(row, idx, o, q));
+                    out.push(moved(row, idx, o, q, next));
                 }
             }
             i = end;
@@ -179,13 +260,14 @@ fn merge_by_sid(words: &mut Vec<u64>) {
 
 /// The row with one node of entry `idx` moved to state `q` of the same
 /// cell: the entry's count drops (vanishing at zero) and `(cell, q)`
-/// gains one, inserted in sorted position if absent.
-fn moved(row: &[u64], idx: usize, cell: u16, q: u16) -> CounterRow {
+/// gains one, inserted in sorted position if absent. Built in `next`,
+/// then copied into the row's own storage.
+fn moved(row: &[u64], idx: usize, cell: u16, q: u16, next: &mut Vec<u64>) -> CounterRow {
     let target = (u64::from(cell) << 48) | (u64::from(q) << 32);
     let pos = row.binary_search_by(|&w| (w & !LOW).cmp(&target));
     let vanishes = row[idx] & LOW == 1;
     let len = row.len() - usize::from(vanishes) + usize::from(pos.is_err());
-    let mut next = Vec::with_capacity(len);
+    next.clear();
     for (k, &w) in row.iter().enumerate() {
         if pos == Err(k) {
             next.push(target | 1);
@@ -204,7 +286,7 @@ fn moved(row: &[u64], idx: usize, cell: u16, q: u16) -> CounterRow {
         next.push(target | 1);
     }
     debug_assert_eq!(next.len(), len);
-    CounterRow(next.into_boxed_slice())
+    CounterRow(Words::from_slice(next))
 }
 
 /// The ring rows' expansion.
@@ -280,7 +362,8 @@ fn surgery(runs: &[u64], i: usize, patch: &[u64], buf: &mut Vec<u64>) -> RingRow
 /// Merges adjacent equal-state runs (including across the wraparound) and
 /// picks the lexicographically least rotation of the run list or of its
 /// reversal — `RingConfig::normalise` over words, comparing rotations in
-/// place instead of materialising each one. O(m²) on m runs.
+/// place instead of materialising each one, then turning `buf` into the
+/// winner in place. O(m²) on m runs.
 fn normalise(buf: &mut Vec<u64>) -> RingRow {
     merge_by_sid(buf);
     while buf.len() >= 2 && sid(buf[0]) == sid(buf[buf.len() - 1]) {
@@ -305,7 +388,12 @@ fn normalise(buf: &mut Vec<u64>) -> RingRow {
             best = candidate;
         }
     }
-    RingRow((0..m).map(|j| at(best, j)).collect())
+    let (rev, shift) = best;
+    if rev {
+        buf.reverse();
+    }
+    buf.rotate_left(shift);
+    RingRow(Words::from_slice(buf))
 }
 
 /// Explores the counter abstraction of `counter` over [`CounterRow`]s.
@@ -363,7 +451,7 @@ pub fn explore_counter_kernel<S: State>(
                 .map(|(&(o, _, n), s)| (u64::from(o) << 48) | (u64::from(s) << 32) | n)
                 .collect();
             words.sort_unstable();
-            Some(CounterRow(words.into_boxed_slice()))
+            Some(CounterRow(Words::from_slice(&words)))
         },
         options,
     )
@@ -484,6 +572,18 @@ mod tests {
         let run = |s: u64, len: u64| (s << 32) | len;
         assert_eq!(&*c.0, &[run(0, 2), run(1, 1), run(2, 1)]);
         assert_ne!(c, word(&[0, 1, 0, 2]));
+    }
+
+    #[test]
+    fn rows_spill_past_the_inline_length() {
+        for len in [0, 1, INLINE_WORDS, INLINE_WORDS + 1, 3 * INLINE_WORDS] {
+            let words: Vec<u64> = (0..len as u64).map(|w| (w << 32) | 1).collect();
+            let row = Words::from_slice(&words);
+            assert_eq!(&*row, &words[..]);
+            assert_eq!(row.heap_bytes() > 0, len > INLINE_WORDS, "{len} words");
+            assert_eq!(row, row.clone());
+            assert_eq!(format!("{row:?}"), format!("{words:?}"));
+        }
     }
 
     #[test]

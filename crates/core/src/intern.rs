@@ -12,6 +12,9 @@
 //! is roughly half the footprint of the classic `HashMap<Config, usize>` +
 //! `Vec<Config>` pair (which clones every configuration into the map key),
 //! and the table stays cache-friendly.
+//!
+//! The same `(hash, id)` table backs the δ session's signature memo, whose
+//! keys live in an arena of its own.
 
 use std::hash::{Hash, Hasher};
 
@@ -20,7 +23,7 @@ const EMPTY: u32 = u32::MAX;
 
 /// The FxHash of a value (the workspace's standard fast hash).
 #[inline]
-fn fx_hash<C: Hash>(c: &C) -> u64 {
+pub(crate) fn fx_hash<C: Hash>(c: &C) -> u64 {
     let mut hasher = rustc_hash::FxHasher::default();
     c.hash(&mut hasher);
     hasher.finish()
@@ -33,23 +36,23 @@ fn spread(hash: u64, bits: u32) -> usize {
     (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
 }
 
-enum Probe {
+pub(crate) enum Probe {
     Found(u32),
     Inserted,
 }
 
-/// An open-addressing `(hash, id)` table with linear probing.
-/// Configurations themselves live in the interner's dense vector; `eq`
-/// closures resolve ids back to configurations for collision checks.
+/// An open-addressing `(hash, id)` table with linear probing. Keys
+/// themselves live in the owner's dense storage; `eq` closures resolve ids
+/// back to keys for collision checks.
 #[derive(Debug, Clone)]
-struct RawTable {
+pub(crate) struct RawTable {
     entries: Vec<(u64, u32)>,
     live: usize,
     bits: u32,
 }
 
 impl RawTable {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         const INITIAL_BITS: u32 = 6;
         RawTable {
             entries: vec![(0, EMPTY); 1 << INITIAL_BITS],
@@ -60,7 +63,12 @@ impl RawTable {
 
     /// Finds the id whose entry matches `hash` and `eq`, or inserts
     /// `new_id` into the first vacant probe slot.
-    fn find_or_insert(&mut self, hash: u64, new_id: u32, eq: impl Fn(u32) -> bool) -> Probe {
+    pub(crate) fn find_or_insert(
+        &mut self,
+        hash: u64,
+        new_id: u32,
+        eq: impl Fn(u32) -> bool,
+    ) -> Probe {
         self.maybe_grow();
         let mask = self.entries.len() - 1;
         let mut idx = spread(hash, self.bits) & mask;
@@ -79,7 +87,7 @@ impl RawTable {
     }
 
     /// Finds the id matching `hash` and `eq` without inserting.
-    fn find(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
+    pub(crate) fn find(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
         let mask = self.entries.len() - 1;
         let mut idx = spread(hash, self.bits) & mask;
         loop {

@@ -7,8 +7,9 @@
 //! memoizable and configurations densely packable. The memo half lives in
 //! `delta`: one `DeltaSession` per exploration interns states to `u16`
 //! ids, records their outputs, and memoizes δ per raw low-degree view and
-//! per `(state, clipped signature)`. Three row kinds run on it, each an
-//! `Expand` implementation mapping one-to-one onto a generic system:
+//! per `(state, clipped signature)` pair in one flat table. Three row
+//! kinds run on it, each an `Expand` implementation mapping one-to-one
+//! onto a generic system:
 //!
 //! * **Packed node rows** (this module, `Resolution::Explicit`):
 //!   configurations are [`PackedConfig`] rows — power-of-two bits per node
@@ -20,6 +21,10 @@
 //!   words over the twin partition, stepping through signatures.
 //! * **Ring rows** (`dense`, `Resolution::Ring`): canonical run lists on a
 //!   cycle, stepping through the raw memo.
+//!
+//! Counter and ring rows keep their words inline up to a fixed length, and
+//! their successors are built in a reused scratch buffer, so neither a
+//! step nor a new row allocates in steady state.
 //!
 //! One session-bound transition system explores all three: it expands a
 //! row through the session, scans the session's outputs for consensus, and
@@ -236,7 +241,7 @@ where
 pub struct KernelStats {
     /// Distinct machine states interned over the session.
     pub states: usize,
-    /// Distinct neighbourhood signatures interned.
+    /// Distinct neighbourhood signatures in the signature memo.
     pub sigs: usize,
     /// Filled δ-memo entries (raw keys plus `(state, signature)` entries)
     /// — each one real `Machine::step` call, ever.

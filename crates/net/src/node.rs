@@ -30,10 +30,11 @@
 //! already-completed round just re-sends the cached `activate_ok` (steps
 //! are at-most-once per round).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
-use wam_core::{Machine, Neighbourhood, State};
+use wam_core::{Interner, Machine, Neighbourhood, State};
 use wam_graph::Label;
 
 use crate::wire::{node_addr, parse_line, render_line, Body, Envelope, Payload, WireOutput, HUB};
@@ -42,15 +43,18 @@ use crate::wire::{node_addr, parse_line, render_line, Body, Envelope, Payload, W
 /// wire carries. The in-process analogue of the state table a serialised
 /// trace would ship alongside its JSON: states are arbitrary Rust values
 /// with no canonical serial form, so messages reference them by index.
+/// Indices are assigned in first-occurrence order, and each state is owned
+/// once. A chaos run is one sequential router, so the nodes share the
+/// table through an [`Rc`] and a [`RefCell`].
 #[derive(Debug)]
 pub struct StateIntern<S> {
-    inner: Mutex<(BTreeMap<S, u64>, Vec<S>)>,
+    inner: RefCell<Interner<S>>,
 }
 
 impl<S: State> Default for StateIntern<S> {
     fn default() -> Self {
         StateIntern {
-            inner: Mutex::new((BTreeMap::new(), Vec::new())),
+            inner: RefCell::new(Interner::new()),
         }
     }
 }
@@ -63,24 +67,24 @@ impl<S: State> StateIntern<S> {
 
     /// The index of `s`, allocating one if unseen.
     pub fn intern(&self, s: &S) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(&i) = inner.0.get(s) {
-            return i;
-        }
-        let i = inner.1.len() as u64;
-        inner.0.insert(s.clone(), i);
-        inner.1.push(s.clone());
-        i
+        let mut inner = self.inner.borrow_mut();
+        let i = match inner.index_of(s) {
+            Some(i) => i as u32,
+            None => inner.intern(s.clone()).0,
+        };
+        u64::from(i)
     }
 
     /// The state at index `i`, if allocated.
     pub fn get(&self, i: u64) -> Option<S> {
-        self.inner.lock().unwrap().1.get(i as usize).cloned()
+        let inner = self.inner.borrow();
+        let i = usize::try_from(i).ok()?;
+        inner.configs().get(i).cloned()
     }
 
     /// Number of distinct states seen so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().1.len()
+        self.inner.borrow().len()
     }
 
     /// Whether no state has been interned yet.
@@ -104,7 +108,7 @@ struct Attempt<S> {
 #[derive(Debug)]
 pub struct NodeProto<S: State> {
     machine: Machine<S>,
-    intern: Arc<StateIntern<S>>,
+    intern: Rc<StateIntern<S>>,
     /// Assigned by `init`; `None` while crashed / before first init.
     me: Option<u64>,
     state: Option<S>,
@@ -120,7 +124,7 @@ pub struct NodeProto<S: State> {
 
 impl<S: State> NodeProto<S> {
     /// A fresh, uninitialised node.
-    pub fn new(machine: Machine<S>, intern: Arc<StateIntern<S>>) -> Self {
+    pub fn new(machine: Machine<S>, intern: Rc<StateIntern<S>>) -> Self {
         NodeProto {
             machine,
             intern,
@@ -363,8 +367,8 @@ mod tests {
 
     #[test]
     fn activation_probes_then_steps_on_full_fresh_view() {
-        let intern = Arc::new(StateIntern::new());
-        let mut node = NodeProto::new(flood(), Arc::clone(&intern));
+        let intern = Rc::new(StateIntern::new());
+        let mut node = NodeProto::new(flood(), Rc::clone(&intern));
         born(&mut node, 0, 0, vec![1, 2]);
 
         let probes = node.handle(&hub_line(0, 3, Payload::Activate { round: 1 }));
@@ -414,8 +418,8 @@ mod tests {
 
     #[test]
     fn duplicate_activate_resends_receipt_without_restepping() {
-        let intern = Arc::new(StateIntern::new());
-        let mut node = NodeProto::new(flood(), Arc::clone(&intern));
+        let intern = Rc::new(StateIntern::new());
+        let mut node = NodeProto::new(flood(), Rc::clone(&intern));
         born(&mut node, 3, 1, vec![]);
 
         // No neighbours: activation steps immediately.
@@ -427,8 +431,8 @@ mod tests {
 
     #[test]
     fn stale_replies_from_abandoned_attempts_are_ignored() {
-        let intern = Arc::new(StateIntern::new());
-        let mut node = NodeProto::new(flood(), Arc::clone(&intern));
+        let intern = Rc::new(StateIntern::new());
+        let mut node = NodeProto::new(flood(), Rc::clone(&intern));
         born(&mut node, 0, 0, vec![1]);
 
         let first = node.handle(&hub_line(0, 3, Payload::Activate { round: 1 }));
@@ -456,8 +460,8 @@ mod tests {
 
     #[test]
     fn crash_loses_state_and_init_restores_delta0() {
-        let intern = Arc::new(StateIntern::new());
-        let mut node = NodeProto::new(flood(), Arc::clone(&intern));
+        let intern = Rc::new(StateIntern::new());
+        let mut node = NodeProto::new(flood(), Rc::clone(&intern));
         born(&mut node, 2, 1, vec![]);
         // Step once so ver > 0 and output is Accept.
         let out = node.handle(&hub_line(2, 9, Payload::Activate { round: 1 }));

@@ -25,7 +25,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -236,7 +236,7 @@ struct Driver<S: State> {
     seq: u64,
     queue: BinaryHeap<QEntry>,
     nodes: Vec<NodeProto<S>>,
-    intern: Arc<StateIntern<S>>,
+    intern: Rc<StateIntern<S>>,
     hub_msg_id: u64,
     // Activation state.
     current_round: u64,
@@ -545,7 +545,7 @@ pub fn run_chaos<S: State>(
 ) -> ChaosOutcome {
     let n = graph.node_count();
     assert!(n > 0, "cannot run chaos on an empty graph");
-    let intern: Arc<StateIntern<S>> = Arc::new(StateIntern::new());
+    let intern: Rc<StateIntern<S>> = Rc::new(StateIntern::new());
     let driver = Driver {
         machine: machine.clone(),
         labels: graph.nodes().map(|v| u64::from(graph.label(v).0)).collect(),
@@ -560,7 +560,7 @@ pub fn run_chaos<S: State>(
         seq: 0,
         queue: BinaryHeap::new(),
         nodes: (0..n)
-            .map(|_| NodeProto::new(machine.clone(), Arc::clone(&intern)))
+            .map(|_| NodeProto::new(machine.clone(), Rc::clone(&intern)))
             .collect(),
         intern,
         hub_msg_id: 0,

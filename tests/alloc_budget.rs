@@ -4,9 +4,9 @@
 //! that state: at interning, in every δ miss (the neighbourhood the step
 //! receives is built from cloned states) and in every successor the
 //! independent verifier replays. This suite counts the heap calls a
-//! `ladder` decision of the paper catalog makes, per explored
-//! configuration, plain and certified, and pins a budget that only
-//! heap-free catalog states and an allocation-lean δ miss path meet.
+//! decision of the paper catalog makes, per explored configuration, plain
+//! and certified, and pins a budget that only heap-free catalog states, an
+//! allocation-lean δ miss path and inline counter and ring rows meet.
 //!
 //! Rendering a reply line is counted too: a cache hit serves the
 //! certificate text the decision encoded, so the heap calls of one render
@@ -65,15 +65,15 @@ fn calls() -> u64 {
     CALLS.with(Cell::get)
 }
 
-/// Decides `ladder` on one servebench pool key through the catalog entry
+/// Decides `machine` on one servebench pool key through the catalog entry
 /// the service runs (certified decisions include the verifier's replay
 /// and the JSON rendering). Returns heap calls per explored configuration.
-fn allocs_per_config(family: &str, counts: [u64; 2], certified: bool) -> f64 {
+fn allocs_per_config(machine: &str, family: &str, counts: [u64; 2], certified: bool) -> f64 {
     let registry = MachineRegistry::paper_catalog();
-    let ladder = registry.get("ladder").expect("catalog has ladder");
+    let entry = registry.get(machine).expect("catalog machine");
     let graph = build_graph(family, &counts).expect("pool key builds");
     let before = calls();
-    let decided = ladder.decide(&graph, certified).expect("ladder decides");
+    let decided = entry.decide(&graph, certified).expect("machine decides");
     let made = calls() - before;
     assert!(decided.explored > 0);
     made as f64 / decided.explored as f64
@@ -81,38 +81,71 @@ fn allocs_per_config(family: &str, counts: [u64; 2], certified: bool) -> f64 {
 
 /// Budgets in heap calls per explored configuration, each well under
 /// what a heap-backed ladder state costs. Measured per key, plain /
-/// certified:
+/// certified; the last column is the one pinned (clique and star keys
+/// explore counter rows, the cycle key ring rows, the line key node rows):
 ///
-/// | Key          | `Vec<u8>` estimate | inline estimate | + buffered δ miss | + streaming encoder |
-/// |--------------|--------------------|-----------------|-------------------|---------------------|
-/// | clique [4,3] | 43.9 / 96.2        | 11.5 / 22.9     | 6.7 / 18.1        | 6.7 / 15.1          |
-/// | star [2,2]   | 12.0 / 20.7        | 4.7 / 7.2       | 3.5 / 6.0         | 3.5 / 5.4           |
-/// | cycle [2,2]  | 19.8 / 114.4       | 7.1 / 23.4      | 2.3 / 18.6        | 2.3 / 17.1          |
-/// | line [2,1]   | 10.8 / 20.4        | 3.5 / 6.8       | 0.4 / 3.7         | 0.4 / 3.3           |
+/// | Key          | `Vec<u8>` estimate | inline estimate | + buffered δ miss | + streaming encoder | + inline rows, flat signature memo |
+/// |--------------|--------------------|-----------------|-------------------|---------------------|------------------------------------|
+/// | clique [4,3] | 43.9 / 96.2        | 11.5 / 22.9     | 6.7 / 18.1        | 6.7 / 15.1          | 0.6 / 9.1                          |
+/// | star [2,2]   | 12.0 / 20.7        | 4.7 / 7.2       | 3.5 / 6.0         | 3.5 / 5.4           | 0.1 / 1.9                          |
+/// | cycle [2,2]  | 19.8 / 114.4       | 7.1 / 23.4      | 2.3 / 18.6        | 2.3 / 17.1          | 0.3 / 15.0                         |
+/// | line [2,1]   | 10.8 / 20.4        | 3.5 / 6.8       | 0.4 / 3.7         | 0.4 / 3.3           | 0.4 / 3.3                          |
 const BUDGETS: [(&str, [u64; 2], bool, f64); 8] = [
-    ("clique", [4, 3], false, 10.0),
+    ("clique", [4, 3], false, 1.0),
     ("clique", [4, 3], true, 28.0),
-    ("star", [2, 2], false, 6.0),
+    ("star", [2, 2], false, 1.0),
     ("star", [2, 2], true, 10.0),
-    ("cycle", [2, 2], false, 5.0),
+    ("cycle", [2, 2], false, 1.0),
     ("cycle", [2, 2], true, 28.0),
     ("line", [2, 1], false, 2.0),
     ("line", [2, 1], true, 6.0),
 ];
 
-#[test]
-fn ladder_decisions_stay_within_their_allocation_budget() {
+/// Plain budgets of the other catalog machines' counter and ring keys,
+/// in heap calls per explored configuration. Measured before and after
+/// counter and ring rows moved inline:
+///
+/// | Key                   | Rows    | boxed rows | inline rows, flat signature memo |
+/// |-----------------------|---------|------------|----------------------------------|
+/// | majority clique [4,3] | counter | 2.5        | 0.2                              |
+/// | parity clique [4,2]   | counter | 2.6        | 0.0                              |
+/// | majority cycle [3,2]  | ring    | 3.1        | 0.1                              |
+const ROW_BUDGETS: [(&str, &str, [u64; 2], f64); 3] = [
+    ("majority", "clique", [4, 3], 1.0),
+    ("parity", "clique", [4, 2], 1.0),
+    ("majority", "cycle", [3, 2], 1.0),
+];
+
+/// Checks each budget, reporting every key over its budget at once.
+fn assert_within<'a>(keys: impl IntoIterator<Item = (&'a str, &'a str, [u64; 2], bool, f64)>) {
     let mut over = Vec::new();
-    for (family, counts, certified, budget) in BUDGETS {
-        let per = allocs_per_config(family, counts, certified);
-        eprintln!("ladder {family} {counts:?} certified={certified}: {per:.1} allocs/config");
+    for (machine, family, counts, certified, budget) in keys {
+        let per = allocs_per_config(machine, family, counts, certified);
+        eprintln!("{machine} {family} {counts:?} certified={certified}: {per:.2} allocs/config");
         if per > budget {
             over.push(format!(
-                "{family} {counts:?} certified={certified}: {per:.1} > {budget}"
+                "{machine} {family} {counts:?} certified={certified}: {per:.2} > {budget}"
             ));
         }
     }
     assert!(over.is_empty(), "over budget: {over:#?}");
+}
+
+#[test]
+fn ladder_decisions_stay_within_their_allocation_budget() {
+    assert_within(
+        BUDGETS.map(|(family, counts, certified, budget)| {
+            ("ladder", family, counts, certified, budget)
+        }),
+    );
+}
+
+#[test]
+fn counter_and_ring_rows_allocate_under_once_per_config() {
+    assert_within(
+        ROW_BUDGETS
+            .map(|(machine, family, counts, budget)| (machine, family, counts, false, budget)),
+    );
 }
 
 #[test]

@@ -20,14 +20,17 @@ use weak_async_models::certify::{
     StateTable,
 };
 use weak_async_models::core::{
-    decide, explore_kernel, Backend, ExclusiveSystem, Exploration, ExploreOptions, LiberalSystem,
-    Machine, Output, ResolvedBackend, Schedule, SuccBuf, TransitionSystem,
+    decide, explore_counter_kernel, explore_kernel, explore_ring_kernel, Backend, CounterSystem,
+    ExclusiveSystem, Exploration, ExploreOptions, KernelStats, LiberalSystem, Machine, Output,
+    ResolvedBackend, RingSystem, Schedule, SuccBuf, TransitionSystem,
 };
 use weak_async_models::extensions::{
-    threshold_protocol, AbsenceMachine, AbsenceSystem, BroadcastMachine, BroadcastSystem,
-    GraphPopulationProtocol, MajorityState, PopulationSystem, ResponseFn, StrongBroadcastSystem,
+    compile_broadcasts, compile_rendezvous, threshold_protocol, AbsenceMachine, AbsenceSystem,
+    BroadcastMachine, BroadcastSystem, GraphPopulationProtocol, MajorityState, PopulationSystem,
+    ResponseFn, StrongBroadcastSystem,
 };
 use weak_async_models::graph::{generators, Graph, Label, LabelCount};
+use weak_async_models::protocols::threshold_machine;
 
 const STATES: u8 = 3;
 
@@ -350,4 +353,88 @@ fn auto_backend_on_twin_free_graphs_matches_naive() {
         assert_eq!(stats.explored, naive.len());
     }
     assert_certified_is_generic(&m, &line, Backend::Auto);
+}
+
+/// The δ columns of a finished session: `(states, sigs, delta_entries,
+/// delta_hits, delta_misses)`.
+fn delta_counters(s: KernelStats) -> (usize, usize, u64, u64, u64) {
+    (
+        s.states,
+        s.sigs,
+        s.delta_entries,
+        s.delta_hits,
+        s.delta_misses,
+    )
+}
+
+/// The δ counters of the six `kernel` rows of BENCH_explore.json are
+/// pinned exactly: a rewrite of the memo tables or of row construction
+/// must intern the same states and signatures and make the same lookups,
+/// hit for hit.
+#[test]
+fn kernel_stats_are_pinned() {
+    let opts = ExploreOptions::with_limit(10_000_000);
+    let flood = Machine::new(
+        1,
+        |l: Label| l.0 == 1,
+        |&s: &bool, n| s || n.exists(|&t| t),
+        |&s| if s { Output::Accept } else { Output::Reject },
+    );
+    let majority = compile_rendezvous(&GraphPopulationProtocol::<MajorityState>::majority());
+    let threshold = compile_broadcasts(&threshold_machine(2, 0, 2));
+    let counts = |v: Vec<u64>| LabelCount::from_vec(v);
+    let got = [
+        explore_kernel(
+            &flood,
+            &generators::labelled_cycle(&counts(vec![13, 1])),
+            opts,
+        )
+        .unwrap()
+        .stats(),
+        explore_kernel(
+            &majority,
+            &generators::labelled_cycle(&counts(vec![4, 2])),
+            opts,
+        )
+        .unwrap()
+        .stats(),
+        explore_kernel(
+            &threshold,
+            &generators::labelled_line(&counts(vec![4, 1])),
+            opts,
+        )
+        .unwrap()
+        .stats(),
+        {
+            let g = generators::labelled_clique(&counts(vec![3, 4]));
+            let sys = CounterSystem::new(&majority, &g).unwrap();
+            explore_counter_kernel(&sys, opts).unwrap().stats()
+        },
+        {
+            let g = generators::labelled_star(&counts(vec![2, 2]));
+            let sys = CounterSystem::new(&threshold, &g).unwrap();
+            explore_counter_kernel(&sys, opts).unwrap().stats()
+        },
+        {
+            let g = generators::labelled_cycle(&counts(vec![2, 2]));
+            let sys = RingSystem::new(&threshold, &g).unwrap();
+            explore_ring_kernel(&sys, opts).unwrap().stats()
+        },
+    ]
+    .map(delta_counters);
+    let want = [
+        // flood cycle [13,1], node rows
+        (2, 0, 8, 1_280, 8),
+        // majority via Lemma 4.10 cycle [4,2], node rows
+        (22, 0, 1_929, 740_385, 1_929),
+        // x₀ ≥ 2 via Lemma 4.7 line [4,1], node rows
+        (93, 0, 13_903, 652_607, 13_903),
+        // majority 7-clique [3,4], counter rows
+        (22, 976, 2_019, 30_735, 2_019),
+        // ladder star [2,2], counter rows
+        (196, 3_581, 9_741, 23_523, 9_741),
+        // ladder cycle [2,2], ring rows
+        (196, 0, 8_723, 5_809, 8_723),
+    ];
+    assert_eq!(got, want);
 }
