@@ -11,6 +11,15 @@
 //! [`Explored`]. [`crate::Decider`] drives it over the backend
 //! [`wam_core::resolve_backend`] picks; generic systems can call it on an
 //! [`Exploration`] they drive themselves.
+//!
+//! A stable certificate carries the smallest closed witness the search
+//! finds. Every configuration reachable from a stably accepting one is
+//! accepting, so any bottom strongly connected component of its forward
+//! closure is closed under steps and output-uniform. The emitter takes
+//! the first component an iterative Tarjan search closes from the
+//! nearest stably-good id, and a shortest path to the nearest of its
+//! members. Verification cost, encoded bytes and rows unpacked all scale
+//! with the number of members.
 
 use crate::certificate::{
     Certificate, Escape, NoConsensusCertificate, PathStep, Polarity, ReachPath, StabilityInvariant,
@@ -64,20 +73,48 @@ fn path_ids<C: Clone + Eq + Hash + Debug>(e: &Exploration<C>, targets: &[bool]) 
     panic!("no flagged configuration reachable — verdict/flags disagree");
 }
 
-/// Ids forward-reachable from `start` (inclusive), ascending.
-fn reach_ids<C: Clone + Eq + Hash + Debug>(e: &Exploration<C>, start: u32) -> Vec<u32> {
-    let mut seen = vec![false; e.len()];
-    seen[start as usize] = true;
-    let mut stack = vec![start];
-    while let Some(i) = stack.pop() {
-        for &j in e.successors(i as usize).iter() {
-            if !seen[j as usize] {
-                seen[j as usize] = true;
-                stack.push(j);
+/// The members of the first strongly connected component an iterative
+/// Tarjan search from `start` closes, ascending. Tarjan closes a
+/// component only after every component it reaches, so the first one
+/// closed reaches no other: it is a bottom SCC of `start`'s forward
+/// closure, closed under successors, and the smallest closed set holding
+/// any of its members. Successors are taken in CSR order, so the result
+/// is deterministic.
+fn bottom_scc<C: Clone + Eq + Hash + Debug>(e: &Exploration<C>, start: u32) -> Vec<u32> {
+    // Nothing leaves Tarjan's stack before the first component closes, so
+    // the stack is the discovery order itself, every visited id is still
+    // on it, and an id's discovery index is its stack position.
+    let mut index = vec![u32::MAX; e.len()];
+    index[start as usize] = 0;
+    let mut order = vec![start];
+    // Call frames: id, its successor row, next row position, lowlink.
+    let mut frames = vec![(start, e.successors(start as usize), 0, 0)];
+    loop {
+        let (_, row, pos, low) = frames.last_mut().expect("the start frame closes last");
+        if let Some(&w) = row.get(*pos) {
+            *pos += 1;
+            match index[w as usize] {
+                u32::MAX => {
+                    let i = order.len() as u32;
+                    index[w as usize] = i;
+                    order.push(w);
+                    frames.push((w, e.successors(w as usize), 0, i));
+                }
+                i => *low = (*low).min(i),
             }
+            continue;
         }
+        let (v, _, _, low) = frames.pop().expect("a frame was just read");
+        if low == index[v as usize] {
+            let mut members = order.split_off(low as usize);
+            members.sort_unstable();
+            return members;
+        }
+        let parent = frames
+            .last_mut()
+            .expect("only the start frame roots a component");
+        parent.3 = parent.3.min(low);
     }
-    (0..e.len() as u32).filter(|&i| seen[i as usize]).collect()
 }
 
 /// Escape pointers for every id: `Here` where `bad` holds, otherwise `Via`
@@ -172,8 +209,11 @@ impl<S: State, R: KernelRow<S>> Explored for KernelExploration<S, R> {
     }
 }
 
-/// `Choice` selections index `system`'s successor order, enumerated over
-/// the unpacked path configurations.
+/// A stability witness for the ids flagged in `stably`. The invariant is
+/// the bottom SCC that [`bottom_scc`] closes from the nearest flagged id,
+/// not that id's whole forward closure, and the path runs from id 0 to
+/// the nearest of its members. `Choice` selections index `system`'s
+/// successor order, enumerated over the unpacked path configurations.
 fn stable_full<T: TransitionSystem, E: Explored<C = T::C>>(
     system: &T,
     e: &E,
@@ -181,9 +221,13 @@ fn stable_full<T: TransitionSystem, E: Explored<C = T::C>>(
     stably: &[bool],
 ) -> StableCertificate<T::C> {
     let x = e.exploration();
-    let ids = path_ids(x, stably);
-    let endpoint = *ids.last().expect("path is never empty");
-    let member_ids = reach_ids(x, endpoint);
+    let nearest = *path_ids(x, stably).last().expect("path is never empty");
+    let member_ids = bottom_scc(x, nearest);
+    let mut in_scc = vec![false; x.len()];
+    for &i in &member_ids {
+        in_scc[i as usize] = true;
+    }
+    let ids = path_ids(x, &in_scc);
     let mut path = e.configs_of(ids.iter().chain(&member_ids).copied());
     let members = path.split_off(ids.len());
     let steps = path

@@ -19,9 +19,13 @@
 //! and importing side must construct the codec from the same machine
 //! context — typically by building the [`StateTable`] from the certificate
 //! before export and shipping it alongside, as
-//! `examples/certified_verdict.rs` does. A `sidecar` object with `Debug`
-//! renderings of the table is embedded for human consumption and as a
-//! mismatch tripwire (the importer checks the table length).
+//! `examples/certified_verdict.rs` does. Every document a [`StateTable`]
+//! exports, whatever the configuration encoding, embeds the same
+//! `sidecar` object as a mismatch tripwire:
+//! `{"encoding":"state-table","state_count":n,"digest":"<hex>"}`, where
+//! the digest is a 64-bit FNV-1a over the `Debug` renderings of the table's
+//! states. The importer refuses a document whose count or digest differs
+//! from its own table's.
 
 use crate::certificate::{
     Certificate, Escape, LassoCertificate, LassoSchedule, NoConsensusCertificate, PathStep,
@@ -410,6 +414,27 @@ pub struct StateTable<S> {
     states: Vec<S>,
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// A 64-bit FNV-1a hash that `write!` can render into.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.eat(s.as_bytes());
+        Ok(())
+    }
+}
+
 impl<S: State> StateTable<S> {
     /// Builds the table of distinct states stored in `cert`.
     pub fn from_certificate(cert: &Certificate<Config<S>>) -> Self {
@@ -458,6 +483,49 @@ impl<S: State> StateTable<S> {
         self.states.is_empty()
     }
 
+    /// FNV-1a over the states' `Debug` renderings, each closed by a
+    /// `0xFF` byte, which UTF-8 text never contains, as 16 hex digits.
+    /// The renderings are written straight into the hash, without a
+    /// `String` per state.
+    fn digest(&self) -> String {
+        let mut h = Fnv1a(FNV_OFFSET);
+        for s in &self.states {
+            // `Fnv1a::write_str` never fails, so neither does the render.
+            let _ = write!(h, "{s:?}");
+            h.eat(&[0xFF]);
+        }
+        format!("{:016x}", h.0)
+    }
+
+    /// The sidecar all three configuration encodings share: the table's
+    /// length and the digest of its states.
+    fn table_sidecar(&self) -> Json {
+        Json::Obj(vec![
+            ("encoding".to_string(), Json::Str("state-table".to_string())),
+            (
+                "state_count".to_string(),
+                Json::Num(self.states.len() as f64),
+            ),
+            ("digest".to_string(), Json::Str(self.digest())),
+        ])
+    }
+
+    /// Refuses a document whose table differs from this one in length or
+    /// in the digest of its states.
+    fn check_table_sidecar(&self, v: &Json) -> Result<(), CertError> {
+        let n = v.field("state_count")?.index()?;
+        if n != self.states.len() {
+            return Err(err(&format!(
+                "state table size mismatch: document has {n}, codec has {}",
+                self.states.len()
+            )));
+        }
+        if v.field("digest")?.str()? != self.digest() {
+            return Err(err("state table digest mismatch"));
+        }
+        Ok(())
+    }
+
     /// The table index of `s`, written as a JSON number.
     fn write_index(&self, s: &S, out: &mut String) {
         let i = self
@@ -487,33 +555,11 @@ impl<S: State> ConfigCodec<Config<S>> for StateTable<S> {
     }
 
     fn sidecar(&self) -> Option<Json> {
-        Some(Json::Obj(vec![
-            ("encoding".to_string(), Json::Str("state-table".to_string())),
-            (
-                "state_count".to_string(),
-                Json::Num(self.states.len() as f64),
-            ),
-            (
-                "states".to_string(),
-                Json::Arr(
-                    self.states
-                        .iter()
-                        .map(|s| Json::Str(format!("{s:?}")))
-                        .collect(),
-                ),
-            ),
-        ]))
+        Some(self.table_sidecar())
     }
 
     fn check_sidecar(&self, v: &Json) -> Result<(), CertError> {
-        let n = v.field("state_count")?.index()?;
-        if n != self.states.len() {
-            return Err(err(&format!(
-                "state table size mismatch: document has {n}, codec has {}",
-                self.states.len()
-            )));
-        }
-        Ok(())
+        self.check_table_sidecar(v)
     }
 }
 
@@ -549,6 +595,14 @@ impl<S: State> ConfigCodec<CounterConfig<S>> for StateTable<S> {
         }
         Ok(CounterConfig::from_entries(entries))
     }
+
+    fn sidecar(&self) -> Option<Json> {
+        Some(self.table_sidecar())
+    }
+
+    fn check_sidecar(&self, v: &Json) -> Result<(), CertError> {
+        self.check_table_sidecar(v)
+    }
 }
 
 impl<S: State> ConfigCodec<RingConfig<S>> for StateTable<S> {
@@ -578,6 +632,14 @@ impl<S: State> ConfigCodec<RingConfig<S>> for StateTable<S> {
             runs.push((s.clone(), len as u32));
         }
         Ok(RingConfig::from_runs(runs))
+    }
+
+    fn sidecar(&self) -> Option<Json> {
+        Some(self.table_sidecar())
+    }
+
+    fn check_sidecar(&self, v: &Json) -> Result<(), CertError> {
+        self.check_table_sidecar(v)
     }
 }
 

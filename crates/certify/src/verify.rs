@@ -11,7 +11,8 @@
 //! certificate. Nothing here touches the engine that emitted the
 //! certificate: no hash-consed id spaces, no CSR edge arrays, no reverse
 //! reachability machinery, no memoisation (a test in
-//! `tests/independence.rs` greps this file's imports to keep it that way).
+//! `crates/certify/tests/independence.rs` greps this file's imports to keep
+//! it that way).
 //! A bug in the engine therefore cannot hide in a certificate that this
 //! module accepts — the only shared code is the step function itself, which
 //! *defines* the semantics being certified.

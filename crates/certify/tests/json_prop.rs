@@ -306,8 +306,9 @@ proptest! {
 
     /// Overwriting bytes panics neither the importer nor the verifier, and
     /// a damaged document that still imports and verifies proves the
-    /// original verdict: damage can hit a number or the unread sidecar, but
-    /// can never make the checker accept a wrong claim.
+    /// original verdict: damage can hit a number or the sidecar's unread
+    /// `encoding` name, but can never make the checker accept a wrong
+    /// claim.
     #[test]
     fn byte_flips_never_panic_or_prove_a_wrong_verdict(
         machine in 0usize..3,

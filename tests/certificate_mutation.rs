@@ -7,9 +7,12 @@
 
 use proptest::prelude::*;
 use weak_async_models::certify::{
-    verify_machine, Certificate, Decider, DecisionCertificate, Polarity, StepSelection,
+    certificate_from_json, certificate_to_json, verify_machine, Certificate, Decider,
+    DecisionCertificate, Polarity, StateTable, StepSelection,
 };
-use weak_async_models::core::{Backend, Config, Machine, Output, Schedule, Selection, Verdict};
+use weak_async_models::core::{
+    Backend, Config, CounterConfig, Machine, Output, Schedule, Selection, Verdict,
+};
 use weak_async_models::graph::{generators, Graph, LabelCount};
 
 /// "Some node carries label x1", by flag flooding.
@@ -48,6 +51,69 @@ fn certified(
         DecisionCertificate::Node(cert) => (d.verdict, cert),
         other => panic!("expected a node certificate, got {other:?}"),
     }
+}
+
+/// Flag flooding over `u8` states: label-1 nodes start in `flag`, the
+/// others in 0, and a 0 node takes `flag` from a flagged neighbour. Two
+/// flags give certificates over state tables of one length but different
+/// states.
+fn flood_with(flag: u8) -> Machine<u8> {
+    Machine::new(
+        1,
+        move |l| if l.0 == 1 { flag } else { 0 },
+        move |&s, n| {
+            if s == 0 && n.exists(|&t| t != 0) {
+                flag
+            } else {
+                s
+            }
+        },
+        |&s| {
+            if s != 0 {
+                Output::Accept
+            } else {
+                Output::Reject
+            }
+        },
+    )
+}
+
+/// The counter certificate of `flood_with(flag)` on a labelled clique,
+/// with the state table built from it.
+fn counter_certificate(flag: u8) -> (String, StateTable<u8>) {
+    let m = flood_with(flag);
+    let g = generators::labelled_clique(&LabelCount::from_vec(vec![2, 1]));
+    let d = Decider::new(&m, &g)
+        .backend(Backend::Counter)
+        .certified(true)
+        .limit(100_000)
+        .decide()
+        .unwrap();
+    let DecisionCertificate::Counter(cert) = d.certificate.unwrap() else {
+        panic!("the counter backend emits counter certificates on cliques");
+    };
+    let table = StateTable::from_counter_certificate(&cert);
+    (certificate_to_json(&cert, &table), table)
+}
+
+/// Imports a counter certificate through `table`.
+fn import(json: &str, table: &StateTable<u8>) -> Result<Certificate<CounterConfig<u8>>, String> {
+    certificate_from_json(json, table).map_err(|e| e.to_string())
+}
+
+#[test]
+fn counter_certificate_under_a_foreign_table_is_refused() {
+    let (json, own) = counter_certificate(1);
+    let (_, foreign) = counter_certificate(2);
+    assert_eq!(own.states(), [0, 1]);
+    assert_eq!(foreign.states(), [0, 2]);
+    assert!(import(&json, &own).is_ok());
+    // Both tables have two states, so every index is in range and only
+    // the sidecar's digest of the states tells them apart.
+    assert!(
+        import(&json, &foreign).is_err(),
+        "a counter certificate must not import under a foreign table"
+    );
 }
 
 /// Replays one recorded step by direct machine semantics — the test's own
@@ -119,10 +185,11 @@ proptest! {
         };
         let i = pick % s.invariant.members.len();
         s.invariant.members.remove(i);
-        // Every member of the emitted invariant is reachable from the
-        // endpoint, so it is either the endpoint itself or the target of a
-        // closure edge: removal must break the endpoint check or the
-        // closure check.
+        // The emitted invariant is one strongly connected component that
+        // holds the endpoint, so every member is either the endpoint
+        // itself or the target of a closure edge from another member:
+        // removal must break the emptiness check, the endpoint check or
+        // the closure check.
         prop_assert!(
             verify(&m, &g, &Certificate::Stable(s)).is_err(),
             "removing any invariant member must break closure"

@@ -4,12 +4,15 @@
 //! The certified sweeps also run through the shared [`VerdictStore`], so
 //! repeated isomorphism classes are served with their cached proofs.
 
+use std::collections::HashMap;
 use weak_async_models::analysis::{system_fingerprint, Predicate, VerdictStore};
 use weak_async_models::certify::{
-    certificate_from_json, certificate_to_json, verify_machine, CertifiedVerdict, Decider,
-    DecisionCertificate, StateTable,
+    certificate_from_json, certificate_to_json, verify_machine, Certificate, CertifiedVerdict,
+    Decider, DecisionCertificate, Polarity, StableCertificate, StateTable,
 };
-use weak_async_models::core::{Backend, Config, Machine, Schedule, State};
+use weak_async_models::core::{
+    Backend, Config, ExclusiveSystem, Exploration, Machine, Schedule, State, TransitionSystem,
+};
 use weak_async_models::extensions::{
     compile_broadcasts, compile_rendezvous, GraphPopulationProtocol, MajorityState,
 };
@@ -27,7 +30,8 @@ fn suite(c: &LabelCount) -> Vec<Graph> {
 
 /// One certified decision through the [`Decider`], forced onto the
 /// explicit backend so every certificate lives in node space (the form
-/// [`VerdictStore`] transports between isomorphic graphs).
+/// [`VerdictStore`] transports between isomorphic graphs). Stability
+/// invariants are checked for minimality against the full exploration.
 fn certified<S: State>(
     m: &Machine<S>,
     g: &Graph,
@@ -41,13 +45,115 @@ fn certified<S: State>(
         .limit(limit)
         .decide()
         .unwrap();
-    match d.certificate.unwrap() {
-        DecisionCertificate::Node(certificate) => CertifiedVerdict {
-            verdict: d.verdict,
-            certificate,
-        },
+    let certificate = match d.certificate.unwrap() {
+        DecisionCertificate::Node(certificate) => certificate,
         other => panic!("explicit backend must emit a node certificate, got {other:?}"),
+    };
+    let stable: Vec<&StableCertificate<Config<S>>> = match &certificate {
+        Certificate::Stable(s) => vec![s],
+        Certificate::Inconsistent(acc, rej) => vec![acc, rej],
+        _ => vec![],
+    };
+    if !stable.is_empty() {
+        let system = ExclusiveSystem::new(m, g);
+        let x = Exploration::explore(&system, limit).unwrap();
+        for s in stable {
+            assert_bottom_scc(&system, &x, s);
+        }
     }
+    CertifiedVerdict {
+        verdict: d.verdict,
+        certificate,
+    }
+}
+
+/// Whether every index of `adj` is reachable from `from`.
+fn covers(adj: &[Vec<usize>], from: usize) -> bool {
+    let mut seen = vec![false; adj.len()];
+    seen[from] = true;
+    let mut stack = vec![from];
+    while let Some(i) = stack.pop() {
+        for &j in &adj[i] {
+            if !seen[j] {
+                seen[j] = true;
+                stack.push(j);
+            }
+        }
+    }
+    seen.into_iter().all(|b| b)
+}
+
+/// The invariant of `s` is one strongly connected component under
+/// `system`'s successors: the path endpoint reaches every member, and
+/// every member reaches the endpoint, inside the member set. It is also no
+/// larger than the forward closure of the nearest stably-good
+/// configuration of `x`, `system`'s full exploration, found breadth-first
+/// from the initial configuration in successor order.
+fn assert_bottom_scc<T: TransitionSystem>(
+    system: &T,
+    x: &Exploration<T::C>,
+    s: &StableCertificate<T::C>,
+) {
+    let members = &s.invariant.members;
+    let at: HashMap<&T::C, usize> = members.iter().enumerate().map(|(i, c)| (c, i)).collect();
+    let succ: Vec<Vec<usize>> = members
+        .iter()
+        .map(|c| {
+            let next = system.successors(c);
+            next.iter()
+                .map(|t| *at.get(t).expect("the invariant is closed"))
+                .collect()
+        })
+        .collect();
+    let mut pred = vec![Vec::new(); members.len()];
+    for (i, row) in succ.iter().enumerate() {
+        for &j in row {
+            pred[j].push(i);
+        }
+    }
+    let endpoint = s.path.steps.last().map_or(&s.path.start, |step| &step.to);
+    let e = at[endpoint];
+    assert!(covers(&succ, e), "the endpoint must reach every member");
+    assert!(covers(&pred, e), "every member must reach the endpoint");
+
+    let stably = match s.polarity {
+        Polarity::Accepting => x.stably_accepting(),
+        Polarity::Rejecting => x.stably_rejecting(),
+    };
+    let mut seen = vec![false; x.len()];
+    seen[0] = true;
+    let mut queue = std::collections::VecDeque::from([0usize]);
+    let nearest = loop {
+        let i = queue
+            .pop_front()
+            .expect("a stably-good configuration is reachable");
+        if stably[i] {
+            break i;
+        }
+        for &j in x.successors(i).iter() {
+            if !seen[j as usize] {
+                seen[j as usize] = true;
+                queue.push_back(j as usize);
+            }
+        }
+    };
+    let mut closure = vec![false; x.len()];
+    closure[nearest] = true;
+    let mut stack = vec![nearest];
+    while let Some(i) = stack.pop() {
+        for &j in x.successors(i).iter() {
+            if !closure[j as usize] {
+                closure[j as usize] = true;
+                stack.push(j as usize);
+            }
+        }
+    }
+    let closure = closure.into_iter().filter(|&b| b).count();
+    assert!(
+        members.len() <= closure,
+        "invariant of {} members outgrows the nearest closure of {closure}",
+        members.len()
+    );
 }
 
 fn counts() -> Vec<LabelCount> {

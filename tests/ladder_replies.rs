@@ -2,17 +2,22 @@
 //!
 //! The ladder machine's states order and print through `CutoffState`'s
 //! `Ord` and `Debug`: `Ord` breaks ties in the broadcast compiler's
-//! choice function, and `Debug` writes the certificate state tables. A
-//! change to the state's representation must leave both as they were.
-//! The reply line itself is written by the streaming certificate encoder
-//! and the reply renderer, which splices the cached certificate text; a
-//! change to either must leave every byte as it was. So this suite
-//! renders the reply of every key of the servebench pool, plain and
-//! certified, with `id` unset, `cache` at `miss` and `micros` at zero,
-//! and compares one digest per machine with the digest captured before
-//! the change. The ladder digest dates from when the estimate was a
-//! `Vec<u8>`; the other three from when certificates were encoded
-//! through a `Json` tree and re-parsed on every reply.
+//! choice function, and `Debug` feeds the digest in the certificate
+//! sidecar. A change to the state's representation must leave both as
+//! they were. The reply line itself is written by the streaming
+//! certificate encoder and the reply renderer, which splices the cached
+//! certificate text; a change to either must leave every byte as it was.
+//! So this suite renders the reply of every key of the servebench pool,
+//! plain and certified, with `id` unset, `cache` at `miss` and `micros`
+//! at zero, and compares two digests per machine with golden values: one
+//! over the plain lines, one over the certified lines.
+//!
+//! The plain digests date from before stability invariants shrank to a
+//! bottom SCC and the sidecar became a digest; neither change touches a
+//! plain reply. The certified digests were recaptured with that change:
+//! ladder, majority and parity certificates carry smaller invariants and
+//! new paths, and every certificate, the presence lassos included,
+//! carries the new sidecar.
 
 use weak_async_models::serve::{build_graph, CacheOutcome, MachineRegistry, OkReply, Reply};
 
@@ -26,18 +31,18 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// Renders `machine`'s reply to every pool key, plain before certified,
-/// and checks the key count and the FNV-1a digest over the lines.
-fn assert_pool_digest(machine: &str, sizes: Sizes, want_keys: usize, golden: u64) {
+/// Renders `machine`'s reply to every pool key, plain and certified, and
+/// checks the key count and one FNV-1a digest over each kind of line.
+fn assert_pool_digest(machine: &str, sizes: Sizes, want_keys: usize, golden: [u64; 2]) {
     let registry = MachineRegistry::paper_catalog();
     let entry = registry.get(machine).expect("catalog machine");
-    let mut digest = 0xCBF2_9CE4_8422_2325;
+    let mut digests = [0xCBF2_9CE4_8422_2325; 2];
     let mut keys = 0;
     for (family, ns) in sizes {
         for n in ns {
             for zeros in 0..=n {
                 let graph = build_graph(family, &[zeros, n - zeros]).expect("pool key builds");
-                for certified in [false, true] {
+                for (digest, certified) in digests.iter_mut().zip([false, true]) {
                     let result = entry.decide(&graph, certified).expect("pool key decides");
                     let line = Reply::Ok(OkReply {
                         id: None,
@@ -48,15 +53,23 @@ fn assert_pool_digest(machine: &str, sizes: Sizes, want_keys: usize, golden: u64
                         micros: 0,
                     })
                     .render();
-                    digest = fnv1a(digest, line.as_bytes());
-                    digest = fnv1a(digest, b"\n");
+                    *digest = fnv1a(*digest, line.as_bytes());
+                    *digest = fnv1a(*digest, b"\n");
                 }
                 keys += 1;
             }
         }
     }
     assert_eq!(keys, want_keys, "{machine}: pool key count");
-    assert_eq!(digest, golden, "{machine} replies changed: {digest:#018x}");
+    let [plain, certified] = digests;
+    assert_eq!(
+        plain, golden[0],
+        "{machine} plain replies changed: {plain:#018x}"
+    );
+    assert_eq!(
+        certified, golden[1],
+        "{machine} certified replies changed: {certified:#018x}"
+    );
 }
 
 #[test]
@@ -67,7 +80,12 @@ fn ladder_pool_replies_match_the_golden_digest() {
         ("star", 4..5),
         ("clique", 4..8),
     ];
-    assert_pool_digest("ladder", sizes, 44, 0x877c_7397_51b4_75c5);
+    assert_pool_digest(
+        "ladder",
+        sizes,
+        44,
+        [0x0f14_a759_48b9_df94, 0x1b70_94bf_6975_865c],
+    );
 }
 
 #[test]
@@ -78,7 +96,12 @@ fn presence_pool_replies_match_the_golden_digest() {
         ("star", 4..8),
         ("clique", 4..8),
     ];
-    assert_pool_digest("presence", sizes, 112, 0x8c11_9874_8c20_3c95);
+    assert_pool_digest(
+        "presence",
+        sizes,
+        112,
+        [0x620d_618f_6919_cbf7, 0x6118_e550_a3e7_6f75],
+    );
 }
 
 #[test]
@@ -89,7 +112,12 @@ fn majority_pool_replies_match_the_golden_digest() {
         ("star", 4..6),
         ("clique", 4..8),
     ];
-    assert_pool_digest("majority", sizes, 67, 0xaedf_9a2d_398b_f1ee);
+    assert_pool_digest(
+        "majority",
+        sizes,
+        67,
+        [0x9098_c822_b745_241c, 0xca34_0c28_7efe_35d4],
+    );
 }
 
 #[test]
@@ -100,5 +128,10 @@ fn parity_pool_replies_match_the_golden_digest() {
         ("star", 4..5),
         ("clique", 4..7),
     ];
-    assert_pool_digest("parity", sizes, 41, 0xd508_e9e0_d47e_fb5a);
+    assert_pool_digest(
+        "parity",
+        sizes,
+        41,
+        [0xd712_9469_71af_de7d, 0x034a_3a44_5a83_2012],
+    );
 }
