@@ -16,7 +16,6 @@
 //! `BENCH_serve.json` at the repository root, pinned by
 //! `tests/bench_schema.rs`.
 
-use executor::block_on;
 use std::time::{Duration, Instant};
 use wam_core::Verdict;
 use wam_serve::{
@@ -110,7 +109,7 @@ fn main() {
             .map(|_| handle.submit(req("slow", "cycle", &counts, false)))
             .collect();
         for h in handles {
-            let ok = expect_ok(block_on(h));
+            let ok = expect_ok(h.recv().unwrap());
             assert_eq!(ok.result.verdict, Verdict::Accepts);
         }
         attempt += 1;
@@ -133,7 +132,7 @@ fn main() {
             .collect();
         let mut rejected = 0;
         for h in handles {
-            match block_on(h) {
+            match h.recv().unwrap() {
                 Reply::Ok(_) => {}
                 Reply::Error { error, .. } => {
                     assert_eq!(error.kind(), "overloaded", "unexpected rejection: {error}");
@@ -155,12 +154,10 @@ fn main() {
     while service.stats().degraded == 0 {
         assert!(probe < 8, "no probe degraded");
         let counts = [9 + probe, 9];
-        let _ = expect_ok(block_on(
-            handle.submit(req("slow", "cycle", &counts, false)),
-        ));
+        let _ = expect_ok(handle.process(req("slow", "cycle", &counts, false)));
         let mut certified = req("slow", "cycle", &counts, true);
         certified.deadline_ms = Some(5);
-        match block_on(handle.submit(certified.clone())) {
+        match handle.process(certified.clone()) {
             Reply::Ok(ok) => {
                 assert!(
                     ok.degraded,
@@ -176,7 +173,7 @@ fn main() {
         // The degraded request's decision keeps running; wait for it so
         // the final counts include it.
         certified.deadline_ms = None;
-        let _ = expect_ok(block_on(handle.submit(certified)));
+        let _ = expect_ok(handle.process(certified));
         probe += 1;
     }
 
@@ -220,7 +217,7 @@ fn main() {
                     tail[(rng.next() as usize) % tail.len()].clone()
                 };
                 let t = Instant::now();
-                let reply = block_on(handle.process(r));
+                let reply = handle.process(r);
                 latencies.push(t.elapsed().as_micros() as u64);
                 match reply {
                     Reply::Ok(_) => {}

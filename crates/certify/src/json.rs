@@ -873,8 +873,14 @@ pub fn certificate_from_json<C>(
     if doc.field("version")?.index()? != 1 {
         return Err(err("unsupported wam-certify version"));
     }
-    if let Some(sidecar) = doc.get("sidecar") {
-        codec.check_sidecar(sidecar)?;
+    match doc.get("sidecar") {
+        Some(sidecar) => codec.check_sidecar(sidecar)?,
+        // Without its sidecar a document would decode under any table of
+        // the right size, as a different certificate.
+        None if codec.sidecar().is_some() => {
+            return Err(err("document lacks the sidecar its codec requires"))
+        }
+        None => {}
     }
     let claimed = parse_verdict(doc.field("verdict")?)?;
     let cert = match doc.field("kind")?.str()? {
@@ -958,9 +964,11 @@ mod tests {
         let codec = StateTable {
             states: vec![false, true],
         };
+        let sidecar = codec.table_sidecar().render();
         let stable = |transport: &str| {
             format!(
                 r#"{{"format":"wam-certify","version":1,"kind":"stable","verdict":"accepts",
+                "sidecar":{sidecar},
                 "stable":{{"polarity":"accepting","path":{{"start":[1,0],"steps":[]}},
                 "members":[[0,1]]{transport}}}}}"#
             )
@@ -968,7 +976,8 @@ mod tests {
         let no_consensus = |transport: &str| {
             format!(
                 r#"{{"format":"wam-certify","version":1,"kind":"no-consensus",
-                "verdict":"no consensus","no_consensus":{{"space":[[0,1]]{transport},
+                "verdict":"no consensus","sidecar":{sidecar},
+                "no_consensus":{{"space":[[0,1]]{transport},
                 "escape_accepting":["here"],"escape_rejecting":["here"]}}}}"#
             )
         };

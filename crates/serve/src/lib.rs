@@ -1,5 +1,5 @@
-//! `wam-serve` — an async certified-verdict service in front of the
-//! sharded [`VerdictStore`](wam_analysis::VerdictStore) cache.
+//! `wam-serve` — a certified-verdict service in front of the sharded
+//! [`VerdictStore`](wam_analysis::VerdictStore) cache.
 //!
 //! The crate turns the workspace's exact deciders into a long-running
 //! service: clients submit `(machine, graph)` jobs as line-JSON and get
@@ -13,10 +13,12 @@
 //!   machine as real communicating nodes over a simulated faulty network
 //!   (`wam-net`) and cross-validates the emergent verdict against the
 //!   exact decider.
-//! * [`service`] — the core: cache → coalescing → admission gates, with
-//!   deadlines that degrade certified requests to cached plain verdicts
-//!   before rejecting. Its in-flight map, not the store, is what makes
-//!   each canonical key decide at most once.
+//! * [`service`] — the core: cache → coalescing → admission gates on a
+//!   fixed pool of worker threads, with deadlines that degrade certified
+//!   requests to cached plain verdicts before rejecting. Its in-flight
+//!   map, not the store, is what makes each canonical key decide at most
+//!   once; the requests waiting on a decision are entries in that map,
+//!   not blocked threads.
 //! * [`proto`] — the framed line-JSON request/reply protocol, built on
 //!   the serde-free [`Json`](wam_certify::Json) codec.
 //! * [`transport`] — the stdin/stdout line loop the `wam-serve` binary
@@ -24,8 +26,9 @@
 //! * [`error`] — [`ServeError`], one uniform error with engine errors
 //!   reachable through `source()`.
 //!
-//! Everything runs on the vendored `executor` runtime; the crate has no
-//! dependencies outside the workspace.
+//! Everything runs on `std` threads — the workers, the transport's writer,
+//! and one timer thread once a request carries a deadline; the crate has
+//! no dependencies outside the workspace.
 
 pub mod error;
 pub mod proto;

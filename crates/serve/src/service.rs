@@ -1,46 +1,59 @@
 //! The service core: admission control, request coalescing, deadlines,
-//! and the shared verdict store, all on the vendored async runtime.
+//! and the shared verdict store, on a fixed pool of `std` worker threads.
 //!
-//! A request travels through three gates:
+//! A request is a job on one queue that the workers share. Its worker
+//! runs it through three gates and never blocks to wait for another
+//! decision:
 //!
 //! 1. **Cache** — a stored entry answers immediately (`cache: hit`).
 //! 2. **Coalescing** — if the same canonical key is already being
-//!    decided, the request joins that in-flight decision instead of
-//!    starting its own (`cache: coalesced`).
+//!    decided, the request parks its reply sink on that in-flight
+//!    decision's waiter list and the worker moves on (`cache: coalesced`).
 //! 3. **Admission** — a new decision only starts while fewer than
 //!    `admission` decisions are in flight; past the bound the service
-//!    *rejects* with `overloaded` rather than queueing unboundedly.
+//!    *rejects* with `overloaded` rather than queueing unboundedly. An
+//!    admitted decision is a job of its own at the back of the queue, so
+//!    the bound counts queued and running decisions alike, and requests
+//!    that arrived before it pass their gates first.
 //!
 //! The service's in-flight map is the only record of running decisions;
 //! the [`VerdictStore`] is a cache of finished ones. At most one decision
 //! runs per canonical key, and `cache: miss` / `decided` count exactly
 //! the decisions that ran, because a decision publishes to the store
-//! before it leaves the in-flight map and Gate 2 re-peeks the store with
-//! the map locked. Locks nest in one order only: `inflight`, then a
-//! store shard.
+//! before it takes its waiter list out of the in-flight map and Gate 2
+//! re-peeks the store with the map locked. Locks nest in one order only:
+//! `inflight`, then a store shard.
 //!
 //! Deadlines degrade before they reject: when a *certified* request runs
 //! out of time, the service first tries to answer with a cached *plain*
 //! verdict for the same key (`degraded: true`); only if none exists does
-//! it reject with `deadline`. The in-flight decision keeps running and
-//! populates the cache for later requests either way.
+//! it reject with `deadline`. One timer thread, started by the first
+//! request that carries a deadline, takes an expired waiter out of its
+//! list under the `inflight` lock, so a waiter is answered exactly once:
+//! by the timer or by the decision's fan-out. The decision keeps running
+//! and populates the cache for later requests either way.
 
 use crate::error::ServeError;
 use crate::proto::{
     build_graph_bounded, catalog_of, CacheOutcome, ChaosRequest, DecideRequest, OkReply, Reply,
 };
 use crate::registry::{CachedVerdict, MachineRegistry};
-use executor::{block_on, oneshot, timeout, Runtime};
 use rustc_hash::FxHashMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::thread;
 use std::time::{Duration, Instant};
 use wam_analysis::{StoreKey, VerdictStore};
+use wam_graph::Graph;
 
 /// Tunables for a [`VerdictService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Executor worker threads (decisions run here).
+    /// Decision worker threads: each runs one job at a time, either the
+    /// gates of one request or one admitted decision.
     pub workers: usize,
     /// Admission bound: maximum decisions in flight before rejection.
     pub admission: usize,
@@ -75,7 +88,7 @@ impl Default for ServiceConfig {
 /// A snapshot of the service counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Decide requests accepted into [`ServiceHandle::process`].
+    /// Decide requests a worker has taken up.
     pub received: u64,
     /// Requests answered with a verdict (including degraded ones).
     pub completed: u64,
@@ -112,13 +125,134 @@ struct Counters {
     chaos_runs: AtomicU64,
 }
 
-type Waiters = Vec<oneshot::Sender<Result<CachedVerdict, ServeError>>>;
+/// Where a reply goes.
+pub(crate) enum Sink {
+    /// [`ServiceHandle::submit`]'s receiver.
+    Caller(Sender<Reply>),
+    /// The transport's bounded writer queue, as a rendered line.
+    Writer(SyncSender<String>),
+}
+
+/// A unit of work on the job queue.
+enum Job {
+    /// A decide request, to run through the gates.
+    Request { req: DecideRequest, sink: Sink },
+    /// An admitted decision; its waiters are on `inflight[key]`.
+    Decide {
+        machine: String,
+        graph: Graph,
+        key: StoreKey,
+        certified: bool,
+    },
+}
+
+/// The job queue the workers share. A mutex-guarded deque with a condvar
+/// wakes one worker per job; `None` once the service is dropped.
+struct Queue {
+    jobs: Mutex<Option<VecDeque<Job>>>,
+    ready: Condvar,
+}
+
+impl Queue {
+    /// Queues a job, or hands it back once the queue is
+    /// [closed](Self::close).
+    fn push(&self, job: Job) -> Option<Job> {
+        match self.jobs.lock().unwrap().as_mut() {
+            Some(jobs) => jobs.push_back(job),
+            None => return Some(job),
+        }
+        // Notified after the unlock, so the woken worker does not block
+        // on the lock it is about to take.
+        self.ready.notify_one();
+        None
+    }
+
+    /// The next job, waiting for one; `None` once the queue is closed.
+    fn pop(&self) -> Option<Job> {
+        let mut jobs = self.jobs.lock().unwrap();
+        loop {
+            if let Some(job) = jobs.as_mut()?.pop_front() {
+                return Some(job);
+            }
+            jobs = self.ready.wait(jobs).unwrap();
+        }
+    }
+
+    /// Stops the workers and returns the jobs nobody has taken up.
+    fn close(&self) -> VecDeque<Job> {
+        let left = self.jobs.lock().unwrap().take();
+        self.ready.notify_all();
+        left.unwrap_or_default()
+    }
+}
+
+/// A reply's destination and the fields it echoes.
+struct ReplyTo {
+    id: Option<u64>,
+    machine: String,
+    start: Instant,
+    sink: Sink,
+}
+
+/// A verdict, how the cache answered and whether it was degraded, or
+/// why there is none.
+type Outcome = Result<(CachedVerdict, CacheOutcome, bool), ServeError>;
+
+impl ReplyTo {
+    fn send(self, stats: &Counters, outcome: Outcome) {
+        let reply = match outcome {
+            Ok((result, cache, degraded)) => {
+                stats.completed.fetch_add(1, Ordering::Relaxed);
+                Reply::Ok(OkReply {
+                    id: self.id,
+                    machine: self.machine,
+                    result,
+                    cache,
+                    degraded,
+                    micros: self.start.elapsed().as_micros() as u64,
+                })
+            }
+            Err(error) => Reply::Error { id: self.id, error },
+        };
+        // A caller that went away needs no reply.
+        match self.sink {
+            Sink::Caller(tx) => {
+                let _ = tx.send(reply);
+            }
+            Sink::Writer(tx) => {
+                let _ = tx.send(reply.render());
+            }
+        }
+    }
+}
+
+/// A request parked on an in-flight decision.
+struct Waiter {
+    /// Names this waiter to the timer thread.
+    token: u64,
+    /// `Miss` for the request that runs the decision, else `Coalesced`.
+    cache: CacheOutcome,
+    to: ReplyTo,
+}
+
+/// A waiter's deadline, as the timer thread holds it.
+struct Timed {
+    at: Instant,
+    token: u64,
+    key: StoreKey,
+    plain_key: StoreKey,
+    certified: bool,
+}
 
 struct Inner {
     registry: MachineRegistry,
     store: VerdictStore<CachedVerdict>,
-    inflight: Mutex<FxHashMap<StoreKey, Waiters>>,
+    inflight: Mutex<FxHashMap<StoreKey, Vec<Waiter>>>,
     in_flight_decisions: AtomicUsize,
+    next_token: AtomicU64,
+    queue: Queue,
+    /// The timer thread's inbox, made by the first request with a deadline.
+    timer: OnceLock<Sender<Timed>>,
     config: ServiceConfig,
     stats: Counters,
 }
@@ -159,37 +293,337 @@ impl Inner {
     fn release_permit(&self) {
         self.in_flight_decisions.fetch_sub(1, Ordering::AcqRel);
     }
+
+    /// Queues a job. A job the closed queue hands back is dropped, and
+    /// with it its sink, which a waiting caller sees as a disconnect; a
+    /// decision's waiters are dropped with it.
+    fn schedule(&self, job: Job) {
+        if let Some(job) = self.queue.push(job) {
+            self.drop_job(job);
+        }
+    }
+
+    /// Drops a job that will never run. A dropped decision takes its
+    /// waiter list out of the in-flight map and gives back its permit.
+    fn drop_job(&self, job: Job) {
+        if let Job::Decide { key, .. } = job {
+            let waiters = self.inflight.lock().unwrap().remove(&key);
+            self.release_permit();
+            drop(waiters);
+        }
+    }
+
+    /// Runs one job.
+    fn run_job(self: &Arc<Self>, job: Job) {
+        match job {
+            Job::Request { req, sink } => self.run_request(req, sink),
+            Job::Decide {
+                machine,
+                graph,
+                key,
+                certified,
+            } => {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    self.registry
+                        .get(&machine)
+                        .expect("entry existed when the decision was admitted")
+                        .decide(&graph, certified)
+                }))
+                .unwrap_or_else(|panic| Err(internal(panic)));
+                self.publish(&key, outcome);
+            }
+        }
+    }
+
+    /// Runs one request and answers it, unless the gates parked it on an
+    /// in-flight decision. A panic in the gates becomes an `internal`
+    /// reply; the worker lives on.
+    fn run_request(self: &Arc<Self>, req: DecideRequest, sink: Sink) {
+        let start = Instant::now();
+        self.stats.received.fetch_add(1, Ordering::Relaxed);
+        let mut to = Some(ReplyTo {
+            id: req.id,
+            machine: req.machine.clone(),
+            start,
+            sink,
+        });
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.gates(&req, start, &mut to)))
+            .unwrap_or_else(|panic| Some(Err(internal(panic))));
+        if let (Some(to), Some(outcome)) = (to, outcome) {
+            to.send(&self.stats, outcome);
+        }
+    }
+
+    /// The three gates. Returns the outcome to send to `to`, or `None`
+    /// once `to` has been parked on an in-flight decision, which answers
+    /// it. A miss queues its decision behind the jobs already waiting.
+    fn gates(
+        self: &Arc<Self>,
+        req: &DecideRequest,
+        start: Instant,
+        to: &mut Option<ReplyTo>,
+    ) -> Option<Outcome> {
+        let entry = match self.registry.get(&req.machine) {
+            Some(entry) => entry,
+            None => {
+                return Some(Err(ServeError::UnknownMachine {
+                    name: req.machine.clone(),
+                }))
+            }
+        };
+        if req.counts.len() != entry.arity() {
+            return Some(Err(ServeError::BadRequest {
+                reason: format!(
+                    "machine {:?} has arity {}, got {} counts",
+                    req.machine,
+                    entry.arity(),
+                    req.counts.len()
+                ),
+            }));
+        }
+        let graph = match build_graph_bounded(&req.family, &req.counts, self.config.max_nodes) {
+            Ok(graph) => graph,
+            Err(error) => return Some(Err(error)),
+        };
+        let deadline = req
+            .deadline_ms
+            .map(Duration::from_millis)
+            .or(self.config.default_deadline);
+        let certified = req.certified;
+        let key = StoreKey::new(entry.fingerprint(certified), &graph);
+        let plain_key = key.with_fingerprint(entry.fingerprint(false));
+
+        let hit = |v: CachedVerdict| {
+            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            Some(Ok((v, CacheOutcome::Hit, false)))
+        };
+
+        // Gate 1: a ready cache entry answers without touching the
+        // in-flight map.
+        if let Some(v) = self.store.peek(&key) {
+            return hit(v);
+        }
+
+        // A deadline that elapsed before any decision work degrades
+        // (certified → cached plain verdict) or rejects.
+        if deadline.is_some_and(|d| start.elapsed() >= d) {
+            return Some(self.degrade_or_reject(&plain_key, certified, start));
+        }
+
+        // Gate 2 and 3: join the in-flight decision for this key, or
+        // claim an admission permit and become the decider. The re-peek
+        // under the lock turns a decision that published and left the
+        // map since Gate 1 into a hit, not a second miss (module docs).
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let role = {
+            let mut inflight = self.inflight.lock().unwrap();
+            let waiter = |cache, to: &mut Option<ReplyTo>| Waiter {
+                token,
+                cache,
+                to: to.take().expect("a job parks its reply once"),
+            };
+            if let Some(waiters) = inflight.get_mut(&key) {
+                waiters.push(waiter(CacheOutcome::Coalesced, to));
+                CacheOutcome::Coalesced
+            } else if let Some(v) = self.store.peek(&key) {
+                drop(inflight);
+                return hit(v);
+            } else {
+                if let Err(error) = self.try_admit() {
+                    return Some(Err(error));
+                }
+                inflight.insert(key.clone(), vec![waiter(CacheOutcome::Miss, to)]);
+                CacheOutcome::Miss
+            }
+        };
+
+        if let Some(d) = deadline {
+            self.arm(Timed {
+                at: start + d,
+                token,
+                key: key.clone(),
+                plain_key,
+                certified,
+            });
+        }
+        if role == CacheOutcome::Coalesced {
+            self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.schedule(Job::Decide {
+                machine: req.machine.clone(),
+                graph,
+                key,
+                certified,
+            });
+        }
+        None
+    }
+
+    /// Publishes a finished decision and answers every waiter still on
+    /// its list.
+    fn publish(&self, key: &StoreKey, outcome: Result<CachedVerdict, ServeError>) {
+        // Publish before the waiter list leaves the in-flight map (see
+        // Gate 2): late arrivals either see the stored entry or start a
+        // fresh decision — never neither. An error caches nothing and
+        // leaves the key decidable.
+        let outcome = outcome.map(|v| self.store.insert(key, v));
+        let waiters = self
+            .inflight
+            .lock()
+            .unwrap()
+            .remove(key)
+            .unwrap_or_default();
+        self.release_permit();
+        match &outcome {
+            Ok(_) => self.stats.decided.fetch_add(1, Ordering::Relaxed),
+            Err(_) => self.stats.decide_errors.fetch_add(1, Ordering::Relaxed),
+        };
+        for w in waiters {
+            let outcome = outcome.clone().map(|v| (v, w.cache, false));
+            w.to.send(&self.stats, outcome);
+        }
+    }
+
+    /// Hands a deadline to the timer thread, starting it on first use.
+    fn arm(self: &Arc<Self>, timed: Timed) {
+        let inbox = self.timer.get_or_init(|| {
+            let (tx, rx) = mpsc::channel();
+            let inner = Arc::downgrade(self);
+            thread::Builder::new()
+                .name("serve-timer".to_string())
+                .spawn(move || run_timer(&inner, &rx))
+                .expect("spawn serve timer thread");
+            tx
+        });
+        // The timer only stops once this service is gone.
+        let _ = inbox.send(timed);
+    }
+
+    /// Answers a waiter whose deadline passed, if the decision's fan-out
+    /// has not answered it already.
+    fn expire(&self, timed: &Timed) {
+        let waiter = {
+            let mut inflight = self.inflight.lock().unwrap();
+            let Some(waiters) = inflight.get_mut(&timed.key) else {
+                return;
+            };
+            let Some(i) = waiters.iter().position(|w| w.token == timed.token) else {
+                return;
+            };
+            // The entry stays, even empty: the decision is still running.
+            waiters.swap_remove(i)
+        };
+        let outcome = self.degrade_or_reject(&timed.plain_key, timed.certified, waiter.to.start);
+        waiter.to.send(&self.stats, outcome);
+    }
+
+    /// The deadline fallback: certified requests degrade to a cached
+    /// plain verdict when one exists; everything else rejects.
+    fn degrade_or_reject(&self, plain_key: &StoreKey, certified: bool, start: Instant) -> Outcome {
+        if certified {
+            if let Some(v) = self.store.peek(plain_key) {
+                self.stats.degraded.fetch_add(1, Ordering::Relaxed);
+                return Ok((v, CacheOutcome::Hit, true));
+            }
+        }
+        self.stats.rejected_deadline.fetch_add(1, Ordering::Relaxed);
+        Err(ServeError::DeadlineExceeded {
+            elapsed_ms: start.elapsed().as_millis() as u64,
+        })
+    }
+}
+
+/// An `internal` error carrying a caught panic's message.
+fn internal(panic: Box<dyn std::any::Any + Send>) -> ServeError {
+    let reason = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "decision panicked".to_string());
+    ServeError::Internal { reason }
+}
+
+/// A worker: takes jobs until the service is dropped.
+fn run_worker(inner: &Arc<Inner>) {
+    while let Some(job) = inner.queue.pop() {
+        inner.run_job(job);
+    }
+}
+
+/// The timer thread: expires deadlines in order, earliest first, until
+/// the service is gone.
+fn run_timer(inner: &Weak<Inner>, inbox: &Receiver<Timed>) {
+    let mut pending: BTreeMap<(Instant, u64), Timed> = BTreeMap::new();
+    loop {
+        let now = Instant::now();
+        while let Some(entry) = pending.first_entry().filter(|e| e.key().0 <= now) {
+            let timed = entry.remove();
+            match inner.upgrade() {
+                Some(inner) => inner.expire(&timed),
+                None => return,
+            }
+        }
+        let next = match pending.keys().next() {
+            Some(&(at, _)) => inbox.recv_timeout(at.saturating_duration_since(now)),
+            None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match next {
+            Ok(timed) => {
+                pending.insert((timed.at, timed.token), timed);
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+    }
 }
 
 /// The certified-verdict service: a [`MachineRegistry`] behind a shared
-/// [`VerdictStore`] on a vendored async [`Runtime`].
+/// [`VerdictStore`], decided on a pool of [`ServiceConfig::workers`]
+/// threads.
 ///
-/// The service owns the runtime; [`handle`](Self::handle) yields a
-/// cloneable, `'static` handle for submitting work from transports and
-/// clients.
+/// [`handle`](Self::handle) yields a cloneable, `'static` handle for
+/// submitting work from transports and clients. Dropping the service
+/// stops the workers once they finish their current jobs. A request left
+/// on the queue then, or submitted later through a handle, is dropped
+/// with every request waiting on a decision that will not run:
+/// [`ServiceHandle::process`] reports it as an `internal` error, and a
+/// [`ServiceHandle::submit`] receiver disconnects.
 pub struct VerdictService {
-    inner: Arc<Inner>,
-    runtime: Runtime,
+    handle: ServiceHandle,
 }
 
 impl VerdictService {
-    /// Builds a service over `registry` with the given tunables.
+    /// Builds a service over `registry` with the given tunables and
+    /// starts its workers.
     pub fn new(registry: MachineRegistry, config: ServiceConfig) -> Self {
         let store = match config.store_capacity {
             Some(cap) => VerdictStore::with_capacity(cap),
             None => VerdictStore::new(),
         };
-        let runtime = Runtime::new(config.workers);
+        let workers = config.workers.max(1);
+        let inner = Arc::new(Inner {
+            registry,
+            store,
+            inflight: Mutex::new(FxHashMap::default()),
+            in_flight_decisions: AtomicUsize::new(0),
+            next_token: AtomicU64::new(0),
+            queue: Queue {
+                jobs: Mutex::new(Some(VecDeque::new())),
+                ready: Condvar::new(),
+            },
+            timer: OnceLock::new(),
+            config,
+            stats: Counters::default(),
+        });
+        for i in 0..workers {
+            let inner = Arc::clone(&inner);
+            thread::Builder::new()
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || run_worker(&inner))
+                .expect("spawn serve worker thread");
+        }
         VerdictService {
-            inner: Arc::new(Inner {
-                registry,
-                store,
-                inflight: Mutex::new(FxHashMap::default()),
-                in_flight_decisions: AtomicUsize::new(0),
-                config,
-                stats: Counters::default(),
-            }),
-            runtime,
+            handle: ServiceHandle { inner },
         }
     }
 
@@ -200,32 +634,36 @@ impl VerdictService {
 
     /// A cloneable handle for submitting requests.
     pub fn handle(&self) -> ServiceHandle {
-        ServiceHandle {
-            inner: Arc::clone(&self.inner),
-            spawner: self.runtime.handle(),
-        }
+        self.handle.clone()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ServiceStats {
-        self.inner.snapshot()
+        self.handle.inner.snapshot()
     }
 
     /// The shared verdict store (for tests and benchmarks).
     pub fn store(&self) -> &VerdictStore<CachedVerdict> {
-        &self.inner.store
+        &self.handle.inner.store
     }
 
     /// The registry this service decides from.
     pub fn registry(&self) -> &MachineRegistry {
-        &self.inner.registry
+        &self.handle.inner.registry
     }
 
-    /// Decides one request synchronously (drives the async path on the
-    /// calling thread).
+    /// Decides one request and waits for its reply.
     pub fn process_blocking(&self, req: DecideRequest) -> Reply {
-        let handle = self.handle();
-        block_on(async move { handle.process(req).await })
+        self.handle.process(req)
+    }
+}
+
+impl Drop for VerdictService {
+    fn drop(&mut self) {
+        let inner = &self.handle.inner;
+        for job in inner.queue.close() {
+            inner.drop_job(job);
+        }
     }
 }
 
@@ -233,7 +671,6 @@ impl VerdictService {
 #[derive(Clone)]
 pub struct ServiceHandle {
     inner: Arc<Inner>,
-    spawner: executor::Handle,
 }
 
 impl ServiceHandle {
@@ -285,217 +722,27 @@ impl ServiceHandle {
         }
     }
 
-    /// Submits a request as a task on the service runtime; the returned
-    /// join handle resolves to its reply.
-    pub fn submit(&self, req: DecideRequest) -> executor::JoinHandle<Reply> {
-        let h = self.clone();
-        self.spawner.spawn(async move { h.process(req).await })
-    }
-
-    /// Spawns an arbitrary future on the service runtime — transports
-    /// use this to pair [`process`](Self::process) with their own reply
-    /// routing.
-    pub fn submit_raw<F>(&self, future: F) -> executor::JoinHandle<F::Output>
-    where
-        F: std::future::Future + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        self.spawner.spawn(future)
+    /// Queues a request for the workers; the receiver yields its reply.
+    pub fn submit(&self, req: DecideRequest) -> Receiver<Reply> {
+        let (tx, rx) = mpsc::channel();
+        self.enqueue(req, Sink::Caller(tx));
+        rx
     }
 
     /// Decides one request through cache, coalescing, admission, and
-    /// deadline handling.
-    pub async fn process(&self, req: DecideRequest) -> Reply {
-        let start = Instant::now();
-        self.inner.stats.received.fetch_add(1, Ordering::Relaxed);
-        match self.decide_request(&req, start).await {
-            Ok(ok) => {
-                self.inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                Reply::Ok(ok)
-            }
-            Err(error) => Reply::Error { id: req.id, error },
-        }
-    }
-
-    async fn decide_request(
-        &self,
-        req: &DecideRequest,
-        start: Instant,
-    ) -> Result<OkReply, ServeError> {
-        let inner = &self.inner;
-        let entry = inner
-            .registry
-            .get(&req.machine)
-            .ok_or_else(|| ServeError::UnknownMachine {
-                name: req.machine.clone(),
-            })?;
-        if req.counts.len() != entry.arity() {
-            return Err(ServeError::BadRequest {
-                reason: format!(
-                    "machine {:?} has arity {}, got {} counts",
-                    req.machine,
-                    entry.arity(),
-                    req.counts.len()
-                ),
-            });
-        }
-        let graph = build_graph_bounded(&req.family, &req.counts, inner.config.max_nodes)?;
-        let deadline = req
-            .deadline_ms
-            .map(Duration::from_millis)
-            .or(inner.config.default_deadline);
-        let certified = req.certified;
-        let key = StoreKey::new(entry.fingerprint(certified), &graph);
-        let plain_key = key.with_fingerprint(entry.fingerprint(false));
-
-        let ok = |result: CachedVerdict, cache: CacheOutcome, degraded: bool| OkReply {
-            id: req.id,
-            machine: req.machine.clone(),
-            result,
-            cache,
-            degraded,
-            micros: start.elapsed().as_micros() as u64,
-        };
-
-        let hit = |v: CachedVerdict| {
-            inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            Ok(ok(v, CacheOutcome::Hit, false))
-        };
-
-        // Gate 1: a ready cache entry answers without touching the
-        // in-flight map.
-        if let Some(v) = inner.store.peek(&key) {
-            return hit(v);
-        }
-
-        // A deadline that elapsed before any decision work degrades
-        // (certified → cached plain verdict) or rejects.
-        if deadline.is_some_and(|d| start.elapsed() >= d) {
-            return self
-                .degrade_or_reject(req, &plain_key, certified, start)
-                .map(|v| ok(v.0, v.1, true));
-        }
-
-        // Gate 2 and 3: join the in-flight decision for this key, or
-        // claim an admission permit and become the decider. The re-peek
-        // under the lock turns a decision that published and left the
-        // map since Gate 1 into a hit, not a second miss (module docs).
-        let (rx, role) = {
-            let mut inflight = inner.inflight.lock().unwrap();
-            let (tx, rx) = oneshot::channel();
-            if let Some(waiters) = inflight.get_mut(&key) {
-                waiters.push(tx);
-                (rx, CacheOutcome::Coalesced)
-            } else if let Some(v) = inner.store.peek(&key) {
-                drop(inflight);
-                return hit(v);
-            } else {
-                inner.try_admit()?;
-                inflight.insert(key.clone(), vec![tx]);
-                (rx, CacheOutcome::Miss)
-            }
-        };
-
-        if role == CacheOutcome::Coalesced {
-            inner.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.spawn_decision(req.machine.clone(), graph, key.clone(), certified);
-        }
-
-        let received = match deadline {
-            None => rx.await,
-            Some(d) => {
-                let remaining = d.saturating_sub(start.elapsed());
-                match timeout(remaining, rx).await {
-                    Ok(r) => r,
-                    Err(_) => {
-                        // Out of time while the decision runs; it keeps
-                        // running and will fill the cache for others.
-                        return self
-                            .degrade_or_reject(req, &plain_key, certified, start)
-                            .map(|v| ok(v.0, v.1, true));
-                    }
-                }
-            }
-        };
-        let value = received.map_err(|_| ServeError::Internal {
-            reason: "decision task dropped before completing".to_string(),
-        })??;
-        Ok(ok(value, role, false))
-    }
-
-    /// The deadline fallback: certified requests degrade to a cached
-    /// plain verdict when one exists; everything else rejects.
-    fn degrade_or_reject(
-        &self,
-        _req: &DecideRequest,
-        plain_key: &StoreKey,
-        certified: bool,
-        start: Instant,
-    ) -> Result<(CachedVerdict, CacheOutcome), ServeError> {
-        if certified {
-            if let Some(v) = self.inner.store.peek(plain_key) {
-                self.inner.stats.degraded.fetch_add(1, Ordering::Relaxed);
-                return Ok((v, CacheOutcome::Hit));
-            }
-        }
-        self.inner
-            .stats
-            .rejected_deadline
-            .fetch_add(1, Ordering::Relaxed);
-        Err(ServeError::DeadlineExceeded {
-            elapsed_ms: start.elapsed().as_millis() as u64,
+    /// deadline handling, and waits for its reply.
+    pub fn process(&self, req: DecideRequest) -> Reply {
+        let id = req.id;
+        self.submit(req).recv().unwrap_or_else(|_| Reply::Error {
+            id,
+            error: ServeError::Internal {
+                reason: "decision dropped before completing".to_string(),
+            },
         })
     }
 
-    /// Runs one decision as a task on the runtime, publishes the result
-    /// to the store, and fans it out to every coalesced waiter.
-    fn spawn_decision(
-        &self,
-        machine: String,
-        graph: wam_graph::Graph,
-        key: StoreKey,
-        certified: bool,
-    ) {
-        let inner = Arc::clone(&self.inner);
-        // The join handle is dropped deliberately: the task's lifecycle
-        // is tracked through the in-flight map and the waiter channels.
-        let task = self.spawner.spawn(async move {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                inner
-                    .registry
-                    .get(&machine)
-                    .expect("entry existed when the decision was admitted")
-                    .decide(&graph, certified)
-            }))
-            .unwrap_or_else(|panic| {
-                let reason = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "decision panicked".to_string());
-                Err(ServeError::Internal { reason })
-            });
-            // Publish before the waiter list leaves the in-flight map
-            // (see Gate 2): late arrivals either see the stored entry or
-            // start a fresh decision — never neither. An error caches
-            // nothing and leaves the key decidable.
-            let outcome = outcome.map(|v| inner.store.insert(&key, v));
-            let waiters = inner
-                .inflight
-                .lock()
-                .unwrap()
-                .remove(&key)
-                .unwrap_or_default();
-            inner.release_permit();
-            match &outcome {
-                Ok(_) => inner.stats.decided.fetch_add(1, Ordering::Relaxed),
-                Err(_) => inner.stats.decide_errors.fetch_add(1, Ordering::Relaxed),
-            };
-            for tx in waiters {
-                let _ = tx.send(outcome.clone());
-            }
-        });
-        drop(task);
+    /// Queues a request whose reply goes to `sink`.
+    pub(crate) fn enqueue(&self, req: DecideRequest, sink: Sink) {
+        self.inner.schedule(Job::Request { req, sink });
     }
 }

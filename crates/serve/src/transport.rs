@@ -2,11 +2,12 @@
 //! on a [`Write`], one JSON document per line.
 //!
 //! The read loop parses and dispatches each line without waiting for the
-//! decision — decide jobs become tasks on the service runtime, and their
-//! replies flow through a bounded mpsc channel to a dedicated writer
-//! thread. Replies therefore come back in *completion* order; clients
-//! match them up by `id`. Parse failures and the synchronous ops
-//! (`stats`, `catalog`) are answered inline, in order of arrival.
+//! decision — decide requests become jobs on the service's worker pool,
+//! and each job's reply is rendered onto a bounded queue that a dedicated
+//! writer thread drains. Replies therefore come back in *completion*
+//! order; clients match them up by `id`. Parse failures and the
+//! synchronous ops (`stats`, `catalog`, `chaos`) are answered inline, in
+//! order of arrival.
 //!
 //! Lines are read as raw bytes: a line that is not UTF-8, or longer than
 //! [`MAX_LINE_BYTES`], gets a `bad-request` reply and the loop moves on to
@@ -14,9 +15,9 @@
 
 use crate::error::ServeError;
 use crate::proto::{parse_request, refused_id, Reply, Request};
-use crate::service::{ServiceStats, VerdictService};
-use executor::{block_on, mpsc};
+use crate::service::{ServiceStats, Sink, VerdictService};
 use std::io::{BufRead, Read, Write};
+use std::sync::mpsc;
 use std::thread;
 
 /// How many rendered replies may queue for the writer before dispatch
@@ -42,13 +43,13 @@ where
     W: Write + Send + 'static,
 {
     let handle = service.handle();
-    let (tx, mut rx) = mpsc::channel::<String>(REPLY_QUEUE);
+    let (tx, rx) = mpsc::sync_channel::<String>(REPLY_QUEUE);
 
     let writer = thread::Builder::new()
         .name("serve-writer".to_string())
         .spawn(move || -> std::io::Result<W> {
             let mut output = output;
-            while let Some(line) = block_on(rx.recv()) {
+            for line in rx {
                 output.write_all(line.as_bytes())?;
                 output.write_all(b"\n")?;
                 output.flush()?;
@@ -57,9 +58,12 @@ where
         })
         .expect("spawn serve writer thread");
 
+    let reply = |reply: Reply| {
+        let _ = tx.send(reply.render());
+    };
     let bad_line = |reason: String| {
         let error = ServeError::BadRequest { reason };
-        let _ = block_on(tx.send(Reply::Error { id: None, error }.render()));
+        reply(Reply::Error { id: None, error });
     };
     let mut raw = Vec::new();
     loop {
@@ -88,81 +92,145 @@ where
             continue;
         }
         match parse_request(line) {
-            Err(error) => {
-                let reply = Reply::Error {
-                    id: refused_id(line),
-                    error,
-                };
-                let _ = block_on(tx.send(reply.render()));
-            }
-            Ok(Request::Stats { id }) => {
-                let _ = block_on(tx.send(handle.stats_reply(id).render()));
-            }
-            Ok(Request::Catalog { id }) => {
-                let _ = block_on(tx.send(handle.catalog_reply(id).render()));
-            }
-            Ok(Request::Chaos(req)) => {
-                // Chaos runs execute synchronously on the read loop: they
-                // are opt-in (`--net`) diagnostics whose determinism is
-                // the point, so interleaving them with decide traffic
-                // would buy nothing and cost reproducible ordering.
-                let _ = block_on(tx.send(handle.chaos_reply(&req).render()));
-            }
-            Ok(Request::Decide(req)) => {
-                // Dropping the join handle is fine: the task owns a tx
-                // clone, so the writer drains it before shutting down.
-                drop(handle.submit_to_writer(req, tx.clone()));
-            }
+            Err(error) => reply(Reply::Error {
+                id: refused_id(line),
+                error,
+            }),
+            Ok(Request::Stats { id }) => reply(handle.stats_reply(id)),
+            Ok(Request::Catalog { id }) => reply(handle.catalog_reply(id)),
+            // Chaos runs execute synchronously on the read loop: they are
+            // opt-in (`--net`) diagnostics whose determinism is the point,
+            // so interleaving them with decide traffic would buy nothing
+            // and cost reproducible ordering.
+            Ok(Request::Chaos(req)) => reply(handle.chaos_reply(&req)),
+            // The job owns a sender clone until its reply is written, so
+            // the writer drains it before shutting down.
+            Ok(Request::Decide(req)) => handle.enqueue(req, Sink::Writer(tx.clone())),
         }
     }
 
     // Dropping the last reader-side sender lets the writer finish once
-    // every in-flight decide task has sent its reply and dropped its
-    // own clone.
+    // every queued or parked decide job has sent its reply and dropped
+    // its own clone.
     drop(tx);
     let output = writer.join().expect("serve writer thread panicked")?;
     drop(output);
     Ok(handle.stats())
 }
 
-impl crate::service::ServiceHandle {
-    /// Spawns `req` and routes its rendered reply into `tx` — the
-    /// transport's dispatch primitive, public so custom transports and
-    /// tests can reuse it.
-    pub fn submit_to_writer(
-        &self,
-        req: crate::proto::DecideRequest,
-        tx: mpsc::Sender<String>,
-    ) -> executor::JoinHandle<()> {
-        let h = self.clone();
-        self.submit_raw(async move {
-            let reply = h.process(req).await;
-            let _ = tx.send(reply.render()).await;
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{CachedVerdict, MachineRegistry};
     use crate::service::ServiceConfig;
     use std::io::Cursor;
     use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
     use wam_certify::Json;
+    use wam_core::Verdict;
 
-    /// A `Write` that appends into a shared buffer the test can inspect
-    /// after `serve` returns.
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    /// A `Write` that stamps each line with the instant it was written;
+    /// the test inspects the lines after `serve` returns.
+    #[derive(Clone, Default)]
+    struct StampedLines(Arc<Mutex<Vec<(Instant, String)>>>);
 
-    impl Write for SharedBuf {
+    impl StampedLines {
+        fn lines(&self) -> Vec<String> {
+            let lines = self.0.lock().unwrap();
+            lines.iter().map(|(_, line)| line.clone()).collect()
+        }
+    }
+
+    impl Write for StampedLines {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
+            if buf != b"\n" {
+                let line = String::from_utf8(buf.to_vec()).unwrap();
+                self.0.lock().unwrap().push((Instant::now(), line));
+            }
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
+    }
+
+    #[test]
+    fn deadlines_answer_on_the_writer_before_the_decision_ends() {
+        // Plain decisions are instant; certified ones take 300 ms and
+        // stamp the instant they end.
+        let ended = Arc::new(Mutex::new(Vec::new()));
+        let stamp = Arc::clone(&ended);
+        let mut reg = MachineRegistry::new();
+        reg.register_with(
+            "slow-certified",
+            "certified decisions take 300 ms",
+            2,
+            Box::new(move |_graph, certified| {
+                if certified {
+                    std::thread::sleep(Duration::from_millis(300));
+                    stamp.lock().unwrap().push(Instant::now());
+                }
+                Ok(CachedVerdict {
+                    verdict: Verdict::Accepts,
+                    backend: "test".to_string(),
+                    explored: 1,
+                    certificate: None,
+                })
+            }),
+        );
+        let service = VerdictService::new(reg, ServiceConfig::default());
+        // Two certified keys whose deadlines fire in the reverse order of
+        // arrival, and a plain key that meets its deadline, so its timer
+        // entry later fires on a waiter that is already answered.
+        let input = Cursor::new(
+            [
+                r#"{"id":1,"machine":"slow-certified","family":"cycle","counts":[2,1]}"#,
+                r#"{"id":2,"machine":"slow-certified","family":"cycle","counts":[3,1],"certified":true,"deadline_ms":60}"#,
+                r#"{"id":3,"machine":"slow-certified","family":"cycle","counts":[4,1],"certified":true,"deadline_ms":30}"#,
+                r#"{"id":4,"machine":"slow-certified","family":"cycle","counts":[5,1],"deadline_ms":200}"#,
+                r#"{"id":5,"op":"stats"}"#,
+            ]
+            .join("\n"),
+        );
+        let out = StampedLines::default();
+        serve(&service, input, out.clone()).unwrap();
+
+        // `serve` returns once every line is answered; the certified
+        // decisions run on past their deadlines and fill the cache.
+        let waited = Instant::now();
+        while service.stats().decided < 4 {
+            assert!(waited.elapsed() < Duration::from_secs(10), "decision hung");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let first_end = *ended.lock().unwrap().iter().min().unwrap();
+        let lines = out.0.lock().unwrap();
+        let mut ids: Vec<u64> = Vec::new();
+        for (written, line) in lines.iter() {
+            let v = Json::parse(line).unwrap();
+            let Some(Json::Num(id)) = v.get("id") else {
+                panic!("reply without id: {line}");
+            };
+            let field = |key| v.get(key).cloned();
+            match *id as u64 {
+                1 | 4 => assert_eq!(field("status"), Some(Json::Str("ok".into())), "{line}"),
+                2 | 3 => {
+                    assert_eq!(field("kind"), Some(Json::Str("deadline".into())), "{line}");
+                    assert!(
+                        *written < first_end,
+                        "a deadline reply waited for a decision"
+                    );
+                }
+                _ => assert_eq!(field("status"), Some(Json::Str("stats".into())), "{line}"),
+            }
+            ids.push(*id as u64);
+        }
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            vec![1, 2, 3, 4, 5],
+            "every line gets exactly one reply"
+        );
+        assert_eq!(service.stats().rejected_deadline, 2);
     }
 
     #[test]
@@ -178,19 +246,17 @@ mod tests {
             ]
             .join("\n"),
         );
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        let stats = serve(&service, input, buf.clone()).unwrap();
+        let out = StampedLines::default();
+        let stats = serve(&service, input, out.clone()).unwrap();
         assert_eq!(stats.received, 2);
         assert_eq!(stats.completed, 2);
 
-        let raw = buf.0.lock().unwrap();
-        let text = String::from_utf8(raw.clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "{text}");
+        let lines = out.lines();
+        assert_eq!(lines.len(), 4, "{lines:?}");
         let mut ok = 0;
         let mut errors = 0;
         let mut catalogs = 0;
-        for line in lines {
+        for line in &lines {
             let v = Json::parse(line).unwrap();
             match v.get("status") {
                 Some(Json::Str(s)) if s == "ok" => ok += 1,
@@ -219,14 +285,13 @@ mod tests {
             ]
             .join("\n"),
         );
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        let stats = serve(&service, input, buf.clone()).unwrap();
+        let out = StampedLines::default();
+        let stats = serve(&service, input, out.clone()).unwrap();
         assert_eq!(stats.completed, 1);
 
-        let raw = buf.0.lock().unwrap();
-        let text = String::from_utf8(raw.clone()).unwrap();
-        let mut statuses: Vec<(u64, String)> = text
+        let mut statuses: Vec<(u64, String)> = out
             .lines()
+            .iter()
             .map(|line| {
                 let v = Json::parse(line).unwrap();
                 let Some(Json::Num(id)) = v.get("id") else {
@@ -253,12 +318,10 @@ mod tests {
     /// in reply order (`kind` is empty on non-error replies).
     fn serve_raw(input: Vec<u8>) -> Vec<(String, String)> {
         let service = VerdictService::with_paper_catalog(ServiceConfig::default());
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        serve(&service, Cursor::new(input), buf.clone()).unwrap();
-        let raw = buf.0.lock().unwrap();
-        String::from_utf8(raw.clone())
-            .unwrap()
-            .lines()
+        let out = StampedLines::default();
+        serve(&service, Cursor::new(input), out.clone()).unwrap();
+        out.lines()
+            .iter()
             .map(|line| {
                 let v = Json::parse(line).unwrap();
                 let field = |key| match v.get(key) {

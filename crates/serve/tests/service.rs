@@ -2,7 +2,6 @@
 //! control, and deadline degradation, driven through instrumented
 //! registry entries whose timing the tests control.
 
-use executor::block_on;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,10 +89,10 @@ fn concurrent_identical_requests_coalesce_into_one_decision() {
         .map(|id| handle.submit(req("slow", id, vec![2, 1])))
         .collect();
 
-    let leader_reply = expect_ok(block_on(leader));
+    let leader_reply = expect_ok(leader.recv().unwrap());
     assert_eq!(leader_reply.cache, CacheOutcome::Miss);
     for f in followers {
-        let r = expect_ok(block_on(f));
+        let r = expect_ok(f.recv().unwrap());
         assert!(
             matches!(r.cache, CacheOutcome::Coalesced | CacheOutcome::Hit),
             "follower must never re-decide, got {:?}",
@@ -140,7 +139,7 @@ fn oversubscribed_bursts_report_one_miss_per_key() {
         }
         let mut misses = vec![0; keys.len()];
         for (k, reply) in replies {
-            if expect_ok(block_on(reply)).cache == CacheOutcome::Miss {
+            if expect_ok(reply.recv().unwrap()).cache == CacheOutcome::Miss {
                 misses[k] += 1;
             }
         }
@@ -209,11 +208,44 @@ fn requests_past_the_admission_bound_are_rejected_not_queued() {
     }
 
     // The occupied slot still completes normally.
-    let ok = expect_ok(block_on(busy));
+    let ok = expect_ok(busy.recv().unwrap());
     assert_eq!(ok.result.verdict, Verdict::Accepts);
     let stats = service.stats();
     assert_eq!(stats.rejected_overload, 1);
     assert_eq!(stats.decided, 1);
+}
+
+#[test]
+fn queued_decisions_count_against_the_admission_bound() {
+    // One worker, bound 2: the bound must still shed, so an admitted
+    // decision has to hold its permit while it waits for the worker.
+    let (reg, _calls) = instrumented("slow", 0, 100);
+    let config = ServiceConfig {
+        workers: 1,
+        admission: 2,
+        ..ServiceConfig::default()
+    };
+    let service = VerdictService::new(reg, config);
+    let handle = service.handle();
+
+    // The worker decides key 1 while three more distinct keys queue.
+    let busy = handle.submit(req("slow", 1, vec![2, 1]));
+    std::thread::sleep(Duration::from_millis(40));
+    let queued: Vec<_> = (2..5)
+        .map(|n| handle.submit(req("slow", n, vec![n + 1, 1])))
+        .collect();
+    expect_ok(busy.recv().unwrap());
+
+    // Keys 2 and 3 take both permits; key 4 finds them taken before
+    // either decision has run.
+    let mut replies = queued.into_iter().map(|h| h.recv().unwrap());
+    for _ in 2..4 {
+        assert_eq!(expect_ok(replies.next().unwrap()).cache, CacheOutcome::Miss);
+    }
+    assert_eq!(expect_err(replies.next().unwrap()).kind(), "overloaded");
+    let stats = service.stats();
+    assert_eq!(stats.rejected_overload, 1);
+    assert_eq!(stats.decided, 3);
 }
 
 #[test]
@@ -311,7 +343,7 @@ fn decision_errors_fan_out_to_every_coalesced_waiter() {
         std::thread::sleep(Duration::from_millis(30));
         let b = handle.submit(req("failing", 2, vec![2, 1]));
         for h in [a, b] {
-            match expect_err(block_on(h)) {
+            match expect_err(h.recv().unwrap()) {
                 ServeError::Internal { reason } => assert!(reason.contains("synthetic")),
                 other => panic!("expected internal error, got {other}"),
             }
@@ -409,4 +441,25 @@ fn paper_catalog_decides_certified_majority_end_to_end() {
     assert_eq!(expect_err(bad).kind(), "unknown-machine");
     let wrong = service.process_blocking(req("majority", 12, vec![1, 1, 1]));
     assert_eq!(expect_err(wrong).kind(), "bad-request");
+}
+
+#[test]
+fn a_handle_that_outlives_its_service_is_refused_not_stranded() {
+    let (reg, calls) = instrumented("fast", 0, 0);
+    let service = VerdictService::new(reg, ServiceConfig::default());
+    let handle = service.handle();
+    drop(service);
+    // The workers are gone: a queued job's receiver disconnects, and
+    // `process` turns that into an internal error instead of waiting,
+    // with or without a deadline.
+    assert!(handle.submit(req("fast", 1, vec![2, 1])).recv().is_err());
+    let mut timed = req("fast", 2, vec![2, 1]);
+    timed.deadline_ms = Some(1_000);
+    for r in [req("fast", 3, vec![2, 1]), timed] {
+        match expect_err(handle.process(r)) {
+            ServeError::Internal { .. } => {}
+            other => panic!("expected internal error, got {other}"),
+        }
+    }
+    assert_eq!(calls.load(Ordering::SeqCst), 0);
 }

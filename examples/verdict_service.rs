@@ -5,7 +5,6 @@
 //! the service counters. The `wam-serve` binary wraps the same service
 //! behind line-JSON stdin/stdout.
 
-use executor::block_on;
 use weak_async_models::serve::{CacheOutcome, DecideRequest, Reply, ServiceConfig, VerdictService};
 
 fn req(machine: &str, counts: &[u64], certified: bool) -> DecideRequest {
@@ -28,7 +27,7 @@ fn main() {
         .map(|_| handle.submit(req("majority", &[3, 2], true)))
         .collect();
     for h in burst {
-        match block_on(h) {
+        match h.recv().unwrap() {
             Reply::Ok(ok) => println!(
                 "  {} via {} ({} explored, cache: {}, certificate: {})",
                 ok.result.verdict,
@@ -42,7 +41,7 @@ fn main() {
     }
 
     println!("\n== warm hit: the burst's key again, after it completed ==");
-    match block_on(handle.submit(req("majority", &[3, 2], true))) {
+    match handle.process(req("majority", &[3, 2], true)) {
         Reply::Ok(ok) => {
             assert_eq!(ok.cache, CacheOutcome::Hit);
             println!(
@@ -56,11 +55,11 @@ fn main() {
 
     println!("\n== deadline degrade: certified parity with 0 ms budget ==");
     // Warm the plain cache first, then ask for a certificate with no time.
-    let plain = block_on(handle.submit(req("parity", &[2, 1], false)));
+    let plain = handle.process(req("parity", &[2, 1], false));
     assert!(matches!(plain, Reply::Ok(_)));
     let mut hopeless = req("parity", &[2, 1], true);
     hopeless.deadline_ms = Some(0);
-    match block_on(handle.submit(hopeless)) {
+    match handle.process(hopeless) {
         Reply::Ok(ok) => {
             assert!(ok.degraded);
             assert_eq!(ok.cache, CacheOutcome::Hit);

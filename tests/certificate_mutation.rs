@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use weak_async_models::certify::{
     certificate_from_json, certificate_to_json, verify_machine, Certificate, Decider,
-    DecisionCertificate, Polarity, StateTable, StepSelection,
+    DecisionCertificate, Json, Polarity, StateTable, StepSelection,
 };
 use weak_async_models::core::{
     Backend, Config, CounterConfig, Machine, Output, Schedule, Selection, Verdict,
@@ -114,6 +114,21 @@ fn counter_certificate_under_a_foreign_table_is_refused() {
         import(&json, &foreign).is_err(),
         "a counter certificate must not import under a foreign table"
     );
+    // Cutting the sidecar out must not smuggle the document past that
+    // check: a table codec refuses a document without one, under either
+    // table.
+    let Some(Json::Obj(fields)) = Json::parse(&json).ok() else {
+        panic!("an export is a JSON object");
+    };
+    let stripped = Json::Obj(fields.into_iter().filter(|(k, _)| k != "sidecar").collect());
+    let stripped = stripped.render();
+    assert!(!stripped.contains("sidecar"));
+    for table in [&own, &foreign] {
+        assert!(
+            import(&stripped, table).is_err(),
+            "a certificate without its sidecar must not import"
+        );
+    }
 }
 
 /// Replays one recorded step by direct machine semantics — the test's own
