@@ -2,9 +2,12 @@
 //! `&mut self` decision memos, built to sit under a multi-worker service.
 //!
 //! [`VerdictStore`] keys entries by [`StoreKey`]: a system fingerprint
-//! paired with the *canonical form* of the communication graph, so
+//! paired with the isomorphism class of the communication graph, so
 //! isomorphic graphs share one entry (exact decisions are invariant under
-//! graph isomorphism — see [`crate::crossval`]). The map is lock-striped
+//! graph isomorphism — see [`crate::crossval`]). The class is either the
+//! graph's *canonical form* ([`StoreKey::new`]) or, for a [`Family`]
+//! graph, its family and label counts ([`StoreKey::of_family`]), which
+//! needs no graph from 4 nodes up. The map is lock-striped
 //! into shards, each a mutex-protected hash map, so concurrent lookups
 //! for different keys rarely contend.
 //!
@@ -24,21 +27,34 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use wam_certify::CertifiedVerdict;
 use wam_core::Verdict;
-use wam_graph::Graph;
+use wam_graph::generators::Family;
+use wam_graph::{Graph, LabelCount};
 
 /// The canonical-graph part of a key: colour sequence + canonical edges,
 /// as produced by [`wam_graph::canonical_form`].
 type GraphKey = (Vec<u16>, Vec<(u32, u32)>);
 
-/// A precomputed store key: `(system fingerprint, canonical graph)`.
+/// The isomorphism class of a key's graph.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Class {
+    /// A family graph on at least 4 nodes. There the counts fix the graph
+    /// up to isomorphism and no two families share a graph.
+    Family(Family, Box<[u64]>),
+    /// Any other graph, by its canonical form.
+    Canonical(GraphKey),
+}
+
+/// A precomputed store key: `(system fingerprint, isomorphism class)`.
 ///
-/// Canonicalisation is the expensive part of a lookup; services that
-/// route, coalesce and reply by key compute it once via [`StoreKey::new`]
-/// and reuse it for every store call.
+/// Computing the class is the expensive part of a lookup; services that
+/// route, coalesce and reply by key compute it once and reuse it for
+/// every store call. The two constructors agree on 3-node graphs only:
+/// from 4 nodes up a family key never equals a canonical-form key, so a
+/// store should take its keys from one of them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StoreKey {
     fingerprint: u64,
-    graph: GraphKey,
+    class: Class,
 }
 
 impl StoreKey {
@@ -47,8 +63,28 @@ impl StoreKey {
     pub fn new(fingerprint: u64, graph: &Graph) -> StoreKey {
         StoreKey {
             fingerprint,
-            graph: wam_graph::canonical_form(graph).key(),
+            class: Class::Canonical(wam_graph::canonical_form(graph).key()),
         }
+    }
+
+    /// The key of `family`'s graph over `counts`, built without the graph
+    /// from 4 nodes up. Only on 3 nodes do families alias (the star is a
+    /// line, the clique is the cycle), so there the key is the canonical
+    /// form of the 3-node graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` total fewer than 3 nodes.
+    pub fn of_family(fingerprint: u64, family: Family, counts: &[u64]) -> StoreKey {
+        let total = counts.iter().fold(0u64, |n, &c| n.saturating_add(c));
+        if total > 3 {
+            return StoreKey {
+                fingerprint,
+                class: Class::Family(family, counts.into()),
+            };
+        }
+        let graph = family.labelled(&LabelCount::from_vec(counts.to_vec()));
+        StoreKey::new(fingerprint, &graph)
     }
 
     /// The system fingerprint this key was built with.
@@ -56,13 +92,13 @@ impl StoreKey {
         self.fingerprint
     }
 
-    /// The same canonical graph under a different fingerprint — addresses
-    /// a sibling namespace (e.g. the plain entry next to a certified one)
+    /// The same graph class under a different fingerprint — addresses a
+    /// sibling namespace (e.g. the plain entry next to a certified one)
     /// without paying for canonicalisation again.
     pub fn with_fingerprint(&self, fingerprint: u64) -> StoreKey {
         StoreKey {
             fingerprint,
-            graph: self.graph.clone(),
+            class: self.class.clone(),
         }
     }
 

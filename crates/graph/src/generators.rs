@@ -90,6 +90,47 @@ pub fn labelled_star_over(ab: &Alphabet, count: &LabelCount) -> Graph {
     build_on_labels(ab, labels, edges)
 }
 
+/// The four families a label count alone determines: each builds one
+/// labelled graph per count, labels in enumeration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Family {
+    /// [`labelled_cycle`].
+    Cycle,
+    /// [`labelled_line`].
+    Line,
+    /// [`labelled_star`].
+    Star,
+    /// [`labelled_clique`].
+    Clique,
+}
+
+impl Family {
+    /// The family called `name` (`cycle`, `line`, `star` or `clique`).
+    pub fn from_name(name: &str) -> Option<Family> {
+        match name {
+            "cycle" => Some(Family::Cycle),
+            "line" => Some(Family::Line),
+            "star" => Some(Family::Star),
+            "clique" => Some(Family::Clique),
+            _ => None,
+        }
+    }
+
+    /// The family's graph over `count`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count.total() < 3`.
+    pub fn labelled(self, count: &LabelCount) -> Graph {
+        match self {
+            Family::Cycle => labelled_cycle(count),
+            Family::Line => labelled_line(count),
+            Family::Star => labelled_star(count),
+            Family::Clique => labelled_clique(count),
+        }
+    }
+}
+
 /// An `rows × cols` grid (degree ≤ 4), labels in row-major enumeration order.
 ///
 /// # Panics

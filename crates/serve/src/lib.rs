@@ -4,7 +4,7 @@
 //! The crate turns the workspace's exact deciders into a long-running
 //! service: clients submit `(machine, graph)` jobs as line-JSON and get
 //! verdicts — optionally with independently verified certificates — from
-//! a shared cache keyed by `(system fingerprint, canonical graph)`.
+//! a shared cache keyed by `(system fingerprint, isomorphism class)`.
 //!
 //! * [`registry`] — named machines (the Figure-1 paper catalog by
 //!   default) erased behind decide closures that render and re-verify
@@ -13,12 +13,12 @@
 //!   machine as real communicating nodes over a simulated faulty network
 //!   (`wam-net`) and cross-validates the emergent verdict against the
 //!   exact decider.
-//! * [`service`] — the core: cache → coalescing → admission gates on a
-//!   fixed pool of worker threads, with deadlines that degrade certified
-//!   requests to cached plain verdicts before rejecting. Its in-flight
-//!   map, not the store, is what makes each canonical key decide at most
-//!   once; the requests waiting on a decision are entries in that map,
-//!   not blocked threads.
+//! * [`service`] — the core: cache → coalescing → admission gates, run
+//!   where a request arrives, in front of a pool of decision workers,
+//!   with deadlines that degrade certified requests to cached plain
+//!   verdicts before rejecting. Its in-flight map, not the store, makes
+//!   each key decide at most once; the requests waiting on a decision
+//!   are entries in that map, not blocked threads.
 //! * [`proto`] — the framed line-JSON request/reply protocol, built on
 //!   the serde-free [`Json`](wam_certify::Json) codec.
 //! * [`transport`] — the stdin/stdout line loop the `wam-serve` binary
@@ -38,8 +38,8 @@ pub mod transport;
 
 pub use error::ServeError;
 pub use proto::{
-    build_graph, build_graph_bounded, parse_request, CacheOutcome, ChaosReply, ChaosRequest,
-    DecideRequest, OkReply, Reply, Request, DEFAULT_MAX_NODES, MAX_CLIQUE_NODES,
+    build_graph, parse_request, CacheOutcome, ChaosReply, ChaosRequest, DecideRequest, OkReply,
+    Reply, Request, DEFAULT_MAX_NODES, MAX_CLIQUE_NODES,
 };
 pub use registry::{
     CachedVerdict, CertificateBlob, MachineEntry, MachineRegistry, MAX_CHAOS_NODES,

@@ -23,7 +23,8 @@ use crate::service::ServiceStats;
 use std::fmt::Write as _;
 use wam_certify::{write_json_string, Json};
 use wam_core::Verdict;
-use wam_graph::{generators, Graph, LabelCount};
+use wam_graph::generators::Family;
+use wam_graph::{Graph, LabelCount};
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,17 +230,18 @@ pub const MAX_CLIQUE_NODES: u64 = 2048;
 /// Builds the requested graph, enforcing the ≥ 3-node model convention
 /// and the [`DEFAULT_MAX_NODES`] size cap.
 pub fn build_graph(family: &str, counts: &[u64]) -> Result<Graph, ServeError> {
-    build_graph_bounded(family, counts, DEFAULT_MAX_NODES)
+    let family = family_of(family, counts, DEFAULT_MAX_NODES)?;
+    Ok(family.labelled(&LabelCount::from_vec(counts.to_vec())))
 }
 
-/// [`build_graph`] with a caller-chosen node bound (the service plumbs
-/// its configured `max_nodes` here). The clique edge bound
-/// ([`MAX_CLIQUE_NODES`]) applies on top of `max_nodes`.
-pub fn build_graph_bounded(
+/// The family a request names, once its counts pass the ≥ 3-node
+/// convention, the caller's `max_nodes` bound and, for cliques,
+/// [`MAX_CLIQUE_NODES`]; checked from the counts alone, with no graph.
+pub(crate) fn family_of(
     family: &str,
     counts: &[u64],
     max_nodes: u64,
-) -> Result<Graph, ServeError> {
+) -> Result<Family, ServeError> {
     // Checked sum: `counts` comes off the wire, and a wrapping sum in a
     // release build would slip a gigantic request past both bounds.
     let total = counts
@@ -259,16 +261,9 @@ pub fn build_graph_bounded(
             "clique on {total} nodes exceeds the {MAX_CLIQUE_NODES}-node edge bound"
         )));
     }
-    let c = LabelCount::from_vec(counts.to_vec());
-    match family {
-        "cycle" => Ok(generators::labelled_cycle(&c)),
-        "line" => Ok(generators::labelled_line(&c)),
-        "star" => Ok(generators::labelled_star(&c)),
-        "clique" => Ok(generators::labelled_clique(&c)),
-        other => Err(ServeError::UnknownFamily {
-            name: other.to_string(),
-        }),
-    }
+    Family::from_name(family).ok_or_else(|| ServeError::UnknownFamily {
+        name: family.to_string(),
+    })
 }
 
 /// How the cache answered a successful request.
@@ -631,10 +626,10 @@ mod tests {
             Err(ServeError::BadRequest { .. })
         ));
         assert!(matches!(
-            build_graph_bounded("cycle", &[50, 51], 100),
+            family_of("cycle", &[50, 51], 100),
             Err(ServeError::BadRequest { .. })
         ));
-        assert!(build_graph_bounded("cycle", &[50, 50], 100).is_ok());
+        assert_eq!(family_of("cycle", &[50, 50], 100), Ok(Family::Cycle));
         // A wrapping sum must not sneak past the bounds.
         assert!(matches!(
             build_graph("cycle", &[u64::MAX, 2]),

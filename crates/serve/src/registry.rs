@@ -22,7 +22,7 @@
 //! per run.
 
 use crate::error::ServeError;
-use crate::proto::{build_graph_bounded, ChaosReply, ChaosRequest};
+use crate::proto::{family_of, ChaosReply, ChaosRequest};
 use std::sync::Arc;
 use wam_analysis::system_fingerprint;
 use wam_certify::{certificate_to_json, Decider, DecisionCertificate, Json, StateTable};
@@ -30,7 +30,8 @@ use wam_core::{Backend, ExploreOptions, Machine, Schedule, State, Verdict};
 use wam_extensions::{
     compile_broadcasts, compile_rendezvous, GraphPopulationProtocol, MajorityState,
 };
-use wam_graph::Graph;
+use wam_graph::generators::Family;
+use wam_graph::{Graph, LabelCount};
 use wam_net::{ChaosOptions, CrossValidation, FaultPlan};
 use wam_protocols::{cutoff_one_machine, modulo_protocol, threshold_machine};
 
@@ -289,6 +290,32 @@ impl MachineRegistry {
         self.entries.iter().find(|e| e.name == name)
     }
 
+    /// The entry `machine` names and the family of its graph on `counts`,
+    /// once the arity, the node bounds and the family name check out.
+    pub(crate) fn resolve(
+        &self,
+        machine: &str,
+        family: &str,
+        counts: &[u64],
+        max_nodes: u64,
+    ) -> Result<(&MachineEntry, Family), ServeError> {
+        let entry = self
+            .get(machine)
+            .ok_or_else(|| ServeError::UnknownMachine {
+                name: machine.to_string(),
+            })?;
+        if counts.len() != entry.arity {
+            return Err(ServeError::BadRequest {
+                reason: format!(
+                    "machine {machine:?} has arity {}, got {} counts",
+                    entry.arity,
+                    counts.len()
+                ),
+            });
+        }
+        Ok((entry, family_of(family, counts, max_nodes)?))
+    }
+
     /// All entries, in registration order.
     pub fn entries(&self) -> impl Iterator<Item = &MachineEntry> {
         self.entries.iter()
@@ -371,26 +398,15 @@ impl MachineRegistry {
     /// decider exceeds its limit.
     pub fn run_chaos(&self, req: &ChaosRequest, max_nodes: u64) -> Result<ChaosReply, ServeError> {
         let bad = |reason: String| ServeError::BadRequest { reason };
-        let entry = self
-            .get(&req.machine)
-            .ok_or_else(|| ServeError::UnknownMachine {
-                name: req.machine.clone(),
-            })?;
+        let max_nodes = max_nodes.min(MAX_CHAOS_NODES);
+        let (entry, family) = self.resolve(&req.machine, &req.family, &req.counts, max_nodes)?;
         let runner = entry.chaos.as_ref().ok_or_else(|| {
             bad(format!(
                 "machine {:?} has no chaos runner: it was registered without a typed machine",
                 req.machine
             ))
         })?;
-        if req.counts.len() != entry.arity {
-            return Err(bad(format!(
-                "machine {:?} has arity {}, got {} counts",
-                req.machine,
-                entry.arity,
-                req.counts.len()
-            )));
-        }
-        let graph = build_graph_bounded(&req.family, &req.counts, max_nodes.min(MAX_CHAOS_NODES))?;
+        let graph = family.labelled(&LabelCount::from_vec(req.counts.clone()));
         let (lo, hi) = req.delay;
         if lo > hi {
             return Err(bad(format!("empty delay range {lo}..={hi}")));

@@ -1,59 +1,61 @@
 //! The service core: admission control, request coalescing, deadlines,
 //! and the shared verdict store, on a fixed pool of `std` worker threads.
 //!
-//! A request is a job on one queue that the workers share. Its worker
-//! runs it through three gates and never blocks to wait for another
-//! decision:
+//! A request passes three gates on the thread that submits it (the
+//! transport's read loop, or the caller of [`ServiceHandle::submit`]),
+//! which never blocks to wait for a decision:
 //!
 //! 1. **Cache** — a stored entry answers immediately (`cache: hit`).
-//! 2. **Coalescing** — if the same canonical key is already being
-//!    decided, the request parks its reply sink on that in-flight
-//!    decision's waiter list and the worker moves on (`cache: coalesced`).
+//! 2. **Coalescing** — if the same key is already being decided, the
+//!    request parks its reply sink on that in-flight decision's waiter
+//!    list (`cache: coalesced`).
 //! 3. **Admission** — a new decision only starts while fewer than
 //!    `admission` decisions are in flight; past the bound the service
-//!    *rejects* with `overloaded` rather than queueing unboundedly. An
-//!    admitted decision is a job of its own at the back of the queue, so
-//!    the bound counts queued and running decisions alike, and requests
-//!    that arrived before it pass their gates first.
+//!    *rejects* with `overloaded` on arrival rather than queueing
+//!    unboundedly. An admitted decision queues for the workers, so the
+//!    bound counts queued and running decisions alike.
+//!
+//! The gates build no graph: the key is the request's family and counts
+//! ([`StoreKey::of_family`]), and the bounds are checked on the counts.
+//! Workers run decisions only, each building its own graph. `received`
+//! counts the requests that reached the gates.
 //!
 //! The service's in-flight map is the only record of running decisions;
 //! the [`VerdictStore`] is a cache of finished ones. At most one decision
-//! runs per canonical key, and `cache: miss` / `decided` count exactly
+//! runs per key, and `cache: miss` / `decided` count exactly
 //! the decisions that ran, because a decision publishes to the store
 //! before it takes its waiter list out of the in-flight map and Gate 2
 //! re-peeks the store with the map locked. Locks nest in one order only:
 //! `inflight`, then a store shard.
 //!
-//! Deadlines degrade before they reject: when a *certified* request runs
-//! out of time, the service first tries to answer with a cached *plain*
-//! verdict for the same key (`degraded: true`); only if none exists does
-//! it reject with `deadline`. One timer thread, started by the first
+//! Deadlines run from arrival and degrade before they reject: when a
+//! *certified* request runs out of time, the service first tries to
+//! answer with a cached *plain* verdict for the same key (`degraded:
+//! true`); only if none exists does it reject with `deadline`. One timer thread, started by the first
 //! request that carries a deadline, takes an expired waiter out of its
 //! list under the `inflight` lock, so a waiter is answered exactly once:
 //! by the timer or by the decision's fan-out. The decision keeps running
 //! and populates the cache for later requests either way.
 
 use crate::error::ServeError;
-use crate::proto::{
-    build_graph_bounded, catalog_of, CacheOutcome, ChaosRequest, DecideRequest, OkReply, Reply,
-};
+use crate::proto::{catalog_of, CacheOutcome, ChaosRequest, DecideRequest, OkReply, Reply};
 use crate::registry::{CachedVerdict, MachineRegistry};
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 use wam_analysis::{StoreKey, VerdictStore};
-use wam_graph::Graph;
+use wam_graph::generators::Family;
+use wam_graph::LabelCount;
 
 /// Tunables for a [`VerdictService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Decision worker threads: each runs one job at a time, either the
-    /// gates of one request or one admitted decision.
+    /// Decision worker threads: each runs one admitted decision at a time.
     pub workers: usize,
     /// Admission bound: maximum decisions in flight before rejection.
     pub admission: usize,
@@ -88,7 +90,7 @@ impl Default for ServiceConfig {
 /// A snapshot of the service counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Decide requests a worker has taken up.
+    /// Decide requests that reached the gates.
     pub received: u64,
     /// Requests answered with a verdict (including degraded ones).
     pub completed: u64,
@@ -129,27 +131,26 @@ struct Counters {
 pub(crate) enum Sink {
     /// [`ServiceHandle::submit`]'s receiver.
     Caller(Sender<Reply>),
-    /// The transport's bounded writer queue, as a rendered line.
-    Writer(SyncSender<String>),
+    /// The transport's bounded writer queue, which renders the reply.
+    /// Boxed, so the queue's preallocated slots stay one pointer wide.
+    Writer(SyncSender<Box<Reply>>),
 }
 
-/// A unit of work on the job queue.
-enum Job {
-    /// A decide request, to run through the gates.
-    Request { req: DecideRequest, sink: Sink },
-    /// An admitted decision; its waiters are on `inflight[key]`.
-    Decide {
-        machine: String,
-        graph: Graph,
-        key: StoreKey,
-        certified: bool,
-    },
+/// An admitted decision; its waiters are on `inflight[key]`.
+struct Job {
+    machine: String,
+    family: Family,
+    counts: Vec<u64>,
+    key: StoreKey,
+    certified: bool,
 }
 
 /// The job queue the workers share. A mutex-guarded deque with a condvar
-/// wakes one worker per job; `None` once the service is dropped.
+/// wakes one worker per job; `open` turns false, under the lock, once the
+/// service is dropped.
 struct Queue {
-    jobs: Mutex<Option<VecDeque<Job>>>,
+    jobs: Mutex<VecDeque<Job>>,
+    open: AtomicBool,
     ready: Condvar,
 }
 
@@ -157,9 +158,12 @@ impl Queue {
     /// Queues a job, or hands it back once the queue is
     /// [closed](Self::close).
     fn push(&self, job: Job) -> Option<Job> {
-        match self.jobs.lock().unwrap().as_mut() {
-            Some(jobs) => jobs.push_back(job),
-            None => return Some(job),
+        {
+            let mut jobs = self.jobs.lock().unwrap();
+            if !self.is_open() {
+                return Some(job);
+            }
+            jobs.push_back(job);
         }
         // Notified after the unlock, so the woken worker does not block
         // on the lock it is about to take.
@@ -170,19 +174,25 @@ impl Queue {
     /// The next job, waiting for one; `None` once the queue is closed.
     fn pop(&self) -> Option<Job> {
         let mut jobs = self.jobs.lock().unwrap();
-        loop {
-            if let Some(job) = jobs.as_mut()?.pop_front() {
+        while self.is_open() {
+            if let Some(job) = jobs.pop_front() {
                 return Some(job);
             }
             jobs = self.ready.wait(jobs).unwrap();
         }
+        None
+    }
+
+    fn is_open(&self) -> bool {
+        self.open.load(Ordering::Acquire)
     }
 
     /// Stops the workers and returns the jobs nobody has taken up.
     fn close(&self) -> VecDeque<Job> {
-        let left = self.jobs.lock().unwrap().take();
+        let mut jobs = self.jobs.lock().unwrap();
+        self.open.store(false, Ordering::Release);
         self.ready.notify_all();
-        left.unwrap_or_default()
+        std::mem::take(&mut *jobs)
     }
 }
 
@@ -194,9 +204,11 @@ struct ReplyTo {
     sink: Sink,
 }
 
-/// A verdict, how the cache answered and whether it was degraded, or
-/// why there is none.
-type Outcome = Result<(CachedVerdict, CacheOutcome, bool), ServeError>;
+/// A verdict, how the cache answered and whether it was degraded.
+type Answer = (CachedVerdict, CacheOutcome, bool);
+
+/// An answer, or why there is none.
+type Outcome = Result<Answer, ServeError>;
 
 impl ReplyTo {
     fn send(self, stats: &Counters, outcome: Outcome) {
@@ -215,14 +227,10 @@ impl ReplyTo {
             Err(error) => Reply::Error { id: self.id, error },
         };
         // A caller that went away needs no reply.
-        match self.sink {
-            Sink::Caller(tx) => {
-                let _ = tx.send(reply);
-            }
-            Sink::Writer(tx) => {
-                let _ = tx.send(reply.render());
-            }
-        }
+        let _ = match self.sink {
+            Sink::Caller(tx) => tx.send(reply).ok(),
+            Sink::Writer(tx) => tx.send(Box::new(reply)).ok(),
+        };
     }
 }
 
@@ -240,8 +248,8 @@ struct Timed {
     at: Instant,
     token: u64,
     key: StoreKey,
-    plain_key: StoreKey,
-    certified: bool,
+    /// The plain entry a certified waiter degrades to.
+    plain_key: Option<StoreKey>,
 }
 
 struct Inner {
@@ -294,52 +302,39 @@ impl Inner {
         self.in_flight_decisions.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Queues a job. A job the closed queue hands back is dropped, and
-    /// with it its sink, which a waiting caller sees as a disconnect; a
-    /// decision's waiters are dropped with it.
-    fn schedule(&self, job: Job) {
-        if let Some(job) = self.queue.push(job) {
-            self.drop_job(job);
-        }
-    }
-
-    /// Drops a job that will never run. A dropped decision takes its
-    /// waiter list out of the in-flight map and gives back its permit.
+    /// Drops a decision that will never run: its waiter list leaves the
+    /// in-flight map, each waiting caller sees its sink disconnect, and
+    /// the permit is given back.
     fn drop_job(&self, job: Job) {
-        if let Job::Decide { key, .. } = job {
-            let waiters = self.inflight.lock().unwrap().remove(&key);
-            self.release_permit();
-            drop(waiters);
-        }
+        let waiters = self.inflight.lock().unwrap().remove(&job.key);
+        self.release_permit();
+        drop(waiters);
     }
 
-    /// Runs one job.
-    fn run_job(self: &Arc<Self>, job: Job) {
-        match job {
-            Job::Request { req, sink } => self.run_request(req, sink),
-            Job::Decide {
-                machine,
-                graph,
-                key,
-                certified,
-            } => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    self.registry
-                        .get(&machine)
-                        .expect("entry existed when the decision was admitted")
-                        .decide(&graph, certified)
-                }))
-                .unwrap_or_else(|panic| Err(internal(panic)));
-                self.publish(&key, outcome);
-            }
-        }
+    /// Builds a decision's graph, decides it and publishes the outcome. A
+    /// panic in either step becomes an `internal` error; the worker lives
+    /// on.
+    fn decide(&self, job: Job) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let graph = job.family.labelled(&LabelCount::from_vec(job.counts));
+            self.registry
+                .get(&job.machine)
+                .expect("entry existed when the decision was admitted")
+                .decide(&graph, job.certified)
+        }))
+        .unwrap_or_else(|panic| Err(internal(panic)));
+        self.publish(&job.key, outcome);
     }
 
-    /// Runs one request and answers it, unless the gates parked it on an
-    /// in-flight decision. A panic in the gates becomes an `internal`
-    /// reply; the worker lives on.
-    fn run_request(self: &Arc<Self>, req: DecideRequest, sink: Sink) {
+    /// Runs one request through the gates on the calling thread and
+    /// answers it, unless they parked it on an in-flight decision. A
+    /// stopped service refuses every request, hits included, by dropping
+    /// its sink. A panic in the gates becomes an `internal` reply.
+    fn arrive(self: &Arc<Self>, req: DecideRequest, sink: Sink) {
         let start = Instant::now();
+        if !self.queue.is_open() {
+            return;
+        }
         self.stats.received.fetch_add(1, Ordering::Relaxed);
         let mut to = Some(ReplyTo {
             id: req.id,
@@ -348,54 +343,36 @@ impl Inner {
             sink,
         });
         let outcome = catch_unwind(AssertUnwindSafe(|| self.gates(&req, start, &mut to)))
-            .unwrap_or_else(|panic| Some(Err(internal(panic))));
-        if let (Some(to), Some(outcome)) = (to, outcome) {
+            .unwrap_or_else(|panic| Err(internal(panic)));
+        if let (Some(to), Some(outcome)) = (to, outcome.transpose()) {
             to.send(&self.stats, outcome);
         }
     }
 
-    /// The three gates. Returns the outcome to send to `to`, or `None`
+    /// The three gates. Returns the outcome to send to `to`, or `Ok(None)`
     /// once `to` has been parked on an in-flight decision, which answers
-    /// it. A miss queues its decision behind the jobs already waiting.
+    /// it. A miss queues its decision behind the decisions already waiting.
     fn gates(
         self: &Arc<Self>,
         req: &DecideRequest,
         start: Instant,
         to: &mut Option<ReplyTo>,
-    ) -> Option<Outcome> {
-        let entry = match self.registry.get(&req.machine) {
-            Some(entry) => entry,
-            None => {
-                return Some(Err(ServeError::UnknownMachine {
-                    name: req.machine.clone(),
-                }))
-            }
-        };
-        if req.counts.len() != entry.arity() {
-            return Some(Err(ServeError::BadRequest {
-                reason: format!(
-                    "machine {:?} has arity {}, got {} counts",
-                    req.machine,
-                    entry.arity(),
-                    req.counts.len()
-                ),
-            }));
-        }
-        let graph = match build_graph_bounded(&req.family, &req.counts, self.config.max_nodes) {
-            Ok(graph) => graph,
-            Err(error) => return Some(Err(error)),
-        };
+    ) -> Result<Option<Answer>, ServeError> {
+        let bound = self.config.max_nodes;
+        let (entry, family) =
+            self.registry
+                .resolve(&req.machine, &req.family, &req.counts, bound)?;
         let deadline = req
             .deadline_ms
             .map(Duration::from_millis)
             .or(self.config.default_deadline);
         let certified = req.certified;
-        let key = StoreKey::new(entry.fingerprint(certified), &graph);
-        let plain_key = key.with_fingerprint(entry.fingerprint(false));
+        let key = StoreKey::of_family(entry.fingerprint(certified), family, &req.counts);
+        let plain_key = || certified.then(|| key.with_fingerprint(entry.fingerprint(false)));
 
         let hit = |v: CachedVerdict| {
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            Some(Ok((v, CacheOutcome::Hit, false)))
+            Ok(Some((v, CacheOutcome::Hit, false)))
         };
 
         // Gate 1: a ready cache entry answers without touching the
@@ -407,7 +384,9 @@ impl Inner {
         // A deadline that elapsed before any decision work degrades
         // (certified → cached plain verdict) or rejects.
         if deadline.is_some_and(|d| start.elapsed() >= d) {
-            return Some(self.degrade_or_reject(&plain_key, certified, start));
+            return self
+                .degrade_or_reject(plain_key().as_ref(), start)
+                .map(Some);
         }
 
         // Gate 2 and 3: join the in-flight decision for this key, or
@@ -420,7 +399,7 @@ impl Inner {
             let waiter = |cache, to: &mut Option<ReplyTo>| Waiter {
                 token,
                 cache,
-                to: to.take().expect("a job parks its reply once"),
+                to: to.take().expect("a request parks its reply once"),
             };
             if let Some(waiters) = inflight.get_mut(&key) {
                 waiters.push(waiter(CacheOutcome::Coalesced, to));
@@ -429,9 +408,7 @@ impl Inner {
                 drop(inflight);
                 return hit(v);
             } else {
-                if let Err(error) = self.try_admit() {
-                    return Some(Err(error));
-                }
+                self.try_admit()?;
                 inflight.insert(key.clone(), vec![waiter(CacheOutcome::Miss, to)]);
                 CacheOutcome::Miss
             }
@@ -442,21 +419,25 @@ impl Inner {
                 at: start + d,
                 token,
                 key: key.clone(),
-                plain_key,
-                certified,
+                plain_key: plain_key(),
             });
         }
         if role == CacheOutcome::Coalesced {
             self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.schedule(Job::Decide {
+            let job = Job {
                 machine: req.machine.clone(),
-                graph,
+                family,
+                counts: req.counts.clone(),
                 key,
                 certified,
-            });
+            };
+            // A job the closed queue hands back never runs.
+            if let Some(job) = self.queue.push(job) {
+                self.drop_job(job);
+            }
         }
-        None
+        Ok(None)
     }
 
     /// Publishes a finished decision and answers every waiter still on
@@ -513,18 +494,17 @@ impl Inner {
             // The entry stays, even empty: the decision is still running.
             waiters.swap_remove(i)
         };
-        let outcome = self.degrade_or_reject(&timed.plain_key, timed.certified, waiter.to.start);
+        let outcome = self.degrade_or_reject(timed.plain_key.as_ref(), waiter.to.start);
         waiter.to.send(&self.stats, outcome);
     }
 
-    /// The deadline fallback: certified requests degrade to a cached
-    /// plain verdict when one exists; everything else rejects.
-    fn degrade_or_reject(&self, plain_key: &StoreKey, certified: bool, start: Instant) -> Outcome {
-        if certified {
-            if let Some(v) = self.store.peek(plain_key) {
-                self.stats.degraded.fetch_add(1, Ordering::Relaxed);
-                return Ok((v, CacheOutcome::Hit, true));
-            }
+    /// The deadline fallback: a certified request, which names its
+    /// `plain_key`, degrades to a cached plain verdict when one exists;
+    /// everything else rejects.
+    fn degrade_or_reject(&self, plain_key: Option<&StoreKey>, start: Instant) -> Outcome {
+        if let Some(v) = plain_key.and_then(|k| self.store.peek(k)) {
+            self.stats.degraded.fetch_add(1, Ordering::Relaxed);
+            return Ok((v, CacheOutcome::Hit, true));
         }
         self.stats.rejected_deadline.fetch_add(1, Ordering::Relaxed);
         Err(ServeError::DeadlineExceeded {
@@ -541,13 +521,6 @@ fn internal(panic: Box<dyn std::any::Any + Send>) -> ServeError {
         .or_else(|| panic.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "decision panicked".to_string());
     ServeError::Internal { reason }
-}
-
-/// A worker: takes jobs until the service is dropped.
-fn run_worker(inner: &Arc<Inner>) {
-    while let Some(job) = inner.queue.pop() {
-        inner.run_job(job);
-    }
 }
 
 /// The timer thread: expires deadlines in order, earliest first, until
@@ -583,11 +556,11 @@ fn run_timer(inner: &Weak<Inner>, inbox: &Receiver<Timed>) {
 ///
 /// [`handle`](Self::handle) yields a cloneable, `'static` handle for
 /// submitting work from transports and clients. Dropping the service
-/// stops the workers once they finish their current jobs. A request left
-/// on the queue then, or submitted later through a handle, is dropped
-/// with every request waiting on a decision that will not run:
-/// [`ServiceHandle::process`] reports it as an `internal` error, and a
-/// [`ServiceHandle::submit`] receiver disconnects.
+/// stops the workers once they finish their current decisions. A request
+/// waiting on a decision left on the queue then, or submitted later
+/// through a handle, is dropped: [`ServiceHandle::process`] reports it as
+/// an `internal` error, and a [`ServiceHandle::submit`] receiver
+/// disconnects.
 pub struct VerdictService {
     handle: ServiceHandle,
 }
@@ -608,7 +581,8 @@ impl VerdictService {
             in_flight_decisions: AtomicUsize::new(0),
             next_token: AtomicU64::new(0),
             queue: Queue {
-                jobs: Mutex::new(Some(VecDeque::new())),
+                jobs: Mutex::new(VecDeque::new()),
+                open: AtomicBool::new(true),
                 ready: Condvar::new(),
             },
             timer: OnceLock::new(),
@@ -619,7 +593,11 @@ impl VerdictService {
             let inner = Arc::clone(&inner);
             thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || run_worker(&inner))
+                .spawn(move || {
+                    while let Some(job) = inner.queue.pop() {
+                        inner.decide(job);
+                    }
+                })
                 .expect("spawn serve worker thread");
         }
         VerdictService {
@@ -722,7 +700,8 @@ impl ServiceHandle {
         }
     }
 
-    /// Queues a request for the workers; the receiver yields its reply.
+    /// Runs a request through the gates on the calling thread; the
+    /// receiver yields its reply, at once unless a decision must run.
     pub fn submit(&self, req: DecideRequest) -> Receiver<Reply> {
         let (tx, rx) = mpsc::channel();
         self.enqueue(req, Sink::Caller(tx));
@@ -741,8 +720,8 @@ impl ServiceHandle {
         })
     }
 
-    /// Queues a request whose reply goes to `sink`.
+    /// Runs a request through the gates; its reply goes to `sink`.
     pub(crate) fn enqueue(&self, req: DecideRequest, sink: Sink) {
-        self.inner.schedule(Job::Request { req, sink });
+        self.inner.arrive(req, sink);
     }
 }

@@ -1,13 +1,14 @@
 //! The framed line transport: requests in on a [`BufRead`], replies out
 //! on a [`Write`], one JSON document per line.
 //!
-//! The read loop parses and dispatches each line without waiting for the
-//! decision — decide requests become jobs on the service's worker pool,
-//! and each job's reply is rendered onto a bounded queue that a dedicated
-//! writer thread drains. Replies therefore come back in *completion*
-//! order; clients match them up by `id`. Parse failures and the
-//! synchronous ops (`stats`, `catalog`, `chaos`) are answered inline, in
-//! order of arrival.
+//! The read loop parses each line and runs a decide request through the
+//! service's gates itself, without waiting for a decision: a hit is
+//! answered on the spot, and a miss becomes a job on the service's worker
+//! pool. Every reply goes onto a bounded queue that a dedicated writer
+//! thread renders and drains, flushing once the queue is empty. Replies
+//! therefore come back in *completion* order; clients match them up by
+//! `id`. Parse failures and the synchronous ops (`stats`, `catalog`,
+//! `chaos`) are answered inline, in order of arrival.
 //!
 //! Lines are read as raw bytes: a line that is not UTF-8, or longer than
 //! [`MAX_LINE_BYTES`], gets a `bad-request` reply and the loop moves on to
@@ -16,11 +17,11 @@
 use crate::error::ServeError;
 use crate::proto::{parse_request, refused_id, Reply, Request};
 use crate::service::{ServiceStats, Sink, VerdictService};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufWriter, Read, Write};
 use std::sync::mpsc;
 use std::thread;
 
-/// How many rendered replies may queue for the writer before dispatch
+/// How many replies may queue for the writer before dispatch
 /// backpressures the read loop.
 const REPLY_QUEUE: usize = 1024;
 
@@ -43,23 +44,25 @@ where
     W: Write + Send + 'static,
 {
     let handle = service.handle();
-    let (tx, rx) = mpsc::sync_channel::<String>(REPLY_QUEUE);
+    let (tx, rx) = mpsc::sync_channel::<Box<Reply>>(REPLY_QUEUE);
 
     let writer = thread::Builder::new()
         .name("serve-writer".to_string())
         .spawn(move || -> std::io::Result<W> {
-            let mut output = output;
-            for line in rx {
-                output.write_all(line.as_bytes())?;
-                output.write_all(b"\n")?;
+            let mut output = BufWriter::new(output);
+            while let Ok(first) = rx.recv() {
+                // Write every queued reply, then flush once.
+                for reply in std::iter::once(first).chain(rx.try_iter()) {
+                    writeln!(output, "{}", reply.render())?;
+                }
                 output.flush()?;
             }
-            Ok(output)
+            output.into_inner().map_err(|e| e.into_error())
         })
         .expect("spawn serve writer thread");
 
     let reply = |reply: Reply| {
-        let _ = tx.send(reply.render());
+        let _ = tx.send(Box::new(reply));
     };
     let bad_line = |reason: String| {
         let error = ServeError::BadRequest { reason };
@@ -129,24 +132,31 @@ mod tests {
     use wam_certify::Json;
     use wam_core::Verdict;
 
-    /// A `Write` that stamps each line with the instant it was written;
-    /// the test inspects the lines after `serve` returns.
+    /// A `Write` that keeps the bytes written and stamps each newline
+    /// with the instant it was written; one `write` may carry several
+    /// lines or part of one. The test inspects the lines after `serve`
+    /// returns.
     #[derive(Clone, Default)]
-    struct StampedLines(Arc<Mutex<Vec<(Instant, String)>>>);
+    struct StampedLines(Arc<Mutex<(Vec<u8>, Vec<Instant>)>>);
 
     impl StampedLines {
-        fn lines(&self) -> Vec<String> {
-            let lines = self.0.lock().unwrap();
-            lines.iter().map(|(_, line)| line.clone()).collect()
+        /// Each line with the instant its newline was written.
+        fn stamped(&self) -> Vec<(Instant, String)> {
+            let (bytes, stamps) = &*self.0.lock().unwrap();
+            let lines = std::str::from_utf8(bytes)
+                .unwrap()
+                .lines()
+                .map(String::from);
+            stamps.iter().copied().zip(lines).collect()
         }
     }
 
     impl Write for StampedLines {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if buf != b"\n" {
-                let line = String::from_utf8(buf.to_vec()).unwrap();
-                self.0.lock().unwrap().push((Instant::now(), line));
-            }
+            let (bytes, stamps) = &mut *self.0.lock().unwrap();
+            bytes.extend_from_slice(buf);
+            let now = Instant::now();
+            stamps.extend(buf.iter().filter(|&&b| b == b'\n').map(|_| now));
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -203,10 +213,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         let first_end = *ended.lock().unwrap().iter().min().unwrap();
-        let lines = out.0.lock().unwrap();
         let mut ids: Vec<u64> = Vec::new();
-        for (written, line) in lines.iter() {
-            let v = Json::parse(line).unwrap();
+        for (written, line) in out.stamped() {
+            let v = Json::parse(&line).unwrap();
             let Some(Json::Num(id)) = v.get("id") else {
                 panic!("reply without id: {line}");
             };
@@ -216,7 +225,7 @@ mod tests {
                 2 | 3 => {
                     assert_eq!(field("kind"), Some(Json::Str("deadline".into())), "{line}");
                     assert!(
-                        *written < first_end,
+                        written < first_end,
                         "a deadline reply waited for a decision"
                     );
                 }
@@ -251,12 +260,12 @@ mod tests {
         assert_eq!(stats.received, 2);
         assert_eq!(stats.completed, 2);
 
-        let lines = out.lines();
+        let lines = out.stamped();
         assert_eq!(lines.len(), 4, "{lines:?}");
         let mut ok = 0;
         let mut errors = 0;
         let mut catalogs = 0;
-        for line in &lines {
+        for (_, line) in &lines {
             let v = Json::parse(line).unwrap();
             match v.get("status") {
                 Some(Json::Str(s)) if s == "ok" => ok += 1,
@@ -290,9 +299,9 @@ mod tests {
         assert_eq!(stats.completed, 1);
 
         let mut statuses: Vec<(u64, String)> = out
-            .lines()
+            .stamped()
             .iter()
-            .map(|line| {
+            .map(|(_, line)| {
                 let v = Json::parse(line).unwrap();
                 let Some(Json::Num(id)) = v.get("id") else {
                     panic!("reply without id: {line}");
@@ -320,9 +329,9 @@ mod tests {
         let service = VerdictService::with_paper_catalog(ServiceConfig::default());
         let out = StampedLines::default();
         serve(&service, Cursor::new(input), out.clone()).unwrap();
-        out.lines()
+        out.stamped()
             .iter()
-            .map(|line| {
+            .map(|(_, line)| {
                 let v = Json::parse(line).unwrap();
                 let field = |key| match v.get(key) {
                     Some(Json::Str(s)) => s.clone(),

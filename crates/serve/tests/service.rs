@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wam_certify::Json;
 use wam_core::Verdict;
 use wam_serve::{
@@ -219,7 +219,7 @@ fn requests_past_the_admission_bound_are_rejected_not_queued() {
 fn queued_decisions_count_against_the_admission_bound() {
     // One worker, bound 2: the bound must still shed, so an admitted
     // decision has to hold its permit while it waits for the worker.
-    let (reg, _calls) = instrumented("slow", 0, 100);
+    let (reg, calls) = instrumented("slow", 0, 100);
     let config = ServiceConfig {
         workers: 1,
         admission: 2,
@@ -228,24 +228,56 @@ fn queued_decisions_count_against_the_admission_bound() {
     let service = VerdictService::new(reg, config);
     let handle = service.handle();
 
-    // The worker decides key 1 while three more distinct keys queue.
+    // The worker decides key 1 while three more distinct keys arrive.
+    // The gates run on arrival: key 2 takes the second permit and queues
+    // behind key 1, and keys 3 and 4 find both permits taken.
     let busy = handle.submit(req("slow", 1, vec![2, 1]));
     std::thread::sleep(Duration::from_millis(40));
-    let queued: Vec<_> = (2..5)
+    let mut queued: Vec<_> = (2..5)
         .map(|n| handle.submit(req("slow", n, vec![n + 1, 1])))
         .collect();
-    expect_ok(busy.recv().unwrap());
-
-    // Keys 2 and 3 take both permits; key 4 finds them taken before
-    // either decision has run.
-    let mut replies = queued.into_iter().map(|h| h.recv().unwrap());
-    for _ in 2..4 {
-        assert_eq!(expect_ok(replies.next().unwrap()).cache, CacheOutcome::Miss);
+    let queued_key = queued.remove(0);
+    for rejected in queued {
+        assert_eq!(expect_err(rejected.recv().unwrap()).kind(), "overloaded");
     }
-    assert_eq!(expect_err(replies.next().unwrap()).kind(), "overloaded");
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "key 2 is still queued");
+    expect_ok(busy.recv().unwrap());
+    let queued_key = expect_ok(queued_key.recv().unwrap());
+    assert_eq!(queued_key.cache, CacheOutcome::Miss);
     let stats = service.stats();
-    assert_eq!(stats.rejected_overload, 1);
-    assert_eq!(stats.decided, 3);
+    assert_eq!(stats.rejected_overload, 2);
+    assert_eq!(stats.decided, 2);
+}
+
+#[test]
+fn a_deadline_runs_from_arrival_while_the_decision_queues() {
+    // One worker, busy on a 300 ms decision: a request for another key
+    // queues its decision behind it, and its 50 ms deadline must still
+    // fire 50 ms after `submit`, not once the worker takes the job up.
+    let (reg, _calls) = instrumented("slow", 0, 300);
+    let config = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let service = VerdictService::new(reg, config);
+    let handle = service.handle();
+    let busy = handle.submit(req("slow", 1, vec![2, 1]));
+    std::thread::sleep(Duration::from_millis(20));
+
+    let mut timed = req("slow", 2, vec![3, 1]);
+    timed.deadline_ms = Some(50);
+    let submitted = Instant::now();
+    let reply = handle.submit(timed).recv().unwrap();
+    let waited = submitted.elapsed();
+    match expect_err(reply) {
+        ServeError::DeadlineExceeded { elapsed_ms } => assert!(elapsed_ms >= 50),
+        other => panic!("expected deadline, got {other}"),
+    }
+    assert!(
+        waited < Duration::from_millis(150),
+        "the deadline reply waited {waited:?}"
+    );
+    expect_ok(busy.recv().unwrap());
 }
 
 #[test]
@@ -448,18 +480,28 @@ fn a_handle_that_outlives_its_service_is_refused_not_stranded() {
     let (reg, calls) = instrumented("fast", 0, 0);
     let service = VerdictService::new(reg, ServiceConfig::default());
     let handle = service.handle();
+    expect_ok(handle.process(req("fast", 0, vec![3, 1])));
     drop(service);
-    // The workers are gone: a queued job's receiver disconnects, and
+    // The workers are gone: a request's receiver disconnects, and
     // `process` turns that into an internal error instead of waiting,
-    // with or without a deadline.
+    // with or without a deadline, and on a cached key too.
     assert!(handle.submit(req("fast", 1, vec![2, 1])).recv().is_err());
     let mut timed = req("fast", 2, vec![2, 1]);
     timed.deadline_ms = Some(1_000);
-    for r in [req("fast", 3, vec![2, 1]), timed] {
+    for r in [
+        req("fast", 3, vec![2, 1]),
+        timed,
+        req("fast", 4, vec![3, 1]),
+    ] {
         match expect_err(handle.process(r)) {
             ServeError::Internal { .. } => {}
             other => panic!("expected internal error, got {other}"),
         }
     }
-    assert_eq!(calls.load(Ordering::SeqCst), 0);
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
+    assert_eq!(
+        handle.stats().received,
+        1,
+        "a refused request reaches no gate"
+    );
 }

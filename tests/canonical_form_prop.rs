@@ -10,10 +10,16 @@
 //!   label multiset, and an explicit node bijection maps edges onto edges);
 //! * **separating** on the E1 grid: two grid graphs share a key exactly
 //!   when a brute-force search finds an isomorphism between them.
+//!
+//! The verdict store keys a family graph by its family and label counts
+//! from 4 nodes up; those keys must agree exactly when the canonical
+//! forms do, over every family and count on 2 and 3 labels up to 10 nodes.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
+use weak_async_models::analysis::StoreKey;
+use weak_async_models::graph::generators::Family;
 use weak_async_models::graph::{
     canonical_form, generators, Alphabet, Graph, GraphBuilder, Label, LabelCount,
 };
@@ -230,4 +236,88 @@ fn e1_grid_keys_are_equal_exactly_on_isomorphic_graphs() {
         }
     }
     assert!(classes < grid.len(), "the grid repeats some classes");
+}
+
+const FAMILIES: [Family; 4] = [Family::Cycle, Family::Line, Family::Star, Family::Clique];
+
+/// Every family × label counts on `arity` labels with 3 ≤ n ≤ 10, as
+/// `(family, counts, graph)`.
+fn family_requests(arity: usize) -> Vec<(Family, Vec<u64>, Graph)> {
+    fn counts_of(n: u64, arity: usize) -> Vec<Vec<u64>> {
+        if arity == 1 {
+            return vec![vec![n]];
+        }
+        (0..=n)
+            .flat_map(|first| {
+                counts_of(n - first, arity - 1)
+                    .into_iter()
+                    .map(move |mut rest| {
+                        rest.insert(0, first);
+                        rest
+                    })
+            })
+            .collect()
+    }
+    let mut out = Vec::new();
+    for n in 3..=10 {
+        for counts in counts_of(n, arity) {
+            for family in FAMILIES {
+                let graph = family.labelled(&LabelCount::from_vec(counts.clone()));
+                out.push((family, counts.clone(), graph));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn family_keys_are_isomorphism_class_keys() {
+    for arity in [2, 3] {
+        let requests = family_requests(arity);
+        let store_keys: Vec<_> = requests
+            .iter()
+            .map(|(family, counts, _)| StoreKey::of_family(7, *family, counts))
+            .collect();
+        let forms: Vec<_> = requests
+            .iter()
+            .map(|(_, _, g)| canonical_form(g).key())
+            .collect();
+        for i in 0..requests.len() {
+            for j in 0..i {
+                assert_eq!(
+                    store_keys[i] == store_keys[j],
+                    forms[i] == forms[j],
+                    "{:?} {:?} and {:?} {:?}",
+                    requests[i].0,
+                    requests[i].1,
+                    requests[j].0,
+                    requests[j].1
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn families_alias_on_three_nodes_only() {
+    let key = |family, counts: &[u64]| StoreKey::of_family(7, family, counts);
+    // The 3-star on [2, 1] has a 0-labelled centre: the line 0-0-1.
+    assert_eq!(key(Family::Star, &[2, 1]), key(Family::Line, &[2, 1]));
+    // On [1, 2] the star's centre is the lone 0, the line's is a 1.
+    assert_ne!(key(Family::Star, &[1, 2]), key(Family::Line, &[1, 2]));
+    for counts in [[3, 0], [2, 1], [1, 2], [0, 3]] {
+        assert_eq!(key(Family::Cycle, &counts), key(Family::Clique, &counts));
+    }
+    for counts in [[4, 0], [2, 2], [3, 1], [1, 4]] {
+        for (i, a) in FAMILIES.into_iter().enumerate() {
+            for b in FAMILIES.into_iter().skip(i + 1) {
+                assert_ne!(key(a, &counts), key(b, &counts), "{a:?} {b:?} {counts:?}");
+            }
+        }
+    }
+    // Fingerprints separate systems on every class.
+    assert_ne!(
+        StoreKey::of_family(1, Family::Star, &[2, 2]),
+        StoreKey::of_family(2, Family::Star, &[2, 2])
+    );
 }
