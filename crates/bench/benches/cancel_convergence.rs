@@ -1,12 +1,14 @@
-//! **E10 — Lemma 6.1 (criterion):** convergence of the `⟨cancel⟩` local
-//! cancellation dynamics: synchronous steps until the configuration is all
-//! small or all negative, and wall-clock scaling with network size.
+//! **E10 — Lemma 6.1:** convergence of the `⟨cancel⟩` local cancellation
+//! dynamics: synchronous steps until the configuration is all small or
+//! all negative, and wall-clock scaling with network size.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
+use wam_bench::{time_ms, Table};
 use wam_core::{Config, Selection};
 use wam_graph::{generators, Graph, LabelCount};
 use wam_protocols::{cancel_machine, homogeneous::big_e};
+
+/// Best of ten runs, as the sample size of the earlier harness.
+const REPS: usize = 10;
 
 /// Synchronous steps until ⟨cancel⟩ reaches a Lemma 6.1 limit shape.
 fn steps_to_converge(g: &Graph, k: usize, max_steps: usize) -> Option<usize> {
@@ -26,29 +28,24 @@ fn steps_to_converge(g: &Graph, k: usize, max_steps: usize) -> Option<usize> {
     None
 }
 
-fn bench_cancel(criterion: &mut Criterion) {
-    let mut group = criterion.benchmark_group("cancel_convergence");
-    println!("\n=== Lemma 6.1: ⟨cancel⟩ convergence (sum < 0 inputs) ===");
-    println!("| n | degree bound | steps to converge |");
-    println!("|---|--------------|-------------------|");
+fn main() {
+    let mut t = Table::new(["n", "degree bound", "steps to converge", "µs per run"]);
     for &n in &[12u64, 24, 48, 96] {
         let a = n / 3;
         let b = n - a; // sum = 4a − 4b < 0
         let c = LabelCount::from_vec(vec![a, b]);
         let k = 3;
         let g = generators::random_degree_bounded(&c, k, n as usize / 4, 3);
-        let steps = steps_to_converge(&g, k, 100_000).expect("cancel must converge");
-        println!("| {n} | {k} | {steps} |");
-        group.bench_with_input(BenchmarkId::from_parameter(n), &g, |bencher, g| {
-            bencher.iter(|| black_box(steps_to_converge(g, k, 100_000)))
-        });
+        let (ms, steps) = time_ms(REPS, || steps_to_converge(&g, k, 100_000));
+        let steps = steps.expect("cancel must converge");
+        t.row([
+            n.to_string(),
+            k.to_string(),
+            steps.to_string(),
+            format!("{:.1}", ms * 1e3),
+        ]);
     }
-    group.finish();
+    t.print(&format!(
+        "E10 — Lemma 6.1: ⟨cancel⟩ convergence (sum < 0 inputs, best of {REPS})"
+    ));
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_cancel
-}
-criterion_main!(benches);

@@ -16,7 +16,7 @@
 //! and to `BENCH_explore.json` at the repository root.
 
 use std::time::Instant;
-use wam_bench::Table;
+use wam_bench::{time_ms, Table};
 use wam_certify::{certificate_to_json, Certificate, Decider, DecisionCertificate, StateTable};
 use wam_core::{
     explore_counter_kernel, explore_kernel, explore_ring_kernel, Backend, CounterSystem,
@@ -157,19 +157,6 @@ struct Timing {
     baseline_ms: f64,
     sequential_ms: f64,
     phases: Phases,
-}
-
-/// Best-of-`reps` wall time of `f`, in milliseconds.
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out = Some(r);
-    }
-    (best, out.unwrap())
 }
 
 fn time_workload<T: TransitionSystem>(
@@ -1108,6 +1095,18 @@ fn main() {
             &m,
             &g,
             9,
+            Schedule::RoundRobin,
+            Backend::Auto,
+        ));
+        // A lasso certificate is one configuration plus two lengths, so
+        // it grows with the node count, not with the cycle.
+        let g = generators::labelled_star(&LabelCount::from_vec(vec![2000, 1]));
+        certificates.push(time_certified(
+            "flood star (round-robin lasso)",
+            2001,
+            &m,
+            &g,
+            3,
             Schedule::RoundRobin,
             Backend::Auto,
         ));

@@ -5,7 +5,22 @@
 //! graph/input suites so the targets stay declarative. Run everything with
 //! `cargo bench`.
 
+use std::time::Instant;
 use wam_graph::{generators, Graph, LabelCount};
+
+/// Best-of-`reps` wall time of `f`, in milliseconds, with the last run's
+/// result: the one timer the timing benches share.
+pub fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let r = f();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        out = Some(r);
+    }
+    (best, out.expect("at least one repetition"))
+}
 
 /// A plain-text table printer matching the style used in EXPERIMENTS.md.
 #[derive(Debug, Default)]

@@ -21,9 +21,9 @@
 //!   configuration, so *no* reachable configuration is stably accepting or
 //!   stably rejecting.
 //! * [`LassoCertificate`] — for the deterministic round-robin / synchronous
-//!   deciders: a stem length and the closed cycle of configurations; the
-//!   verifier replays the deterministic run and reads the verdict off the
-//!   cycle.
+//!   deciders: a stem length, the configuration entering the cycle and
+//!   the cycle length; the verifier replays the deterministic run and
+//!   reads the verdict off the cycle.
 
 use wam_core::Verdict;
 
@@ -160,21 +160,21 @@ pub enum LassoSchedule {
 }
 
 /// Witness for the deterministic round-robin / synchronous deciders: after
-/// `stem_len` steps the run enters `cycle` and repeats it forever; the
-/// verdict is the consensus read off the cycle (`NoConsensus` when its
-/// outputs are not uniform).
+/// `stem_len` steps the run reaches `entry` and is back there `cycle_len`
+/// steps later, so it repeats that cycle forever; the verdict is the
+/// consensus the verifier reads off the replayed cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LassoCertificate<C> {
     /// The deterministic schedule to replay.
     pub schedule: LassoSchedule,
     /// The verdict claimed for the run.
     pub verdict: Verdict,
-    /// Steps from the initial configuration to `cycle[0]`.
+    /// Steps from the initial configuration to `entry`.
     pub stem_len: usize,
-    /// The configurations of the closed cycle, starting at the entry point.
-    /// Its length must be a multiple of the schedule period so that the
-    /// `(configuration, step mod period)` pair genuinely recurs.
-    pub cycle: Vec<C>,
+    /// The configuration the cycle starts and ends at.
+    pub entry: C,
+    /// Steps in one cycle, a multiple of the schedule period.
+    pub cycle_len: usize,
 }
 
 /// A machine-checkable witness for a decider verdict.
@@ -219,7 +219,7 @@ impl<C> Certificate<C> {
             Certificate::Stable(s) => stable(s),
             Certificate::Inconsistent(a, r) => stable(a) + stable(r),
             Certificate::NoConsensus(n) => n.space.len(),
-            Certificate::Lasso(l) => l.cycle.len(),
+            Certificate::Lasso(_) => 1,
         }
     }
 
@@ -242,7 +242,7 @@ impl<C> Certificate<C> {
                 stable(r, &mut f);
             }
             Certificate::NoConsensus(n) => n.space.iter().for_each(f),
-            Certificate::Lasso(l) => l.cycle.iter().for_each(f),
+            Certificate::Lasso(l) => f(&l.entry),
         }
     }
 
@@ -275,7 +275,7 @@ impl<C> Certificate<C> {
                 },
                 l.verdict,
                 l.stem_len,
-                l.cycle.len()
+                l.cycle_len
             ),
         }
     }

@@ -50,9 +50,9 @@ use crate::emit::{certify_exploration, relabel_exclusive_path, Explored};
 use crate::verify::{verify_machine, verify_system, CertError};
 use wam_core::{
     dense_or, explore_counter_kernel, explore_kernel, explore_ring_kernel, lasso_verdict,
-    resolve_backend, Backend, Config, CounterConfig, CounterSystem, DecisionStats, ExclusiveSystem,
-    Exploration, ExploreError, ExploreOptions, Machine, Resolution, ResolvedBackend, RingConfig,
-    RingSystem, Schedule, State, TransitionSystem, Verdict,
+    resolve_backend, Backend, Config, CounterConfig, CounterError, CounterSystem, DecisionStats,
+    ExclusiveSystem, Exploration, ExploreError, ExploreOptions, Machine, Resolution,
+    ResolvedBackend, RingConfig, RingSystem, Schedule, State, TransitionSystem, Verdict,
 };
 use wam_graph::Graph;
 
@@ -84,22 +84,17 @@ impl<S: State> DecisionCertificate<S> {
     /// [`CertError::BackendUnavailable`] if the certificate's abstraction
     /// does not apply to this machine/graph pair at all.
     pub fn verify(&self, machine: &Machine<S>, graph: &Graph) -> Result<Verdict, CertError> {
+        let unavailable = |e: CounterError| CertError::BackendUnavailable {
+            reason: e.to_string(),
+        };
         match self {
             DecisionCertificate::Node(cert) => verify_machine(machine, graph, cert),
-            DecisionCertificate::Counter(cert) => {
-                let system = CounterSystem::new(machine, graph).map_err(|e| {
-                    CertError::BackendUnavailable {
-                        reason: e.to_string(),
-                    }
-                })?;
-                verify_system(&system, cert)
-            }
+            DecisionCertificate::Counter(cert) => verify_system(
+                &CounterSystem::new(machine, graph).map_err(unavailable)?,
+                cert,
+            ),
             DecisionCertificate::Ring(cert) => {
-                let system =
-                    RingSystem::new(machine, graph).map_err(|e| CertError::BackendUnavailable {
-                        reason: e.to_string(),
-                    })?;
-                verify_system(&system, cert)
+                verify_system(&RingSystem::new(machine, graph).map_err(unavailable)?, cert)
             }
         }
     }
@@ -215,7 +210,8 @@ impl<'a, S: State> Decider<'a, S> {
             schedule: lasso_schedule,
             verdict: lasso.verdict,
             stem_len: lasso.stem_len,
-            cycle: lasso.cycle,
+            entry: lasso.entry,
+            cycle_len: lasso.cycle_len,
         });
         Ok(Decision {
             verdict: lasso.verdict,

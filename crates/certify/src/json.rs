@@ -681,15 +681,13 @@ fn parse_configs<C>(v: &Json, codec: &dyn ConfigCodec<C>) -> Result<Vec<C>, Cert
     v.arr()?.iter().map(|c| codec.decode_config(c)).collect()
 }
 
-/// Refuses a body carrying symmetry transport. Documents from builds that
-/// emitted orbit-quotient certificates store orbit representatives there,
-/// which are not a closed set without the permutations this format no
-/// longer replays.
-fn reject_transport(body: &Json) -> Result<(), CertError> {
-    match body.get("transport") {
-        Some(_) => Err(err(
-            "unsupported key \"transport\": symmetry-transported certificates are not accepted",
-        )),
+/// Refuses a body carrying a key of an older format: `transport` holds
+/// orbit representatives, no closed set without the permutations this
+/// format no longer replays, and a lasso's `cycle` is now `entry` and
+/// `cycle_len`.
+fn reject_key(body: &Json, key: &str) -> Result<(), CertError> {
+    match body.get(key) {
+        Some(_) => Err(err(&format!("unsupported key {key:?} of an older format"))),
         None => Ok(()),
     }
 }
@@ -698,7 +696,7 @@ fn parse_stable<C>(
     v: &Json,
     codec: &dyn ConfigCodec<C>,
 ) -> Result<StableCertificate<C>, CertError> {
-    reject_transport(v)?;
+    reject_key(v, "transport")?;
     let polarity = match v.field("polarity")?.str()? {
         "accepting" => Polarity::Accepting,
         "rejecting" => Polarity::Rejecting,
@@ -766,8 +764,10 @@ pub fn certificate_to_json<C>(cert: &Certificate<C>, codec: &dyn ConfigCodec<C>)
                 LassoSchedule::Synchronous => r#","lasso":{"schedule":"synchronous","stem_len":"#,
             });
             write_uint(&mut out, l.stem_len as u64);
-            out.push_str(r#","cycle":"#);
-            write_configs(&mut out, &l.cycle, codec);
+            out.push_str(r#","entry":"#);
+            codec.write_config(&l.entry, &mut out);
+            out.push_str(r#","cycle_len":"#);
+            write_uint(&mut out, l.cycle_len as u64);
             out.push('}');
         }
     }
@@ -891,24 +891,14 @@ pub fn certificate_from_json<C>(
         ),
         "no-consensus" => {
             let body = doc.field("no_consensus")?;
-            reject_transport(body)?;
-            let space = parse_configs(body.field("space")?, codec)?;
-            let escape_accepting = body
-                .field("escape_accepting")?
-                .arr()?
-                .iter()
-                .map(parse_escape)
-                .collect::<Result<Vec<_>, _>>()?;
-            let escape_rejecting = body
-                .field("escape_rejecting")?
-                .arr()?
-                .iter()
-                .map(parse_escape)
-                .collect::<Result<Vec<_>, _>>()?;
+            reject_key(body, "transport")?;
+            let escapes = |key: &str| -> Result<Vec<Escape>, CertError> {
+                body.field(key)?.arr()?.iter().map(parse_escape).collect()
+            };
             Certificate::NoConsensus(NoConsensusCertificate {
-                space,
-                escape_accepting,
-                escape_rejecting,
+                space: parse_configs(body.field("space")?, codec)?,
+                escape_accepting: escapes("escape_accepting")?,
+                escape_rejecting: escapes("escape_rejecting")?,
             })
         }
         "lasso" => {
@@ -918,11 +908,13 @@ pub fn certificate_from_json<C>(
                 "synchronous" => LassoSchedule::Synchronous,
                 other => return Err(err(&format!("unknown schedule {other:?}"))),
             };
+            reject_key(body, "cycle")?;
             Certificate::Lasso(LassoCertificate {
                 schedule,
                 verdict: claimed,
                 stem_len: body.field("stem_len")?.index()?,
-                cycle: parse_configs(body.field("cycle")?, codec)?,
+                entry: codec.decode_config(body.field("entry")?)?,
+                cycle_len: body.field("cycle_len")?.index()?,
             })
         }
         other => return Err(err(&format!("unknown certificate kind {other:?}"))),

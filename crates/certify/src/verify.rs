@@ -34,10 +34,10 @@
 //!   validated successor steps, so *no* reachable configuration is stably
 //!   accepting or stably rejecting.
 //! * [`Certificate::Lasso`]: replaying the deterministic schedule from the
-//!   initial configuration reaches `cycle[0]` after `stem_len` steps, the
-//!   cycle steps back into itself with period-aligned length, so the run's
-//!   limit behaviour is the cycle; the verdict is the consensus over the
-//!   cycle's outputs.
+//!   initial configuration reaches `entry` after `stem_len` steps and
+//!   first returns to it, period-aligned, after `cycle_len` more, so the
+//!   run's limit behaviour is that cycle; the verdict is the consensus
+//!   over the outputs read at each replayed cycle step.
 
 use crate::certificate::{
     Certificate, Escape, LassoCertificate, LassoSchedule, NoConsensusCertificate, Polarity,
@@ -131,11 +131,11 @@ pub enum CertError {
         /// The schedule period.
         period: usize,
     },
-    /// Replaying the stem did not arrive at `cycle[0]`.
+    /// Replaying the stem did not arrive at `entry`.
     StemMismatch,
-    /// Replaying cycle step `index` did not produce the next cycle entry.
+    /// Cycle replay step `index` is back at `entry` early, or is the last and is not.
     CycleMismatch {
-        /// Index of the offending cycle step.
+        /// Steps replayed from `entry`.
         index: usize,
     },
     /// The certificate's claimed verdict differs from the one the checker
@@ -225,7 +225,7 @@ impl fmt::Display for CertError {
             ),
             CertError::StemMismatch => write!(f, "stem replay does not reach the cycle entry"),
             CertError::CycleMismatch { index } => {
-                write!(f, "cycle replay diverges at step {index}")
+                write!(f, "cycle replay breaks the recorded cycle at step {index}")
             }
             CertError::VerdictMismatch { claimed, derived } => {
                 write!(
@@ -549,7 +549,7 @@ fn check_lasso<S: State>(
     graph: &Graph,
     cert: &LassoCertificate<Config<S>>,
 ) -> Result<Verdict, CertError> {
-    if cert.cycle.is_empty() {
+    if cert.cycle_len == 0 {
         return Err(CertError::EmptyCycle);
     }
     let n = graph.node_count();
@@ -558,35 +558,35 @@ fn check_lasso<S: State>(
         LassoSchedule::RoundRobin => n,
         LassoSchedule::Synchronous => 1,
     };
-    let selection_at = |t: usize| match cert.schedule {
-        LassoSchedule::RoundRobin => Selection::exclusive(t % n),
-        LassoSchedule::Synchronous => all.clone(),
+    let step = |c: &Config<S>, t: usize| match cert.schedule {
+        LassoSchedule::RoundRobin => c.successor(machine, graph, &Selection::exclusive(t % n)),
+        LassoSchedule::Synchronous => c.successor(machine, graph, &all),
     };
-    if !cert.cycle.len().is_multiple_of(period) {
+    if !cert.cycle_len.is_multiple_of(period) {
         return Err(CertError::CycleNotPeriodAligned {
-            cycle: cert.cycle.len(),
+            cycle: cert.cycle_len,
             period,
         });
     }
-    let mut c = Config::initial(machine, graph);
-    for t in 0..cert.stem_len {
-        c = c.successor(machine, graph, &selection_at(t));
-    }
-    if c != cert.cycle[0] {
+    let mut c = (0..cert.stem_len).fold(Config::initial(machine, graph), |c, t| step(&c, t));
+    if c != cert.entry {
         return Err(CertError::StemMismatch);
     }
-    for (k, cur) in cert.cycle.iter().enumerate() {
-        let next = cur.successor(machine, graph, &selection_at(cert.stem_len + k));
-        if next != cert.cycle[(k + 1) % cert.cycle.len()] {
+    // Only a first return closes the cycle, so a forged multiple of the
+    // true length costs no more replay than the true length.
+    let (mut acc, mut rej) = (true, true);
+    for k in 1..=cert.cycle_len {
+        acc = acc && c.is_accepting(machine);
+        rej = rej && c.is_rejecting(machine);
+        c = step(&c, cert.stem_len + k - 1);
+        if k.is_multiple_of(period) && (c == cert.entry) != (k == cert.cycle_len) {
             return Err(CertError::CycleMismatch { index: k });
         }
     }
-    let derived = if cert.cycle.iter().all(|c| c.is_accepting(machine)) {
-        Verdict::Accepts
-    } else if cert.cycle.iter().all(|c| c.is_rejecting(machine)) {
-        Verdict::Rejects
-    } else {
-        Verdict::NoConsensus
+    let derived = match (acc, rej) {
+        (true, _) => Verdict::Accepts,
+        (_, true) => Verdict::Rejects,
+        _ => Verdict::NoConsensus,
     };
     if derived != cert.verdict {
         return Err(CertError::VerdictMismatch {

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::fmt::Debug;
 use wam_certify::{
     certificate_from_json, certificate_to_json, CertError, Certificate, ConfigCodec, Decider,
-    DecisionCertificate, StateTable,
+    DecisionCertificate, Json, StateTable,
 };
 use wam_core::{Backend, Machine, Output, Schedule, State, Verdict};
 use wam_graph::{generators, Graph, LabelCount};
@@ -201,16 +201,18 @@ const BAD_NUMBERS: [&str; 7] = [
 ];
 
 /// Keys whose value starts with a number: configurations (`start`,
-/// `members`, `space`, `cycle`), selections (`choice`, `node`) and escape
-/// pointers (`via`).
-const NUMBER_KEYS: [&str; 7] = [
+/// `members`, `space`, `entry`), selections (`choice`, `node`), escape
+/// pointers (`via`) and lasso lengths (`stem_len`, `cycle_len`).
+const NUMBER_KEYS: [&str; 9] = [
     "\"start\":",
     "\"members\":",
     "\"space\":",
-    "\"cycle\":",
+    "\"entry\":",
     "\"choice\":",
     "\"node\":",
     "\"via\":",
+    "\"stem_len\":",
+    "\"cycle_len\":",
 ];
 
 /// Replacement bytes for the flip property: JSON syntax, digits, letters
@@ -261,6 +263,33 @@ fn nesting_past_the_cap_is_refused() {
         d.import(&nested(MAX_DEPTH)),
         Err(CertError::Json(_))
     ));
+}
+
+#[test]
+fn lasso_documents_with_a_cycle_are_refused() {
+    // Flooding on a round-robin cycle: a lasso certificate.
+    let d = instance(0, 0, (2, 1), 1, 0).expect("flood decides on a cycle");
+    let doc = Json::parse(&d.json).expect("an export parses");
+    let Some(Json::Obj(lasso)) = doc.get("lasso") else {
+        panic!("a lasso document has a lasso body");
+    };
+    let entry = lasso.iter().find(|(k, _)| k == "entry").unwrap().1.clone();
+    let cycle = ("cycle".to_string(), Json::Arr(vec![entry; 3]));
+    // The cycle next to `entry` and `cycle_len`, and in their place.
+    let mut both = lasso.clone();
+    both.push(cycle.clone());
+    let mut old = lasso.clone();
+    old.retain(|(k, _)| k != "entry" && k != "cycle_len");
+    old.push(cycle);
+    let body = Json::Obj(lasso.clone()).render();
+    assert!(d.json.contains(&body) && d.import(&d.json).is_ok());
+    for damaged in [both, old] {
+        let text = d.json.replacen(&body, &Json::Obj(damaged).render(), 1);
+        assert!(
+            matches!(d.import(&text), Err(CertError::Json(_))),
+            "imported a lasso body carrying a cycle: {text}"
+        );
+    }
 }
 
 proptest! {

@@ -12,10 +12,11 @@
 //! * **Adversarial fairness**: a consistent automaton gives the same verdict
 //!   on every fair run, so it suffices to evaluate one concrete fair run.
 //!   Round-robin and synchronous runs are deterministic and therefore
-//!   ultimately periodic; [`lasso_verdict`] detects the lasso and reads
-//!   the verdict off the loop. A `NoConsensus` result on these runs witnesses that the machine
-//!   is *not* a distributed automaton of the corresponding class for this
-//!   input (no stable consensus forms).
+//!   ultimately periodic; [`lasso_verdict`] closes the lasso by Brent's
+//!   cycle finding, in memory linear in the node count, and reads the
+//!   verdict off the loop. A `NoConsensus` result on these runs witnesses
+//!   that the machine is *not* a distributed automaton of the
+//!   corresponding class for this input (no stable consensus forms).
 //!
 //! Extended models (weak broadcasts, absence detection, rendez-vous, strong
 //! broadcasts) implement [`TransitionSystem`] in `wam-extensions` and reuse
@@ -27,8 +28,8 @@
 //! configurations:
 //!
 //! * every configuration is interned exactly once into a dense `u32` id by
-//!   an FxHash [`Interner`](crate::Interner) — BFS, lasso detection and all
-//!   `Pre*` machinery pass ids, never configuration values. Successors are
+//!   an FxHash [`Interner`](crate::Interner) — BFS and all `Pre*`
+//!   machinery pass ids, never configuration values. Successors are
 //!   generated into one reusable buffer and interned item by item, so ids
 //!   arrive in first-occurrence order and the whole exploration is a pure
 //!   function of the transition system and its start;
@@ -49,7 +50,6 @@ use crate::bitset::BitSet;
 pub use crate::edges::SuccRow;
 use crate::edges::{EdgeBuilder, EdgeStore};
 use crate::{Config, Interner, Machine, Schedule, Selection, State};
-use rustc_hash::FxHashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::Hash;
@@ -528,20 +528,6 @@ impl<C: Clone + Eq + Hash + fmt::Debug> Exploration<C> {
         )
     }
 
-    /// Explores `system` from an arbitrary starting configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreError::TooLarge`] if more than `limit` configurations are
-    /// reachable.
-    pub fn explore_from<T: TransitionSystem<C = C>>(
-        system: &T,
-        start: C,
-        limit: usize,
-    ) -> Result<Self, ExploreError> {
-        Self::explore_with(system, start, ExploreOptions::with_limit(limit))
-    }
-
     /// Explores `system` from `start` under explicit [`ExploreOptions`].
     ///
     /// The result — ids, edges, flags, verdicts — is a pure function of
@@ -810,14 +796,16 @@ pub struct Lasso<S: State> {
     pub verdict: Verdict,
     /// Steps taken before the loop starts.
     pub stem_len: usize,
-    /// The loop's configurations, in run order.
-    pub cycle: Vec<Config<S>>,
+    /// The configuration at step `stem_len`, where the loop starts.
+    pub entry: Config<S>,
+    /// Steps in one loop, a multiple of the schedule period.
+    pub cycle_len: usize,
 }
 
 impl<S: State> Lasso<S> {
     /// Steps walked before the lasso closed (stem plus one loop).
     pub fn steps(&self) -> usize {
-        self.stem_len + self.cycle.len()
+        self.stem_len + self.cycle_len
     }
 }
 
@@ -831,10 +819,13 @@ impl<S: State> Lasso<S> {
 /// * [`Schedule::Synchronous`] — every node steps each round (period 1),
 ///   the unique fair schedule of synchronous selection.
 ///
+/// Brent's cycle finding over (configuration, step mod period) closes the
+/// shortest lasso holding three configurations; a run with none within
+/// `limit` steps is abandoned before the walk passes step `3 × limit`.
+///
 /// # Errors
 ///
-/// * [`ExploreError::NoLasso`] if the run does not become periodic within
-///   `limit` steps;
+/// * [`ExploreError::NoLasso`] if stem plus loop is `limit` steps or more;
 /// * [`ExploreError::Unsupported`] for [`Schedule::PseudoStochastic`],
 ///   which has no single run to walk.
 pub fn lasso_verdict<S: State>(
@@ -855,46 +846,55 @@ pub fn lasso_verdict<S: State>(
         }
     };
     let all = Selection::all(graph);
-    let selection_at = |t: usize| match schedule {
-        Schedule::RoundRobin => Selection::exclusive(t % n),
-        _ => all.clone(),
+    let step = |c: &Config<S>, t: usize| match schedule {
+        Schedule::RoundRobin => c.successor(machine, graph, &Selection::exclusive(t % n)),
+        _ => c.successor(machine, graph, &all),
     };
-    // The run is deterministic; its state is (configuration, step mod
-    // period). Configurations are interned, so the walk stores and hashes
-    // dense ids instead of cloning the configuration at every step.
-    let mut interner: Interner<Config<S>> = Interner::new();
-    let mut seen: FxHashMap<(u32, u32), usize> = FxHashMap::default();
-    let mut trace: Vec<u32> = Vec::new();
-    let mut c = Config::initial(machine, graph);
-    for t in 0..limit {
-        let (id, _) = interner.intern(c);
-        let key = (id, (t % period) as u32);
-        if let Some(&start) = seen.get(&key) {
-            // Lasso closed: the loop is trace[start..t].
-            let cycle: Vec<Config<S>> = trace[start..]
-                .iter()
-                .map(|&i| interner.get(i as usize).clone())
-                .collect();
-            let verdict = if cycle.iter().all(|c| c.is_accepting(machine)) {
-                Verdict::Accepts
-            } else if cycle.iter().all(|c| c.is_rejecting(machine)) {
-                Verdict::Rejects
-            } else {
-                Verdict::NoConsensus
-            };
-            return Ok(Lasso {
-                verdict,
-                stem_len: start,
-                cycle,
-            });
+    let no_lasso = Err(ExploreError::NoLasso { limit });
+    // λ: the tortoise waits at step t0 = 2^k − 1 while the hare walks up to
+    // 2^k steps past it; once t0 is on the loop they meet after exactly λ.
+    // The hare is `limit` steps out only when t0 ≥ limit − 1, so no meeting
+    // then means stem plus loop reach `limit`. `acc` and `rej` cover steps
+    // t0 .. t0 + lam − 1: on a meeting, the loop.
+    let start = Config::initial(machine, graph);
+    let (mut tortoise, mut t0, mut power, mut lam) = (start.clone(), 0, 1, 1);
+    let mut hare = step(&start, 0);
+    let (mut acc, mut rej) = (start.is_accepting(machine), start.is_rejecting(machine));
+    while lam % period != 0 || tortoise != hare {
+        if lam >= limit {
+            return no_lasso;
         }
-        seen.insert(key, t);
-        trace.push(id);
-        c = interner
-            .get(id as usize)
-            .successor(machine, graph, &selection_at(t));
+        if power == lam {
+            (tortoise, t0, power, lam) = (hare.clone(), t0 + lam, power * 2, 0);
+            (acc, rej) = (true, true);
+        }
+        acc = acc && hare.is_accepting(machine);
+        rej = rej && hare.is_rejecting(machine);
+        hare = step(&hare, t0 + lam);
+        lam += 1;
     }
-    Err(ExploreError::NoLasso { limit })
+    // μ: the first step equal to the one λ (a period multiple) steps later.
+    let (mut entry, mut ahead) = (start.clone(), (0..lam).fold(start, |c, t| step(&c, t)));
+    let mut mu = 0;
+    while mu + lam < limit && entry != ahead {
+        entry = step(&entry, mu);
+        ahead = step(&ahead, mu + lam);
+        mu += 1;
+    }
+    if mu + lam >= limit {
+        return no_lasso;
+    }
+    let verdict = match (acc, rej) {
+        (true, _) => Verdict::Accepts,
+        (_, true) => Verdict::Rejects,
+        _ => Verdict::NoConsensus,
+    };
+    Ok(Lasso {
+        verdict,
+        stem_len: mu,
+        entry,
+        cycle_len: lam,
+    })
 }
 
 #[cfg(test)]

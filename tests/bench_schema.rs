@@ -359,6 +359,7 @@ fn bench_explore_json_matches_schema() {
     let cert_workloads = certificates.get("workloads").arr();
     assert!(!cert_workloads.is_empty(), "certificates section is empty");
     let mut backends = Vec::new();
+    let mut largest_lasso = 0.0f64;
     for w in cert_workloads {
         assert!(!w.get("workload").str().is_empty());
         let backend = w.get("backend").str();
@@ -393,7 +394,26 @@ fn bench_explore_json_matches_schema() {
             w.get("verify_ms").num() <= w.get("certified_ms").num(),
             "verification slower than emitting the certificate"
         );
+        // A lasso certificate is its entry configuration plus two lengths:
+        // its size is linear in the nodes, whatever the cycle's length.
+        if w.get("kind").str() == "lasso" {
+            let nodes = w.get("nodes").num();
+            assert_eq!(
+                w.get("cert_configs").num(),
+                1.0,
+                "a lasso stores one configuration"
+            );
+            assert!(
+                w.get("json_bytes").num() < 32.0 * nodes + 1024.0,
+                "lasso certificate larger than linear in {nodes} nodes"
+            );
+            largest_lasso = largest_lasso.max(nodes);
+        }
     }
+    assert!(
+        largest_lasso >= 2000.0,
+        "the certificates section needs a lasso row of at least 2 000 nodes"
+    );
     // Certified decisions ride the dense rows: each row type must have a
     // certificate row of its own.
     for dense in ["explicit", "counter", "ring"] {

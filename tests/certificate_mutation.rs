@@ -8,10 +8,10 @@
 use proptest::prelude::*;
 use weak_async_models::certify::{
     certificate_from_json, certificate_to_json, verify_machine, Certificate, Decider,
-    DecisionCertificate, Json, Polarity, StateTable, StepSelection,
+    DecisionCertificate, Json, LassoCertificate, Polarity, StateTable, StepSelection,
 };
 use weak_async_models::core::{
-    Backend, Config, CounterConfig, Machine, Output, Schedule, Selection, Verdict,
+    Backend, Config, CounterConfig, Machine, Output, Schedule, Selection, State, Verdict,
 };
 use weak_async_models::graph::{generators, Graph, LabelCount};
 
@@ -25,21 +25,21 @@ fn flood() -> Machine<bool> {
     )
 }
 
-fn verify(
-    m: &Machine<bool>,
+fn verify<S: State>(
+    m: &Machine<S>,
     g: &Graph,
-    cert: &Certificate<Config<bool>>,
+    cert: &Certificate<Config<S>>,
 ) -> Result<Verdict, String> {
     verify_machine(m, g, cert).map_err(|e| e.to_string())
 }
 
 /// Emits a node-space certificate to mutate: the explicit backend always
 /// produces one, and the lasso schedules ignore the backend.
-fn certified(
-    m: &Machine<bool>,
+fn certified<S: State>(
+    m: &Machine<S>,
     g: &Graph,
     schedule: Schedule,
-) -> (Verdict, Certificate<Config<bool>>) {
+) -> (Verdict, Certificate<Config<S>>) {
     let d = Decider::new(m, g)
         .schedule(schedule)
         .backend(Backend::Explicit)
@@ -51,6 +51,17 @@ fn certified(
         DecisionCertificate::Node(cert) => (d.verdict, cert),
         other => panic!("expected a node certificate, got {other:?}"),
     }
+}
+
+/// Flag flooding with a mod-3 clock on every node: a round-robin lasso
+/// cycles through three rounds, so its length is not the period.
+fn clocked_flood() -> Machine<(bool, u8)> {
+    Machine::new(
+        1,
+        |l| (l.0 == 1, 0),
+        |&(f, p), n| (f || n.exists(|t| t.0), (p + 1) % 3),
+        |&(f, _)| if f { Output::Accept } else { Output::Reject },
+    )
 }
 
 /// Flag flooding over `u8` states: label-1 nodes start in `flag`, the
@@ -290,5 +301,60 @@ proptest! {
             verify(&m, &g, &Certificate::Lasso(l)).is_err(),
             "a flipped lasso verdict must never verify"
         );
+    }
+
+    /// A lasso certificate is its entry configuration and two lengths;
+    /// the verifier must refuse a stem one step short, a cycle one period
+    /// short or twice as long (the run is back at the entry halfway), an
+    /// entry with one node's clock moved, and the opposite verdict.
+    #[test]
+    fn mutated_lasso_lengths_and_entries_are_rejected(
+        a in 1u64..4,
+        b in 0u64..3,
+        shape in 0usize..2,
+        schedule in 0usize..2,
+        node in 0usize..7,
+    ) {
+        prop_assume!(a + b >= 3);
+        let m = clocked_flood();
+        let c = LabelCount::from_vec(vec![a, b]);
+        let g = if shape == 0 {
+            generators::labelled_line(&c)
+        } else {
+            generators::labelled_cycle(&c)
+        };
+        let (schedule, period) = if schedule == 0 {
+            (Schedule::RoundRobin, g.node_count())
+        } else {
+            (Schedule::Synchronous, 1)
+        };
+        let (verdict, cert) = certified(&m, &g, schedule);
+        let Certificate::Lasso(l) = cert else {
+            panic!("lasso schedules emit lasso certificates");
+        };
+        prop_assert_eq!(verify(&m, &g, &Certificate::Lasso(l.clone())), Ok(verdict));
+        prop_assert_eq!(l.cycle_len % (3 * period), 0);
+        let mut moved = l.entry.states().to_vec();
+        let v = node % moved.len();
+        moved[v].1 = (moved[v].1 + 1) % 3;
+        let mut mutants = vec![
+            LassoCertificate { cycle_len: l.cycle_len - period, ..l.clone() },
+            LassoCertificate { cycle_len: 2 * l.cycle_len, ..l.clone() },
+            LassoCertificate { entry: Config::from_states(moved), ..l.clone() },
+            LassoCertificate {
+                verdict: match l.verdict {
+                    Verdict::Accepts => Verdict::Rejects,
+                    _ => Verdict::Accepts,
+                },
+                ..l.clone()
+            },
+        ];
+        if l.stem_len > 0 {
+            mutants.push(LassoCertificate { stem_len: l.stem_len - 1, ..l.clone() });
+        }
+        for mutant in mutants {
+            let refused = verify(&m, &g, &Certificate::Lasso(mutant.clone())).is_err();
+            prop_assert!(refused, "verified a mutated lasso: {:?}", mutant);
+        }
     }
 }

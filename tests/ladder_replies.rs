@@ -17,7 +17,9 @@
 //! plain reply. The certified digests were recaptured with that change:
 //! ladder, majority and parity certificates carry smaller invariants and
 //! new paths, and every certificate, the presence lassos included,
-//! carries the new sidecar.
+//! carries the new sidecar. The presence certified digest was recaptured
+//! again when lasso bodies swapped their `cycle` of configurations for
+//! `entry` and `cycle_len`; every other byte of those lines is unchanged.
 
 use weak_async_models::serve::{build_graph, CacheOutcome, MachineRegistry, OkReply, Reply};
 
@@ -100,7 +102,7 @@ fn presence_pool_replies_match_the_golden_digest() {
         "presence",
         sizes,
         112,
-        [0x620d_618f_6919_cbf7, 0x6118_e550_a3e7_6f75],
+        [0x620d_618f_6919_cbf7, 0x1372_4924_ec19_33eb],
     );
 }
 
