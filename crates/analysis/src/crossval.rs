@@ -2,12 +2,13 @@
 //! with a shared [`VerdictStore`] so sweeps stop re-deciding identical
 //! spaces.
 
-use crate::store::VerdictStore;
+use crate::store::{StoreKey, VerdictStore};
 use crate::Predicate;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use wam_certify::Certificate;
 use wam_core::Verdict;
+use wam_graph::generators::Family;
 use wam_graph::{Graph, LabelCount};
 
 /// One disagreement between a decider and the reference predicate.
@@ -32,13 +33,21 @@ pub fn cross_validate(
     mut graph_for: impl FnMut(&LabelCount) -> Option<Graph>,
     mut decide: impl FnMut(&Graph) -> Verdict,
 ) -> Vec<Mismatch> {
+    mismatches(predicate, counts, |c| graph_for(c).map(|g| decide(&g)))
+}
+
+/// Every count whose verdict (`None`: skipped) disagrees with `predicate`.
+fn mismatches(
+    predicate: &Predicate,
+    counts: &[LabelCount],
+    mut verdict: impl FnMut(&LabelCount) -> Option<Verdict>,
+) -> Vec<Mismatch> {
     let mut out = Vec::new();
     for count in counts {
-        let Some(graph) = graph_for(count) else {
+        let Some(got) = verdict(count) else {
             continue;
         };
         let expected = predicate.eval(count);
-        let got = decide(&graph);
         if got.decided() != Some(expected) {
             out.push(Mismatch {
                 count: count.clone(),
@@ -56,15 +65,11 @@ pub fn cross_validate(
 ///
 /// Exact decisions are invariant under graph isomorphism (relabelling
 /// nodes relabels the whole configuration space), so the store pairs this
-/// fingerprint with the graph's *canonical form* from
-/// [`wam_graph::canonical_form`]: two isomorphic graphs share an entry
-/// even when built with different node orders — the 3-star and the 3-line
-/// of a Figure-1 sweep are the same path and hit the same entry. When the
-/// canonical-form search falls back to the identity relabelling
-/// (`exact == false`, huge automorphism groups), keys still only collide
-/// on isomorphic graphs — an exact form is itself a relabelled copy of
-/// its input — so mixing exact and fallback keys in one store stays
-/// sound.
+/// fingerprint with the isomorphism class of a family graph
+/// ([`StoreKey::of_family`]): from 4 nodes up its family and label
+/// counts, on 3 nodes the shape of the graph. Two isomorphic graphs share
+/// an entry even when their families differ — the 3-star and the 3-line
+/// of a Figure-1 sweep are the same path and hit the same entry.
 pub fn system_fingerprint(name: &str) -> u64 {
     let mut h = rustc_hash::FxHasher::default();
     name.hash(&mut h);
@@ -75,9 +80,10 @@ pub fn system_fingerprint(name: &str) -> u64 {
 /// justifies it, and the graph the certificate was *emitted* on.
 ///
 /// Certificates are concrete objects — their configurations name the nodes
-/// of one specific graph. When the memo answers a lookup for an isomorphic
-/// but differently-labelled graph, the *verdict* transfers (exact decisions
-/// are isomorphism-invariant), but the certificate is deliberately **not**
+/// of one specific graph. When the memo answers a lookup for another family
+/// whose graph is isomorphic (on 3 nodes the star is a line, the clique is
+/// the cycle), the *verdict* transfers (exact decisions are
+/// isomorphism-invariant), but the certificate is deliberately **not**
 /// relabelled: it remains verifiable against [`CertifiedDecision::graph`],
 /// and callers who need a proof for their own node order should re-decide.
 #[derive(Debug)]
@@ -103,19 +109,24 @@ impl<C> Clone for CertifiedDecision<C> {
     }
 }
 
-/// [`cross_validate`] with a shared [`VerdictStore`]: verdicts for
-/// repeated `(system, graph)` pairs are reused across calls (and threads)
-/// sharing the store.
+/// [`cross_validate`] on `family`'s graphs with a shared [`VerdictStore`]:
+/// verdicts for repeated `(system, graph)` pairs are reused across calls
+/// (and threads) sharing the store, and a graph is built only on a miss.
+///
+/// # Panics
+///
+/// Panics if a count totals fewer than 3 nodes.
 pub fn cross_validate_memo(
     predicate: &Predicate,
     counts: &[LabelCount],
-    mut graph_for: impl FnMut(&LabelCount) -> Option<Graph>,
+    family: Family,
     mut decide: impl FnMut(&Graph) -> Verdict,
     store: &VerdictStore<Verdict>,
     fingerprint: u64,
 ) -> Vec<Mismatch> {
-    cross_validate(predicate, counts, &mut graph_for, |g| {
-        store.decide(fingerprint, g, &mut decide)
+    mismatches(predicate, counts, |c| {
+        let key = StoreKey::of_family(fingerprint, family, c.as_slice());
+        Some(store.get_or_insert_with(&key, || decide(&family.labelled(c))))
     })
 }
 
@@ -204,11 +215,11 @@ mod tests {
         let store = VerdictStore::new();
         let fp = system_fingerprint("flood");
         let decided = std::cell::Cell::new(0usize);
-        for build in [generators::labelled_cycle, generators::labelled_clique] {
+        for family in [Family::Cycle, Family::Clique] {
             let mismatches = cross_validate_memo(
                 &p,
                 &counts,
-                |c| Some(build(c)),
+                family,
                 |g| {
                     decided.set(decided.get() + 1);
                     wam_core::decide(
@@ -243,11 +254,9 @@ mod tests {
             |&s| if s { Output::Accept } else { Output::Reject },
         );
         let c = LabelCount::from_vec(vec![2, 1]);
-        let star = generators::labelled_star(&c);
-        let line = generators::labelled_line(&c);
         let memo = VerdictStore::new();
         let fp = system_fingerprint("flood");
-        let first = memo.decide_certified(fp, &star, |g| {
+        let first = memo.decide_certified(fp, Family::Star, &c, |g| {
             let d = Decider::new(&m, g)
                 .backend(wam_core::Backend::Explicit)
                 .certified(true)
@@ -262,7 +271,7 @@ mod tests {
                 other => panic!("explicit backend emits node certificates, got {other:?}"),
             }
         });
-        let second = memo.decide_certified(fp, &line, |_| {
+        let second = memo.decide_certified(fp, Family::Line, &c, |_| {
             panic!("isomorphic graph must be served from the memo")
         });
         assert_eq!(first.verdict, Verdict::Accepts);
@@ -274,7 +283,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first.certificate, &second.certificate));
         // The cached certificate stays valid against its *emission* graph —
         // even when the lookup graph merely shared the isomorphism class.
-        assert_eq!(second.graph, star);
+        assert_eq!(second.graph, generators::labelled_star(&c));
         let v = verify_machine(&m, &second.graph, &second.certificate)
             .expect("cached certificate must verify against its emission graph");
         assert_eq!(v, second.verdict);

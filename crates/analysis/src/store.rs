@@ -2,14 +2,16 @@
 //! `&mut self` decision memos, built to sit under a multi-worker service.
 //!
 //! [`VerdictStore`] keys entries by [`StoreKey`]: a system fingerprint
-//! paired with the isomorphism class of the communication graph, so
-//! isomorphic graphs share one entry (exact decisions are invariant under
-//! graph isomorphism — see [`crate::crossval`]). The class is either the
-//! graph's *canonical form* ([`StoreKey::new`]) or, for a [`Family`]
-//! graph, its family and label counts ([`StoreKey::of_family`]), which
-//! needs no graph from 4 nodes up. The map is lock-striped
-//! into shards, each a mutex-protected hash map, so concurrent lookups
-//! for different keys rarely contend.
+//! paired with the isomorphism class of a [`Family`] graph at a label
+//! count, so isomorphic graphs share one entry (exact decisions are
+//! invariant under graph isomorphism — see [`crate::crossval`]). From 4
+//! nodes up the class is the family and counts themselves, read with no
+//! graph built. On 3 nodes the families alias (the star is a line, the
+//! clique is the cycle), so there the class is the shape of the tiny
+//! graph: a triangle by its sorted labels, a path by its centre label and
+//! its sorted end labels. The map is lock-striped into shards, each a
+//! mutex-protected hash map, so concurrent lookups for different keys
+//! rarely contend.
 //!
 //! The store holds finished decisions only; it tracks nothing in flight.
 //! [`VerdictStore::get_or_insert_with`] is a sequential memo (peek, else
@@ -26,13 +28,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use wam_certify::CertifiedVerdict;
-use wam_core::Verdict;
 use wam_graph::generators::Family;
 use wam_graph::{Graph, LabelCount};
-
-/// The canonical-graph part of a key: colour sequence + canonical edges,
-/// as produced by [`wam_graph::canonical_form`].
-type GraphKey = (Vec<u16>, Vec<(u32, u32)>);
 
 /// The isomorphism class of a key's graph.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -40,17 +37,35 @@ enum Class {
     /// A family graph on at least 4 nodes. There the counts fix the graph
     /// up to isomorphism and no two families share a graph.
     Family(Family, Box<[u64]>),
-    /// Any other graph, by its canonical form.
-    Canonical(GraphKey),
+    /// A 3-node triangle, by its sorted labels.
+    Triangle([u16; 3]),
+    /// A 3-node path, by its centre label and its sorted end labels.
+    Path(u16, [u16; 2]),
+}
+
+impl Class {
+    /// The class of a 3-node graph: the triangle or the path its labels
+    /// sit on.
+    fn of_three(graph: &Graph) -> Class {
+        let label = |v| graph.label(v).0;
+        if graph.edge_count() == 3 {
+            let mut labels = [label(0), label(1), label(2)];
+            labels.sort_unstable();
+            return Class::Triangle(labels);
+        }
+        let centre = (0..3)
+            .find(|&v| graph.degree(v) == 2)
+            .expect("a connected 3-node graph is a path or a triangle");
+        let mut ends = [label((centre + 1) % 3), label((centre + 2) % 3)];
+        ends.sort_unstable();
+        Class::Path(label(centre), ends)
+    }
 }
 
 /// A precomputed store key: `(system fingerprint, isomorphism class)`.
 ///
-/// Computing the class is the expensive part of a lookup; services that
-/// route, coalesce and reply by key compute it once and reuse it for
-/// every store call. The two constructors agree on 3-node graphs only:
-/// from 4 nodes up a family key never equals a canonical-form key, so a
-/// store should take its keys from one of them.
+/// Services that route, coalesce and reply by key compute it once and
+/// reuse it for every store call.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StoreKey {
     fingerprint: u64,
@@ -58,33 +73,22 @@ pub struct StoreKey {
 }
 
 impl StoreKey {
-    /// Builds the key for `graph` under the system identified by
-    /// `fingerprint` (see [`crate::system_fingerprint`]).
-    pub fn new(fingerprint: u64, graph: &Graph) -> StoreKey {
-        StoreKey {
-            fingerprint,
-            class: Class::Canonical(wam_graph::canonical_form(graph).key()),
-        }
-    }
-
-    /// The key of `family`'s graph over `counts`, built without the graph
-    /// from 4 nodes up. Only on 3 nodes do families alias (the star is a
-    /// line, the clique is the cycle), so there the key is the canonical
-    /// form of the 3-node graph.
+    /// The key of `family`'s graph over `counts` under the system
+    /// identified by `fingerprint` (see [`crate::system_fingerprint`]),
+    /// built without the graph from 4 nodes up. Only on 3 nodes do
+    /// families alias, so there the key is read from the 3-node graph.
     ///
     /// # Panics
     ///
     /// Panics if `counts` total fewer than 3 nodes.
     pub fn of_family(fingerprint: u64, family: Family, counts: &[u64]) -> StoreKey {
         let total = counts.iter().fold(0u64, |n, &c| n.saturating_add(c));
-        if total > 3 {
-            return StoreKey {
-                fingerprint,
-                class: Class::Family(family, counts.into()),
-            };
-        }
-        let graph = family.labelled(&LabelCount::from_vec(counts.to_vec()));
-        StoreKey::new(fingerprint, &graph)
+        let class = if total > 3 {
+            Class::Family(family, counts.into())
+        } else {
+            Class::of_three(&family.labelled(&LabelCount::from_vec(counts.to_vec())))
+        };
+        StoreKey { fingerprint, class }
     }
 
     /// The system fingerprint this key was built with.
@@ -93,8 +97,7 @@ impl StoreKey {
     }
 
     /// The same graph class under a different fingerprint — addresses a
-    /// sibling namespace (e.g. the plain entry next to a certified one)
-    /// without paying for canonicalisation again.
+    /// sibling namespace (e.g. the plain entry next to a certified one).
     pub fn with_fingerprint(&self, fingerprint: u64) -> StoreKey {
         StoreKey {
             fingerprint,
@@ -257,37 +260,26 @@ impl<V: Clone> VerdictStore<V> {
     }
 }
 
-impl VerdictStore<Verdict> {
-    /// The memoised verdict of `decide` on `graph` for the system
-    /// identified by `fingerprint`; `decide` runs only on a miss.
-    pub fn decide(
-        &self,
-        fingerprint: u64,
-        graph: &Graph,
-        decide: impl FnOnce(&Graph) -> Verdict,
-    ) -> Verdict {
-        let key = StoreKey::new(fingerprint, graph);
-        self.get_or_insert_with(&key, || decide(graph))
-    }
-}
-
 impl<C> VerdictStore<CertifiedDecision<C>> {
-    /// The memoised certified decision of `decide` on `graph`; the
-    /// certificate is stored together with its emission graph and shared
-    /// (via `Arc`) across all lookups of the isomorphism class.
+    /// The memoised certified decision of `decide` on `family`'s graph
+    /// over `count`; on a miss the graph is built and handed to `decide`.
+    /// The certificate is stored together with that emission graph and
+    /// shared (via `Arc`) across all lookups of the isomorphism class.
     pub fn decide_certified(
         &self,
         fingerprint: u64,
-        graph: &Graph,
+        family: Family,
+        count: &LabelCount,
         decide: impl FnOnce(&Graph) -> CertifiedVerdict<C>,
     ) -> CertifiedDecision<C> {
-        let key = StoreKey::new(fingerprint, graph);
+        let key = StoreKey::of_family(fingerprint, family, count.as_slice());
         self.get_or_insert_with(&key, || {
-            let out = decide(graph);
+            let graph = family.labelled(count);
+            let out = decide(&graph);
             CertifiedDecision {
                 verdict: out.verdict,
                 certificate: Arc::new(out.certificate),
-                graph: graph.clone(),
+                graph,
             }
         })
     }
@@ -297,11 +289,10 @@ impl<C> VerdictStore<CertifiedDecision<C>> {
 mod tests {
     use super::*;
     use crate::crossval::system_fingerprint;
-    use wam_graph::{generators, LabelCount};
+    use wam_graph::{Alphabet, GraphBuilder, Label};
 
     fn key(name: &str, counts: &[u64]) -> StoreKey {
-        let g = generators::labelled_cycle(&LabelCount::from_vec(counts.to_vec()));
-        StoreKey::new(system_fingerprint(name), &g)
+        StoreKey::of_family(system_fingerprint(name), Family::Cycle, counts)
     }
 
     #[test]
@@ -317,48 +308,85 @@ mod tests {
 
     #[test]
     fn isomorphic_graphs_share_an_entry() {
-        let store: VerdictStore<Verdict> = VerdictStore::new();
-        let c = LabelCount::from_vec(vec![2, 1]);
-        let star = generators::labelled_star(&c);
-        let line = generators::labelled_line(&c);
-        assert_ne!(star.edges(), line.edges());
+        let store: VerdictStore<bool> = VerdictStore::new();
         let fp = system_fingerprint("flood");
-        let a = store.decide(fp, &star, |_| Verdict::Accepts);
-        let b = store.decide(fp, &line, |_| panic!("isomorphic graph must hit"));
+        let star = StoreKey::of_family(fp, Family::Star, &[2, 1]);
+        let line = StoreKey::of_family(fp, Family::Line, &[2, 1]);
+        let a = store.get_or_insert_with(&star, || true);
+        let b = store.get_or_insert_with(&line, || panic!("isomorphic graph must hit"));
         assert_eq!(a, b);
         assert_eq!((store.hits(), store.misses()), (1, 1));
     }
 
+    /// Every labelled 3-node graph over 3 labels: the triangle and the
+    /// path centred on each node, under all 27 labellings.
+    fn three_node_graphs() -> Vec<Graph> {
+        let shapes: [&[(usize, usize)]; 4] = [
+            &[(0, 1), (1, 2), (0, 2)],
+            &[(0, 1), (0, 2)],
+            &[(1, 0), (1, 2)],
+            &[(2, 0), (2, 1)],
+        ];
+        let mut out = Vec::new();
+        for edges in shapes {
+            for code in 0..27u16 {
+                let mut b = GraphBuilder::new(Alphabet::anonymous(3));
+                for digit in [code % 3, code / 3 % 3, code / 9] {
+                    b.node(Label(digit));
+                }
+                for &(u, v) in edges {
+                    b.add_edge(u, v);
+                }
+                out.push(b.build().unwrap());
+            }
+        }
+        out
+    }
+
     #[test]
-    fn large_star_and_its_relabelling_share_a_key() {
-        // |Aut| = 60! · 39!, far past any enumeration cap: the key must
-        // come from the twin quotient, not the identity fallback.
-        let star = generators::labelled_star(&LabelCount::from_vec(vec![60, 40]));
-        let n = star.node_count();
-        assert_eq!(n, 100);
-        let mut b = wam_graph::GraphBuilder::new(star.alphabet().clone());
-        for v in (0..n).rev() {
-            b.node(star.label(v));
+    fn three_node_classes_are_isomorphism_classes() {
+        let graphs = three_node_graphs();
+        let classes: Vec<Class> = graphs.iter().map(Class::of_three).collect();
+        let perms = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let isomorphic = |g: &Graph, h: &Graph| {
+            perms.iter().any(|p| {
+                (0..3).all(|v| g.label(v) == h.label(p[v]))
+                    && g.edges().iter().all(|&(u, v)| h.has_edge(p[u], p[v]))
+                    && g.edge_count() == h.edge_count()
+            })
+        };
+        for i in 0..graphs.len() {
+            for j in 0..i {
+                assert_eq!(
+                    classes[i] == classes[j],
+                    isomorphic(&graphs[i], &graphs[j]),
+                    "{:?} {:?} and {:?} {:?}",
+                    graphs[i].labels(),
+                    graphs[i].edges(),
+                    graphs[j].labels(),
+                    graphs[j].edges()
+                );
+            }
         }
-        for &(u, v) in star.edges() {
-            b.add_edge(n - 1 - u, n - 1 - v);
-        }
-        let reversed = b.build().unwrap();
-        assert_ne!(star.labels(), reversed.labels());
-        let fp = system_fingerprint("flood");
-        assert_eq!(StoreKey::new(fp, &star), StoreKey::new(fp, &reversed));
-        let other = generators::labelled_star(&LabelCount::from_vec(vec![59, 41]));
-        assert_ne!(StoreKey::new(fp, &star), StoreKey::new(fp, &other));
+        // 10 label multisets on the triangle, 3 × 6 (centre, ends) paths.
+        let distinct: std::collections::HashSet<&Class> = classes.iter().collect();
+        assert_eq!(distinct.len(), 28);
     }
 
     #[test]
     fn fingerprints_separate_systems() {
-        let g = generators::labelled_cycle(&LabelCount::from_vec(vec![2, 1]));
-        let store: VerdictStore<Verdict> = VerdictStore::new();
-        let a = store.decide(system_fingerprint("accept"), &g, |_| Verdict::Accepts);
-        let b = store.decide(system_fingerprint("reject"), &g, |_| Verdict::Rejects);
-        assert_eq!(a, Verdict::Accepts);
-        assert_eq!(b, Verdict::Rejects);
+        let store: VerdictStore<bool> = VerdictStore::new();
+        let a = store.get_or_insert_with(&key("accept", &[2, 1]), || true);
+        let b = store.get_or_insert_with(&key("reject", &[2, 1]), || false);
+        assert!(a);
+        assert!(!b);
         assert_eq!(store.misses(), 2);
     }
 

@@ -53,9 +53,9 @@ fn cutoff_one_family() {
         let mut total = 0;
         let mut ok = 0;
         for c in wam_bench::two_label_counts(5) {
-            for (_, g) in small_graph_suite(&c) {
+            for family in small_graph_suite() {
                 total += 1;
-                let v = Decider::new(&m, &g)
+                let v = Decider::new(&m, &family.labelled(&c))
                     .schedule(Schedule::RoundRobin)
                     .limit(500_000)
                     .decide()

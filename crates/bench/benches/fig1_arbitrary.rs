@@ -3,7 +3,7 @@
 //! witness protocol for every decidable cell and the blocking lemma for
 //! every undecidable one.
 
-use wam_analysis::{system_fingerprint, Predicate, VerdictStore};
+use wam_analysis::{system_fingerprint, Predicate, StoreKey, VerdictStore};
 use wam_bench::{small_graph_suite, Table};
 use wam_certify::Decider;
 use wam_core::{ModelClass, Schedule, Verdict};
@@ -185,9 +185,11 @@ fn check(
     let mut total = 0;
     let mut ok = 0;
     for c in &counts {
-        for (_, g) in small_graph_suite(c) {
+        for family in small_graph_suite() {
             total += 1;
-            if memo.decide(fingerprint, &g, &mut decide).decided() == Some(pred.eval(c)) {
+            let key = StoreKey::of_family(fingerprint, family, c.as_slice());
+            let verdict = memo.get_or_insert_with(&key, || decide(&family.labelled(c)));
+            if verdict.decided() == Some(pred.eval(c)) {
                 ok += 1;
             }
         }

@@ -2,12 +2,13 @@
 //! graphs. The headline cell is DAf deciding majority under adversarial
 //! scheduling via the §6.1 stack.
 
-use wam_analysis::{system_fingerprint, Predicate, VerdictStore};
+use wam_analysis::{system_fingerprint, Predicate, StoreKey, VerdictStore};
 use wam_bench::Table;
 use wam_certify::Decider;
 use wam_core::{ModelClass, Schedule};
 use wam_extensions::compile_rendezvous;
-use wam_graph::{generators, LabelCount};
+use wam_graph::generators::{self, Family};
+use wam_graph::LabelCount;
 use wam_protocols::{cutoff_one_machine, majority_stack, modulo_protocol};
 
 fn main() {
@@ -62,11 +63,11 @@ fn witness_table() {
         let mut total = 0;
         let mut ok = 0;
         for c in &counts {
-            let g = generators::labelled_line(c);
+            let key = StoreKey::of_family(fp, Family::Line, c.as_slice());
             total += 1;
             if memo
-                .decide(fp, &g, |g| {
-                    Decider::new(&m, g)
+                .get_or_insert_with(&key, || {
+                    Decider::new(&m, &generators::labelled_line(c))
                         .schedule(Schedule::RoundRobin)
                         .limit(500_000)
                         .decide()
@@ -98,11 +99,11 @@ fn witness_table() {
         for c in &counts {
             let stack = majority_stack(2);
             let flat = stack.flat();
-            let g = generators::labelled_line(c);
+            let key = StoreKey::of_family(fp, Family::Line, c.as_slice());
             total += 1;
             if memo
-                .decide(fp, &g, |g| {
-                    Decider::new(&flat, g)
+                .get_or_insert_with(&key, || {
+                    Decider::new(&flat, &generators::labelled_line(c))
                         .schedule(Schedule::RoundRobin)
                         .limit(5_000_000)
                         .decide()
@@ -134,11 +135,11 @@ fn witness_table() {
         let mut total = 0;
         let mut ok = 0;
         for c in &counts {
-            let g = generators::labelled_line(c);
+            let key = StoreKey::of_family(fp, Family::Line, c.as_slice());
             total += 1;
             if memo
-                .decide(fp, &g, |g| {
-                    Decider::new(&flat, g)
+                .get_or_insert_with(&key, || {
+                    Decider::new(&flat, &generators::labelled_line(c))
                         .limit(3_000_000)
                         .decide()
                         .map(|d| d.verdict)

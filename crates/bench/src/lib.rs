@@ -6,7 +6,8 @@
 //! `cargo bench`.
 
 use std::time::Instant;
-use wam_graph::{generators, Graph, LabelCount};
+use wam_graph::generators::Family;
+use wam_graph::LabelCount;
 
 /// Best-of-`reps` wall time of `f`, in milliseconds, with the last run's
 /// result: the one timer the timing benches share.
@@ -85,14 +86,10 @@ impl Table {
     }
 }
 
-/// The small-graph suite used by the exact-verdict experiments.
-pub fn small_graph_suite(count: &LabelCount) -> Vec<(&'static str, Graph)> {
-    vec![
-        ("cycle", generators::labelled_cycle(count)),
-        ("line", generators::labelled_line(count)),
-        ("star", generators::labelled_star(count)),
-        ("clique", generators::labelled_clique(count)),
-    ]
+/// The small-graph suite used by the exact-verdict experiments: each
+/// family builds one graph per label count ([`Family::labelled`]).
+pub fn small_graph_suite() -> [Family; 4] {
+    [Family::Cycle, Family::Line, Family::Star, Family::Clique]
 }
 
 /// Two-label counts with totals in `[3, max_total]`.
@@ -134,8 +131,7 @@ mod tests {
 
     #[test]
     fn suites_are_nonempty() {
-        let c = LabelCount::from_vec(vec![2, 2]);
-        assert_eq!(small_graph_suite(&c).len(), 4);
+        assert_eq!(small_graph_suite().len(), 4);
         assert!(!two_label_counts(5).is_empty());
     }
 

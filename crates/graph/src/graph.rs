@@ -1,7 +1,6 @@
 //! Finite, simple, connected, undirected labelled graphs.
 
 use crate::{Alphabet, GraphError, Label, LabelCount};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node in a [`Graph`] (a dense index).
@@ -66,13 +65,6 @@ impl Graph {
     /// Panics if `v` is out of range.
     pub fn neighbours(&self, v: NodeId) -> &[NodeId] {
         &self.adj[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// The CSR arrays `(offsets, adj)`: the sorted neighbours of `v` are
-    /// `adj[offsets[v]..offsets[v + 1]]`.
-    #[cfg(test)]
-    pub(crate) fn csr(&self) -> (&[usize], &[NodeId]) {
-        (&self.offsets, &self.adj)
     }
 
     /// Degree of `v`.
@@ -200,7 +192,9 @@ impl fmt::Debug for Graph {
 pub struct GraphBuilder {
     alphabet: Alphabet,
     labels: Vec<Label>,
-    edges: BTreeSet<(NodeId, NodeId)>,
+    /// Normalised `(min, max)` pairs in insertion order, duplicates
+    /// included; [`GraphBuilder::build`] sorts and dedups them once.
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
@@ -209,7 +203,7 @@ impl GraphBuilder {
         GraphBuilder {
             alphabet,
             labels: Vec::new(),
-            edges: BTreeSet::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -239,14 +233,7 @@ impl GraphBuilder {
 
     /// Adds an undirected edge in place (for loop-heavy construction).
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.insert((a, b));
-    }
-
-    /// Removes an edge if present.
-    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.remove(&(a, b));
+        self.edges.push((u.min(v), u.max(v)));
     }
 
     /// Number of nodes added so far.
@@ -260,11 +247,15 @@ impl GraphBuilder {
     ///
     /// Returns [`GraphError`] if the graph has fewer than 3 nodes, contains a
     /// self-loop or out-of-range edge, or is disconnected.
-    pub fn build(self) -> Result<Graph, GraphError> {
+    pub fn build(mut self) -> Result<Graph, GraphError> {
         let n = self.labels.len();
         if n < 3 {
             return Err(GraphError::TooSmall { nodes: n });
         }
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        // The graph keeps this `Vec`: drop the growth and duplicate slack.
+        self.edges.shrink_to_fit();
         let mut degree = vec![0usize; n];
         for &(u, v) in &self.edges {
             if u == v {
@@ -299,7 +290,7 @@ impl GraphBuilder {
             labels: self.labels,
             offsets,
             adj,
-            edges: self.edges.into_iter().collect(),
+            edges: self.edges,
         };
         if graph.bfs_distances(0).contains(&usize::MAX) {
             return Err(GraphError::Disconnected);

@@ -9,8 +9,6 @@
 //!   least three nodes (the paper's standing convention),
 //! * generator functions for every graph family the proofs use
 //!   ([`generators`]),
-//! * canonical forms up to isomorphism ([`automorphism`]), the key of the
-//!   verdict store in `wam-analysis`,
 //! * covering maps and λ-fold covering constructions ([`CoveringMap`],
 //!   Lemma 3.2 / Corollary 3.3),
 //! * the Figure 3 "surgery" used to refute halting discrimination
@@ -30,7 +28,6 @@
 //! ```
 
 mod alphabet;
-pub mod automorphism;
 mod count;
 mod covering;
 mod error;
@@ -41,7 +38,6 @@ pub mod surgery;
 pub mod trees;
 
 pub use alphabet::{Alphabet, Label};
-pub use automorphism::{canonical_form, CanonicalForm};
 pub use count::LabelCount;
 pub use covering::{is_covering, lambda_fold_cycle_cover, CoveringError, CoveringMap};
 pub use error::GraphError;

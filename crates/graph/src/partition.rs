@@ -189,11 +189,6 @@ impl TwinPartition {
         partition
     }
 
-    /// Number of cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// The cell id of node `v`.
     pub fn cell_of(&self, v: NodeId) -> u16 {
         self.cell_of[v]
@@ -225,15 +220,6 @@ impl TwinPartition {
     /// to the explicit space — constructors reject that case.
     pub fn is_compressing(&self) -> bool {
         self.cells.iter().any(|c| c.members.len() >= 2)
-    }
-
-    /// The size of the largest cell.
-    pub fn max_cell_size(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| c.members.len())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Exhaustively verifies the saturation property against `graph`:
@@ -312,7 +298,7 @@ mod tests {
     fn clique_is_one_closed_cell() {
         let g = generators::labelled_clique(&LabelCount::from_vec(vec![5]));
         let p = TwinPartition::of(&g);
-        assert_eq!(p.cell_count(), 1);
+        assert_eq!(p.cells().len(), 1);
         assert!(p.cell(0).closed);
         assert_eq!(p.cell(0).members.len(), 5);
         assert!(p.is_compressing());
@@ -323,7 +309,7 @@ mod tests {
     fn two_label_clique_splits_by_label() {
         let g = generators::labelled_clique(&LabelCount::from_vec(vec![3, 2]));
         let p = TwinPartition::of(&g);
-        assert_eq!(p.cell_count(), 2);
+        assert_eq!(p.cells().len(), 2);
         assert!(p.cells().iter().all(|c| c.closed));
         assert!(p.cells_adjacent(0, 1));
         assert!(p.check_saturated(&g));
@@ -333,7 +319,7 @@ mod tests {
     fn star_is_centre_plus_leaves() {
         let g = generators::labelled_star(&LabelCount::from_vec(vec![6]));
         let p = TwinPartition::of(&g);
-        assert_eq!(p.cell_count(), 2);
+        assert_eq!(p.cells().len(), 2);
         let leaves = p.cells().iter().find(|c| c.members.len() == 5).unwrap();
         assert!(!leaves.closed);
         assert!(p.is_compressing());
@@ -345,7 +331,7 @@ mod tests {
         for n in [5u64, 6, 9] {
             let g = generators::labelled_cycle(&LabelCount::from_vec(vec![n]));
             let p = TwinPartition::of(&g);
-            assert_eq!(p.cell_count(), n as usize);
+            assert_eq!(p.cells().len(), n as usize);
             assert!(!p.is_compressing());
             assert!(p.check_saturated(&g));
         }
@@ -355,7 +341,7 @@ mod tests {
     fn c4_splits_into_two_independent_cells() {
         let g = generators::labelled_cycle(&LabelCount::from_vec(vec![4]));
         let p = TwinPartition::of(&g);
-        assert_eq!(p.cell_count(), 2);
+        assert_eq!(p.cells().len(), 2);
         assert!(p.cells().iter().all(|c| !c.closed && c.members.len() == 2));
         assert!(p.cells_adjacent(0, 1));
         assert!(!p.cells_adjacent(0, 0));
@@ -377,7 +363,7 @@ mod tests {
             .build()
             .unwrap();
         let p = TwinPartition::of(&g);
-        assert_eq!(p.cell_count(), 3);
+        assert_eq!(p.cells().len(), 3);
         let pair = p.cells().iter().find(|c| c.members == vec![0, 1]).unwrap();
         assert!(pair.closed);
         assert!(p.check_saturated(&g));
@@ -395,7 +381,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let p = TwinPartition::of(&g);
-        assert_eq!(p.cell_count(), 2);
+        assert_eq!(p.cells().len(), 2);
         assert!(p.cells().iter().all(|c| !c.closed));
         assert!(p.check_saturated(&g));
     }

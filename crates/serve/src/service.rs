@@ -15,8 +15,9 @@
 //!    unboundedly. An admitted decision queues for the workers, so the
 //!    bound counts queued and running decisions alike.
 //!
-//! The gates build no graph: the key is the request's family and counts
-//! ([`StoreKey::of_family`]), and the bounds are checked on the counts.
+//! The gates build no graph from 4 nodes up: the key is the request's
+//! family and counts ([`StoreKey::of_family`]; a 3-node request is keyed
+//! by the shape of its graph), and the bounds are checked on the counts.
 //! Workers run decisions only, each building its own graph. `received`
 //! counts the requests that reached the gates.
 //!

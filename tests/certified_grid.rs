@@ -16,17 +16,9 @@ use weak_async_models::core::{
 use weak_async_models::extensions::{
     compile_broadcasts, compile_rendezvous, GraphPopulationProtocol, MajorityState,
 };
-use weak_async_models::graph::{generators, Graph, LabelCount};
+use weak_async_models::graph::generators::Family;
+use weak_async_models::graph::{Graph, LabelCount};
 use weak_async_models::protocols::{cutoff_one_machine, modulo_protocol, threshold_machine};
-
-fn suite(c: &LabelCount) -> Vec<Graph> {
-    vec![
-        generators::labelled_cycle(c),
-        generators::labelled_line(c),
-        generators::labelled_star(c),
-        generators::labelled_clique(c),
-    ]
-}
 
 /// One certified decision through the [`Decider`], forced onto the
 /// explicit backend so every certificate lives in node space (the form
@@ -176,8 +168,8 @@ fn certified_grid<S: State>(
     let memo = VerdictStore::new();
     let fp = system_fingerprint(name);
     for c in counts() {
-        for g in suite(&c) {
-            let d = memo.decide_certified(fp, &g, |g| decide(g));
+        for family in [Family::Cycle, Family::Line, Family::Star, Family::Clique] {
+            let d = memo.decide_certified(fp, family, &c, &mut decide);
             assert_eq!(
                 d.verdict.decided(),
                 Some(pred.eval(&c)),
@@ -185,7 +177,8 @@ fn certified_grid<S: State>(
             );
             assert_eq!(d.verdict, d.certificate.verdict());
             // The cached certificate is verified against its *emission*
-            // graph (isomorphic to `g`, possibly differently labelled).
+            // graph (isomorphic to `family`'s graph, possibly differently
+            // labelled).
             let v = verify_machine(machine, &d.graph, &d.certificate)
                 .unwrap_or_else(|e| panic!("{name} on {c}: verifier rejected: {e}"));
             assert_eq!(v, d.verdict);

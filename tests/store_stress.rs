@@ -3,21 +3,25 @@
 //! many client threads send overlapping E1-grid jobs in scrambled orders
 //! through one [`VerdictService`], and the outcome must be
 //! indistinguishable from a serial run — bit-identical verdicts *and*
-//! certificate JSON for every job, with each canonical isomorphism class
-//! decided exactly once and replied `miss` exactly once across all
-//! threads (the service's in-flight coalescing, not luck).
+//! certificate JSON for every job, with each isomorphism class decided
+//! exactly once and replied `miss` exactly once across all threads (the
+//! service's in-flight coalescing, not luck).
 //!
-//! Decisions run on the *canonical representative* of each class, so
-//! the emitted certificate is a pure function of the store key: which
-//! thread (and which labelled representative) wins the race cannot
-//! change a single byte of the cached result.
+//! The grid is grouped into classes by brute-force isomorphism, and
+//! decisions run on the *representative* of each class, its first job.
+//! So the emitted certificate is a pure function of the store key: which
+//! thread (and which member of the class) wins the race cannot change a
+//! single byte of the cached result.
 
+mod common;
+
+use common::isomorphic;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use weak_async_models::certify::{certificate_to_json, Decider, DecisionCertificate, StateTable};
 use weak_async_models::core::{Backend, Schedule, Verdict};
-use weak_async_models::graph::{canonical_form, Graph, GraphBuilder, Label};
+use weak_async_models::graph::{Graph, Label};
 use weak_async_models::protocols::cutoff_one_machine;
 use weak_async_models::serve::{
     build_graph, CacheOutcome, CachedVerdict, CertificateBlob, DecideRequest, MachineRegistry,
@@ -26,9 +30,6 @@ use weak_async_models::serve::{
 
 const THREADS: usize = 8;
 const PASSES: usize = 3;
-
-/// A graph's canonical-class key, as produced by [`canonical_form`].
-type ClassKey = (Vec<u16>, Vec<(u32, u32)>);
 
 /// The E1 small-graph grid: five label counts across four families, as
 /// `(family, counts)` request fields.
@@ -42,26 +43,12 @@ fn jobs() -> Vec<(&'static str, Vec<u64>)> {
     out
 }
 
-/// Rebuilds the canonical representative of `g`'s isomorphism class as a
-/// concrete graph (the form's labels and edges, in canonical order).
-fn canonical_graph(g: &Graph) -> Graph {
-    let form = canonical_form(g);
-    assert!(form.exact, "grid graphs are small enough for exact forms");
-    let mut b = GraphBuilder::new(g.alphabet().clone());
-    let ids: Vec<_> = form.labels.iter().map(|&l| b.node(Label(l))).collect();
-    for &(u, v) in &form.edges {
-        b.add_edge(ids[u as usize], ids[v as usize]);
-    }
-    b.build().expect("canonical form is a valid graph")
-}
-
-/// One certified decision of the presence machine on the canonical
+/// One certified decision of the presence machine on a class
 /// representative, rendered to its JSON wire form. Deterministic: equal
-/// keys produce byte-equal results.
-fn decide_canonical(g: &Graph) -> (Verdict, String) {
+/// representatives produce byte-equal results.
+fn decide_representative(g: &Graph) -> (Verdict, String) {
     let machine = cutoff_one_machine(2, |p| p[1]);
-    let cg = canonical_graph(g);
-    let d = Decider::new(&machine, &cg)
+    let d = Decider::new(&machine, g)
         .schedule(Schedule::RoundRobin)
         .backend(Backend::Explicit)
         .certified(true)
@@ -107,11 +94,28 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
         })
         .collect();
 
-    // Serial reference: decide every distinct canonical class once.
-    let mut reference: BTreeMap<ClassKey, (Verdict, String)> = BTreeMap::new();
-    for (_, g) in &grid {
-        let key = canonical_form(g).key();
-        reference.entry(key).or_insert_with(|| decide_canonical(g));
+    // Classes by brute-force isomorphism: a job's class is the index of
+    // the first isomorphic job, its representative.
+    let class_of: Vec<usize> = (0..grid.len())
+        .map(|j| {
+            (0..=j)
+                .find(|&i| isomorphic(&grid[i].1, &grid[j].1))
+                .unwrap()
+        })
+        .collect();
+    let representatives: Arc<Vec<Graph>> = Arc::new(
+        (0..grid.len())
+            .filter(|&j| class_of[j] == j)
+            .map(|j| grid[j].1.clone())
+            .collect(),
+    );
+
+    // Serial reference: decide every class once, on its representative.
+    let mut reference: BTreeMap<usize, (Verdict, String)> = BTreeMap::new();
+    for &class in &class_of {
+        reference
+            .entry(class)
+            .or_insert_with(|| decide_representative(&grid[class].1));
     }
     let distinct = reference.len();
     assert!(
@@ -119,8 +123,8 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
         "the grid must contain isomorphic duplicates to make contention real"
     );
     // Presence accepts exactly when a node is labelled 1.
-    for (_, g) in &grid {
-        let (verdict, _) = &reference[&canonical_form(g).key()];
+    for (j, (_, g)) in grid.iter().enumerate() {
+        let (verdict, _) = &reference[&class_of[j]];
         let expected = if g.label_count().get(Label(1)) >= 1 {
             Verdict::Accepts
         } else {
@@ -135,11 +139,15 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
     let counter = Arc::clone(&decisions);
     registry.register_with(
         "presence",
-        "certified presence on the canonical representative",
+        "certified presence on the class representative",
         2,
         Box::new(move |g, _certified| {
             counter.fetch_add(1, Ordering::SeqCst);
-            let (verdict, json) = decide_canonical(g);
+            let representative = representatives
+                .iter()
+                .find(|r| isomorphic(r, g))
+                .expect("every grid graph has a representative");
+            let (verdict, json) = decide_representative(representative);
             Ok(CachedVerdict {
                 verdict,
                 backend: "explicit".to_string(),
@@ -154,26 +162,28 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
     // grid, each in its own scrambled order, all through one service.
     let reference = Arc::new(reference);
     let grid = Arc::new(grid);
+    let class_of = Arc::new(class_of);
     let mut handles = Vec::new();
     for t in 0..THREADS {
         let service = Arc::clone(&service);
         let reference = Arc::clone(&reference);
         let grid = Arc::clone(&grid);
+        let class_of = Arc::clone(&class_of);
         handles.push(std::thread::spawn(move || {
             let mut rng = Lcg(0xA076_1D64_78BD_642F ^ (t as u64 + 1));
-            let mut misses: Vec<ClassKey> = Vec::new();
+            let mut misses: Vec<usize> = Vec::new();
             for _ in 0..PASSES {
                 let mut order: Vec<usize> = (0..grid.len()).collect();
                 for i in (1..order.len()).rev() {
                     order.swap(i, (rng.next() as usize) % (i + 1));
                 }
                 for &j in &order {
-                    let (req, g) = &grid[j];
+                    let req = &grid[j].0;
                     let ok = match service.process_blocking(req.clone()) {
                         Reply::Ok(ok) => ok,
                         other => panic!("job {j} was not served: {other:?}"),
                     };
-                    let class = canonical_form(g).key();
+                    let class = class_of[j];
                     let want = &reference[&class];
                     let blob = ok.result.certificate.expect("certified reply");
                     assert_eq!(ok.result.verdict, want.0, "verdict diverged on job {j}");
@@ -186,7 +196,7 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
             misses
         }));
     }
-    let mut misses: BTreeMap<ClassKey, usize> = BTreeMap::new();
+    let mut misses: BTreeMap<usize, usize> = BTreeMap::new();
     for h in handles {
         for class in h.join().expect("client thread") {
             *misses.entry(class).or_default() += 1;
@@ -194,11 +204,11 @@ fn concurrent_store_is_bit_identical_to_serial_with_at_most_one_decision_per_cla
     }
 
     // THREADS × PASSES × |grid| requests collapsed to one decision, and
-    // one `miss` reply, per canonical class.
+    // one `miss` reply, per isomorphism class.
     assert_eq!(
         decisions.load(Ordering::SeqCst),
         distinct,
-        "each canonical class must be decided exactly once"
+        "each isomorphism class must be decided exactly once"
     );
     assert_eq!(misses.len(), distinct, "every class must miss once");
     assert!(
