@@ -97,11 +97,6 @@ impl LabelCount {
         }
     }
 
-    /// Whether two counts agree after cutting off at `K`.
-    pub fn eq_up_to_cutoff(&self, other: &LabelCount, k: u64) -> bool {
-        self.cutoff(k) == other.cutoff(k)
-    }
-
     /// The support: labels with nonzero count.
     pub fn support(&self) -> impl Iterator<Item = Label> + '_ {
         self.counts

@@ -26,9 +26,9 @@
 //! * [`error`] — [`ServeError`], one uniform error with engine errors
 //!   reachable through `source()`.
 //!
-//! Everything runs on `std` threads — the workers, the transport's writer,
-//! and one timer thread once a request carries a deadline; the crate has
-//! no dependencies outside the workspace.
+//! Everything runs on `std` threads — the transport's read loop, the
+//! workers, and one timer thread once a request carries a deadline; the
+//! crate has no dependencies outside the workspace.
 
 pub mod error;
 pub mod proto;

@@ -12,7 +12,7 @@
 //! network and cross-validate the emergent verdict against the exact
 //! decider.
 
-use std::io::{BufReader, Write as _};
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 use wam_serve::{serve, ServiceConfig, VerdictService};
@@ -61,8 +61,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let stdin = BufReader::new(std::io::stdin());
-    match serve(&service, stdin, std::io::stdout()) {
+    match serve(&service, std::io::stdin().lock(), std::io::stdout()) {
         Ok(stats) => {
             // The snapshot goes to stderr so reply parsers on stdout
             // never see it.

@@ -41,11 +41,12 @@
 use crate::error::ServeError;
 use crate::proto::{catalog_of, CacheOutcome, ChaosRequest, DecideRequest, OkReply, Reply};
 use crate::registry::{CachedVerdict, MachineRegistry};
+use crate::transport::Output;
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -128,13 +129,12 @@ struct Counters {
     chaos_runs: AtomicU64,
 }
 
-/// Where a reply goes.
+/// Where the reply to a parked request goes.
 pub(crate) enum Sink {
     /// [`ServiceHandle::submit`]'s receiver.
     Caller(Sender<Reply>),
-    /// The transport's bounded writer queue, which renders the reply.
-    /// Boxed, so the queue's preallocated slots stay one pointer wide.
-    Writer(SyncSender<Box<Reply>>),
+    /// The transport's shared output, which the answering thread writes.
+    Output(Arc<Output>),
 }
 
 /// An admitted decision; its waiters are on `inflight[key]`.
@@ -212,7 +212,7 @@ type Answer = (CachedVerdict, CacheOutcome, bool);
 type Outcome = Result<Answer, ServeError>;
 
 impl ReplyTo {
-    fn send(self, stats: &Counters, outcome: Outcome) {
+    fn reply(self, stats: &Counters, outcome: Outcome) -> (Reply, Sink) {
         let reply = match outcome {
             Ok((result, cache, degraded)) => {
                 stats.completed.fetch_add(1, Ordering::Relaxed);
@@ -227,11 +227,15 @@ impl ReplyTo {
             }
             Err(error) => Reply::Error { id: self.id, error },
         };
-        // A caller that went away needs no reply.
-        let _ = match self.sink {
-            Sink::Caller(tx) => tx.send(reply).ok(),
-            Sink::Writer(tx) => tx.send(Box::new(reply)).ok(),
-        };
+        (reply, self.sink)
+    }
+
+    fn send(self, stats: &Counters, outcome: Outcome) {
+        match self.reply(stats, outcome) {
+            // A caller that went away needs no reply.
+            (reply, Sink::Caller(tx)) => drop(tx.send(reply)),
+            (reply, Sink::Output(out)) => out.send(&reply),
+        }
     }
 }
 
@@ -328,13 +332,13 @@ impl Inner {
     }
 
     /// Runs one request through the gates on the calling thread and
-    /// answers it, unless they parked it on an in-flight decision. A
-    /// stopped service refuses every request, hits included, by dropping
+    /// returns its reply, unless they parked it on an in-flight decision.
+    /// A stopped service refuses every request, hits included, by dropping
     /// its sink. A panic in the gates becomes an `internal` reply.
-    fn arrive(self: &Arc<Self>, req: DecideRequest, sink: Sink) {
+    fn arrive(self: &Arc<Self>, req: DecideRequest, sink: Sink) -> Option<Reply> {
         let start = Instant::now();
         if !self.queue.is_open() {
-            return;
+            return None;
         }
         self.stats.received.fetch_add(1, Ordering::Relaxed);
         let mut to = Some(ReplyTo {
@@ -345,9 +349,8 @@ impl Inner {
         });
         let outcome = catch_unwind(AssertUnwindSafe(|| self.gates(&req, start, &mut to)))
             .unwrap_or_else(|panic| Err(internal(panic)));
-        if let (Some(to), Some(outcome)) = (to, outcome.transpose()) {
-            to.send(&self.stats, outcome);
-        }
+        let (to, outcome) = (to?, outcome.transpose()?);
+        Some(to.reply(&self.stats, outcome).0)
     }
 
     /// The three gates. Returns the outcome to send to `to`, or `Ok(None)`
@@ -705,7 +708,9 @@ impl ServiceHandle {
     /// receiver yields its reply, at once unless a decision must run.
     pub fn submit(&self, req: DecideRequest) -> Receiver<Reply> {
         let (tx, rx) = mpsc::channel();
-        self.enqueue(req, Sink::Caller(tx));
+        if let Some(reply) = self.enqueue(req, Sink::Caller(tx.clone())) {
+            let _ = tx.send(reply);
+        }
         rx
     }
 
@@ -721,8 +726,8 @@ impl ServiceHandle {
         })
     }
 
-    /// Runs a request through the gates; its reply goes to `sink`.
-    pub(crate) fn enqueue(&self, req: DecideRequest, sink: Sink) {
-        self.inner.arrive(req, sink);
+    /// Runs a request through the gates: its reply now, or later to `sink`.
+    pub(crate) fn enqueue(&self, req: DecideRequest, sink: Sink) -> Option<Reply> {
+        self.inner.arrive(req, sink)
     }
 }

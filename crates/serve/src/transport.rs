@@ -1,14 +1,14 @@
-//! The framed line transport: requests in on a [`BufRead`], replies out
-//! on a [`Write`], one JSON document per line.
+//! The framed line transport: requests in on a [`Read`], replies out on
+//! a [`Write`], one JSON document per line.
 //!
 //! The read loop parses each line and runs a decide request through the
 //! service's gates itself, without waiting for a decision: a hit is
 //! answered on the spot, and a miss becomes a job on the service's worker
-//! pool. Every reply goes onto a bounded queue that a dedicated writer
-//! thread renders and drains, flushing once the queue is empty. Replies
-//! therefore come back in *completion* order; clients match them up by
-//! `id`. Parse failures and the synchronous ops (`stats`, `catalog`,
-//! `chaos`) are answered inline, in order of arrival.
+//! pool. Each reply is written where it is made, into one [`BufWriter`]
+//! behind a mutex: the read loop flushes only before a read that may
+//! block, when the bytes it holds contain no complete line, and a worker
+//! or the timer thread flushes each reply it writes. Replies therefore
+//! come back in *completion* order; clients match them up by `id`.
 //!
 //! Lines are read as raw bytes: a line that is not UTF-8, or longer than
 //! [`MAX_LINE_BYTES`], gets a `bad-request` reply and the loop moves on to
@@ -17,59 +17,84 @@
 use crate::error::ServeError;
 use crate::proto::{parse_request, refused_id, Reply, Request};
 use crate::service::{ServiceStats, Sink, VerdictService};
-use std::io::{BufRead, BufWriter, Read, Write};
-use std::sync::mpsc;
-use std::thread;
-
-/// How many replies may queue for the writer before dispatch
-/// backpressures the read loop.
-const REPLY_QUEUE: usize = 1024;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex};
 
 /// The longest request line the transport reads, newline excluded.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Serves requests from `input` until EOF, writing one reply line each,
-/// then returns the final counter snapshot.
+type Writer = BufWriter<Box<dyn Write + Send>>;
+
+/// The output the read loop, the workers and the timer thread share: the
+/// writer and its first error behind one lock. The read loop holds one
+/// handle and each parked decide request's sink another; the last handle
+/// to go flushes and hands the first error to `serve`.
+pub(crate) struct Output {
+    out: Mutex<(Writer, io::Result<()>)>,
+    done: Sender<io::Result<()>>,
+}
+
+impl Output {
+    /// Runs `op` on the writer under the lock, unless a write failed
+    /// before; the first error is kept.
+    fn with(&self, op: impl FnOnce(&mut Writer) -> io::Result<()>) {
+        let mut guard = self.out.lock().expect("a reply write panicked");
+        let (out, result) = &mut *guard;
+        if result.is_ok() {
+            *result = op(out);
+        }
+    }
+
+    /// Renders `reply`, then writes and flushes it under the lock.
+    pub(crate) fn send(&self, reply: &Reply) {
+        let line = reply.render();
+        self.with(|out| writeln!(out, "{line}").and_then(|()| out.flush()));
+    }
+}
+
+impl Drop for Output {
+    fn drop(&mut self) {
+        // A lock poisoned by a panicking write sends nothing: `serve` panics.
+        if let Ok((out, result)) = self.out.get_mut() {
+            let result = std::mem::replace(result, Ok(())).and_then(|()| out.flush());
+            let _ = self.done.send(result);
+        }
+    }
+}
+
+/// Serves requests from `input` until EOF, one reply line each, and
+/// returns the final counter snapshot once every request is answered.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from reading `input` or writing `output`.
-pub fn serve<R, W>(
-    service: &VerdictService,
-    mut input: R,
-    output: W,
-) -> std::io::Result<ServiceStats>
+/// Propagates I/O errors from reading `input`, and the first error from
+/// writing `output`.
+pub fn serve<R, W>(service: &VerdictService, input: R, output: W) -> io::Result<ServiceStats>
 where
-    R: BufRead,
+    R: Read,
     W: Write + Send + 'static,
 {
     let handle = service.handle();
-    let (tx, rx) = mpsc::sync_channel::<Box<Reply>>(REPLY_QUEUE);
-
-    let writer = thread::Builder::new()
-        .name("serve-writer".to_string())
-        .spawn(move || -> std::io::Result<W> {
-            let mut output = BufWriter::new(output);
-            while let Ok(first) = rx.recv() {
-                // Write every queued reply, then flush once.
-                for reply in std::iter::once(first).chain(rx.try_iter()) {
-                    writeln!(output, "{}", reply.render())?;
-                }
-                output.flush()?;
-            }
-            output.into_inner().map_err(|e| e.into_error())
-        })
-        .expect("spawn serve writer thread");
-
-    let reply = |reply: Reply| {
-        let _ = tx.send(Box::new(reply));
-    };
+    let (done, finished) = mpsc::channel();
+    let output = Arc::new(Output {
+        out: Mutex::new((BufWriter::new(Box::new(output)), Ok(()))),
+        done,
+    });
     let bad_line = |reason: String| {
         let error = ServeError::BadRequest { reason };
-        reply(Reply::Error { id: None, error });
+        Some(Reply::Error { id: None, error })
     };
+    let mut input = BufReader::new(input);
     let mut raw = Vec::new();
+    // Whether the read loop wrote since it last flushed.
+    let mut wrote = false;
     loop {
+        if wrote && !input.buffer().contains(&b'\n') {
+            // No complete line is held, so the next read may block.
+            output.with(|out| out.flush());
+            wrote = false;
+        }
         raw.clear();
         let n = (&mut input)
             .take(MAX_LINE_BYTES as u64 + 1)
@@ -77,47 +102,46 @@ where
         if n == 0 {
             break;
         }
-        if raw.last() == Some(&b'\n') {
-            raw.pop();
-            if raw.last() == Some(&b'\r') {
-                raw.pop();
+        let reply = 'reply: {
+            if raw.last() != Some(&b'\n') && raw.len() > MAX_LINE_BYTES {
+                input.skip_until(b'\n')?;
+                break 'reply bad_line(format!("request line longer than {MAX_LINE_BYTES} bytes"));
             }
-        } else if raw.len() > MAX_LINE_BYTES {
-            input.skip_until(b'\n')?;
-            bad_line(format!("request line longer than {MAX_LINE_BYTES} bytes"));
-            continue;
-        }
-        let Ok(line) = std::str::from_utf8(&raw) else {
-            bad_line("request line is not valid UTF-8".to_string());
-            continue;
+            let line = match raw.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                None => &raw,
+            };
+            let Ok(line) = std::str::from_utf8(line) else {
+                break 'reply bad_line("request line is not valid UTF-8".to_string());
+            };
+            if line.trim().is_empty() {
+                break 'reply None;
+            }
+            match parse_request(line) {
+                Err(error) => Some(Reply::Error {
+                    id: refused_id(line),
+                    error,
+                }),
+                Ok(Request::Stats { id }) => Some(handle.stats_reply(id)),
+                Ok(Request::Catalog { id }) => Some(handle.catalog_reply(id)),
+                // Chaos runs execute synchronously on the read loop: they
+                // are opt-in (`--net`) diagnostics whose determinism is the
+                // point, so interleaving them with decide traffic would buy
+                // nothing and cost reproducible ordering.
+                Ok(Request::Chaos(req)) => Some(handle.chaos_reply(&req)),
+                // A parked request's sink holds a handle on the output, so
+                // `serve` returns only once it is answered.
+                Ok(Request::Decide(req)) => handle.enqueue(req, Sink::Output(Arc::clone(&output))),
+            }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(line) {
-            Err(error) => reply(Reply::Error {
-                id: refused_id(line),
-                error,
-            }),
-            Ok(Request::Stats { id }) => reply(handle.stats_reply(id)),
-            Ok(Request::Catalog { id }) => reply(handle.catalog_reply(id)),
-            // Chaos runs execute synchronously on the read loop: they are
-            // opt-in (`--net`) diagnostics whose determinism is the point,
-            // so interleaving them with decide traffic would buy nothing
-            // and cost reproducible ordering.
-            Ok(Request::Chaos(req)) => reply(handle.chaos_reply(&req)),
-            // The job owns a sender clone until its reply is written, so
-            // the writer drains it before shutting down.
-            Ok(Request::Decide(req)) => handle.enqueue(req, Sink::Writer(tx.clone())),
+        if let Some(reply) = reply {
+            let line = reply.render();
+            output.with(|out| writeln!(out, "{line}"));
+            wrote = true;
         }
     }
-
-    // Dropping the last reader-side sender lets the writer finish once
-    // every queued or parked decide job has sent its reply and dropped
-    // its own clone.
-    drop(tx);
-    let output = writer.join().expect("serve writer thread panicked")?;
     drop(output);
+    finished.recv().expect("a reply write panicked")?;
     Ok(handle.stats())
 }
 
@@ -127,15 +151,14 @@ mod tests {
     use crate::registry::{CachedVerdict, MachineRegistry};
     use crate::service::ServiceConfig;
     use std::io::Cursor;
-    use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
     use wam_certify::Json;
     use wam_core::Verdict;
 
     /// A `Write` that keeps the bytes written and stamps each newline
     /// with the instant it was written; one `write` may carry several
-    /// lines or part of one. The test inspects the lines after `serve`
-    /// returns.
+    /// lines or part of one. Only flushed bytes reach it, as the
+    /// `BufWriter` in front of it holds the rest.
     #[derive(Clone, Default)]
     struct StampedLines(Arc<Mutex<(Vec<u8>, Vec<Instant>)>>);
 
@@ -164,6 +187,8 @@ mod tests {
         }
     }
 
+    /// The timer thread writes the deadline replies; the writer thread
+    /// the name refers to is gone.
     #[test]
     fn deadlines_answer_on_the_writer_before_the_decision_ends() {
         // Plain decisions are instant; certified ones take 300 ms and
@@ -283,7 +308,7 @@ mod tests {
     #[test]
     fn hostile_sizes_are_rejected_not_served() {
         // A million-node clique once drove an O(n²) allocation that could
-        // panic a worker and hang `serve` in writer.join(); now the size
+        // panic a worker and hang `serve` until its reply; now the size
         // bounds reject it up front and the loop keeps answering.
         let service = VerdictService::with_paper_catalog(ServiceConfig::default());
         let input = Cursor::new(
